@@ -7,6 +7,23 @@ along under the same row operations; reducing a fresh vector against the
 accumulated pivots reports whether it lies in their row space and what
 auxiliary combination expresses it.
 
+Pivots are kept in a map from pivot column to pivot row. A pivot row's
+lowest nonzero main entry is its column, where it holds a 1, and it is
+zero at every pivot column found before it. The packed engines reduce a
+row by clearing its lowest pivot column, then the next one, until none
+is left, so they visit only the pivot columns present in the row, not
+every pivot; the numpy engine checks each pivot in insertion order. The
+reduced row is the unique member of ``row + span(pivots)`` that is zero
+at every pivot column, so all engines and visiting orders agree.
+
+``solved_form()`` back-reduces the pivot rows in descending pivot-column
+order until each is zero at every pivot column but its own. It returns
+the pivot columns in ascending order and the matching aux parts, so a
+matrix T that is zero off the pivot columns and equals those aux parts on
+them satisfies ``main @ T == aux`` for every pivot row and every
+combination of pivot rows. When the aux columns track which inserted
+rows each pivot row combines, T is read off directly, with no solve.
+
 GF(2) rows are packed into single Python integers and GF(3) rows into two
 bitplanes, so a whole-row operation costs a handful of big-int ops; other
 primes use plain numpy vectors. All three give identical results.
@@ -17,16 +34,38 @@ from __future__ import annotations
 import numpy as np
 
 
-def _pack_bits(bits: np.ndarray) -> int:
-    # little-endian: bit i of the result is bits[i]
-    packed = np.packbits(bits.astype(np.uint8), bitorder="little")
-    return int.from_bytes(packed.tobytes(), "little")
+def _rows(main, aux, p: int) -> np.ndarray:
+    """[main | aux] mod p as a 2-D int64 array; a 1-D ``main`` is one row."""
+    rows = np.asarray(main, dtype=np.int64)
+    if aux is not None:
+        rows = np.hstack([rows, np.asarray(aux, dtype=np.int64)])
+    if rows.ndim == 1:
+        rows = rows[None]
+    # the division is the costly step and encoder rows are already reduced;
+    # read as unsigned, a negative entry is out of range too
+    if rows.view(np.uint64).max(initial=0) >= p:
+        rows = rows % p
+    return rows
+
+
+def _pack_rows(bits: np.ndarray) -> list[int]:
+    """One int per row of a 2-D bool array."""
+    # little-endian: bit i of the r-th int is bits[r, i]
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
+def _unpack_rows(words: list[int], width: int) -> np.ndarray:
+    """(len(words), width) 0/1 array; row i holds the low bits of words[i]."""
+    nbytes = max(1, (width + 7) // 8)
+    raw = b"".join(w.to_bytes(nbytes, "little") for w in words)
+    grid = np.frombuffer(raw, dtype=np.uint8).reshape(len(words), nbytes)
+    bits = np.unpackbits(grid, axis=1, bitorder="little")
+    return bits[:, :width].astype(np.int64)
 
 
 def _unpack_bits(x: int, width: int) -> np.ndarray:
-    nbytes = max(1, (width + 7) // 8)
-    raw = np.frombuffer(x.to_bytes(nbytes, "little"), dtype=np.uint8)
-    return np.unpackbits(raw, bitorder="little")[:width].astype(np.int64)
+    return _unpack_rows([x], width)[0]
 
 
 class _EchelonGF2:
@@ -36,45 +75,61 @@ class _EchelonGF2:
         self.main_cols = main_cols
         self.aux_cols = aux_cols
         self._main_mask = (1 << main_cols) - 1
-        self._rows: list[int] = []
-        self.pivot_cols: list[int] = []
+        self._pivots: dict[int, int] = {}  # pivot column -> packed row
+        self._pivot_mask = 0
 
     @property
     def rank(self) -> int:
-        return len(self._rows)
+        return len(self._pivots)
 
-    def _pack(self, main, aux) -> int:
-        row = _pack_bits(np.asarray(main, dtype=np.int64) % 2)
-        if aux is not None:
-            row |= _pack_bits(np.asarray(aux, dtype=np.int64) % 2) << self.main_cols
-        return row
+    @property
+    def pivot_cols(self) -> list[int]:
+        return list(self._pivots)
+
+    def _pack(self, main, aux) -> list[int]:
+        return _pack_rows(_rows(main, aux, 2) != 0)
 
     def _reduce_packed(self, row: int) -> int:
-        for c, prow in zip(self.pivot_cols, self._rows):
-            if (row >> c) & 1:
-                row ^= prow
+        pivots, mask = self._pivots, self._pivot_mask
+        hit = row & mask
+        while hit:
+            row ^= pivots[(hit & -hit).bit_length() - 1]
+            hit = row & mask
         return row
 
-    def insert(self, main, aux=None) -> bool:
-        row = self._reduce_packed(self._pack(main, aux))
+    def _insert_packed(self, row: int) -> bool:
+        row = self._reduce_packed(row)
         lead = row & self._main_mask
         if lead == 0:
             return False
-        self.pivot_cols.append((lead & -lead).bit_length() - 1)
-        self._rows.append(row)
+        lead &= -lead
+        self._pivots[lead.bit_length() - 1] = row
+        self._pivot_mask |= lead
         return True
 
+    def insert(self, main, aux=None) -> int:
+        return sum(map(self._insert_packed, self._pack(main, aux)))
+
     def reduce(self, main, aux=None) -> tuple[bool, np.ndarray]:
-        row = self._reduce_packed(self._pack(main, aux))
+        row = self._reduce_packed(self._pack(main, aux)[0])
         aux_out = _unpack_bits(row >> self.main_cols, self.aux_cols)
         return (row & self._main_mask) == 0, aux_out
 
-    def pivot_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        width = self.main_cols + self.aux_cols
-        arr = np.zeros((len(self._rows), width), dtype=np.int64)
-        for i, r in enumerate(self._rows):
-            arr[i] = _unpack_bits(r, width)
-        return arr[:, : self.main_cols], arr[:, self.main_cols :]
+    def solved_form(self) -> tuple[np.ndarray, np.ndarray]:
+        cols = sorted(self._pivots)
+        solved: dict[int, int] = {}
+        for c in reversed(cols):
+            row = self._pivots[c]
+            # solved rows are zero at every other pivot column, so clearing
+            # one of these bits never sets or clears another
+            hit = (row & self._pivot_mask) ^ (1 << c)
+            while hit:
+                low = hit & -hit
+                row ^= solved[low.bit_length() - 1]
+                hit ^= low
+            solved[c] = row
+        aux = _unpack_rows([solved[c] >> self.main_cols for c in cols], self.aux_cols)
+        return np.array(cols, dtype=np.int64), aux
 
 
 class _EchelonGF3:
@@ -86,22 +141,20 @@ class _EchelonGF3:
         self.aux_cols = aux_cols
         self._main_mask = (1 << main_cols) - 1
         self._mask = (1 << (main_cols + aux_cols)) - 1
-        self._rows: list[tuple[int, int]] = []
-        self.pivot_cols: list[int] = []
+        self._pivots: dict[int, tuple[int, int]] = {}  # pivot column -> (lo, hi)
+        self._pivot_mask = 0
 
     @property
     def rank(self) -> int:
-        return len(self._rows)
+        return len(self._pivots)
 
-    def _pack(self, main, aux) -> tuple[int, int]:
-        v = np.asarray(main, dtype=np.int64) % 3
-        lo = _pack_bits(v == 1)
-        hi = _pack_bits(v == 2)
-        if aux is not None:
-            w = np.asarray(aux, dtype=np.int64) % 3
-            lo |= _pack_bits(w == 1) << self.main_cols
-            hi |= _pack_bits(w == 2) << self.main_cols
-        return lo, hi
+    @property
+    def pivot_cols(self) -> list[int]:
+        return list(self._pivots)
+
+    def _pack(self, main, aux) -> list[tuple[int, int]]:
+        v = _rows(main, aux, 3)
+        return list(zip(_pack_rows(v == 1), _pack_rows(v == 2)))
 
     def _add(self, alo: int, ahi: int, blo: int, bhi: int) -> tuple[int, int]:
         # componentwise sum mod 3 of disjoint-bitplane words
@@ -111,41 +164,61 @@ class _EchelonGF3:
         hi = (ahi & zb) | (za & bhi) | (alo & blo)
         return lo, hi
 
+    def _clear(self, lo: int, hi: int, bit: int, plo: int, phi: int) -> tuple[int, int]:
+        # zero the entry at ``bit`` with the pivot row whose entry there is 1
+        if lo & bit:
+            # subtract the pivot row: add twice it (planes swapped)
+            return self._add(lo, hi, phi, plo)
+        # subtract twice the pivot row: add it once
+        return self._add(lo, hi, plo, phi)
+
     def _reduce_packed(self, lo: int, hi: int) -> tuple[int, int]:
-        for c, (plo, phi) in zip(self.pivot_cols, self._rows):
-            if (lo >> c) & 1:
-                # subtract the pivot row: add twice it (planes swapped)
-                lo, hi = self._add(lo, hi, phi, plo)
-            elif (hi >> c) & 1:
-                # subtract twice the pivot row: add it once
-                lo, hi = self._add(lo, hi, plo, phi)
+        pivots, mask = self._pivots, self._pivot_mask
+        hit = (lo | hi) & mask
+        while hit:
+            low = hit & -hit
+            lo, hi = self._clear(lo, hi, low, *pivots[low.bit_length() - 1])
+            hit = (lo | hi) & mask
         return lo, hi
 
-    def insert(self, main, aux=None) -> bool:
-        lo, hi = self._reduce_packed(*self._pack(main, aux))
+    def _insert_packed(self, row: tuple[int, int]) -> bool:
+        lo, hi = self._reduce_packed(*row)
         lead = (lo | hi) & self._main_mask
         if lead == 0:
             return False
-        c = (lead & -lead).bit_length() - 1
-        if (hi >> c) & 1:
+        lead &= -lead
+        if hi & lead:
             lo, hi = hi, lo  # scale by 2 so the pivot entry is 1
-        self.pivot_cols.append(c)
-        self._rows.append((lo, hi))
+        self._pivots[lead.bit_length() - 1] = (lo, hi)
+        self._pivot_mask |= lead
         return True
 
+    def insert(self, main, aux=None) -> int:
+        return sum(map(self._insert_packed, self._pack(main, aux)))
+
     def reduce(self, main, aux=None) -> tuple[bool, np.ndarray]:
-        lo, hi = self._reduce_packed(*self._pack(main, aux))
+        lo, hi = self._reduce_packed(*self._pack(main, aux)[0])
         aux_out = _unpack_bits(lo >> self.main_cols, self.aux_cols) + 2 * _unpack_bits(
             hi >> self.main_cols, self.aux_cols
         )
         return ((lo | hi) & self._main_mask) == 0, aux_out
 
-    def pivot_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        width = self.main_cols + self.aux_cols
-        arr = np.zeros((len(self._rows), width), dtype=np.int64)
-        for i, (lo, hi) in enumerate(self._rows):
-            arr[i] = _unpack_bits(lo, width) + 2 * _unpack_bits(hi, width)
-        return arr[:, : self.main_cols], arr[:, self.main_cols :]
+    def solved_form(self) -> tuple[np.ndarray, np.ndarray]:
+        cols = sorted(self._pivots)
+        solved: dict[int, tuple[int, int]] = {}
+        for c in reversed(cols):
+            lo, hi = self._pivots[c]
+            # as in GF(2): each step touches no other pivot column
+            hit = ((lo | hi) & self._pivot_mask) ^ (1 << c)
+            while hit:
+                low = hit & -hit
+                lo, hi = self._clear(lo, hi, low, *solved[low.bit_length() - 1])
+                hit ^= low
+            solved[c] = (lo, hi)
+        shift = self.main_cols
+        lo_aux = _unpack_rows([solved[c][0] >> shift for c in cols], self.aux_cols)
+        hi_aux = _unpack_rows([solved[c][1] >> shift for c in cols], self.aux_cols)
+        return np.array(cols, dtype=np.int64), lo_aux + 2 * hi_aux
 
 
 class _EchelonGeneric:
@@ -153,49 +226,57 @@ class _EchelonGeneric:
         self.p = p
         self.main_cols = main_cols
         self.aux_cols = aux_cols
-        self._rows: list[np.ndarray] = []
-        self.pivot_cols: list[int] = []
+        self._pivots: dict[int, np.ndarray] = {}  # pivot column -> row
 
     @property
     def rank(self) -> int:
-        return len(self._rows)
+        return len(self._pivots)
 
-    def _vec(self, main, aux) -> np.ndarray:
-        v = np.zeros(self.main_cols + self.aux_cols, dtype=np.int64)
-        v[: self.main_cols] = np.asarray(main, dtype=np.int64)
-        if aux is not None:
-            v[self.main_cols :] = np.asarray(aux, dtype=np.int64)
-        return v % self.p
+    @property
+    def pivot_cols(self) -> list[int]:
+        return list(self._pivots)
+
+    def _vecs(self, main, aux) -> np.ndarray:
+        v = _rows(main, aux, self.p)
+        out = np.zeros((v.shape[0], self.main_cols + self.aux_cols), dtype=np.int64)
+        out[:, : v.shape[1]] = v
+        return out
 
     def _reduce_vec(self, v: np.ndarray) -> np.ndarray:
-        for c, prow in zip(self.pivot_cols, self._rows):
+        # insertion order: a later pivot row is zero at every earlier
+        # pivot column, so each column is cleared once and stays clear
+        for c, prow in self._pivots.items():
             f = int(v[c])
             if f:
                 v = (v - f * prow) % self.p
         return v
 
-    def insert(self, main, aux=None) -> bool:
-        v = self._reduce_vec(self._vec(main, aux))
+    def _insert_vec(self, v: np.ndarray) -> bool:
+        v = self._reduce_vec(v)
         lead = np.nonzero(v[: self.main_cols])[0]
         if lead.size == 0:
             return False
         c = int(lead[0])
-        v = v * pow(int(v[c]), -1, self.p) % self.p
-        self.pivot_cols.append(c)
-        self._rows.append(v)
+        self._pivots[c] = v * pow(int(v[c]), -1, self.p) % self.p
         return True
 
+    def insert(self, main, aux=None) -> int:
+        return sum(map(self._insert_vec, self._vecs(main, aux)))
+
     def reduce(self, main, aux=None) -> tuple[bool, np.ndarray]:
-        v = self._reduce_vec(self._vec(main, aux))
+        v = self._reduce_vec(self._vecs(main, aux)[0])
         return not np.any(v[: self.main_cols]), v[self.main_cols :]
 
-    def pivot_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        arr = (
-            np.array(self._rows, dtype=np.int64)
-            if self._rows
-            else np.zeros((0, self.main_cols + self.aux_cols), dtype=np.int64)
-        )
-        return arr[:, : self.main_cols], arr[:, self.main_cols :]
+    def solved_form(self) -> tuple[np.ndarray, np.ndarray]:
+        cols = sorted(self._pivots)
+        if not cols:
+            return np.zeros(0, dtype=np.int64), np.zeros((0, self.aux_cols), dtype=np.int64)
+        rows = np.array([self._pivots[c] for c in cols])
+        upper = rows[:, cols]  # unit upper triangular
+        aux = rows[:, self.main_cols :].copy()
+        for j in range(len(cols) - 2, -1, -1):
+            aux[j] = (aux[j] - upper[j, j + 1 :] @ aux[j + 1 :]) % self.p
+        return np.array(cols, dtype=np.int64), aux
 
 
 def stream_echelon(main_cols: int, aux_cols: int, p: int):
@@ -203,6 +284,9 @@ def stream_echelon(main_cols: int, aux_cols: int, p: int):
 
     ``aux_cols`` extra columns follow the same row operations. Picks the
     packed implementation for p in {2, 3}, numpy rows otherwise.
+    ``insert(main, aux)`` adds one row, or the rows of a 2-D block in
+    order (packed in one call), and returns how many of them raised the
+    rank.
     """
     if p == 2:
         return _EchelonGF2(main_cols, aux_cols)

@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -58,8 +59,9 @@ def interference_set(problem: ProblemInstance, k: int) -> set[int]:
 class Encoder:
     """An instance bound to its AIR encoding matrix over GF(p).
 
-    Immutable after construction; per-receiver elimination plans are
-    cached internally and shared by decodability checks, decoding and
+    Immutable after construction; per-receiver elimination plans and the
+    nonzero structure of the encoder rows and columns are cached
+    internally and shared by decodability checks, decoding and
     simulation.
     """
 
@@ -84,6 +86,45 @@ class Encoder:
     @property
     def cols(self) -> int:
         return self.matrix.n
+
+    @cached_property
+    def _row_support(self) -> np.ndarray:
+        """Column indices of each encoder row's nonzero entries."""
+        return _support(self.matrix.entries)
+
+    @cached_property
+    def _col_support(self) -> np.ndarray:
+        """Row indices of each encoder column's nonzero entries."""
+        return _support(self.matrix.entries.T)
+
+    def _broadcast(self, X: np.ndarray) -> np.ndarray:
+        """``X @ L % p`` for a 2-D batch X of message vectors with entries < p.
+
+        As L is 0/1, each codeword symbol is the sum of the message
+        symbols at its column's nonzero rows. Gathering those few
+        symbols per column reads X once, where the dense product streams
+        all of L once per message vector.
+        """
+        # one zero column past the end serves the padding of the support table
+        padded = np.zeros((X.shape[0], self.rows + 1), dtype=np.int64)
+        padded[:, :-1] = X
+        return padded[:, self._col_support].sum(axis=2) % self.p
+
+
+def _support(matrix: np.ndarray) -> np.ndarray:
+    """Column indices of the nonzero entries of each row of ``matrix``.
+
+    One row per row of ``matrix``, padded with the out-of-range index
+    ``matrix.shape[1]`` to the widest row's count.
+    """
+    # nonzero() is several times faster on a bool array than on int64
+    rows, cols = np.nonzero(matrix != 0)
+    m, n = matrix.shape
+    counts = np.bincount(rows, minlength=m)
+    starts = np.cumsum(counts) - counts
+    table = np.full((m, int(counts.max(initial=0))), n, dtype=np.int64)
+    table[rows, np.arange(rows.size) - starts[rows]] = cols
+    return table
 
 
 def build_encoder(
@@ -122,7 +163,7 @@ def encode(encoder: Encoder, x) -> np.ndarray:
         raise ValueError(
             f"message vector must have length {encoder.rows}, got shape {xv.shape}"
         )
-    return (xv % encoder.p) @ encoder.matrix.entries % encoder.p
+    return encoder._broadcast((xv % encoder.p)[None])[0]
 
 
 class _ReceiverPlan:
@@ -148,14 +189,10 @@ class _ReceiverPlan:
         L = encoder.matrix.entries
         ech = stream_echelon(encoder.cols, b, encoder.p)
         for j in window:
-            if j == k:
-                continue
-            for r in range(j * b, (j + 1) * b):
-                ech.insert(L[r])
+            if j != k:
+                ech.insert(L[j * b : (j + 1) * b])
         self.rank_interference = ech.rank
-        eye = np.eye(b, dtype=np.int64)
-        for i, r in enumerate(range(k * b, (k + 1) * b)):
-            ech.insert(L[r], eye[i])
+        ech.insert(L[k * b : (k + 1) * b], np.eye(b, dtype=np.int64))
         self.rank_all = ech.rank
         self.decodable = self.rank_all == self.rank_interference + b
         self._echelon = ech
@@ -167,31 +204,23 @@ class _ReceiverPlan:
 
         T solves A @ T = E where A stacks the unknown rows and E marks
         the wanted ones, so c' @ T recovers the wanted symbols from the
-        known-free codeword c'; BT folds the known rows through T so the
-        subtraction happens in the small output space.
+        known-free codeword c'. Once the pivot rows are back-reduced to
+        solved form, T is zero off the pivot columns and its pivot rows
+        are the aux columns, which track the wanted-row combinations.
+        BT folds the known rows through T so the subtraction happens in
+        the small output space; as L is 0/1, each of its rows is the sum
+        of the T rows at that row's nonzero columns.
         """
         if not self.decodable:
             raise ValueError(f"receiver {self.k} is not decodable; no map exists")
         if self._maps is None:
-            p = self._encoder.p
-            b = self._encoder.b
-            pivots, G = self._echelon.pivot_arrays()
-            piv_cols = self._echelon.pivot_cols
-            r = len(piv_cols)
-            Q = pivots[:, piv_cols]  # unit upper triangular in insertion order
-            t_piv = np.zeros((r, b), dtype=np.int64)
-            for j in range(r - 1, -1, -1):
-                t_piv[j] = (G[j] - Q[j, j + 1 :] @ t_piv[j + 1 :]) % p
-            T = np.zeros((self._encoder.cols, b), dtype=np.int64)
-            if r:
-                T[np.asarray(piv_cols)] = t_piv
-            L = self._encoder.matrix.entries
-            BT = (
-                (L[self.known_rows] @ T) % p
-                if self.known_rows.size
-                else np.zeros((0, b), dtype=np.int64)
-            )
-            self._maps = (T, BT)
+            enc = self._encoder
+            pivots, aux = self._echelon.solved_form()
+            # one zero row past the end serves the padding of the support table
+            T = np.zeros((enc.cols + 1, enc.b), dtype=np.int64)
+            T[pivots] = aux
+            BT = T[enc._row_support[self.known_rows]].sum(axis=1) % enc.p
+            self._maps = (T[:-1], BT)
         return self._maps
 
 
@@ -251,8 +280,10 @@ def decode(encoder: Encoder, k: int, codeword, side_info) -> np.ndarray:
                     f"side information for message {j} must have length {encoder.b}"
                 )
             parts.append(v)
-        x_known = np.concatenate(parts) % p
-        c = (c - x_known @ encoder.matrix.entries[plan.known_rows]) % p
+        # the known messages' share of the codeword; unknown rows stay 0
+        x_known = np.zeros(encoder.rows, dtype=np.int64)
+        x_known[plan.known_rows] = np.concatenate(parts) % p
+        c = (c - encoder._broadcast(x_known[None])[0]) % p
     ok, aux = plan._echelon.reduce(c)
     if not ok:
         raise ArithmeticError(
@@ -325,7 +356,7 @@ def simulate(
     K, b = problem.K, enc.b
     rng = np.random.default_rng(seed)
     X = rng.integers(0, enc.p, size=(trials, K * b), dtype=np.int64)
-    C = X @ enc.matrix.entries % enc.p
+    C = enc._broadcast(X)
     failures: list[tuple[int, int]] = []
     for k in range(K):
         plan = _plan(enc, k)

@@ -24,6 +24,7 @@ are presentation only, truncated (never rounded) to three places.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -53,6 +54,10 @@ class ProblemInstance:
     U: int
 
     def __post_init__(self) -> None:
+        # numpy integers become plain ints; floats and other non-integers
+        # are refused here rather than failing later mid-computation
+        for name in ("K", "D", "U"):
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
         if self.K < 1:
             raise ValueError(f"K must be positive, got K={self.K}")
         if self.D < 1:

@@ -127,6 +127,12 @@ class TestDecodable:
         enc = _encoder(17, 11, 1, a=1, b=7, p=p)
         assert all(decodable(enc, k) for k in range(17))
 
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_numpy_integer_instance(self, p):
+        problem = ProblemInstance(np.int64(17), np.int64(11), np.int64(1))
+        enc = build_encoder(problem, find_min_rate(problem), p)
+        assert all(decodable(enc, k) for k in range(17))
+
     def test_negative_control_fails_somewhere(self):
         enc = _encoder(17, 11, 1, a=1, b=6, p=2, allow_infeasible=True)
         assert not all(decodable(enc, k) for k in range(17))
@@ -232,7 +238,45 @@ class TestDecode:
             decode(enc, bad[0], c, side)
 
 
+class TestDecodeMaps:
+    # (37,8,8) is the wide window; (5,3,1) has K = D+U+1, so every message
+    # is unknown and BT is empty
+    @pytest.mark.parametrize("p", [2, 3, 65521])
+    @pytest.mark.parametrize(
+        "K,D,U,a,b", [(5, 1, 1, 1, 2), (17, 5, 1, 3, 8), (37, 8, 8, 1, 4), (5, 3, 1, 1, 1)]
+    )
+    def test_maps_solve_unknown_rows(self, K, D, U, a, b, p):
+        from airindex.codec import _plan
+
+        enc = _encoder(K, D, U, a, b, p)
+        L = enc.matrix.entries
+        for k in range(K):
+            plan = _plan(enc, k)
+            T, BT = plan.maps()
+            assert T.shape == (enc.cols, b)
+            assert BT.shape == (plan.known_rows.size, b)
+            window = [(k - U + i) % K for i in range(D + U + 1)]
+            unknown = np.concatenate([np.arange(j * b, (j + 1) * b) for j in window])
+            E = np.zeros((unknown.size, b), dtype=np.int64)
+            E[window.index(k) * b : (window.index(k) + 1) * b] = np.eye(b, dtype=np.int64)
+            assert np.array_equal(L[unknown] @ T % p, E), k
+            assert np.array_equal(BT, L[plan.known_rows] @ T % p), k
+            if K == D + U + 1:
+                assert plan.known_rows.size == 0
+
+
 class TestSimulate:
+    @pytest.mark.parametrize("p", [2, 3, 65521])
+    @pytest.mark.parametrize(
+        "K,D,U,a,b", [(5, 1, 1, 1, 2), (17, 5, 1, 3, 8), (37, 8, 8, 1, 4), (5, 3, 1, 1, 1)]
+    )
+    def test_batch_codewords_match_dense_product(self, K, D, U, a, b, p):
+        enc = _encoder(K, D, U, a, b, p)
+        X = np.random.default_rng(K * p).integers(0, p, size=(7, enc.rows))
+        C = enc._broadcast(X)
+        assert np.array_equal(C, X @ enc.matrix.entries % p)
+        assert enc._broadcast(X[:0]).shape == (0, enc.cols)
+
     def test_clean_gf2(self):
         problem = ProblemInstance(5, 1, 1)
         report = simulate(problem, find_min_rate(problem), 2, trials=100, seed=0)

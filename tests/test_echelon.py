@@ -7,7 +7,64 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from airindex._echelon import stream_echelon
+from airindex.air import build_air
 from airindex.linalg import rank_mod_p
+
+
+class _AllPivotsReference:
+    """Plain echelon that walks every pivot in insertion order.
+
+    Each insert or reduce visits all pivots found so far, whether or not
+    the row has an entry at their column. The engines must produce the
+    same reduced rows while visiting only the pivot columns present.
+    """
+
+    def __init__(self, main_cols: int, aux_cols: int, p: int):
+        self.p = p
+        self.main_cols = main_cols
+        self.aux_cols = aux_cols
+        self.rows: list[np.ndarray] = []
+        self.pivot_cols: list[int] = []
+
+    def _reduce(self, main, aux) -> np.ndarray:
+        v = np.zeros(self.main_cols + self.aux_cols, dtype=np.int64)
+        v[: self.main_cols] = main
+        if aux is not None:
+            v[self.main_cols :] = aux
+        v %= self.p
+        for c, prow in zip(self.pivot_cols, self.rows):
+            f = int(v[c])
+            if f:
+                v = (v - f * prow) % self.p
+        return v
+
+    def insert(self, main, aux=None) -> bool:
+        v = self._reduce(main, aux)
+        lead = np.nonzero(v[: self.main_cols])[0]
+        if lead.size == 0:
+            return False
+        c = int(lead[0])
+        self.pivot_cols.append(c)
+        self.rows.append(v * pow(int(v[c]), -1, self.p) % self.p)
+        return True
+
+    def reduce(self, main, aux=None) -> tuple[bool, np.ndarray]:
+        v = self._reduce(main, aux)
+        return not np.any(v[: self.main_cols]), v[self.main_cols :]
+
+    def solved_rows(self) -> tuple[list[int], np.ndarray]:
+        """Pivot rows, by ascending column, cleared at every other pivot column."""
+        order = np.argsort(self.pivot_cols)
+        cols = [self.pivot_cols[i] for i in order]
+        rows = np.array(
+            [self.rows[i] for i in order], dtype=np.int64
+        ).reshape(len(cols), self.main_cols + self.aux_cols)
+        for j in range(len(cols) - 1, -1, -1):
+            for i in range(j + 1, len(cols)):
+                f = int(rows[j, cols[i]])
+                if f:
+                    rows[j] = (rows[j] - f * rows[i]) % self.p
+        return cols, rows
 
 
 def _matrices(max_rows=8, max_cols=8):
@@ -18,6 +75,16 @@ def _matrices(max_rows=8, max_cols=8):
             max_size=shape[0],
         )
     )
+
+
+@st.composite
+def _air_rows(draw):
+    """Rows of an AIR matrix in a drawn order: at most 3 ones each."""
+    n = draw(st.integers(2, 70))
+    m = draw(st.integers(n, n + 40))
+    entries = build_air(m, n).entries
+    picked = draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=min(m, 50)))
+    return entries[picked].tolist()
 
 
 @settings(max_examples=200, deadline=None)
@@ -65,9 +132,19 @@ def test_aux_columns_track_row_combinations(mat, p):
     eye = np.eye(rows, dtype=np.int64)
     for i, row in enumerate(a):
         ech.insert(row, eye[i])
-    pivots, aux = ech.pivot_arrays()
-    # every pivot row must be the combination of inputs its aux part claims
-    assert np.array_equal(aux @ a % p, pivots % p)
+    pivots, aux = ech.solved_form()
+    assert aux.shape == (ech.rank, rows)
+    # every solved row is the combination of inputs its aux part claims:
+    # the identity at the pivot columns, nothing before its own column
+    solved = aux @ a % p
+    assert np.array_equal(solved[:, pivots], np.eye(ech.rank, dtype=np.int64))
+    for j, c in enumerate(pivots):
+        assert not solved[j, :c].any()
+    # so T = aux on the pivot columns, 0 elsewhere, maps each solved row
+    # to its aux part with no further solve
+    T = np.zeros((cols, rows), dtype=np.int64)
+    T[pivots] = aux
+    assert np.array_equal(solved @ T % p, aux)
 
 
 @settings(max_examples=60, deadline=None)
@@ -75,11 +152,66 @@ def test_aux_columns_track_row_combinations(mat, p):
 def test_pivot_structure(p, seed):
     rng = np.random.default_rng(seed)
     a = rng.integers(0, p, size=(7, 5))
-    ech = stream_echelon(5, 0, p)
-    for row in a:
-        ech.insert(row)
-    pivots, _ = ech.pivot_arrays()
-    for j, c in enumerate(ech.pivot_cols):
-        assert pivots[j, c] == 1
-        for k in range(j):
-            assert pivots[j, ech.pivot_cols[k]] == 0
+    ech = stream_echelon(5, 7, p)
+    for i, row in enumerate(a):
+        ech.insert(row, np.eye(7, dtype=np.int64)[i])
+    pivots, aux = ech.solved_form()
+    # ascending pivot columns, the same set the inserts found
+    assert pivots.tolist() == sorted(ech.pivot_cols)
+    assert len(set(ech.pivot_cols)) == ech.rank == rank_mod_p(a, p)
+    solved = aux @ a % p
+    for j, c in enumerate(pivots):
+        assert solved[j, c] == 1
+        others = np.delete(pivots, j)
+        assert not solved[j, others].any()
+        assert not solved[j, :c].any()
+
+
+def _assert_matches_reference(mat, aux_cols, p, probes):
+    a = np.array(mat, dtype=np.int64)
+    ech = stream_echelon(a.shape[1], aux_cols, p)
+    ref = _AllPivotsReference(a.shape[1], aux_cols, p)
+    aux_in = np.arange(a.shape[0] * aux_cols).reshape(a.shape[0], aux_cols) % 7
+    for row, aux in zip(a, aux_in):
+        assert ech.insert(row, aux) == ref.insert(row, aux)
+        assert ech.rank == len(ref.rows)
+    assert ech.pivot_cols == ref.pivot_cols
+    # one block insert packs every row at once and must end in the same state
+    block = stream_echelon(a.shape[1], aux_cols, p)
+    assert block.insert(a, aux_in) == ech.rank
+    assert block.pivot_cols == ech.pivot_cols
+    assert all(np.array_equal(x, y) for x, y in zip(block.solved_form(), ech.solved_form()))
+    for probe in probes:
+        probe = np.asarray(probe, dtype=np.int64)
+        probe_aux = np.resize(probe, aux_cols)
+        got_ok, got_aux = ech.reduce(probe, probe_aux)
+        want_ok, want_aux = ref.reduce(probe, probe_aux)
+        assert got_ok == want_ok
+        assert np.array_equal(got_aux, want_aux)
+    pivots, aux = ech.solved_form()
+    want_cols, want_rows = ref.solved_rows()
+    assert pivots.tolist() == want_cols
+    assert np.array_equal(aux, want_rows[:, a.shape[1] :])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    mat=_matrices(max_rows=12, max_cols=12),
+    aux_cols=st.integers(0, 4),
+    p=st.sampled_from([2, 3, 5]),
+    data=st.data(),
+)
+def test_matches_all_pivots_reference_dense(mat, aux_cols, p, data):
+    width = len(mat[0])
+    probes = data.draw(
+        st.lists(st.lists(st.integers(0, 6), min_size=width, max_size=width), max_size=4)
+    )
+    _assert_matches_reference(mat, aux_cols, p, probes + mat[:2])
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=_air_rows(), aux_cols=st.integers(0, 4), p=st.sampled_from([2, 3, 5]))
+def test_matches_all_pivots_reference_air_rows(rows, aux_cols, p):
+    # sums of two inputs stay in the row space, a shifted input may not
+    probes = [np.add(rows[0], rows[-1]), np.roll(rows[0], 1)]
+    _assert_matches_reference(rows, aux_cols, p, probes)

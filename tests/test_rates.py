@@ -5,6 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -73,6 +74,19 @@ class TestProblemInstance:
 
     def test_boundary_d_plus_u_equals_k_minus_1(self):
         ProblemInstance(K=5, D=2, U=2)  # D+U = K-1 is allowed
+
+    def test_numpy_integers_become_ints(self):
+        problem = ProblemInstance(np.int64(17), np.int32(5), np.uint8(1))
+        assert all(type(v) is int for v in (problem.K, problem.D, problem.U))
+        assert problem == ProblemInstance(17, 5, 1)
+        assert hash(problem) == hash(ProblemInstance(17, 5, 1))
+
+    @pytest.mark.parametrize(
+        "kwargs", [dict(K=5.0, D=1, U=1), dict(K=5, D=1.5, U=1), dict(K=5, D=1, U="1")]
+    )
+    def test_rejects_non_integers(self, kwargs):
+        with pytest.raises(TypeError):
+            ProblemInstance(**kwargs)
 
 
 class TestExtendedBezout:
