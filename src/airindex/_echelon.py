@@ -27,6 +27,13 @@ rows each pivot row combines, T is read off directly, with no solve.
 GF(2) rows are packed into single Python integers and GF(3) rows into two
 bitplanes, so a whole-row operation costs a handful of big-int ops; other
 primes use plain numpy vectors. All three give identical results.
+
+Every engine converts rows to its own form with ``pack(main, aux=None)``
+and accumulates them with ``insert_packed(rows)``; ``insert`` is exactly
+``insert_packed(pack(main, aux))``. A caller that inserts the same rows
+into many accumulators of one width and field packs them once and passes
+slices of the packed rows. Packed rows are never modified, so they can be
+shared. Rows packed without aux columns carry zeros there.
 """
 
 from __future__ import annotations
@@ -86,7 +93,7 @@ class _EchelonGF2:
     def pivot_cols(self) -> list[int]:
         return list(self._pivots)
 
-    def _pack(self, main, aux) -> list[int]:
+    def pack(self, main, aux=None) -> list[int]:
         return _pack_rows(_rows(main, aux, 2) != 0)
 
     def _reduce_packed(self, row: int) -> int:
@@ -97,7 +104,7 @@ class _EchelonGF2:
             hit = row & mask
         return row
 
-    def _insert_packed(self, row: int) -> bool:
+    def _insert_one(self, row: int) -> bool:
         row = self._reduce_packed(row)
         lead = row & self._main_mask
         if lead == 0:
@@ -107,11 +114,14 @@ class _EchelonGF2:
         self._pivot_mask |= lead
         return True
 
+    def insert_packed(self, rows: list[int]) -> int:
+        return sum(map(self._insert_one, rows))
+
     def insert(self, main, aux=None) -> int:
-        return sum(map(self._insert_packed, self._pack(main, aux)))
+        return self.insert_packed(self.pack(main, aux))
 
     def reduce(self, main, aux=None) -> tuple[bool, np.ndarray]:
-        row = self._reduce_packed(self._pack(main, aux)[0])
+        row = self._reduce_packed(self.pack(main, aux)[0])
         aux_out = _unpack_bits(row >> self.main_cols, self.aux_cols)
         return (row & self._main_mask) == 0, aux_out
 
@@ -152,7 +162,7 @@ class _EchelonGF3:
     def pivot_cols(self) -> list[int]:
         return list(self._pivots)
 
-    def _pack(self, main, aux) -> list[tuple[int, int]]:
+    def pack(self, main, aux=None) -> list[tuple[int, int]]:
         v = _rows(main, aux, 3)
         return list(zip(_pack_rows(v == 1), _pack_rows(v == 2)))
 
@@ -181,7 +191,7 @@ class _EchelonGF3:
             hit = (lo | hi) & mask
         return lo, hi
 
-    def _insert_packed(self, row: tuple[int, int]) -> bool:
+    def _insert_one(self, row: tuple[int, int]) -> bool:
         lo, hi = self._reduce_packed(*row)
         lead = (lo | hi) & self._main_mask
         if lead == 0:
@@ -193,11 +203,14 @@ class _EchelonGF3:
         self._pivot_mask |= lead
         return True
 
+    def insert_packed(self, rows: list[tuple[int, int]]) -> int:
+        return sum(map(self._insert_one, rows))
+
     def insert(self, main, aux=None) -> int:
-        return sum(map(self._insert_packed, self._pack(main, aux)))
+        return self.insert_packed(self.pack(main, aux))
 
     def reduce(self, main, aux=None) -> tuple[bool, np.ndarray]:
-        lo, hi = self._reduce_packed(*self._pack(main, aux)[0])
+        lo, hi = self._reduce_packed(*self.pack(main, aux)[0])
         aux_out = _unpack_bits(lo >> self.main_cols, self.aux_cols) + 2 * _unpack_bits(
             hi >> self.main_cols, self.aux_cols
         )
@@ -236,7 +249,7 @@ class _EchelonGeneric:
     def pivot_cols(self) -> list[int]:
         return list(self._pivots)
 
-    def _vecs(self, main, aux) -> np.ndarray:
+    def pack(self, main, aux=None) -> np.ndarray:
         v = _rows(main, aux, self.p)
         out = np.zeros((v.shape[0], self.main_cols + self.aux_cols), dtype=np.int64)
         out[:, : v.shape[1]] = v
@@ -251,7 +264,7 @@ class _EchelonGeneric:
                 v = (v - f * prow) % self.p
         return v
 
-    def _insert_vec(self, v: np.ndarray) -> bool:
+    def _insert_one(self, v: np.ndarray) -> bool:
         v = self._reduce_vec(v)
         lead = np.nonzero(v[: self.main_cols])[0]
         if lead.size == 0:
@@ -260,11 +273,14 @@ class _EchelonGeneric:
         self._pivots[c] = v * pow(int(v[c]), -1, self.p) % self.p
         return True
 
+    def insert_packed(self, rows: np.ndarray) -> int:
+        return sum(map(self._insert_one, rows))
+
     def insert(self, main, aux=None) -> int:
-        return sum(map(self._insert_vec, self._vecs(main, aux)))
+        return self.insert_packed(self.pack(main, aux))
 
     def reduce(self, main, aux=None) -> tuple[bool, np.ndarray]:
-        v = self._reduce_vec(self._vecs(main, aux)[0])
+        v = self._reduce_vec(self.pack(main, aux)[0])
         return not np.any(v[: self.main_cols]), v[self.main_cols :]
 
     def solved_form(self) -> tuple[np.ndarray, np.ndarray]:
@@ -286,7 +302,8 @@ def stream_echelon(main_cols: int, aux_cols: int, p: int):
     packed implementation for p in {2, 3}, numpy rows otherwise.
     ``insert(main, aux)`` adds one row, or the rows of a 2-D block in
     order (packed in one call), and returns how many of them raised the
-    rank.
+    rank; ``insert_packed`` does the same for rows ``pack`` already
+    converted, on any accumulator of the same width and field.
     """
     if p == 2:
         return _EchelonGF2(main_cols, aux_cols)

@@ -151,7 +151,10 @@ def verify_code(k: int, d: int, u: int, primes: str | None, as_json: bool) -> No
     results = {}
     all_ok = True
     for p in plist:
-        enc = build_encoder(problem, sol, p)
+        try:
+            enc = build_encoder(problem, sol, p)
+        except ValueError as exc:
+            _fail_usage(str(exc))
         bad = []
         for recv in range(problem.K):
             rank_i, rank_all = receiver_ranks(enc, recv)
@@ -199,7 +202,11 @@ def simulate_cmd(k: int, d: int, u: int, p: int, trials: int, seed: int) -> None
     if trials < 0:
         _fail_usage(f"trials must be nonnegative, got {trials}")
     sol = find_min_rate(problem)
-    report = simulate(problem, sol, prime, trials=trials, seed=seed)
+    try:
+        report = simulate(problem, sol, prime, trials=trials, seed=seed)
+    except ValueError as exc:
+        # the encoder or the message batch is over the codec's size or int64 limits
+        _fail_usage(str(exc))
     click.echo(report.to_json_str())
     sys.exit(0 if report.passed else 1)
 

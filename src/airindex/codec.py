@@ -13,6 +13,19 @@ are unique exactly when
 
 over GF(p). Per-receiver elimination state is computed once per encoder
 and reused, which keeps repeated decodes and batched simulations cheap.
+
+A receiver's decode map is compact: it holds only the nonzero rows of T
+(the map from codeword to wanted symbols) and of BT (the known rows folded
+through T), with the codeword columns and encoder rows they belong to. A
+receiver sees only its window of D+U+1 messages, so nearly every row of
+the dense maps is zero; skipping exactly the all-zero rows leaves every
+product unchanged.
+
+Supported sizes. All arithmetic is exact in int64: the longest dot product
+has at most K*b terms, each below p**2, so ``build_encoder`` refuses any p
+with K*b*(p-1)**2 >= 2**63. It also refuses an encoder of more than
+``MAX_CELLS`` entries before allocating it, and ``simulate`` refuses a run
+whose message batch (trials*K*b symbols) exceeds the same cap.
 """
 
 from __future__ import annotations
@@ -30,6 +43,7 @@ from .linalg import require_prime
 from .rates import ProblemInstance, RateSolution, is_feasible
 
 __all__ = [
+    "MAX_CELLS",
     "interference_set",
     "Encoder",
     "build_encoder",
@@ -40,6 +54,11 @@ __all__ = [
     "SimReport",
     "simulate",
 ]
+
+
+# Largest dense array the codec allocates, in int64 cells (512 MiB): about
+# 40x the 2130x781 encoder of (K, D, U) = (71, 25, 1).
+MAX_CELLS = 2**26
 
 
 def interference_set(problem: ProblemInstance, k: int) -> set[int]:
@@ -59,10 +78,10 @@ def interference_set(problem: ProblemInstance, k: int) -> set[int]:
 class Encoder:
     """An instance bound to its AIR encoding matrix over GF(p).
 
-    Immutable after construction; per-receiver elimination plans and the
-    nonzero structure of the encoder rows and columns are cached
-    internally and shared by decodability checks, decoding and
-    simulation.
+    Immutable after construction; per-receiver elimination plans, the
+    encoder rows packed for the field's echelon and the nonzero structure
+    of the encoder columns are cached internally and shared by
+    decodability checks, decoding and simulation.
     """
 
     problem: ProblemInstance
@@ -88,9 +107,9 @@ class Encoder:
         return self.matrix.n
 
     @cached_property
-    def _row_support(self) -> np.ndarray:
-        """Column indices of each encoder row's nonzero entries."""
-        return _support(self.matrix.entries)
+    def _packed_rows(self):
+        """The encoder rows in the form its receivers' echelons insert."""
+        return stream_echelon(self.cols, self.b, self.p).pack(self.matrix.entries)
 
     @cached_property
     def _col_support(self) -> np.ndarray:
@@ -153,6 +172,16 @@ def build_encoder(
     cols = b * (problem.D + 1) + a
     if cols > rows:
         raise ValueError(f"encoder would be wider than tall ({rows}x{cols})")
+    if rows * cols > MAX_CELLS:
+        raise ValueError(
+            f"encoder would have {rows}x{cols} = {rows * cols} entries, "
+            f"over the limit of {MAX_CELLS}"
+        )
+    if rows * (p - 1) ** 2 >= 2**63:
+        raise ValueError(
+            f"p={p} is too large for K*b={rows}: "
+            f"K*b*(p-1)**2 must stay below 2**63 for exact int64 decoding"
+        )
     return Encoder(problem=problem, solution=solution, matrix=build_air(rows, cols), p=p)
 
 
@@ -186,41 +215,59 @@ class _ReceiverPlan:
             if self.known_messages
             else np.empty(0, dtype=np.int64)
         )
-        L = encoder.matrix.entries
+        packed = encoder._packed_rows
         ech = stream_echelon(encoder.cols, b, encoder.p)
         for j in window:
             if j != k:
-                ech.insert(L[j * b : (j + 1) * b])
+                ech.insert_packed(packed[j * b : (j + 1) * b])
         self.rank_interference = ech.rank
-        ech.insert(L[k * b : (k + 1) * b], np.eye(b, dtype=np.int64))
+        ech.insert(encoder.matrix.entries[k * b : (k + 1) * b], np.eye(b, dtype=np.int64))
         self.rank_all = ech.rank
         self.decodable = self.rank_all == self.rank_interference + b
         self._echelon = ech
-        self._maps: tuple[np.ndarray, np.ndarray] | None = None
+        self._maps: tuple[np.ndarray, ...] | None = None
         self._encoder = encoder
 
-    def maps(self) -> tuple[np.ndarray, np.ndarray]:
-        """(T, BT): wanted = c @ T - x_known @ BT over GF(p).
+    def maps(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(rows_T, T_rows, rows_known, BT_rows), the compact decode map.
+
+        Over GF(p), wanted = c[rows_T] @ T_rows - x[rows_known] @ BT_rows
+        for a codeword c of message vector x. This is c @ T - x_known @ BT
+        with the dense maps T (cols x b) and BT (known rows x b) cut down
+        to their nonzero rows: ``rows_T`` lists, in ascending order, the
+        codeword columns where T is nonzero and ``T_rows`` holds those
+        rows; ``rows_known`` lists the encoder rows (all known) where BT
+        is nonzero mod p and ``BT_rows`` holds those rows. No zero row is
+        kept and no nonzero row is dropped; all entries are in [0, p).
 
         T solves A @ T = E where A stacks the unknown rows and E marks
         the wanted ones, so c' @ T recovers the wanted symbols from the
         known-free codeword c'. Once the pivot rows are back-reduced to
         solved form, T is zero off the pivot columns and its pivot rows
         are the aux columns, which track the wanted-row combinations.
-        BT folds the known rows through T so the subtraction happens in
-        the small output space; as L is 0/1, each of its rows is the sum
-        of the T rows at that row's nonzero columns.
+        BT = L[known rows] @ T folds the known rows through T so the
+        subtraction happens in the small output space; as L is 0/1, it is
+        built by adding each nonzero T row onto the known encoder rows
+        that are nonzero in its column.
         """
         if not self.decodable:
             raise ValueError(f"receiver {self.k} is not decodable; no map exists")
         if self._maps is None:
             enc = self._encoder
             pivots, aux = self._echelon.solved_form()
-            # one zero row past the end serves the padding of the support table
-            T = np.zeros((enc.cols + 1, enc.b), dtype=np.int64)
-            T[pivots] = aux
-            BT = T[enc._row_support[self.known_rows]].sum(axis=1) % enc.p
-            self._maps = (T[:-1], BT)
+            nonzero = aux.any(axis=1)
+            rows_T, T_rows = pivots[nonzero], aux[nonzero]
+            support = enc._col_support[rows_T]
+            # the support table's padding index enc.rows is never a known row
+            known = np.zeros(enc.rows + 1, dtype=bool)
+            known[self.known_rows] = True
+            src, slot = np.nonzero(known[support])
+            rows, inverse = np.unique(support[src, slot], return_inverse=True)
+            acc = np.zeros((rows.size, enc.b), dtype=np.int64)
+            np.add.at(acc, inverse, T_rows[src])
+            acc %= enc.p
+            kept = acc.any(axis=1)
+            self._maps = (rows_T, T_rows, rows[kept], acc[kept])
         return self._maps
 
 
@@ -349,6 +396,12 @@ def simulate(
     """
     if trials < 0:
         raise ValueError(f"trials must be nonnegative, got {trials}")
+    symbols = trials * problem.K * solution.b_min
+    if symbols > MAX_CELLS:
+        raise ValueError(
+            f"{trials} trials of {problem.K * solution.b_min} message symbols "
+            f"= {symbols}, over the limit of {MAX_CELLS}"
+        )
     start = time.perf_counter()
     enc = encoder if encoder is not None else build_encoder(problem, solution, p)
     if enc.problem != problem or enc.solution != solution or enc.p != require_prime(p):
@@ -363,11 +416,8 @@ def simulate(
         if not plan.decodable:
             failures.extend((t, k) for t in range(trials))
             continue
-        T, BT = plan.maps()
-        got = C @ T
-        if plan.known_rows.size:
-            got = got - X[:, plan.known_rows] @ BT
-        got %= enc.p
+        rows_T, T_rows, rows_known, BT_rows = plan.maps()
+        got = (C[:, rows_T] @ T_rows - X[:, rows_known] @ BT_rows) % enc.p
         sent = X[:, k * b : (k + 1) * b]
         for t in np.nonzero(np.any(got != sent, axis=1))[0]:
             failures.append((int(t), k))

@@ -132,6 +132,11 @@ class TestVerifyCode:
         # D + U = K - 1 is a valid instance
         assert invoke(runner, "verify-code", "5", "2", "2", "--p", "2").exit_code == 0
 
+    def test_prime_over_int64_envelope_exits_2(self, runner):
+        result = invoke(runner, "verify-code", "17", "5", "1", "--p", "2,2147483647")
+        assert result.exit_code == 2
+        assert "too large" in result.output
+
 
 class TestSimulate:
     def test_clean_run(self, runner):
@@ -150,6 +155,23 @@ class TestSimulate:
 
     def test_composite_prime_exits_2(self, runner):
         assert invoke(runner, "simulate", "17", "11", "1", "--p", "4").exit_code == 2
+
+    @pytest.mark.parametrize("p", ["2147483647", "4294967311"])
+    def test_prime_over_int64_envelope_exits_2(self, runner, p):
+        result = invoke(runner, "simulate", "17", "5", "1", "--p", p, "--trials", "20")
+        assert result.exit_code == 2
+        assert "too large" in result.output
+
+    def test_oversized_encoder_exits_2(self, runner):
+        # a 436897x216935 encoder; refused before anything is allocated
+        result = invoke(runner, "simulate", "1009", "500", "1")
+        assert result.exit_code == 2
+        assert "436897x216935" in result.output and "over the limit" in result.output
+
+    def test_oversized_message_batch_exits_2(self, runner):
+        result = invoke(runner, "simulate", "5", "1", "1", "--trials", "100000000")
+        assert result.exit_code == 2
+        assert "over the limit" in result.output
 
     def test_deterministic(self, runner):
         args = ("simulate", "5", "1", "1", "--trials", "20", "--seed", "3")

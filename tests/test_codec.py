@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from airindex.codec import (
+    MAX_CELLS,
+    _plan,
     build_encoder,
     decodable,
     decode,
@@ -16,7 +20,7 @@ from airindex.codec import (
     receiver_ranks,
     simulate,
 )
-from airindex.linalg import rank_mod_p, solve_left
+from airindex.linalg import is_prime, rank_mod_p, solve_left
 from airindex.rates import ProblemInstance, find_min_rate, solution_for_pair
 
 
@@ -25,6 +29,27 @@ def _encoder(K, D, U, a, b, p, allow_infeasible=False):
     return build_encoder(
         problem, solution_for_pair(problem, a, b), p, allow_infeasible=allow_infeasible
     )
+
+
+def _dense_maps(enc, plan):
+    """The compact decode map of ``plan`` expanded to dense (T, BT)."""
+    rows_T, T_rows, rows_known, BT_rows = plan.maps()
+    T = np.zeros((enc.cols, enc.b), dtype=np.int64)
+    T[rows_T] = T_rows
+    BT = np.zeros((plan.known_rows.size, enc.b), dtype=np.int64)
+    BT[np.searchsorted(plan.known_rows, rows_known)] = BT_rows
+    return T, BT
+
+
+def _envelope_primes(kb):
+    """(largest prime p with kb*(p-1)**2 < 2**63, the next prime)."""
+    p = math.isqrt((2**63 - 1) // kb) + 1
+    while not (is_prime(p) and kb * (p - 1) ** 2 < 2**63):
+        p -= 1
+    q = p + 1
+    while not is_prime(q):
+        q += 1
+    return p, q
 
 
 class TestInterferenceSet:
@@ -76,6 +101,31 @@ class TestBuildEncoder:
         sol = find_min_rate(ProblemInstance(17, 11, 1))
         with pytest.raises(ValueError, match="solution is for"):
             build_encoder(ProblemInstance(17, 5, 1), sol, 2)
+
+    def test_refuses_oversized_encoder_without_allocating(self, monkeypatch):
+        # (1009, 500, 1) needs a 436897x216935 encoder, about 706 GiB dense
+        def no_allocation(m, n):
+            raise AssertionError(f"build_air({m}, {n}) was called")
+
+        monkeypatch.setattr("airindex.codec.build_air", no_allocation)
+        problem = ProblemInstance(1009, 500, 1)
+        with pytest.raises(ValueError, match="over the limit"):
+            build_encoder(problem, find_min_rate(problem), 2)
+
+    @pytest.mark.parametrize("K,D,U,a,b", [(5, 1, 1, 1, 2), (17, 5, 1, 3, 8)])
+    def test_int64_envelope_edge(self, K, D, U, a, b):
+        # every product the codec forms has at most K*b terms below p**2
+        p, q = _envelope_primes(K * b)
+        problem = ProblemInstance(K, D, U)
+        assert simulate(problem, solution_for_pair(problem, a, b), p, trials=20, seed=5).passed
+        enc = _encoder(K, D, U, a, b, p)
+        x = np.random.default_rng(p).integers(0, p, size=enc.rows)
+        c = encode(enc, x)
+        side = {j: x[j * b : (j + 1) * b] for j in range(K)}
+        for k in range(K):
+            assert np.array_equal(decode(enc, k, c, side), x[k * b : (k + 1) * b])
+        with pytest.raises(ValueError, match="2\\*\\*63"):
+            _encoder(K, D, U, a, b, q)
 
 
 class TestEncode:
@@ -161,8 +211,6 @@ class TestDecodable:
 
     def test_unknown_row_count(self):
         enc = _encoder(17, 5, 1, a=3, b=8, p=2)
-        from airindex.codec import _plan
-
         for k in (0, 5, 16):
             plan = _plan(enc, k)
             assert plan.known_rows.size == (17 - 5 - 1 - 1) * 8
@@ -246,23 +294,25 @@ class TestDecodeMaps:
         "K,D,U,a,b", [(5, 1, 1, 1, 2), (17, 5, 1, 3, 8), (37, 8, 8, 1, 4), (5, 3, 1, 1, 1)]
     )
     def test_maps_solve_unknown_rows(self, K, D, U, a, b, p):
-        from airindex.codec import _plan
-
         enc = _encoder(K, D, U, a, b, p)
         L = enc.matrix.entries
         for k in range(K):
             plan = _plan(enc, k)
-            T, BT = plan.maps()
-            assert T.shape == (enc.cols, b)
-            assert BT.shape == (plan.known_rows.size, b)
+            rows_T, T_rows, rows_known, BT_rows = plan.maps()
+            T, BT = _dense_maps(enc, plan)
             window = [(k - U + i) % K for i in range(D + U + 1)]
             unknown = np.concatenate([np.arange(j * b, (j + 1) * b) for j in window])
             E = np.zeros((unknown.size, b), dtype=np.int64)
             E[window.index(k) * b : (window.index(k) + 1) * b] = np.eye(b, dtype=np.int64)
             assert np.array_equal(L[unknown] @ T % p, E), k
             assert np.array_equal(BT, L[plan.known_rows] @ T % p), k
+            # the kept rows are exactly the nonzero rows: none zero, none dropped
+            assert rows_T.tolist() == np.flatnonzero(T.any(axis=1)).tolist(), k
+            assert rows_known.tolist() == plan.known_rows[BT.any(axis=1)].tolist(), k
+            assert T_rows.any(axis=1).all() and BT_rows.any(axis=1).all(), k
+            assert (T_rows < p).all() and (BT_rows < p).all(), k
             if K == D + U + 1:
-                assert plan.known_rows.size == 0
+                assert plan.known_rows.size == 0 and rows_known.size == 0
 
 
 class TestSimulate:
@@ -301,6 +351,31 @@ class TestSimulate:
         j1, j2 = r1.to_json(), r2.to_json()
         j1.pop("elapsed_ms"), j2.pop("elapsed_ms")
         assert j1 == j2
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_negative_control_matches_dense_reference(self, p):
+        problem = ProblemInstance(17, 11, 1)
+        sol = solution_for_pair(problem, 1, 6)
+        enc = build_encoder(problem, sol, p, allow_infeasible=True)
+        trials, seed, b = 6, 4, enc.b
+        X = np.random.default_rng(seed).integers(0, p, size=(trials, enc.rows), dtype=np.int64)
+        C = X @ enc.matrix.entries % p
+        want = []
+        for k in range(problem.K):
+            plan = _plan(enc, k)
+            if not plan.decodable:
+                want += [(t, k) for t in range(trials)]
+                continue
+            T, BT = _dense_maps(enc, plan)
+            got = (C @ T - X[:, plan.known_rows] @ BT) % p
+            want += [(int(t), k) for t in np.flatnonzero((got != X[:, k * b : (k + 1) * b]).any(1))]
+        report = simulate(problem, sol, p, trials=trials, seed=seed, encoder=enc)
+        assert want and report.failures == tuple(sorted(want))
+
+    def test_refuses_oversized_message_batch(self):
+        problem = ProblemInstance(5, 1, 1)
+        with pytest.raises(ValueError, match="over the limit"):
+            simulate(problem, find_min_rate(problem), 2, trials=MAX_CELLS // 10 + 1, seed=0)
 
     def test_negative_control_records_failures(self):
         problem = ProblemInstance(17, 11, 1)

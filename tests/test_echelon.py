@@ -167,6 +167,12 @@ def test_pivot_structure(p, seed):
         assert not solved[j, :c].any()
 
 
+def _same_reduce(x, y, main, aux) -> bool:
+    x_ok, x_aux = x.reduce(main, aux)
+    y_ok, y_aux = y.reduce(main, aux)
+    return x_ok == y_ok and np.array_equal(x_aux, y_aux)
+
+
 def _assert_matches_reference(mat, aux_cols, p, probes):
     a = np.array(mat, dtype=np.int64)
     ech = stream_echelon(a.shape[1], aux_cols, p)
@@ -176,11 +182,24 @@ def _assert_matches_reference(mat, aux_cols, p, probes):
         assert ech.insert(row, aux) == ref.insert(row, aux)
         assert ech.rank == len(ref.rows)
     assert ech.pivot_cols == ref.pivot_cols
-    # one block insert packs every row at once and must end in the same state
+    # one block insert packs every row at once and must end in the same state,
+    # as must inserting rows packed beforehand, with or without their aux part
     block = stream_echelon(a.shape[1], aux_cols, p)
     assert block.insert(a, aux_in) == ech.rank
-    assert block.pivot_cols == ech.pivot_cols
-    assert all(np.array_equal(x, y) for x, y in zip(block.solved_form(), ech.solved_form()))
+    prepacked = stream_echelon(a.shape[1], aux_cols, p)
+    assert prepacked.insert_packed(prepacked.pack(a, aux_in)) == ech.rank
+    main_only = stream_echelon(a.shape[1], aux_cols, p)
+    main_ref = _AllPivotsReference(a.shape[1], aux_cols, p)
+    assert main_only.insert_packed(main_only.pack(a)) == sum(map(main_ref.insert, a))
+    assert main_only.pivot_cols == main_ref.pivot_cols
+    pivots, aux = main_only.solved_form()
+    want_cols, want_rows = main_ref.solved_rows()
+    assert pivots.tolist() == want_cols
+    assert np.array_equal(aux, want_rows[:, a.shape[1] :])
+    for other in (block, prepacked):
+        assert other.rank == ech.rank
+        assert other.pivot_cols == ech.pivot_cols
+        assert all(np.array_equal(x, y) for x, y in zip(other.solved_form(), ech.solved_form()))
     for probe in probes:
         probe = np.asarray(probe, dtype=np.int64)
         probe_aux = np.resize(probe, aux_cols)
@@ -188,6 +207,8 @@ def _assert_matches_reference(mat, aux_cols, p, probes):
         want_ok, want_aux = ref.reduce(probe, probe_aux)
         assert got_ok == want_ok
         assert np.array_equal(got_aux, want_aux)
+        assert all(_same_reduce(ech, other, probe, probe_aux) for other in (block, prepacked))
+        assert _same_reduce(main_only, main_ref, probe, probe_aux)
     pivots, aux = ech.solved_form()
     want_cols, want_rows = ref.solved_rows()
     assert pivots.tolist() == want_cols
