@@ -23,10 +23,8 @@ from .codec import (
 from .linalg import (
     det_exact,
     is_prime,
-    left_kernel_mod_p,
     rank_mod_p,
     require_prime,
-    solve_left,
 )
 from .rates import (
     BezoutTriple,
@@ -34,7 +32,6 @@ from .rates import (
     RateSolution,
     extended_bezout,
     find_min_rate,
-    find_min_rate_scan,
     is_feasible,
     known_broadcast_rate,
     oracle_min_rate,
@@ -62,12 +59,10 @@ __all__ = [
     "encode",
     "extended_bezout",
     "find_min_rate",
-    "find_min_rate_scan",
     "interference_set",
     "is_feasible",
     "is_prime",
     "known_broadcast_rate",
-    "left_kernel_mod_p",
     "oracle_min_rate",
     "rank_mod_p",
     "rate_upper_bound",
@@ -75,7 +70,6 @@ __all__ = [
     "require_prime",
     "simulate",
     "solution_for_pair",
-    "solve_left",
     "stacked_identity",
     "structure_chain",
     "truncated_decimal",

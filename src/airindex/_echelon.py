@@ -26,7 +26,12 @@ rows each pivot row combines, T is read off directly, with no solve.
 
 GF(2) rows are packed into single Python integers and GF(3) rows into two
 bitplanes, so a whole-row operation costs a handful of big-int ops; other
-primes use plain numpy vectors. All three give identical results.
+primes use plain numpy vectors. All three give identical results. The
+numpy engine multiplies entries below p in int64, so it is exact only
+while ``(p-1)**2 < 2**63``; its callers enforce that bound.
+
+This is the package's one GF(p) elimination: the codec's receiver plans
+and :func:`airindex.linalg.rank_mod_p` both run on it.
 
 Every engine converts rows to its own form with ``pack(main, aux=None)``
 and accumulates them with ``insert_packed(rows)``; ``insert`` is exactly

@@ -19,7 +19,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .linalg import det_exact, rank_mod_p, require_prime
+from .linalg import det_exact, rank_mod_p, require_rank_prime
 
 __all__ = [
     "StructureChain",
@@ -212,9 +212,10 @@ def verify_adjacent_independence(
     Each window must have exact determinant +-1 (nonsingular over every
     field) and, as an independent route, full rank over each requested
     prime. Window starts are ``0 .. m-n`` without wrap and ``0 .. m-1``
-    with cyclic wrap.
+    with cyclic wrap. Raises ``ValueError`` before any window is checked
+    unless every prime has ``(p-1)**2 < 2**63`` (the exact rank's limit).
     """
-    primes = tuple(require_prime(q) for q in primes)
+    primes = tuple(require_rank_prime(q) for q in primes)
     starts = range(air.m) if wrap else range(air.m - air.n + 1)
     failures = []
     for s in starts:

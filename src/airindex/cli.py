@@ -20,7 +20,7 @@ import click
 
 from .air import build_air, verify_adjacent_independence
 from .codec import build_encoder, receiver_ranks, simulate
-from .linalg import require_prime
+from .linalg import require_prime, require_rank_prime
 from .rates import (
     ProblemInstance,
     RateSolution,
@@ -54,7 +54,8 @@ def _prime(p: int) -> int:
 def _prime_list(spec: str | None) -> tuple[int, ...]:
     raw = spec or os.environ.get("AIRINDEX_PRIMES") or _DEFAULT_VERIFY_PRIMES
     try:
-        return tuple(require_prime(int(tok)) for tok in raw.split(","))
+        # both verify commands compute ranks, so the rank's int64 limit applies
+        return tuple(require_rank_prime(int(tok)) for tok in raw.split(","))
     except ValueError as exc:
         _fail_usage(f"bad primes list {raw!r}: {exc}")
 

@@ -1,13 +1,14 @@
 """Exact integer and prime-field matrix arithmetic.
 
-Dense, deterministic routines backing the encoder verification stack:
-rank, left kernel and left-sided system solving over GF(p), plus exact
-integer determinants via fraction-free elimination. Elimination always
-picks the first usable pivot in column order, so kernels and solutions
-are reproducible across runs.
+Deterministic routines backing the AIR window verification: rank over
+GF(p), computed by the same streaming echelon the codec eliminates with
+(:mod:`airindex._echelon`), and exact integer determinants via
+fraction-free elimination.
 
 Matrices are plain 2-D integer arrays (anything ``np.asarray`` accepts);
-a field modulus is a plain int that must be prime, checked on entry.
+a field modulus is a plain int that must be prime, checked on entry. The
+rank is exact in int64 only while ``(p-1)**2 < 2**63``, so larger primes
+are refused.
 """
 
 from __future__ import annotations
@@ -16,14 +17,14 @@ from functools import lru_cache
 
 import numpy as np
 
+from ._echelon import stream_echelon
+
 __all__ = [
     "is_prime",
     "require_prime",
     "as_int_matrix",
-    "rref_mod_p",
+    "require_rank_prime",
     "rank_mod_p",
-    "left_kernel_mod_p",
-    "solve_left",
     "det_exact",
 ]
 
@@ -65,85 +66,26 @@ def as_int_matrix(mat) -> np.ndarray:
     return a
 
 
-def rref_mod_p(mat, p) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form over GF(p).
+def require_rank_prime(p) -> int:
+    """``require_prime``, plus the int64 limit of GF(p) elimination.
 
-    Returns ``(R, pivot_cols)``. The pivot for each column is the first
-    row with a nonzero entry at or below the current row, scanning
-    columns left to right; this fixes the output uniquely.
+    Elimination forms ``f * row`` with both factors below p in int64, so
+    it is exact only while ``(p-1)**2 < 2**63``; a larger prime would
+    wrap silently, so it is refused here instead.
     """
     p = require_prime(p)
-    R = as_int_matrix(mat) % p
-    n_rows, n_cols = R.shape
-    pivot_cols: list[int] = []
-    r = 0
-    for c in range(n_cols):
-        if r == n_rows:
-            break
-        hits = np.nonzero(R[r:, c])[0]
-        if hits.size == 0:
-            continue
-        i = r + int(hits[0])
-        if i != r:
-            R[[r, i]] = R[[i, r]]
-        R[r] = R[r] * pow(int(R[r, c]), -1, p) % p
-        col = R[:, c].copy()
-        col[r] = 0
-        R = (R - np.outer(col, R[r])) % p
-        pivot_cols.append(c)
-        r += 1
-    return R, pivot_cols
+    if (p - 1) ** 2 >= 2**63:
+        raise ValueError(
+            f"p={p} is too large for an exact int64 rank: (p-1)**2 must stay below 2**63"
+        )
+    return p
 
 
 def rank_mod_p(mat, p) -> int:
-    """Rank of ``mat`` over GF(p)."""
-    _, pivot_cols = rref_mod_p(mat, p)
-    return len(pivot_cols)
-
-
-def left_kernel_mod_p(mat, p) -> np.ndarray:
-    """Basis of ``{z : z @ mat == 0 (mod p)}``, one vector per row.
-
-    The basis has ``rows(mat) - rank_mod_p(mat, p)`` vectors; each sets a
-    single free coordinate to 1, in increasing coordinate order, so the
-    result is deterministic.
-    """
-    M = as_int_matrix(mat)
-    R, piv = rref_mod_p(M.T, p)
-    p = require_prime(p)
-    n = M.shape[0]
-    piv_set = set(piv)
-    free = [j for j in range(n) if j not in piv_set]
-    basis = np.zeros((len(free), n), dtype=np.int64)
-    for idx, f in enumerate(free):
-        basis[idx, f] = 1
-        for row, c in enumerate(piv):
-            basis[idx, c] = (-int(R[row, f])) % p
-    return basis
-
-
-def solve_left(mat, y, p) -> np.ndarray | None:
-    """Solve ``u @ mat == y (mod p)``; ``None`` when inconsistent.
-
-    Free coordinates are fixed to 0, so the returned solution is unique
-    for a given pivot order even when the system is underdetermined.
-    """
-    p = require_prime(p)
-    M = as_int_matrix(mat)
-    yv = np.asarray(y, dtype=np.int64)
-    if yv.ndim != 1 or yv.shape[0] != M.shape[1]:
-        raise ValueError(
-            f"right-hand side must have length {M.shape[1]}, got shape {yv.shape}"
-        )
-    aug = np.concatenate([M.T, yv.reshape(-1, 1) % p], axis=1)
-    R, piv = rref_mod_p(aug, p)
-    n_unknowns = M.shape[0]
-    if piv and piv[-1] == n_unknowns:
-        return None
-    u = np.zeros(n_unknowns, dtype=np.int64)
-    for row, c in enumerate(piv):
-        u[c] = R[row, -1]
-    return u
+    """Rank of ``mat`` over GF(p), by streaming elimination of its rows."""
+    p = require_rank_prime(p)
+    a = as_int_matrix(mat)
+    return stream_echelon(a.shape[1], 0, p).insert(a)
 
 
 def det_exact(mat) -> int:

@@ -8,13 +8,11 @@ symbols and transmitting b*(D+1) + a coded symbols works whenever
     gcd(b*K, b*(D+1) + a) >= b*(U+1),
 
 giving rate D + 1 + a/b symbols per message symbol. This module minimizes
-a/b over that feasibility set three ways that must agree:
+a/b over that feasibility set two ways whose rates must agree:
 
 * :func:`find_min_rate` walks a = l*g for l = 1, 2, ... (g = gcd(K, D+1))
   and uses the Bezout coefficients of (K, D+1) to jump straight to the one
   candidate b in range for each l.
-* :func:`find_min_rate_scan` does the same walk with an explicit bounded
-  scan over the solution family instead of the closed-form jump.
 * :func:`oracle_min_rate` brute-forces the predicate over a provably
   sufficient (a, b) box, as an independent reference.
 
@@ -37,7 +35,6 @@ __all__ = [
     "is_feasible",
     "solution_for_pair",
     "find_min_rate",
-    "find_min_rate_scan",
     "oracle_min_rate",
     "rate_upper_bound",
     "known_broadcast_rate",
@@ -222,47 +219,6 @@ def find_min_rate(
         encoder_rows=K * b,
         encoder_cols=cols,
         source="algorithm",
-    )
-
-
-def find_min_rate_scan(
-    problem: ProblemInstance, bezout: BezoutTriple | None = None
-) -> RateSolution:
-    """Same minimization via a bounded scan of the solution family.
-
-    For each l the candidates b = l*n + t*(K // g) are enumerated for
-    t in [-l, l] instead of being computed directly; kept alongside
-    :func:`find_min_rate` so the closed-form jump can be cross-checked.
-    Raises LookupError if the scan radius never produces a candidate in
-    range within the l bound (which would indicate the radius is too
-    narrow; no such case is known).
-    """
-    K, D, U = problem.K, problem.D, problem.U
-    g = gcd(K, D + 1)
-    if U + 1 <= g:
-        return find_min_rate(problem)
-    bez = bezout if bezout is not None else extended_bezout(K, D + 1)
-    _check_bezout(K, D + 1, bez)
-    step = K // g
-    b_cap = K // (U + 1)
-    l_cap = (K % (D + 1)) // g
-    for l in range(1, l_cap + 1):
-        for t in range(-l, l + 1):
-            cand = l * bez.n + t * step
-            if 1 <= cand <= b_cap:
-                a, b = l * g, cand
-                cols = b * (D + 1) + a
-                return RateSolution(
-                    problem=problem,
-                    a_min=a,
-                    b_min=b,
-                    rate=Fraction(cols, b),
-                    encoder_rows=K * b,
-                    encoder_cols=cols,
-                    source="algorithm",
-                )
-    raise LookupError(
-        f"scan with t in [-l, l] found no candidate for {problem} within l <= {l_cap}"
     )
 
 

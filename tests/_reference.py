@@ -1,0 +1,72 @@
+"""Dense GF(p) elimination kept as an independent reference for the tests.
+
+``airindex`` ranks matrices with its streaming echelon; the tests compare
+that engine against this plain whole-matrix reduced row echelon form,
+which shares none of its code. Exact while ``(p-1)**2 < 2**63``.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from airindex.linalg import as_int_matrix, require_prime
+
+
+def rref_mod_p(mat, p) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form over GF(p).
+
+    Returns ``(R, pivot_cols)``. The pivot for each column is the first
+    row with a nonzero entry at or below the current row, scanning
+    columns left to right; this fixes the output uniquely.
+    """
+    p = require_prime(p)
+    R = as_int_matrix(mat) % p
+    n_rows, n_cols = R.shape
+    pivot_cols: list[int] = []
+    r = 0
+    for c in range(n_cols):
+        if r == n_rows:
+            break
+        hits = np.nonzero(R[r:, c])[0]
+        if hits.size == 0:
+            continue
+        i = r + int(hits[0])
+        if i != r:
+            R[[r, i]] = R[[i, r]]
+        R[r] = R[r] * pow(int(R[r, c]), -1, p) % p
+        col = R[:, c].copy()
+        col[r] = 0
+        R = (R - np.outer(col, R[r])) % p
+        pivot_cols.append(c)
+        r += 1
+    return R, pivot_cols
+
+
+def rank_mod_p(mat, p) -> int:
+    """Rank of ``mat`` over GF(p)."""
+    _, pivot_cols = rref_mod_p(mat, p)
+    return len(pivot_cols)
+
+
+def solve_left(mat, y, p) -> np.ndarray | None:
+    """Solve ``u @ mat == y (mod p)``; ``None`` when inconsistent.
+
+    Free coordinates are fixed to 0, so the returned solution is unique
+    for a given pivot order even when the system is underdetermined.
+    """
+    p = require_prime(p)
+    M = as_int_matrix(mat)
+    yv = np.asarray(y, dtype=np.int64)
+    if yv.ndim != 1 or yv.shape[0] != M.shape[1]:
+        raise ValueError(
+            f"right-hand side must have length {M.shape[1]}, got shape {yv.shape}"
+        )
+    aug = np.concatenate([M.T, yv.reshape(-1, 1) % p], axis=1)
+    R, piv = rref_mod_p(aug, p)
+    n_unknowns = M.shape[0]
+    if piv and piv[-1] == n_unknowns:
+        return None
+    u = np.zeros(n_unknowns, dtype=np.int64)
+    for row, c in enumerate(piv):
+        u[c] = R[row, -1]
+    return u

@@ -8,6 +8,7 @@ from math import gcd
 import numpy as np
 import pytest
 
+import airindex.air as air_module
 from airindex.air import (
     _fill_blocks,
     build_air,
@@ -216,6 +217,19 @@ class TestAdjacentIndependence:
             for n in range(2, m):
                 report = verify_adjacent_independence(build_air(m, n))
                 assert report.passed, (m, n, report.failures)
+
+    def test_prime_past_int64_rank_limit_refused_at_entry(self, monkeypatch):
+        # 3037000493 is the largest prime with (p-1)**2 < 2**63
+        air = build_air(40, 17)
+        assert verify_adjacent_independence(air, primes=(3037000493,)).passed
+
+        def no_window(*args):
+            raise AssertionError("a window was checked before the primes")
+
+        monkeypatch.setattr(air_module, "det_exact", no_window)
+        for p in (3037000507, 4294967311):
+            with pytest.raises(ValueError, match="2\\*\\*63"):
+                verify_adjacent_independence(air, primes=(2, p))
 
     def test_failure_is_reported_not_raised(self):
         air = build_air(5, 3)

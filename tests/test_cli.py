@@ -109,6 +109,21 @@ class TestVerifyAir:
     def test_bad_primes_exit_2(self, runner):
         assert invoke(runner, "verify-air", "5", "3", "--primes", "2,4").exit_code == 2
 
+    def test_prime_at_int64_rank_limit(self, runner):
+        # 3037000493 is the largest prime with (p-1)**2 < 2**63; the next
+        # prime, and 2**32 + 15, would overflow the elimination's int64 products
+        result = invoke(runner, "verify-air", "40", "17", "--primes", "3037000493")
+        assert result.exit_code == 0
+        assert result.output.endswith("PASS\n")
+        for p in ("3037000507", "4294967311"):
+            result = invoke(runner, "verify-air", "40", "17", "--primes", p)
+            assert result.exit_code == 2
+            assert "2**63" in result.output
+            env = {"AIRINDEX_PRIMES": f"2,{p}"}
+            from_env = invoke(runner, "verify-air", "40", "17", env=env)
+            assert from_env.exit_code == 2
+            assert "2**63" in from_env.output
+
 
 class TestVerifyCode:
     def test_small_instance(self, runner):

@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _reference import rank_mod_p as reference_rank
+from _reference import solve_left
 from airindex.codec import (
     MAX_CELLS,
     _plan,
@@ -20,7 +22,7 @@ from airindex.codec import (
     receiver_ranks,
     simulate,
 )
-from airindex.linalg import is_prime, rank_mod_p, solve_left
+from airindex.linalg import is_prime
 from airindex.rates import ProblemInstance, find_min_rate, solution_for_pair
 
 
@@ -205,8 +207,8 @@ class TestDecodable:
             rows_i = np.vstack([L[j * b : (j + 1) * b] for j in interference])
             rows_all = np.vstack([rows_i, L[k * b : (k + 1) * b]])
             assert receiver_ranks(enc, k) == (
-                rank_mod_p(rows_i, 3),
-                rank_mod_p(rows_all, 3),
+                reference_rank(rows_i, 3),
+                reference_rank(rows_all, 3),
             )
 
     def test_unknown_row_count(self):
@@ -242,8 +244,8 @@ class TestDecode:
         self._roundtrip(enc, rng.integers(0, 3, size=37 * 4), receivers=[0, 9, 36])
 
     def test_matches_generic_left_solve(self):
-        # the cached-plan decoder must agree with a from-scratch solve of
-        # the unknown-row system
+        # the cached-plan decoder must agree with the dense reference's
+        # from-scratch solve of the unknown-row system
         enc = _encoder(5, 1, 1, a=1, b=2, p=3)
         b, p = enc.b, enc.p
         L = enc.matrix.entries

@@ -1,4 +1,10 @@
-"""Cross-checks for the streaming echelon against the reference linalg."""
+"""Cross-checks for the streaming echelon.
+
+Ranks are compared with the dense whole-matrix elimination in
+``_reference``; insert, reduce and solved-form results with
+``_AllPivotsReference`` below, a plain echelon that walks every pivot.
+``airindex.linalg.rank_mod_p`` is this engine, so it is no reference.
+"""
 
 from __future__ import annotations
 
@@ -6,9 +12,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _reference import rank_mod_p as reference_rank
 from airindex._echelon import stream_echelon
 from airindex.air import build_air
-from airindex.linalg import rank_mod_p
 
 
 class _AllPivotsReference:
@@ -94,7 +100,7 @@ def test_streaming_rank_matches_reference(mat, p):
     ech = stream_echelon(a.shape[1], 0, p)
     for i, row in enumerate(a):
         ech.insert(row)
-        assert ech.rank == rank_mod_p(a[: i + 1], p)
+        assert ech.rank == reference_rank(a[: i + 1], p)
 
 
 @settings(max_examples=200, deadline=None)
@@ -158,7 +164,7 @@ def test_pivot_structure(p, seed):
     pivots, aux = ech.solved_form()
     # ascending pivot columns, the same set the inserts found
     assert pivots.tolist() == sorted(ech.pivot_cols)
-    assert len(set(ech.pivot_cols)) == ech.rank == rank_mod_p(a, p)
+    assert len(set(ech.pivot_cols)) == ech.rank == reference_rank(a, p)
     solved = aux @ a % p
     for j, c in enumerate(pivots):
         assert solved[j, c] == 1

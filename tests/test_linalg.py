@@ -1,4 +1,9 @@
-"""Unit tests for exact integer and GF(p) matrix routines."""
+"""Unit tests for exact integer and GF(p) matrix routines.
+
+``rank_mod_p`` is checked against the dense reference elimination in
+``_reference``; the reference left solve, which the decoder tests compare
+against, is itself checked here on hand-worked and random systems.
+"""
 
 from __future__ import annotations
 
@@ -7,14 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from airindex.linalg import (
-    det_exact,
-    is_prime,
-    left_kernel_mod_p,
-    rank_mod_p,
-    require_prime,
-    solve_left,
-)
+from _reference import rank_mod_p as reference_rank
+from _reference import solve_left
+from airindex.linalg import det_exact, is_prime, rank_mod_p, require_prime
 
 # The 5x3 construction, derived by hand from the fill algorithm:
 # identity on top, then a 2x2 identity in the bottom-left, ones in the
@@ -31,6 +31,10 @@ AIR_5_3 = np.array(
 )
 
 PRIMES = (2, 3, 5, 7)
+
+# the largest prime with (p-1)**2 < 2**63, and the next prime
+LARGEST_RANK_PRIME = 3037000493
+FIRST_REFUSED_PRIME = 3037000507
 
 
 class TestPrimality:
@@ -62,6 +66,22 @@ class TestRank:
         with pytest.raises(ValueError):
             rank_mod_p(np.eye(2, dtype=int), 6)
 
+    def test_largest_int64_prime_ranks_exactly(self):
+        # rank-1 probes: the second row is a multiple of the first mod p,
+        # so any wrapped product in the elimination would report rank 2
+        p = LARGEST_RANK_PRIME
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            row = [int(v) for v in rng.integers(1, p, size=4)]
+            c = int(rng.integers(1, p))
+            mat = np.array([row, [c * v % p for v in row]], dtype=np.int64)
+            assert rank_mod_p(mat, p) == 1
+
+    @pytest.mark.parametrize("p", [FIRST_REFUSED_PRIME, 4294967311])
+    def test_refuses_prime_past_int64_limit(self, p):
+        with pytest.raises(ValueError, match="2\\*\\*63"):
+            rank_mod_p(np.eye(2, dtype=int), p)
+
 
 class TestDetExact:
     def test_identity(self):
@@ -91,22 +111,9 @@ class TestDetExact:
         assert det_exact(mat) == big * big - (big - 1) * (big + 1)
 
 
-class TestLeftKernel:
-    def test_identity_has_empty_kernel(self):
-        basis = left_kernel_mod_p(np.eye(3, dtype=int), 2)
-        assert basis.shape == (0, 3)
-
-    def test_equal_rows(self):
-        basis = left_kernel_mod_p([[1, 1], [1, 1]], 2)
-        assert basis.tolist() == [[1, 1]]
-
-    def test_air_full_stack_gf2(self):
-        basis = left_kernel_mod_p(AIR_5_3, 2)
-        assert basis.shape[0] == 5 - rank_mod_p(AIR_5_3, 2) == 2
-        assert not np.any(basis @ AIR_5_3 % 2)
-
-
 class TestSolveLeft:
+    """The reference left solve, on systems worked by hand."""
+
     def test_identity(self):
         u = solve_left(np.eye(3, dtype=int), [1, 0, 1], 2)
         assert u.tolist() == [1, 0, 1]
@@ -141,16 +148,19 @@ def _matrices(max_dim=6, max_val=10):
     )
 
 
-@settings(max_examples=150, deadline=None)
-@given(mat=_matrices(), p=st.sampled_from(PRIMES))
-def test_rank_bounded_and_kernel_dimension(mat, p):
-    a = np.array(mat, dtype=np.int64)
+@settings(max_examples=300, deadline=None)
+@given(p=st.sampled_from((2, 3, 5, 7, 65521)), data=st.data())
+def test_rank_matches_dense_reference(p, data):
+    rows, cols = data.draw(st.integers(0, 7)), data.draw(st.integers(0, 7))
+    # negative entries and entries >= p must reduce like their residues
+    entry = st.integers(-10, 10) | st.integers(p, 2**40)
+    cells = data.draw(st.lists(entry, min_size=rows * cols, max_size=rows * cols))
+    a = np.array(cells, dtype=np.int64).reshape(rows, cols)
     r = rank_mod_p(a, p)
+    assert r == reference_rank(a, p)
     assert 0 <= r <= min(a.shape)
-    basis = left_kernel_mod_p(a, p)
-    assert basis.shape[0] == a.shape[0] - r
-    if basis.size:
-        assert not np.any(basis @ a % p)
+    with pytest.raises(ValueError, match="2-D"):
+        rank_mod_p(a.reshape(-1), p)
 
 
 @settings(max_examples=150, deadline=None)

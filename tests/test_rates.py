@@ -15,7 +15,6 @@ from airindex.rates import (
     ProblemInstance,
     extended_bezout,
     find_min_rate,
-    find_min_rate_scan,
     is_feasible,
     known_broadcast_rate,
     oracle_min_rate,
@@ -253,14 +252,6 @@ class TestTruncatedDecimal:
 @given(problem=_instances())
 def test_oracle_equivalence(problem):
     assert find_min_rate(problem).rate == oracle_min_rate(problem).rate
-
-
-@settings(max_examples=300, deadline=None)
-@given(problem=_instances())
-def test_scan_matches_closed_form(problem):
-    a = find_min_rate(problem)
-    b = find_min_rate_scan(problem)
-    assert (a.a_min, a.b_min) == (b.a_min, b.b_min)
 
 
 @settings(max_examples=300, deadline=None)
