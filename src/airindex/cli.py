@@ -19,7 +19,7 @@ import sys
 import click
 
 from .air import build_air, verify_adjacent_independence
-from .codec import build_encoder, receiver_ranks, simulate
+from .codec import build_encoder, decodable, simulate
 from .linalg import require_prime, require_rank_prime
 from .rates import (
     ProblemInstance,
@@ -28,8 +28,6 @@ from .rates import (
     oracle_min_rate,
     truncated_decimal,
 )
-
-_DEFAULT_VERIFY_PRIMES = "2,3,5"
 
 
 def _fail_usage(message: str) -> None:
@@ -51,8 +49,8 @@ def _prime(p: int) -> int:
         _fail_usage(str(exc))
 
 
-def _prime_list(spec: str | None) -> tuple[int, ...]:
-    raw = spec or os.environ.get("AIRINDEX_PRIMES") or _DEFAULT_VERIFY_PRIMES
+def _prime_list(spec: str | None, default: str) -> tuple[int, ...]:
+    raw = spec or os.environ.get("AIRINDEX_PRIMES") or default
     try:
         # both verify commands compute ranks, so the rank's int64 limit applies
         return tuple(require_rank_prime(int(tok)) for tok in raw.split(","))
@@ -121,7 +119,7 @@ def matrix(m: int, n: int, fmt: str, as_json: bool) -> None:
 @click.option("--json", "as_json", is_flag=True, help="Emit the report as JSON.")
 def verify_air(m: int, n: int, primes: str | None, wrap: bool, as_json: bool) -> None:
     """Check that every n-row window of the m x n AIR matrix is nonsingular."""
-    plist = _prime_list(primes)
+    plist = _prime_list(primes, "2,3,5")
     try:
         air = build_air(m, n)
     except ValueError as exc:
@@ -147,7 +145,7 @@ def verify_air(m: int, n: int, primes: str | None, wrap: bool, as_json: bool) ->
 def verify_code(k: int, d: int, u: int, primes: str | None, as_json: bool) -> None:
     """Check the per-receiver rank decodability criterion at the minimal rate."""
     problem = _instance(k, d, u)
-    plist = _prime_list(primes or os.environ.get("AIRINDEX_PRIMES") or "2,3")
+    plist = _prime_list(primes, "2,3")
     sol = find_min_rate(problem)
     results = {}
     all_ok = True
@@ -156,11 +154,7 @@ def verify_code(k: int, d: int, u: int, primes: str | None, as_json: bool) -> No
             enc = build_encoder(problem, sol, p)
         except ValueError as exc:
             _fail_usage(str(exc))
-        bad = []
-        for recv in range(problem.K):
-            rank_i, rank_all = receiver_ranks(enc, recv)
-            if rank_all != rank_i + enc.b:
-                bad.append(recv)
+        bad = [recv for recv in range(problem.K) if not decodable(enc, recv)]
         all_ok = all_ok and not bad
         results[p] = bad
     if as_json:
@@ -200,13 +194,11 @@ def simulate_cmd(k: int, d: int, u: int, p: int, trials: int, seed: int) -> None
     """Seeded end-to-end encode/decode run; prints the report as JSON."""
     problem = _instance(k, d, u)
     prime = _prime(p)
-    if trials < 0:
-        _fail_usage(f"trials must be nonnegative, got {trials}")
     sol = find_min_rate(problem)
     try:
         report = simulate(problem, sol, prime, trials=trials, seed=seed)
     except ValueError as exc:
-        # the encoder or the message batch is over the codec's size or int64 limits
+        # negative trials, or an encoder or message batch over the codec's limits
         _fail_usage(str(exc))
     click.echo(report.to_json_str())
     sys.exit(0 if report.passed else 1)

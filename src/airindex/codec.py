@@ -14,12 +14,12 @@ are unique exactly when
 over GF(p). Per-receiver elimination state is computed once per encoder
 and reused, which keeps repeated decodes and batched simulations cheap.
 
-A receiver's decode map is compact: it holds only the nonzero rows of T
-(the map from codeword to wanted symbols) and of BT (the known rows folded
-through T), with the codeword columns and encoder rows they belong to. A
-receiver sees only its window of D+U+1 messages, so nearly every row of
-the dense maps is zero; skipping exactly the all-zero rows leaves every
-product unchanged.
+A receiver's decode map is compact: the nonzero rows of T (the map from
+codeword to wanted symbols) with their codeword columns, and the known
+encoder rows in each of those columns, over which the receiver gathers
+its side information's share of the codeword before applying T. It sees
+only its window of D+U+1 messages, so nearly every row of the dense T is
+zero; skipping exactly the all-zero rows leaves every product unchanged.
 
 Supported sizes. All arithmetic is exact in int64: the longest dot product
 has at most K*b terms, each below p**2, so ``build_encoder`` refuses any p
@@ -124,10 +124,26 @@ class Encoder:
         symbols per column reads X once, where the dense product streams
         all of L once per message vector.
         """
-        # one zero column past the end serves the padding of the support table
-        padded = np.zeros((X.shape[0], self.rows + 1), dtype=np.int64)
-        padded[:, :-1] = X
-        return padded[:, self._col_support].sum(axis=2) % self.p
+        return _gather_sum(_pad(X), self._col_support) % self.p
+
+
+def _pad(X: np.ndarray) -> np.ndarray:
+    """X with a zero column at the support tables' padding index appended."""
+    padded = np.zeros((X.shape[0], X.shape[1] + 1), dtype=np.int64)
+    padded[:, :-1] = X
+    return padded
+
+
+def _gather_sum(padded: np.ndarray, support: np.ndarray) -> np.ndarray:
+    """``out[:, j]`` = the sum of ``padded[:, i]`` over the i in ``support[j]``.
+
+    Adding one slot of the table at a time keeps every temporary to the
+    size of ``out``.
+    """
+    out = np.zeros((padded.shape[0], support.shape[0]), dtype=np.int64)
+    for slot in support.T:
+        out += padded[:, slot]
+    return out
 
 
 def _support(matrix: np.ndarray) -> np.ndarray:
@@ -228,27 +244,22 @@ class _ReceiverPlan:
         self._maps: tuple[np.ndarray, ...] | None = None
         self._encoder = encoder
 
-    def maps(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(rows_T, T_rows, rows_known, BT_rows), the compact decode map.
+    def maps(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(rows_T, T_rows, known_support), the compact decode map.
 
-        Over GF(p), wanted = c[rows_T] @ T_rows - x[rows_known] @ BT_rows
-        for a codeword c of message vector x. This is c @ T - x_known @ BT
-        with the dense maps T (cols x b) and BT (known rows x b) cut down
-        to their nonzero rows: ``rows_T`` lists, in ascending order, the
-        codeword columns where T is nonzero and ``T_rows`` holds those
-        rows; ``rows_known`` lists the encoder rows (all known) where BT
-        is nonzero mod p and ``BT_rows`` holds those rows. No zero row is
-        kept and no nonzero row is dropped; all entries are in [0, p).
+        ``rows_T`` lists the codeword columns where the dense map T
+        (cols x b) is nonzero, ascending, and ``T_rows`` holds exactly those
+        rows, entries in [0, p). ``known_support`` is the encoder's column
+        support at ``rows_T``, each unknown row replaced by the padding
+        index ``encoder.rows``. Over GF(p), the wanted symbols of codeword c
+        are (c[rows_T] - share) @ T_rows, where share sums the message
+        vector x over ``known_support``: the known messages' part of c.
 
         T solves A @ T = E where A stacks the unknown rows and E marks
         the wanted ones, so c' @ T recovers the wanted symbols from the
         known-free codeword c'. Once the pivot rows are back-reduced to
         solved form, T is zero off the pivot columns and its pivot rows
         are the aux columns, which track the wanted-row combinations.
-        BT = L[known rows] @ T folds the known rows through T so the
-        subtraction happens in the small output space; as L is 0/1, it is
-        built by adding each nonzero T row onto the known encoder rows
-        that are nonzero in its column.
         """
         if not self.decodable:
             raise ValueError(f"receiver {self.k} is not decodable; no map exists")
@@ -256,18 +267,12 @@ class _ReceiverPlan:
             enc = self._encoder
             pivots, aux = self._echelon.solved_form()
             nonzero = aux.any(axis=1)
-            rows_T, T_rows = pivots[nonzero], aux[nonzero]
+            rows_T = pivots[nonzero]
             support = enc._col_support[rows_T]
-            # the support table's padding index enc.rows is never a known row
-            known = np.zeros(enc.rows + 1, dtype=bool)
+            known = np.zeros(enc.rows + 1, dtype=bool)  # the padding index stays unknown
             known[self.known_rows] = True
-            src, slot = np.nonzero(known[support])
-            rows, inverse = np.unique(support[src, slot], return_inverse=True)
-            acc = np.zeros((rows.size, enc.b), dtype=np.int64)
-            np.add.at(acc, inverse, T_rows[src])
-            acc %= enc.p
-            kept = acc.any(axis=1)
-            self._maps = (rows_T, T_rows, rows[kept], acc[kept])
+            known_support = np.where(known[support], support, enc.rows)
+            self._maps = (rows_T, aux[nonzero], known_support)
         return self._maps
 
 
@@ -410,14 +415,16 @@ def simulate(
     rng = np.random.default_rng(seed)
     X = rng.integers(0, enc.p, size=(trials, K * b), dtype=np.int64)
     C = enc._broadcast(X)
+    padded = _pad(X)
     failures: list[tuple[int, int]] = []
     for k in range(K):
         plan = _plan(enc, k)
         if not plan.decodable:
             failures.extend((t, k) for t in range(trials))
             continue
-        rows_T, T_rows, rows_known, BT_rows = plan.maps()
-        got = (C[:, rows_T] @ T_rows - X[:, rows_known] @ BT_rows) % enc.p
+        rows_T, T_rows, known_support = plan.maps()
+        share = _gather_sum(padded, known_support)
+        got = (C[:, rows_T] - share) % enc.p @ T_rows % enc.p
         sent = X[:, k * b : (k + 1) * b]
         for t in np.nonzero(np.any(got != sent, axis=1))[0]:
             failures.append((int(t), k))

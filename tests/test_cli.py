@@ -143,6 +143,14 @@ class TestVerifyCode:
         assert payload["all_decodable"] is True
         assert payload["failures"] == {"2": [], "3": []}
 
+    def test_primes_env_var(self, runner):
+        env = {"AIRINDEX_PRIMES": "5"}
+        result = invoke(runner, "verify-code", "5", "1", "1", "--json", env=env)
+        assert result.exit_code == 0
+        assert json.loads(result.output)["primes"] == [5]
+        result = invoke(runner, "verify-code", "5", "1", "1", "--json", "--p", "2", env=env)
+        assert json.loads(result.output)["primes"] == [2]
+
     def test_boundary_instance_accepted(self, runner):
         # D + U = K - 1 is a valid instance
         assert invoke(runner, "verify-code", "5", "2", "2", "--p", "2").exit_code == 0
@@ -170,6 +178,11 @@ class TestSimulate:
 
     def test_composite_prime_exits_2(self, runner):
         assert invoke(runner, "simulate", "17", "11", "1", "--p", "4").exit_code == 2
+
+    def test_negative_trials_exit_2(self, runner):
+        result = invoke(runner, "simulate", "5", "1", "1", "--trials", "-1")
+        assert result.exit_code == 2
+        assert "trials must be nonnegative" in result.output
 
     @pytest.mark.parametrize("p", ["2147483647", "4294967311"])
     def test_prime_over_int64_envelope_exits_2(self, runner, p):

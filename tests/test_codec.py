@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from _reference import rank_mod_p as reference_rank
 from _reference import solve_left
 from airindex.codec import (
     MAX_CELLS,
+    _gather_sum,
     _plan,
     build_encoder,
     decodable,
@@ -34,13 +36,11 @@ def _encoder(K, D, U, a, b, p, allow_infeasible=False):
 
 
 def _dense_maps(enc, plan):
-    """The compact decode map of ``plan`` expanded to dense (T, BT)."""
-    rows_T, T_rows, rows_known, BT_rows = plan.maps()
+    """The compact decode map of ``plan`` expanded to the dense T (cols x b)."""
+    rows_T, T_rows, _ = plan.maps()
     T = np.zeros((enc.cols, enc.b), dtype=np.int64)
     T[rows_T] = T_rows
-    BT = np.zeros((plan.known_rows.size, enc.b), dtype=np.int64)
-    BT[np.searchsorted(plan.known_rows, rows_known)] = BT_rows
-    return T, BT
+    return T
 
 
 def _envelope_primes(kb):
@@ -290,7 +290,7 @@ class TestDecode:
 
 class TestDecodeMaps:
     # (37,8,8) is the wide window; (5,3,1) has K = D+U+1, so every message
-    # is unknown and BT is empty
+    # is unknown and every known_support entry is padding
     @pytest.mark.parametrize("p", [2, 3, 65521])
     @pytest.mark.parametrize(
         "K,D,U,a,b", [(5, 1, 1, 1, 2), (17, 5, 1, 3, 8), (37, 8, 8, 1, 4), (5, 3, 1, 1, 1)]
@@ -298,23 +298,30 @@ class TestDecodeMaps:
     def test_maps_solve_unknown_rows(self, K, D, U, a, b, p):
         enc = _encoder(K, D, U, a, b, p)
         L = enc.matrix.entries
+        X = np.random.default_rng(K * p).integers(0, p, size=(5, enc.rows), dtype=np.int64)
         for k in range(K):
             plan = _plan(enc, k)
-            rows_T, T_rows, rows_known, BT_rows = plan.maps()
-            T, BT = _dense_maps(enc, plan)
+            rows_T, T_rows, known_support = plan.maps()
+            T = _dense_maps(enc, plan)
             window = [(k - U + i) % K for i in range(D + U + 1)]
             unknown = np.concatenate([np.arange(j * b, (j + 1) * b) for j in window])
             E = np.zeros((unknown.size, b), dtype=np.int64)
             E[window.index(k) * b : (window.index(k) + 1) * b] = np.eye(b, dtype=np.int64)
             assert np.array_equal(L[unknown] @ T % p, E), k
-            assert np.array_equal(BT, L[plan.known_rows] @ T % p), k
             # the kept rows are exactly the nonzero rows: none zero, none dropped
             assert rows_T.tolist() == np.flatnonzero(T.any(axis=1)).tolist(), k
-            assert rows_known.tolist() == plan.known_rows[BT.any(axis=1)].tolist(), k
-            assert T_rows.any(axis=1).all() and BT_rows.any(axis=1).all(), k
-            assert (T_rows < p).all() and (BT_rows < p).all(), k
+            assert T_rows.any(axis=1).all() and (T_rows < p).all(), k
+            # known_support names only known rows, padded with enc.rows
+            assert known_support.shape[0] == rows_T.size, k
+            assert np.isin(known_support, np.append(plan.known_rows, enc.rows)).all(), k
+            for col, slots in zip(rows_T, known_support):
+                want = plan.known_rows[L[plan.known_rows, col] != 0]
+                assert sorted(slots[slots < enc.rows].tolist()) == want.tolist(), k
+            share = _gather_sum(np.pad(X, ((0, 0), (0, 1))), known_support) % p
+            dense = X[:, plan.known_rows] @ L[plan.known_rows] % p
+            assert np.array_equal(share, dense[:, rows_T]), k
             if K == D + U + 1:
-                assert plan.known_rows.size == 0 and rows_known.size == 0
+                assert plan.known_rows.size == 0 and (known_support == enc.rows).all()
 
 
 class TestSimulate:
@@ -328,6 +335,21 @@ class TestSimulate:
         C = enc._broadcast(X)
         assert np.array_equal(C, X @ enc.matrix.entries % p)
         assert enc._broadcast(X[:0]).shape == (0, enc.cols)
+
+    def test_batch_codewords_bounded_working_set(self):
+        # (21,10,0) at (a, b) = (0, 1): columns of weight up to 11 on a
+        # 21x11 encoder; the gather adds one support slot at a time
+        enc = _encoder(21, 10, 0, a=0, b=1, p=3)
+        X = np.random.default_rng(21).integers(0, 3, size=(4000, enc.rows), dtype=np.int64)
+        enc._col_support  # build the cached table outside the measurement
+        tracemalloc.start()
+        try:
+            got = enc._broadcast(X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got, X @ enc.matrix.entries % 3)
+        assert peak < 3 * X.nbytes
 
     def test_clean_gf2(self):
         problem = ProblemInstance(5, 1, 1)
@@ -368,8 +390,8 @@ class TestSimulate:
             if not plan.decodable:
                 want += [(t, k) for t in range(trials)]
                 continue
-            T, BT = _dense_maps(enc, plan)
-            got = (C @ T - X[:, plan.known_rows] @ BT) % p
+            share = X[:, plan.known_rows] @ enc.matrix.entries[plan.known_rows]
+            got = (C - share) @ _dense_maps(enc, plan) % p
             want += [(int(t), k) for t in np.flatnonzero((got != X[:, k * b : (k + 1) * b]).any(1))]
         report = simulate(problem, sol, p, trials=trials, seed=seed, encoder=enc)
         assert want and report.failures == tuple(sorted(want))
