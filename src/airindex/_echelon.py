@@ -30,6 +30,21 @@ primes use plain numpy vectors. All three give identical results. The
 numpy engine multiplies entries below p in int64, so it is exact only
 while ``(p-1)**2 < 2**63``; its callers enforce that bound.
 
+The GF(3) engine also certifies integer determinants. Read GF(3) in
+balanced form {-1, 0, 1}: clearing a pivot column is ``row - pivot`` or
+``row + pivot``, and the plane swap that makes a pivot entry 1 is a
+negation. These are integer row operations, exact over Z unless a cell
+wraps (1 + 1 or (-1) + (-1)). The engine keeps a sticky mask of every
+cell that wrapped and a count of the negations. If the rows that raised
+the rank had entries in {-1, 0, 1}, fill every main column and no main
+column ever wrapped, the pivot rows are those rows times a unit lower
+triangular matrix and a diagonal of signs, and sorted by pivot column
+they are unit upper triangular. Their determinant is therefore
+``(-1)**negations`` times the sign of the permutation from insertion
+order to pivot column; ``unimodular_det()`` returns it, or ``None``.
+The mask covers every reduction, ``reduce()`` included, so a stray wrap
+can only withdraw a certificate, never grant one.
+
 This is the package's one GF(p) elimination: the codec's receiver plans
 and :func:`airindex.linalg.rank_mod_p` both run on it.
 
@@ -158,6 +173,8 @@ class _EchelonGF3:
         self._mask = (1 << (main_cols + aux_cols)) - 1
         self._pivots: dict[int, tuple[int, int]] = {}  # pivot column -> (lo, hi)
         self._pivot_mask = 0
+        self._wrapped = 0  # every cell where a reduction added 1+1 or 2+2
+        self._negations = 0  # pivot rows scaled by 2 on insertion
 
     @property
     def rank(self) -> int:
@@ -171,29 +188,35 @@ class _EchelonGF3:
         v = _rows(main, aux, 3)
         return list(zip(_pack_rows(v == 1), _pack_rows(v == 2)))
 
-    def _add(self, alo: int, ahi: int, blo: int, bhi: int) -> tuple[int, int]:
-        # componentwise sum mod 3 of disjoint-bitplane words
-        za = self._mask ^ (alo | ahi)
-        zb = self._mask ^ (blo | bhi)
-        lo = (alo & zb) | (za & blo) | (ahi & bhi)
-        hi = (ahi & zb) | (za & bhi) | (alo & blo)
-        return lo, hi
-
     def _clear(self, lo: int, hi: int, bit: int, plo: int, phi: int) -> tuple[int, int]:
         # zero the entry at ``bit`` with the pivot row whose entry there is 1
         if lo & bit:
-            # subtract the pivot row: add twice it (planes swapped)
-            return self._add(lo, hi, phi, plo)
-        # subtract twice the pivot row: add it once
-        return self._add(lo, hi, plo, phi)
+            plo, phi = phi, plo  # subtract the pivot row: add twice it
+        # else subtract twice the pivot row: add it once
+        # componentwise sum mod 3 of disjoint-bitplane words
+        za = self._mask ^ (lo | hi)
+        zb = self._mask ^ (plo | phi)
+        return (lo & zb) | (za & plo) | (hi & phi), (hi & zb) | (za & phi) | (lo & plo)
 
     def _reduce_packed(self, lo: int, hi: int) -> tuple[int, int]:
-        pivots, mask = self._pivots, self._pivot_mask
+        # _clear inlined: this loop is the hot path of every GF(3) plan and
+        # window, and the wrap bits (1 + 1, 2 + 2) come for free here
+        pivots, mask, full = self._pivots, self._pivot_mask, self._mask
+        wrapped = 0
         hit = (lo | hi) & mask
         while hit:
             low = hit & -hit
-            lo, hi = self._clear(lo, hi, low, *pivots[low.bit_length() - 1])
+            plo, phi = pivots[low.bit_length() - 1]
+            if lo & low:
+                plo, phi = phi, plo  # subtract the pivot row: add twice it
+            za = full ^ (lo | hi)
+            zb = full ^ (plo | phi)
+            twos = lo & plo
+            ones = hi & phi
+            lo, hi = (lo & zb) | (za & plo) | ones, (hi & zb) | (za & phi) | twos
+            wrapped |= twos | ones
             hit = (lo | hi) & mask
+        self._wrapped |= wrapped
         return lo, hi
 
     def _insert_one(self, row: tuple[int, int]) -> bool:
@@ -204,9 +227,30 @@ class _EchelonGF3:
         lead &= -lead
         if hi & lead:
             lo, hi = hi, lo  # scale by 2 so the pivot entry is 1
+            self._negations += 1
         self._pivots[lead.bit_length() - 1] = (lo, hi)
         self._pivot_mask |= lead
         return True
+
+    def unimodular_det(self) -> int | None:
+        """Integer determinant of the rows that raised the rank, when proven.
+
+        Valid for rows inserted with entries in {-1, 0, 1}, read as
+        integers in insertion order. Returns +-1 when they fill every main
+        column and no main column wrapped (see the module docstring);
+        ``None`` when the run proves nothing.
+        """
+        if self.rank != self.main_cols or self._wrapped & self._main_mask:
+            return None
+        sign = -1 if self._negations % 2 else 1
+        # sort insertion order into pivot-column order; each swap flips the sign
+        cols = list(self._pivots)
+        for i in range(len(cols)):
+            while cols[i] != i:
+                j = cols[i]
+                cols[i], cols[j] = cols[j], j
+                sign = -sign
+        return sign
 
     def insert_packed(self, rows: list[tuple[int, int]]) -> int:
         return sum(map(self._insert_one, rows))

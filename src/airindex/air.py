@@ -9,6 +9,9 @@ hits zero. The family is designed so that every window of n adjacent
 rows is nonsingular over every field; :func:`verify_adjacent_independence`
 checks that claim window by window with an exact determinant and
 independent per-prime rank computations.
+
+``build_air`` refuses a matrix of more than ``MAX_CELLS`` entries before
+allocating it; the codec's encoders share that cap.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import numpy as np
 from .linalg import det_exact, rank_mod_p, require_rank_prime
 
 __all__ = [
+    "MAX_CELLS",
     "StructureChain",
     "structure_chain",
     "stacked_identity",
@@ -30,6 +34,11 @@ __all__ = [
     "VerificationReport",
     "verify_adjacent_independence",
 ]
+
+
+# Largest dense array the package allocates, in int64 cells (512 MiB): about
+# 40x the 2130x781 encoder of (K, D, U) = (71, 25, 1).
+MAX_CELLS = 2**26
 
 
 @dataclass(frozen=True)
@@ -156,10 +165,14 @@ def build_air(m: int, n: int) -> AirMatrix:
 
     Deterministic: the same (m, n) always yields bit-identical entries.
     When n | m the result is m/n stacked identities; m == n gives the
-    identity matrix.
+    identity matrix. More than ``MAX_CELLS`` entries raise ``ValueError``.
     """
     if n < 1 or m < n:
         raise ValueError(f"need 1 <= n <= m, got m={m}, n={n}")
+    if m * n > MAX_CELLS:
+        raise ValueError(
+            f"AIR matrix would have {m}x{n} = {m * n} entries, over the limit of {MAX_CELLS}"
+        )
     grid = np.zeros((m, n), dtype=np.int64)
     for top, left, block in _fill_blocks(m, n):
         h, w = block.shape

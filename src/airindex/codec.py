@@ -38,7 +38,7 @@ from functools import cached_property
 import numpy as np
 
 from ._echelon import stream_echelon
-from .air import AirMatrix, build_air
+from .air import MAX_CELLS, AirMatrix, build_air
 from .linalg import require_prime
 from .rates import ProblemInstance, RateSolution, is_feasible
 
@@ -54,11 +54,6 @@ __all__ = [
     "SimReport",
     "simulate",
 ]
-
-
-# Largest dense array the codec allocates, in int64 cells (512 MiB): about
-# 40x the 2130x781 encoder of (K, D, U) = (71, 25, 1).
-MAX_CELLS = 2**26
 
 
 def interference_set(problem: ProblemInstance, k: int) -> set[int]:

@@ -2,13 +2,21 @@
 
 Deterministic routines backing the AIR window verification: rank over
 GF(p), computed by the same streaming echelon the codec eliminates with
-(:mod:`airindex._echelon`), and exact integer determinants via
-fraction-free elimination.
+(:mod:`airindex._echelon`), and exact integer determinants.
 
-Matrices are plain 2-D integer arrays (anything ``np.asarray`` accepts);
-a field modulus is a plain int that must be prime, checked on entry. The
-rank is exact in int64 only while ``(p-1)**2 < 2**63``, so larger primes
-are refused.
+A determinant of a matrix with entries in {-1, 0, 1} comes from one GF(3)
+elimination of its rows whenever that elimination certifies it: read in
+balanced form, each GF(3) row operation is an integer one unless a cell
+wraps, and a full-rank run without a wrap proves the determinant is the
+sign it tracked (+-1). Every AIR window is certified this way. Any other
+matrix, and any run that is rank-deficient mod 3 or wraps, goes through
+fraction-free (Bareiss) elimination over Python ints.
+
+Matrices are 2-D arrays of integers (anything ``np.asarray`` accepts that
+holds only integer values); anything else is refused rather than
+truncated. A field modulus is a plain int that must be prime, checked on
+entry. The rank is exact in int64 only while ``(p-1)**2 < 2**63``, so
+larger primes are refused.
 """
 
 from __future__ import annotations
@@ -17,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._echelon import stream_echelon
+from ._echelon import _EchelonGF3, stream_echelon
 
 __all__ = [
     "is_prime",
@@ -59,11 +67,31 @@ def require_prime(p) -> int:
 
 
 def as_int_matrix(mat) -> np.ndarray:
-    """View the input as a 2-D int64 array."""
-    a = np.asarray(mat, dtype=np.int64)
+    """View the input as a 2-D int64 array of exactly the same integers.
+
+    Integer and bool arrays convert as they are. Any other entries (floats,
+    Python objects) must be integer values that fit in int64; fractional,
+    non-finite, complex or string entries raise ``ValueError`` instead of
+    being truncated.
+    """
+    a = np.asarray(mat)
     if a.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got shape {a.shape}")
-    return a
+    if a.dtype.kind in "bi" or a.size == 0:
+        return a.astype(np.int64, copy=False)
+    out = None
+    if a.dtype.kind in "ufO":
+        try:
+            with np.errstate(invalid="ignore"):
+                out = a.astype(np.int64)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    # the cast truncates or wraps whatever is not an int64 integer
+    if out is None or not np.all(out == a):
+        raise ValueError(
+            f"expected integer entries that fit in int64, got other {a.dtype} values"
+        )
+    return out
 
 
 def require_rank_prime(p) -> int:
@@ -89,18 +117,37 @@ def rank_mod_p(mat, p) -> int:
 
 
 def det_exact(mat) -> int:
-    """Exact integer determinant via fraction-free (Bareiss) elimination.
+    """Exact integer determinant.
 
-    Intermediate values are Python ints, so there is no overflow at any
-    size; each intermediate division is exact by construction.
+    For entries in {-1, 0, 1} the GF(3) elimination of the rows returns a
+    certified +-1 when it is full rank and no cell wraps (see the module
+    docstring); that is the same integer Bareiss would compute. Any other
+    matrix, and any run it cannot certify, goes through fraction-free
+    (Bareiss) elimination.
     """
     M = as_int_matrix(mat)
     n_rows, n_cols = M.shape
     if n_rows != n_cols:
         raise ValueError(f"determinant needs a square matrix, got {n_rows}x{n_cols}")
-    n = n_rows
-    if n == 0:
+    if n_rows == 0:
         return 1
+    # min/max, not abs: abs(-2**63) wraps to -2**63 in int64
+    if M.min() >= -1 and M.max() <= 1:
+        ech = _EchelonGF3(n_cols, 0)
+        ech.insert(M)
+        det = ech.unimodular_det()
+        if det is not None:
+            return det
+    return _det_bareiss(M)
+
+
+def _det_bareiss(M: np.ndarray) -> int:
+    """Determinant of a non-empty square int64 array by Bareiss elimination.
+
+    Intermediate values are Python ints, so there is no overflow at any
+    size; each intermediate division is exact by construction.
+    """
+    n = M.shape[0]
     a = [[int(v) for v in row] for row in M]
     sign = 1
     prev = 1

@@ -1,11 +1,15 @@
-"""Dense GF(p) elimination kept as an independent reference for the tests.
+"""Dense elimination kept as an independent reference for the tests.
 
 ``airindex`` ranks matrices with its streaming echelon; the tests compare
 that engine against this plain whole-matrix reduced row echelon form,
 which shares none of its code. Exact while ``(p-1)**2 < 2**63``.
+Determinants are checked against Gaussian elimination over the rationals
+(``det_fraction``), which shares no code with ``airindex`` either.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 import numpy as np
 
@@ -70,3 +74,23 @@ def solve_left(mat, y, p) -> np.ndarray | None:
     for row, c in enumerate(piv):
         u[c] = R[row, -1]
     return u
+
+
+def det_fraction(rows) -> int:
+    """Integer determinant of a square list of integer rows, over Q."""
+    a = [[Fraction(int(v)) for v in row] for row in rows]
+    n = len(a)
+    det = Fraction(1)
+    for c in range(n):
+        pivot = next((r for r in range(c, n) if a[r][c] != 0), None)
+        if pivot is None:
+            return 0
+        if pivot != c:
+            a[c], a[pivot] = a[pivot], a[c]
+            det = -det
+        det *= a[c][c]
+        for r in range(c + 1, n):
+            f = a[r][c] / a[c][c]
+            a[r] = [x - f * y for x, y in zip(a[r], a[c])]
+    assert det.denominator == 1
+    return int(det)

@@ -4,15 +4,30 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from airindex.air import MAX_CELLS
 from airindex.cli import main
 
 
 @pytest.fixture()
 def runner():
     return CliRunner()
+
+
+@pytest.fixture()
+def no_huge_arrays(monkeypatch):
+    """Make ``np.zeros`` fail past ``MAX_CELLS`` instead of allocating."""
+    zeros = np.zeros
+
+    def guarded(shape, *args, **kwargs):
+        if np.prod(shape, dtype=object) > MAX_CELLS:
+            raise MemoryError(f"np.zeros({shape}) called")
+        return zeros(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "zeros", guarded)
 
 
 def invoke(runner, *args, env=None):
@@ -74,6 +89,11 @@ class TestMatrix:
     def test_invalid_shape_exits_2(self, runner):
         assert invoke(runner, "matrix", "3", "5").exit_code == 2
 
+    def test_oversized_exits_2(self, runner, no_huge_arrays):
+        result = invoke(runner, "matrix", "100000", "50000")
+        assert result.exit_code == 2
+        assert f"over the limit of {MAX_CELLS}" in result.output
+
 
 class TestVerifyAir:
     def test_pass(self, runner):
@@ -87,6 +107,11 @@ class TestVerifyAir:
 
     def test_square(self, runner):
         assert invoke(runner, "verify-air", "3", "3").exit_code == 0
+
+    def test_oversized_exits_2(self, runner, no_huge_arrays):
+        result = invoke(runner, "verify-air", "100000", "50000")
+        assert result.exit_code == 2
+        assert f"over the limit of {MAX_CELLS}" in result.output
 
     def test_json_schema(self, runner):
         result = invoke(runner, "verify-air", "5", "3", "--json")

@@ -1,19 +1,25 @@
 """Unit tests for exact integer and GF(p) matrix routines.
 
 ``rank_mod_p`` is checked against the dense reference elimination in
-``_reference``; the reference left solve, which the decoder tests compare
-against, is itself checked here on hand-worked and random systems.
+``_reference`` and ``det_exact`` against its rational elimination; the
+reference left solve, which the decoder tests compare against, is itself
+checked here on hand-worked and random systems.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _reference import det_fraction
 from _reference import rank_mod_p as reference_rank
 from _reference import solve_left
+from airindex import linalg
+from airindex.air import build_air
 from airindex.linalg import det_exact, is_prime, rank_mod_p, require_prime
 
 # The 5x3 construction, derived by hand from the fill algorithm:
@@ -111,6 +117,98 @@ class TestDetExact:
         assert det_exact(mat) == big * big - (big - 1) * (big + 1)
 
 
+class TestCertifiedDet:
+    """The GF(3) certificate: every AIR window without Bareiss, nothing else."""
+
+    def test_air_windows_skip_bareiss(self, monkeypatch):
+        windows = [
+            air.row_window(s)
+            for m in range(1, 21)
+            for air in (build_air(m, n) for n in range(1, m + 1))
+            for s in range(m - air.n + 1)
+        ]
+        air = build_air(30, 11)
+        windows += [air.row_window(s, wrap=True) for s in range(30)]
+        expected = [linalg._det_bareiss(w) for w in windows]
+
+        def no_bareiss(M):
+            raise AssertionError(f"Bareiss ran on\n{M}")
+
+        monkeypatch.setattr(linalg, "_det_bareiss", no_bareiss)
+        got = [det_exact(w) for w in windows]
+        assert got == expected
+        assert set(got) <= {-1, 1}
+
+    @pytest.mark.parametrize(
+        "mat, det",
+        [
+            # full rank mod 3 (2 == -1), so only a wrap can betray these
+            ([[1, 1, 0], [0, 1, 1], [1, 0, 1]], 2),
+            ([[0, 1, 1], [1, 1, 0], [1, 0, 1]], -2),
+            ([[1, -1], [1, 1]], 2),
+            # J - I with its first two rows swapped: singular mod 3
+            ([[1, 0, 1, 1], [0, 1, 1, 1], [1, 1, 0, 1], [1, 1, 1, 0]], 3),
+            # outside {-1, 0, 1}: mod 3 it reads as [[-1, 1], [1, 1]], det -2
+            ([[2, 1], [1, 1]], 1),
+            ([[-(2**63), 0], [0, 1]], -(2**63)),
+        ],
+    )
+    def test_uncertified_matrices_go_through_bareiss(self, monkeypatch, mat, det):
+        calls = []
+        bareiss = linalg._det_bareiss
+
+        def spy(M):
+            calls.append(M)
+            return bareiss(M)
+
+        monkeypatch.setattr(linalg, "_det_bareiss", spy)
+        assert det_exact(mat) == det
+        assert len(calls) == 1
+
+
+class TestIntegerEntries:
+    @pytest.mark.parametrize(
+        "mat",
+        [
+            [[0.5, 1], [1, 1]],
+            [[1.9, 0], [0, 1]],
+            [[np.nan, 0], [0, 1]],
+            [[np.inf, 0], [0, 1]],
+            [[2.0**63, 0], [0, 1]],
+            [[1 + 1j, 0], [0, 1]],
+            [[1 + 0j, 0], [0, 1]],
+            [["1", "0"], ["0", "1"]],
+            [[Fraction(1, 2), 1], [1, 1]],
+            [[2**70, 0], [0, 1]],
+            np.array([[2**64 - 1, 0], [0, 1]], dtype=np.uint64),
+        ],
+    )
+    def test_non_integers_refused(self, mat):
+        with pytest.raises(ValueError, match="integer"):
+            det_exact(mat)
+        with pytest.raises(ValueError, match="integer"):
+            rank_mod_p(mat, 3)
+
+    @pytest.mark.parametrize(
+        "mat, det, rank3",
+        [
+            ([[2.0, 0.0], [0.0, 1.0]], 2, 2),
+            ([[True, True], [False, True]], 1, 2),
+            (np.array([[3, 0], [0, 1]], dtype=np.uint8), 3, 1),
+            (np.array([[1, 1], [1, 1]], dtype=np.int8), 0, 1),
+            ([[Fraction(4, 2), 1], [1, 1]], 1, 2),
+        ],
+    )
+    def test_integer_values_accepted(self, mat, det, rank3):
+        assert det_exact(mat) == det
+        assert rank_mod_p(mat, 3) == rank3
+
+    def test_empty_float_matrix(self):
+        # np.zeros defaults to float64; an empty matrix has no entry to refuse
+        assert det_exact(np.zeros((0, 0))) == 1
+        assert rank_mod_p(np.zeros((0, 3)), 2) == 0
+
+
 class TestSolveLeft:
     """The reference left solve, on systems worked by hand."""
 
@@ -161,6 +259,18 @@ def test_rank_matches_dense_reference(p, data):
     assert 0 <= r <= min(a.shape)
     with pytest.raises(ValueError, match="2-D"):
         rank_mod_p(a.reshape(-1), p)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(0, 8),
+    entries=st.sampled_from(((-1, 0, 1), (0, 1))),
+    data=st.data(),
+)
+def test_det_matches_rational_reference(n, entries, data):
+    cells = data.draw(st.lists(st.sampled_from(entries), min_size=n * n, max_size=n * n))
+    a = np.array(cells, dtype=np.int64).reshape(n, n)
+    assert det_exact(a) == det_fraction(a.tolist())
 
 
 @settings(max_examples=150, deadline=None)
