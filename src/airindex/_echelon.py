@@ -7,28 +7,40 @@ along under the same row operations; reducing a fresh vector against the
 accumulated pivots reports whether it lies in their row space and what
 auxiliary combination expresses it.
 
-Pivots are kept in a map from pivot column to pivot row. A pivot row's
-lowest nonzero main entry is its column, where it holds a 1, and it is
-zero at every pivot column found before it. The packed engines reduce a
-row by clearing its lowest pivot column, then the next one, until none
-is left, so they visit only the pivot columns present in the row, not
-every pivot; the numpy engine checks each pivot in insertion order. The
-reduced row is the unique member of ``row + span(pivots)`` that is zero
-at every pivot column, so all engines and visiting orders agree.
+Pivots are kept in a map from pivot column to pivot row, in insertion
+order. A pivot row's lowest nonzero main entry is its column, where it
+holds a 1, and it is zero at every pivot column found before it.
 
-``solved_form()`` back-reduces the pivot rows in descending pivot-column
-order until each is zero at every pivot column but its own. It returns
-the pivot columns in ascending order and the matching aux parts, so a
-matrix T that is zero off the pivot columns and equals those aux parts on
-them satisfies ``main @ T == aux`` for every pivot row and every
-combination of pivot rows. When the aux columns track which inserted
-rows each pivot row combines, T is read off directly, with no solve.
+One reduction rule serves every field: clear the pivot columns a row
+meets in ascending order. Clearing column c adds a multiple of c's pivot
+row, which is zero below c, so no column already cleared is touched and
+each pivot column is visited at most once. The reduced row is the unique
+member of ``row + span(pivots)`` that is zero at every pivot column, so
+every field and every visiting order agree on it.
 
-GF(2) rows are packed into single Python integers and GF(3) rows into two
-bitplanes, so a whole-row operation costs a handful of big-int ops; other
-primes use plain numpy vectors. All three give identical results. The
-numpy engine multiplies entries below p in int64, so it is exact only
-while ``(p-1)**2 < 2**63``; its callers enforce that bound.
+``solved_form()`` back-reduces the pivot rows in place, in descending
+pivot-column order, by the same rule with the row's own column left out;
+the pivot rows above it are solved already, so each step clears one
+column. Afterwards every pivot row is zero at every pivot column but its
+own. The pivot rows keep their span, their columns and their insertion
+order, so ``rank``, ``pivot_cols`` and every later ``reduce`` or
+``insert`` give the same results as before, and a second call changes
+nothing. It returns the pivot columns in ascending order and the
+matching aux parts, so a matrix T that is zero off the pivot columns and
+equals those aux parts on them satisfies ``main @ T == aux`` for every
+pivot row and every combination of pivot rows. When the aux columns
+track which inserted rows each pivot row combines, T is read off
+directly, with no solve.
+
+Each field supplies only its row form and the steps that depend on it:
+``pack``, the reduction kernel ``_reduce(row, mask)`` over the pivot
+columns in ``mask``, ``_lead`` and ``_unit`` (find a reduced row's pivot
+column and scale it to 1 there) and ``_aux`` (unpack aux parts). GF(2)
+rows are packed into single Python integers and GF(3) rows into two
+bitplanes, so a whole-row operation costs a handful of big-int ops.
+Other primes keep a row's nonzero entries in a dict and do arithmetic on
+Python ints, which is exact for any p. All of them give identical
+results.
 
 The GF(3) engine also certifies integer determinants. Read GF(3) in
 balanced form {-1, 0, 1}: clearing a pivot column is ``row - pivot`` or
@@ -42,8 +54,10 @@ triangular matrix and a diagonal of signs, and sorted by pivot column
 they are unit upper triangular. Their determinant is therefore
 ``(-1)**negations`` times the sign of the permutation from insertion
 order to pivot column; ``unimodular_det()`` returns it, or ``None``.
-The mask covers every reduction, ``reduce()`` included, so a stray wrap
-can only withdraw a certificate, never grant one.
+The mask covers every reduction, ``reduce()`` and ``solved_form()``
+included, so a stray wrap can only withdraw a certificate, never grant
+one; a certificate of the inserted rows alone must be read before
+either is called.
 
 This is the package's one GF(p) elimination: the codec's receiver plans
 and :func:`airindex.linalg.rank_mod_p` both run on it.
@@ -91,18 +105,21 @@ def _unpack_rows(words: list[int], width: int) -> np.ndarray:
     return bits[:, :width].astype(np.int64)
 
 
-def _unpack_bits(x: int, width: int) -> np.ndarray:
-    return _unpack_rows([x], width)[0]
+def _low_bit(x: int) -> int:
+    """Index of the lowest set bit of ``x``; -1 when ``x`` is 0."""
+    return (x & -x).bit_length() - 1
 
 
-class _EchelonGF2:
-    p = 2
+class _Echelon:
+    """The accumulator contract; each field supplies the row form."""
+
+    p: int
 
     def __init__(self, main_cols: int, aux_cols: int):
         self.main_cols = main_cols
         self.aux_cols = aux_cols
         self._main_mask = (1 << main_cols) - 1
-        self._pivots: dict[int, int] = {}  # pivot column -> packed row
+        self._pivots: dict = {}  # pivot column -> row
         self._pivot_mask = 0
 
     @property
@@ -113,95 +130,74 @@ class _EchelonGF2:
     def pivot_cols(self) -> list[int]:
         return list(self._pivots)
 
-    def pack(self, main, aux=None) -> list[int]:
-        return _pack_rows(_rows(main, aux, 2) != 0)
-
-    def _reduce_packed(self, row: int) -> int:
-        pivots, mask = self._pivots, self._pivot_mask
-        hit = row & mask
-        while hit:
-            row ^= pivots[(hit & -hit).bit_length() - 1]
-            hit = row & mask
-        return row
-
-    def _insert_one(self, row: int) -> bool:
-        row = self._reduce_packed(row)
-        lead = row & self._main_mask
-        if lead == 0:
+    def _insert_one(self, row) -> bool:
+        row = self._reduce(row, self._pivot_mask)
+        c = self._lead(row)
+        if c < 0:
             return False
-        lead &= -lead
-        self._pivots[lead.bit_length() - 1] = row
-        self._pivot_mask |= lead
+        self._pivots[c] = self._unit(row, c)
+        self._pivot_mask |= 1 << c
         return True
 
-    def insert_packed(self, rows: list[int]) -> int:
+    def insert_packed(self, rows) -> int:
         return sum(map(self._insert_one, rows))
 
     def insert(self, main, aux=None) -> int:
         return self.insert_packed(self.pack(main, aux))
 
     def reduce(self, main, aux=None) -> tuple[bool, np.ndarray]:
-        row = self._reduce_packed(self.pack(main, aux)[0])
-        aux_out = _unpack_bits(row >> self.main_cols, self.aux_cols)
-        return (row & self._main_mask) == 0, aux_out
+        row = self._reduce(self.pack(main, aux)[0], self._pivot_mask)
+        return self._lead(row) < 0, self._aux([row])[0]
 
     def solved_form(self) -> tuple[np.ndarray, np.ndarray]:
-        cols = sorted(self._pivots)
-        solved: dict[int, int] = {}
+        pivots, mask, reduce = self._pivots, self._pivot_mask, self._reduce
+        cols = sorted(pivots)
         for c in reversed(cols):
-            row = self._pivots[c]
-            # solved rows are zero at every other pivot column, so clearing
-            # one of these bits never sets or clears another
-            hit = (row & self._pivot_mask) ^ (1 << c)
-            while hit:
-                low = hit & -hit
-                row ^= solved[low.bit_length() - 1]
-                hit ^= low
-            solved[c] = row
-        aux = _unpack_rows([solved[c] >> self.main_cols for c in cols], self.aux_cols)
-        return np.array(cols, dtype=np.int64), aux
+            pivots[c] = reduce(pivots[c], mask ^ (1 << c))
+        return np.array(cols, dtype=np.int64), self._aux([pivots[c] for c in cols])
 
 
-class _EchelonGF3:
+class _EchelonGF2(_Echelon):
+    p = 2
+
+    def pack(self, main, aux=None) -> list[int]:
+        return _pack_rows(_rows(main, aux, 2) != 0)
+
+    def _reduce(self, row: int, mask: int) -> int:
+        pivots = self._pivots
+        hit = row & mask
+        while hit:
+            row ^= pivots[(hit & -hit).bit_length() - 1]
+            hit = row & mask
+        return row
+
+    def _lead(self, row: int) -> int:
+        return _low_bit(row & self._main_mask)
+
+    def _unit(self, row: int, c: int) -> int:
+        return row
+
+    def _aux(self, rows: list[int]) -> np.ndarray:
+        return _unpack_rows([row >> self.main_cols for row in rows], self.aux_cols)
+
+
+class _EchelonGF3(_Echelon):
     # values live in two disjoint bitplanes: 1 -> lo bit, 2 -> hi bit
     p = 3
 
     def __init__(self, main_cols: int, aux_cols: int):
-        self.main_cols = main_cols
-        self.aux_cols = aux_cols
-        self._main_mask = (1 << main_cols) - 1
+        super().__init__(main_cols, aux_cols)
         self._mask = (1 << (main_cols + aux_cols)) - 1
-        self._pivots: dict[int, tuple[int, int]] = {}  # pivot column -> (lo, hi)
-        self._pivot_mask = 0
         self._wrapped = 0  # every cell where a reduction added 1+1 or 2+2
         self._negations = 0  # pivot rows scaled by 2 on insertion
-
-    @property
-    def rank(self) -> int:
-        return len(self._pivots)
-
-    @property
-    def pivot_cols(self) -> list[int]:
-        return list(self._pivots)
 
     def pack(self, main, aux=None) -> list[tuple[int, int]]:
         v = _rows(main, aux, 3)
         return list(zip(_pack_rows(v == 1), _pack_rows(v == 2)))
 
-    def _clear(self, lo: int, hi: int, bit: int, plo: int, phi: int) -> tuple[int, int]:
-        # zero the entry at ``bit`` with the pivot row whose entry there is 1
-        if lo & bit:
-            plo, phi = phi, plo  # subtract the pivot row: add twice it
-        # else subtract twice the pivot row: add it once
-        # componentwise sum mod 3 of disjoint-bitplane words
-        za = self._mask ^ (lo | hi)
-        zb = self._mask ^ (plo | phi)
-        return (lo & zb) | (za & plo) | (hi & phi), (hi & zb) | (za & phi) | (lo & plo)
-
-    def _reduce_packed(self, lo: int, hi: int) -> tuple[int, int]:
-        # _clear inlined: this loop is the hot path of every GF(3) plan and
-        # window, and the wrap bits (1 + 1, 2 + 2) come for free here
-        pivots, mask, full = self._pivots, self._pivot_mask, self._mask
+    def _reduce(self, row: tuple[int, int], mask: int) -> tuple[int, int]:
+        lo, hi = row
+        pivots, full = self._pivots, self._mask
         wrapped = 0
         hit = (lo | hi) & mask
         while hit:
@@ -209,6 +205,8 @@ class _EchelonGF3:
             plo, phi = pivots[low.bit_length() - 1]
             if lo & low:
                 plo, phi = phi, plo  # subtract the pivot row: add twice it
+            # else subtract twice the pivot row: add it once
+            # componentwise sum mod 3 of disjoint-bitplane words
             za = full ^ (lo | hi)
             zb = full ^ (plo | phi)
             twos = lo & plo
@@ -219,18 +217,20 @@ class _EchelonGF3:
         self._wrapped |= wrapped
         return lo, hi
 
-    def _insert_one(self, row: tuple[int, int]) -> bool:
-        lo, hi = self._reduce_packed(*row)
-        lead = (lo | hi) & self._main_mask
-        if lead == 0:
-            return False
-        lead &= -lead
-        if hi & lead:
-            lo, hi = hi, lo  # scale by 2 so the pivot entry is 1
+    def _lead(self, row: tuple[int, int]) -> int:
+        return _low_bit((row[0] | row[1]) & self._main_mask)
+
+    def _unit(self, row: tuple[int, int], c: int) -> tuple[int, int]:
+        lo, hi = row
+        if hi >> c & 1:
             self._negations += 1
-        self._pivots[lead.bit_length() - 1] = (lo, hi)
-        self._pivot_mask |= lead
-        return True
+            return hi, lo  # scale by 2 so the pivot entry is 1
+        return row
+
+    def _aux(self, rows: list[tuple[int, int]]) -> np.ndarray:
+        shift, width = self.main_cols, self.aux_cols
+        lo = _unpack_rows([row[0] >> shift for row in rows], width)
+        return lo + 2 * _unpack_rows([row[1] >> shift for row in rows], width)
 
     def unimodular_det(self) -> int | None:
         """Integer determinant of the rows that raised the rank, when proven.
@@ -252,103 +252,67 @@ class _EchelonGF3:
                 sign = -sign
         return sign
 
-    def insert_packed(self, rows: list[tuple[int, int]]) -> int:
-        return sum(map(self._insert_one, rows))
 
-    def insert(self, main, aux=None) -> int:
-        return self.insert_packed(self.pack(main, aux))
+class _EchelonGeneric(_Echelon):
+    # rows are sparse: a dict from column to nonzero entry; AIR rows have
+    # at most 3 ones and their pivot rows stay about as sparse
 
-    def reduce(self, main, aux=None) -> tuple[bool, np.ndarray]:
-        lo, hi = self._reduce_packed(*self.pack(main, aux)[0])
-        aux_out = _unpack_bits(lo >> self.main_cols, self.aux_cols) + 2 * _unpack_bits(
-            hi >> self.main_cols, self.aux_cols
-        )
-        return ((lo | hi) & self._main_mask) == 0, aux_out
-
-    def solved_form(self) -> tuple[np.ndarray, np.ndarray]:
-        cols = sorted(self._pivots)
-        solved: dict[int, tuple[int, int]] = {}
-        for c in reversed(cols):
-            lo, hi = self._pivots[c]
-            # as in GF(2): each step touches no other pivot column
-            hit = ((lo | hi) & self._pivot_mask) ^ (1 << c)
-            while hit:
-                low = hit & -hit
-                lo, hi = self._clear(lo, hi, low, *solved[low.bit_length() - 1])
-                hit ^= low
-            solved[c] = (lo, hi)
-        shift = self.main_cols
-        lo_aux = _unpack_rows([solved[c][0] >> shift for c in cols], self.aux_cols)
-        hi_aux = _unpack_rows([solved[c][1] >> shift for c in cols], self.aux_cols)
-        return np.array(cols, dtype=np.int64), lo_aux + 2 * hi_aux
-
-
-class _EchelonGeneric:
     def __init__(self, main_cols: int, aux_cols: int, p: int):
+        super().__init__(main_cols, aux_cols)
         self.p = p
-        self.main_cols = main_cols
-        self.aux_cols = aux_cols
-        self._pivots: dict[int, np.ndarray] = {}  # pivot column -> row
 
-    @property
-    def rank(self) -> int:
-        return len(self._pivots)
-
-    @property
-    def pivot_cols(self) -> list[int]:
-        return list(self._pivots)
-
-    def pack(self, main, aux=None) -> np.ndarray:
+    def pack(self, main, aux=None) -> list[dict[int, int]]:
         v = _rows(main, aux, self.p)
-        out = np.zeros((v.shape[0], self.main_cols + self.aux_cols), dtype=np.int64)
-        out[:, : v.shape[1]] = v
+        packed: list[dict[int, int]] = [{} for _ in range(v.shape[0])]
+        rows, cols = np.nonzero(v)
+        for r, c, x in zip(rows.tolist(), cols.tolist(), v[rows, cols].tolist()):
+            packed[r][c] = x
+        return packed
+
+    def _reduce(self, row: dict[int, int], mask: int) -> dict[int, int]:
+        pivots, p = self._pivots, self.p
+        hit = sum(1 << c for c in row) & mask
+        if hit:
+            row = dict(row)  # packed rows are shared
+        while hit:
+            low = hit & -hit
+            c = low.bit_length() - 1
+            f = row.get(c)
+            if f:
+                touched = 0
+                for j, y in pivots[c].items():
+                    x = (row.get(j, 0) - f * y) % p  # exact: Python ints
+                    if x:
+                        row[j] = x
+                    else:
+                        del row[j]
+                    touched |= 1 << j
+                # a touched column that cancelled is visited and skipped
+                hit |= touched & mask
+            hit ^= low
+        return row
+
+    def _lead(self, row: dict[int, int]) -> int:
+        return min((c for c in row if c < self.main_cols), default=-1)
+
+    def _unit(self, row: dict[int, int], c: int) -> dict[int, int]:
+        inv, p = pow(row[c], -1, self.p), self.p
+        return {j: x * inv % p for j, x in row.items()}
+
+    def _aux(self, rows: list[dict[int, int]]) -> np.ndarray:
+        out = np.zeros((len(rows), self.aux_cols), dtype=np.int64)
+        for i, row in enumerate(rows):
+            for j, x in row.items():
+                if j >= self.main_cols:
+                    out[i, j - self.main_cols] = x
         return out
 
-    def _reduce_vec(self, v: np.ndarray) -> np.ndarray:
-        # insertion order: a later pivot row is zero at every earlier
-        # pivot column, so each column is cleared once and stays clear
-        for c, prow in self._pivots.items():
-            f = int(v[c])
-            if f:
-                v = (v - f * prow) % self.p
-        return v
 
-    def _insert_one(self, v: np.ndarray) -> bool:
-        v = self._reduce_vec(v)
-        lead = np.nonzero(v[: self.main_cols])[0]
-        if lead.size == 0:
-            return False
-        c = int(lead[0])
-        self._pivots[c] = v * pow(int(v[c]), -1, self.p) % self.p
-        return True
-
-    def insert_packed(self, rows: np.ndarray) -> int:
-        return sum(map(self._insert_one, rows))
-
-    def insert(self, main, aux=None) -> int:
-        return self.insert_packed(self.pack(main, aux))
-
-    def reduce(self, main, aux=None) -> tuple[bool, np.ndarray]:
-        v = self._reduce_vec(self.pack(main, aux)[0])
-        return not np.any(v[: self.main_cols]), v[self.main_cols :]
-
-    def solved_form(self) -> tuple[np.ndarray, np.ndarray]:
-        cols = sorted(self._pivots)
-        if not cols:
-            return np.zeros(0, dtype=np.int64), np.zeros((0, self.aux_cols), dtype=np.int64)
-        rows = np.array([self._pivots[c] for c in cols])
-        upper = rows[:, cols]  # unit upper triangular
-        aux = rows[:, self.main_cols :].copy()
-        for j in range(len(cols) - 2, -1, -1):
-            aux[j] = (aux[j] - upper[j, j + 1 :] @ aux[j + 1 :]) % self.p
-        return np.array(cols, dtype=np.int64), aux
-
-
-def stream_echelon(main_cols: int, aux_cols: int, p: int):
+def stream_echelon(main_cols: int, aux_cols: int, p: int) -> _Echelon:
     """Echelon accumulator for width ``main_cols`` rows over GF(p).
 
     ``aux_cols`` extra columns follow the same row operations. Picks the
-    packed implementation for p in {2, 3}, numpy rows otherwise.
+    packed implementation for p in {2, 3}, sparse rows otherwise.
     ``insert(main, aux)`` adds one row, or the rows of a 2-D block in
     order (packed in one call), and returns how many of them raised the
     rank; ``insert_packed`` does the same for rows ``pack`` already

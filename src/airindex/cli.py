@@ -52,7 +52,7 @@ def _prime(p: int) -> int:
 def _prime_list(spec: str | None, default: str) -> tuple[int, ...]:
     raw = spec or os.environ.get("AIRINDEX_PRIMES") or default
     try:
-        # both verify commands compute ranks, so the rank's int64 limit applies
+        # both verify commands compute ranks, so the rank's prime range applies
         return tuple(require_rank_prime(int(tok)) for tok in raw.split(","))
     except ValueError as exc:
         _fail_usage(f"bad primes list {raw!r}: {exc}")

@@ -64,9 +64,15 @@ def interference_set(problem: ProblemInstance, k: int) -> set[int]:
     """
     if not 0 <= k < problem.K:
         raise ValueError(f"receiver index must be in [0, {problem.K}), got {k}")
-    before = {(k - u) % problem.K for u in range(1, problem.U + 1)}
-    after = {(k + d) % problem.K for d in range(1, problem.D + 1)}
-    return before | after
+    return set(_window(problem, k)) - {k}
+
+
+def _window(problem: ProblemInstance, k: int) -> list[int]:
+    """Receiver k's cyclic message window k-U .. k+D, in that order.
+
+    Its D+U+1 indices are distinct, as D+U < K.
+    """
+    return [(k + i) % problem.K for i in range(-problem.U, problem.D + 1)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -217,7 +223,7 @@ class _ReceiverPlan:
     def __init__(self, encoder: Encoder, k: int):
         problem = encoder.problem
         K, b = problem.K, encoder.b
-        window = [(k - problem.U + i) % K for i in range(problem.D + problem.U + 1)]
+        window = _window(problem, k)
         in_window = set(window)
         self.k = k
         self.known_messages = [j for j in range(K) if j not in in_window]

@@ -15,8 +15,10 @@ fraction-free (Bareiss) elimination over Python ints.
 Matrices are 2-D arrays of integers (anything ``np.asarray`` accepts that
 holds only integer values); anything else is refused rather than
 truncated. A field modulus is a plain int that must be prime, checked on
-entry. The rank is exact in int64 only while ``(p-1)**2 < 2**63``, so
-larger primes are refused.
+entry. Ranks are supported while ``(p-1)**2 < 2**63``, the range where a
+product of two residues fits in int64; larger primes are refused. The
+elimination itself does its arithmetic on Python ints above GF(3), so
+that bound is a chosen envelope, not a limit of the arithmetic.
 """
 
 from __future__ import annotations
@@ -95,11 +97,12 @@ def as_int_matrix(mat) -> np.ndarray:
 
 
 def require_rank_prime(p) -> int:
-    """``require_prime``, plus the int64 limit of GF(p) elimination.
+    """``require_prime``, plus the supported range of GF(p) ranks.
 
-    Elimination forms ``f * row`` with both factors below p in int64, so
-    it is exact only while ``(p-1)**2 < 2**63``; a larger prime would
-    wrap silently, so it is refused here instead.
+    Ranks are supported while ``(p-1)**2 < 2**63``, where a product of
+    two residues fits in int64, and a larger prime is refused here. The
+    echelon forms ``f * row`` on Python ints, so it would stay exact
+    beyond that; the bound is kept as the supported range.
     """
     p = require_prime(p)
     if (p - 1) ** 2 >= 2**63:

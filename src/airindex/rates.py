@@ -210,16 +210,7 @@ def find_min_rate(
             )
         if (b * (D + 1) + a) % K != 0 or not is_feasible(problem, a, b):
             raise AssertionError(f"candidate (a={a}, b={b}) failed its own feasibility")
-    cols = b * (D + 1) + a
-    return RateSolution(
-        problem=problem,
-        a_min=a,
-        b_min=b,
-        rate=Fraction(cols, b),
-        encoder_rows=K * b,
-        encoder_cols=cols,
-        source="algorithm",
-    )
+    return solution_for_pair(problem, a, b, source="algorithm")
 
 
 def oracle_min_rate(problem: ProblemInstance, b_max: int | None = None) -> RateSolution:
@@ -247,17 +238,7 @@ def oracle_min_rate(problem: ProblemInstance, b_max: int | None = None) -> RateS
                     best_key, best = key, (a, b)
     if best is None:
         raise LookupError(f"no feasible pair for {problem} with b <= {b_max}")
-    a, b = best
-    cols = b * (D + 1) + a
-    return RateSolution(
-        problem=problem,
-        a_min=a,
-        b_min=b,
-        rate=Fraction(cols, b),
-        encoder_rows=K * b,
-        encoder_cols=cols,
-        source="oracle",
-    )
+    return solution_for_pair(problem, *best, source="oracle")
 
 
 def rate_upper_bound(K: int, D: int) -> Fraction:

@@ -94,7 +94,7 @@ def _air_rows(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(mat=_matrices(), p=st.sampled_from([2, 3, 5, 7]))
+@given(mat=_matrices(), p=st.sampled_from([2, 3, 5, 7, 65521]))
 def test_streaming_rank_matches_reference(mat, p):
     a = np.array(mat, dtype=np.int64)
     ech = stream_echelon(a.shape[1], 0, p)
@@ -225,7 +225,7 @@ def _assert_matches_reference(mat, aux_cols, p, probes):
 @given(
     mat=_matrices(max_rows=12, max_cols=12),
     aux_cols=st.integers(0, 4),
-    p=st.sampled_from([2, 3, 5]),
+    p=st.sampled_from([2, 3, 5, 65521]),
     data=st.data(),
 )
 def test_matches_all_pivots_reference_dense(mat, aux_cols, p, data):
@@ -237,8 +237,49 @@ def test_matches_all_pivots_reference_dense(mat, aux_cols, p, data):
 
 
 @settings(max_examples=150, deadline=None)
-@given(rows=_air_rows(), aux_cols=st.integers(0, 4), p=st.sampled_from([2, 3, 5]))
+@given(rows=_air_rows(), aux_cols=st.integers(0, 4), p=st.sampled_from([2, 3, 5, 65521]))
 def test_matches_all_pivots_reference_air_rows(rows, aux_cols, p):
     # sums of two inputs stay in the row space, a shifted input may not
     probes = [np.add(rows[0], rows[-1]), np.roll(rows[0], 1)]
     _assert_matches_reference(rows, aux_cols, p, probes)
+
+
+def _assert_same_solved_form(ech, ref, width):
+    pivots, aux = ech.solved_form()
+    want_cols, want_rows = ref.solved_rows()
+    assert pivots.tolist() == want_cols
+    assert np.array_equal(aux, want_rows[:, width:])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    mat=_matrices(max_rows=12, max_cols=10),
+    aux_cols=st.integers(0, 4),
+    p=st.sampled_from([2, 3, 5, 65521]),
+    data=st.data(),
+)
+def test_solved_form_keeps_later_results(mat, aux_cols, p, data):
+    # solved_form() back-reduces the pivot rows in place; inserts, reduces
+    # and solved forms after it must match a reference that never solved
+    a = np.array(mat, dtype=np.int64)
+    width = a.shape[1]
+    split = data.draw(st.integers(0, a.shape[0]))
+    probes = data.draw(
+        st.lists(st.lists(st.integers(0, 6), min_size=width, max_size=width), max_size=4)
+    )
+    aux_in = np.arange(a.shape[0] * aux_cols).reshape(a.shape[0], aux_cols) % 5
+    ech = stream_echelon(width, aux_cols, p)
+    ref = _AllPivotsReference(width, aux_cols, p)
+    assert ech.insert(a[:split], aux_in[:split]) == sum(map(ref.insert, a[:split], aux_in[:split]))
+    _assert_same_solved_form(ech, ref, width)
+    for row, aux in zip(a[split:], aux_in[split:]):
+        assert ech.insert(row, aux) == ref.insert(row, aux)
+        assert ech.rank == len(ref.rows)
+    assert ech.pivot_cols == ref.pivot_cols
+    for probe in probes + mat[:2]:
+        probe_aux = np.resize(np.asarray(probe, dtype=np.int64), aux_cols)
+        assert _same_reduce(ech, ref, probe, probe_aux)
+    _assert_same_solved_form(ech, ref, width)
+    # a second call on solved rows changes nothing
+    _assert_same_solved_form(ech, ref, width)
+    assert ech.pivot_cols == ref.pivot_cols
