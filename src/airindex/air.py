@@ -8,7 +8,9 @@ columns with the transposed (side-by-side) version, until a remainder
 hits zero. The family is designed so that every window of n adjacent
 rows is nonsingular over every field; :func:`verify_adjacent_independence`
 checks that claim window by window with an exact determinant and
-independent per-prime rank computations.
+per-prime ranks. The GF(3) rank is read from the elimination that
+certifies the determinant; every other prime is an independent
+elimination of rows packed once per matrix.
 
 ``build_air`` refuses a matrix of more than ``MAX_CELLS`` entries before
 allocating it; the codec's encoders share that cap.
@@ -22,7 +24,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .linalg import det_exact, rank_mod_p, require_rank_prime
+from ._echelon import stream_echelon
+from .linalg import _det, as_int_matrix, require_rank_prime
 
 __all__ = [
     "MAX_CELLS",
@@ -223,24 +226,38 @@ def verify_adjacent_independence(
     """Check every n-row window of ``air`` for full rank.
 
     Each window must have exact determinant +-1 (nonsingular over every
-    field) and, as an independent route, full rank over each requested
-    prime. Window starts are ``0 .. m-n`` without wrap and ``0 .. m-1``
-    with cyclic wrap. Raises ``ValueError`` before any window is checked
-    unless every prime has ``(p-1)**2 < 2**63`` (the exact rank's limit).
+    field) and full rank over each requested prime. Window starts are
+    ``0 .. m-n`` without wrap and ``0 .. m-1`` with cyclic wrap. The rows
+    are read once and packed once per field, and each window eliminates
+    its slice of them. Its one GF(3) elimination certifies the
+    determinant (Bareiss runs when it proves nothing) and gives the GF(3)
+    rank; every other prime is an independent elimination. Raises
+    ``ValueError`` before any window is checked unless every prime has
+    ``(p-1)**2 < 2**63`` (the exact rank's limit).
     """
     primes = tuple(require_rank_prime(q) for q in primes)
-    starts = range(air.m) if wrap else range(air.m - air.n + 1)
+    m, n = air.m, air.n
+    starts = range(m) if wrap else range(m - n + 1)
+    rows = as_int_matrix(air.entries)
+    if wrap:
+        # window s is rows s .. s+n-1 in both modes
+        rows = rows[np.arange(m + n - 1) % m]
+    # GF(3) always runs: its elimination certifies the determinant
+    packed = {q: stream_echelon(n, 0, q).pack(rows) for q in (3, *primes)}
     failures = []
     for s in starts:
-        window = air.row_window(s, wrap=wrap)
-        ok = det_exact(window) in (-1, 1) and all(
-            rank_mod_p(window, q) == air.n for q in primes
+        ech = {}
+        for q, field_rows in packed.items():
+            ech[q] = stream_echelon(n, 0, q)
+            ech[q].insert_packed(field_rows[s : s + n])
+        ok = _det(rows[s : s + n], ech[3]) in (-1, 1) and all(
+            ech[q].rank == n for q in primes
         )
         if not ok:
             failures.append(s)
     return VerificationReport(
-        m=air.m,
-        n=air.n,
+        m=m,
+        n=n,
         wrap=wrap,
         windows_checked=len(starts),
         failures=tuple(failures),

@@ -107,7 +107,7 @@ def require_rank_prime(p) -> int:
     p = require_prime(p)
     if (p - 1) ** 2 >= 2**63:
         raise ValueError(
-            f"p={p} is too large for an exact int64 rank: (p-1)**2 must stay below 2**63"
+            f"p={p} is outside the supported range of exact ranks: (p-1)**2 must stay below 2**63"
         )
     return p
 
@@ -132,13 +132,27 @@ def det_exact(mat) -> int:
     n_rows, n_cols = M.shape
     if n_rows != n_cols:
         raise ValueError(f"determinant needs a square matrix, got {n_rows}x{n_cols}")
-    if n_rows == 0:
+    return _det(M)
+
+
+def _det(M: np.ndarray, gf3: _EchelonGF3 | None = None) -> int:
+    """Determinant of a square int64 array, certified or by Bareiss.
+
+    The GF(3) certificate counts only for entries in {-1, 0, 1}: packing
+    reduces any other entry mod 3, so a run on such rows proves nothing
+    about their integer determinant. ``gf3``, when given, is a fresh GF(3)
+    echelon into which exactly the rows of ``M`` were inserted, in order,
+    so a caller that already eliminated them mod 3 is not charged twice;
+    otherwise it is run here when the entries allow a certificate.
+    """
+    if M.shape[0] == 0:
         return 1
     # min/max, not abs: abs(-2**63) wraps to -2**63 in int64
     if M.min() >= -1 and M.max() <= 1:
-        ech = _EchelonGF3(n_cols, 0)
-        ech.insert(M)
-        det = ech.unimodular_det()
+        if gf3 is None:
+            gf3 = _EchelonGF3(M.shape[1], 0)
+            gf3.insert(M)
+        det = gf3.unimodular_det()
         if det is not None:
             return det
     return _det_bareiss(M)

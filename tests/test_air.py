@@ -7,16 +7,21 @@ from math import gcd
 
 import numpy as np
 import pytest
+from _reference import det_fraction
+from _reference import rank_mod_p as reference_rank
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import airindex.air as air_module
 from airindex.air import (
+    AirMatrix,
     _fill_blocks,
     build_air,
     stacked_identity,
     structure_chain,
     verify_adjacent_independence,
 )
-from airindex.linalg import det_exact, rank_mod_p
+from airindex.linalg import det_exact
 
 # Hand-executed construction for (5, 3): q=1, r=2 puts the identity on
 # top; 3 = 1*2 + 1 puts a 2x2 identity in the first two columns of the
@@ -226,7 +231,9 @@ class TestAdjacentIndependence:
         def no_window(*args):
             raise AssertionError("a window was checked before the primes")
 
-        monkeypatch.setattr(air_module, "det_exact", no_window)
+        # reading the rows and building an echelon both come before any window
+        monkeypatch.setattr(air_module, "as_int_matrix", no_window)
+        monkeypatch.setattr(air_module, "stream_echelon", no_window)
         for p in (3037000507, 4294967311):
             with pytest.raises(ValueError, match="2\\*\\*63"):
                 verify_adjacent_independence(air, primes=(2, p))
@@ -239,6 +246,39 @@ class TestAdjacentIndependence:
         report = verify_adjacent_independence(fake, primes=(2,))
         assert not report.passed
         assert 0 in report.failures and 1 in report.failures
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_matches_per_window_reference_on_any_entries(self, data):
+        # a GF(3) certificate is only valid for entries in {-1, 0, 1}; larger
+        # entries are packed mod 3 and must go through the exact determinant
+        m = data.draw(st.integers(1, 6))
+        n = data.draw(st.integers(1, m))
+        bound = data.draw(st.sampled_from([1, 3]))
+        cells = data.draw(st.lists(st.integers(-bound, bound), min_size=m * n, max_size=m * n))
+        wrap = data.draw(st.booleans())
+        primes = tuple(data.draw(st.lists(st.sampled_from([2, 3, 5, 7]), min_size=1, max_size=4)))
+        entries = np.array(cells, dtype=np.int64).reshape(m, n)
+        fake = AirMatrix(m=m, n=n, entries=entries, chain=structure_chain(m, n))
+        expected = []
+        for s in range(m if wrap else m - n + 1):
+            window = entries[(s + np.arange(n)) % m]
+            ok = det_fraction(window) in (-1, 1) and all(
+                reference_rank(window, q) == n for q in primes
+            )
+            if not ok:
+                expected.append(s)
+        report = verify_adjacent_independence(fake, primes=primes, wrap=wrap)
+        assert report.failures == tuple(expected)
+
+    def test_entries_past_one_are_not_certified_mod_3(self):
+        # window 1 is [[1, 3], [0, -2]]: identity mod 3 with no wrap, full rank
+        # mod 3 and mod 5, yet its determinant is -2; window 0 has det -1
+        entries = np.array([[0, 1], [1, 3], [0, -2]], dtype=np.int64)
+        fake = AirMatrix(m=3, n=2, entries=entries, chain=structure_chain(3, 2))
+        assert det_exact(entries[1:]) == -2
+        assert reference_rank(entries[1:], 3) == reference_rank(entries[1:], 5) == 2
+        assert verify_adjacent_independence(fake, primes=(3, 5)).failures == (1,)
 
     def test_report_json_schema(self):
         report = verify_adjacent_independence(build_air(5, 3), wrap=True)
