@@ -2,11 +2,9 @@
 
 from .air import (
     AirMatrix,
-    StructureChain,
     VerificationReport,
     build_air,
     stacked_identity,
-    structure_chain,
     verify_adjacent_independence,
 )
 from .codec import (
@@ -27,10 +25,8 @@ from .linalg import (
     require_prime,
 )
 from .rates import (
-    BezoutTriple,
     ProblemInstance,
     RateSolution,
-    extended_bezout,
     find_min_rate,
     is_feasible,
     known_broadcast_rate,
@@ -44,12 +40,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AirMatrix",
-    "BezoutTriple",
     "Encoder",
     "ProblemInstance",
     "RateSolution",
     "SimReport",
-    "StructureChain",
     "VerificationReport",
     "build_air",
     "build_encoder",
@@ -57,7 +51,6 @@ __all__ = [
     "decode",
     "det_exact",
     "encode",
-    "extended_bezout",
     "find_min_rate",
     "interference_set",
     "is_feasible",
@@ -71,7 +64,6 @@ __all__ = [
     "simulate",
     "solution_for_pair",
     "stacked_identity",
-    "structure_chain",
     "truncated_decimal",
     "verify_adjacent_independence",
 ]

@@ -1,7 +1,7 @@
 """Construction and verification of adjacent-independent-row (AIR) matrices.
 
 An AIR matrix is a binary m x n matrix (n <= m) assembled from identity
-blocks whose shapes follow the Euclidean division chain of (m, n). The
+blocks whose shapes follow the Euclidean divisions of (m, n). The
 construction alternates two moves on the shrinking unfilled bottom-right
 corner: fill rows with vertically stacked d x d identities, then fill
 columns with the transposed (side-by-side) version, until a remainder
@@ -29,8 +29,6 @@ from .linalg import _det, as_int_matrix, require_rank_prime
 
 __all__ = [
     "MAX_CELLS",
-    "StructureChain",
-    "structure_chain",
     "stacked_identity",
     "AirMatrix",
     "build_air",
@@ -42,49 +40,6 @@ __all__ = [
 # Largest dense array the package allocates, in int64 cells (512 MiB): about
 # 40x the 2130x781 encoder of (K, D, U) = (71, 25, 1).
 MAX_CELLS = 2**26
-
-
-@dataclass(frozen=True)
-class StructureChain:
-    """Euclidean quotient/remainder chain governing the block layout.
-
-    ``lambdas[0]`` is n, ``lambdas[1]`` is m - n, and each further entry
-    is the remainder of the previous division step:
-
-        lambdas[i] = betas[i] * lambdas[i+1] + lambdas[i+2]
-
-    with a virtual trailing zero remainder. ``length`` is the index of
-    the last division (so ``len(lambdas) == length + 2`` and
-    ``len(betas) == length + 1``). A square matrix has no chain; it is
-    flagged with ``length == -1`` and empty ``betas``.
-    """
-
-    lambdas: tuple[int, ...]
-    betas: tuple[int, ...]
-    length: int
-
-    @property
-    def degenerate(self) -> bool:
-        return self.length < 0
-
-
-def structure_chain(m: int, n: int) -> StructureChain:
-    """Division chain for the m x n construction (1 <= n <= m)."""
-    if n < 1 or m < n:
-        raise ValueError(f"need 1 <= n <= m, got m={m}, n={n}")
-    if m == n:
-        return StructureChain(lambdas=(n, 0), betas=(), length=-1)
-    a, b = n, m - n
-    lambdas = [a, b]
-    betas = []
-    while True:
-        q, r = divmod(a, b)
-        betas.append(q)
-        if r == 0:
-            break
-        lambdas.append(r)
-        a, b = b, r
-    return StructureChain(tuple(lambdas), tuple(betas), len(betas) - 1)
 
 
 def stacked_identity(c: int, d: int) -> np.ndarray:
@@ -128,7 +83,7 @@ def _fill_blocks(m: int, n: int) -> Iterator[tuple[int, int, np.ndarray]]:
 
 @dataclass(frozen=True, eq=False)
 class AirMatrix:
-    """A built AIR matrix together with its structure chain.
+    """A built m x n AIR matrix.
 
     ``entries`` is an (m, n) array of 0/1 values, write-protected so the
     object can be shared freely after construction.
@@ -137,7 +92,6 @@ class AirMatrix:
     m: int
     n: int
     entries: np.ndarray
-    chain: StructureChain
 
     def row_window(self, start: int, wrap: bool = False) -> np.ndarray:
         """The n x n window of rows ``start .. start+n-1``.
@@ -181,7 +135,7 @@ def build_air(m: int, n: int) -> AirMatrix:
         h, w = block.shape
         grid[top : top + h, left : left + w] = block
     grid.setflags(write=False)
-    return AirMatrix(m=m, n=n, entries=grid, chain=structure_chain(m, n))
+    return AirMatrix(m=m, n=n, entries=grid)
 
 
 @dataclass(frozen=True)

@@ -410,7 +410,12 @@ def simulate(
         )
     start = time.perf_counter()
     enc = encoder if encoder is not None else build_encoder(problem, solution, p)
-    if enc.problem != problem or enc.solution != solution or enc.p != require_prime(p):
+    # the pair fixes the encoder; the solution's source label does not
+    if (
+        enc.problem != problem
+        or (enc.a, enc.b) != (solution.a_min, solution.b_min)
+        or enc.p != require_prime(p)
+    ):
         raise ValueError("supplied encoder does not match the requested simulation")
     K, b = problem.K, enc.b
     rng = np.random.default_rng(seed)

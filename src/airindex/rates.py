@@ -11,7 +11,7 @@ giving rate D + 1 + a/b symbols per message symbol. This module minimizes
 a/b over that feasibility set two ways whose rates must agree:
 
 * :func:`find_min_rate` walks a = l*g for l = 1, 2, ... (g = gcd(K, D+1))
-  and uses the Bezout coefficients of (K, D+1) to jump straight to the one
+  and uses the inverse of (D+1)/g modulo K/g to jump straight to the one
   candidate b in range for each l.
 * :func:`oracle_min_rate` brute-forces the predicate over a provably
   sufficient (a, b) box, as an independent reference.
@@ -29,9 +29,7 @@ from math import gcd
 
 __all__ = [
     "ProblemInstance",
-    "BezoutTriple",
     "RateSolution",
-    "extended_bezout",
     "is_feasible",
     "solution_for_pair",
     "find_min_rate",
@@ -67,39 +65,6 @@ class ProblemInstance:
             raise ValueError(
                 f"D + U must be smaller than K, got D+U={self.D + self.U}, K={self.K}"
             )
-
-
-@dataclass(frozen=True)
-class BezoutTriple:
-    """gcd certificate: g == m*K - n*(D+1)."""
-
-    g: int
-    m: int
-    n: int
-
-
-def extended_bezout(K: int, d_plus_1: int) -> BezoutTriple:
-    """Extended Euclidean coefficients with g = m*K - n*(d_plus_1).
-
-    Any valid triple works downstream; this returns the classic minimal
-    pair produced by the iterative algorithm.
-    """
-    if K < 1 or d_plus_1 < 1:
-        raise ValueError(f"arguments must be positive, got {K}, {d_plus_1}")
-    old_r, r = K, d_plus_1
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    return BezoutTriple(g=old_r, m=old_s, n=-old_t)
-
-
-def _check_bezout(K: int, d_plus_1: int, bez: BezoutTriple) -> None:
-    if bez.g != gcd(K, d_plus_1) or bez.m * K - bez.n * d_plus_1 != bez.g:
-        raise ValueError(f"{bez} is not a valid Bezout triple for ({K}, {d_plus_1})")
 
 
 def is_feasible(problem: ProblemInstance, a: int, b: int) -> bool:
@@ -170,37 +135,35 @@ def solution_for_pair(
     )
 
 
-def find_min_rate(
-    problem: ProblemInstance, bezout: BezoutTriple | None = None
-) -> RateSolution:
+def find_min_rate(problem: ProblemInstance) -> RateSolution:
     """Minimize a/b over the feasibility set.
 
     With g = gcd(K, D+1) >= U+1 the scalar code (a=0, b=1) is already
     feasible and optimal (rate D+1 meets the general lower bound).
-    Otherwise the minimizing pairs satisfy b*(D+1) + a == 0 (mod K) with
-    b <= K // (U+1); for a = l*g the admissible b form one residue class
-    modulo K // g, and since that step exceeds K // (U+1) whenever
-    g <= U, each l admits at most a single candidate. Walking l upward
-    and returning the first hit therefore yields the minimum. The walk
-    always terminates by l = (K mod (D+1)) // g because
+    Otherwise some minimizing pair satisfies b*(D+1) + a == 0 (mod K)
+    with b <= K // (U+1), and this returns the one with the smallest a.
+    Not every minimizing pair is on that congruence: for (8, 2, 1) the
+    result is (2, 2), while (1, 1) has the same rate 4 and half the
+    encoder. On the congruence g divides a; for a = l*g the admissible b
+    form one residue class modulo K // g, and since that step exceeds
+    K // (U+1) whenever g <= U, each l admits at most a single candidate.
+    Walking l upward and returning the first hit therefore yields the
+    minimum. The walk always terminates by l = (K mod (D+1)) // g because
     a = K mod (D+1), b = K // (D+1) is feasible.
-
-    The result does not depend on which valid Bezout triple is supplied:
-    only bezout.n mod (K // g) enters the candidate formula.
     """
     K, D, U = problem.K, problem.D, problem.U
     g = gcd(K, D + 1)
     if U + 1 <= g:
         a, b = 0, 1
     else:
-        bez = bezout if bezout is not None else extended_bezout(K, D + 1)
-        _check_bezout(K, D + 1, bez)
         step = K // g
+        # b*(D+1) + l*g == 0 (mod K) reads b == -l * inv (mod step)
+        inv = pow((D + 1) // g, -1, step)
         b_cap = K // (U + 1)
         l_cap = (K % (D + 1)) // g
         a = b = 0
         for l in range(1, l_cap + 1):
-            cand = (l * bez.n - 1) % step + 1
+            cand = (-l * inv - 1) % step + 1
             if cand <= b_cap:
                 a, b = l * g, cand
                 break
@@ -214,7 +177,7 @@ def find_min_rate(
 
 
 def oracle_min_rate(problem: ProblemInstance, b_max: int | None = None) -> RateSolution:
-    """Brute-force reference minimizer, independent of the Bezout route.
+    """Brute-force reference minimizer, independent of the modular walk.
 
     Evaluates the feasibility predicate directly for every b in
     [1, b_max] (default b_max = K) and a in [0, K mod (D+1)], keeping the
@@ -268,14 +231,13 @@ def known_broadcast_rate(problem: ProblemInstance) -> Fraction | None:
     return None
 
 
-def truncated_decimal(x: Fraction, places: int = 3) -> str:
-    """Fixed-point rendering truncated (not rounded) to ``places`` digits.
+def truncated_decimal(x: Fraction) -> str:
+    """Fixed-point rendering truncated (not rounded) to three digits.
 
     Matches the tabulation convention used throughout: 85/7 renders as
     12.142 even though it rounds to 12.143.
     """
     if x < 0:
         raise ValueError("only nonnegative values are rendered")
-    scaled = x.numerator * 10**places // x.denominator
-    digits = str(scaled).rjust(places + 1, "0")
-    return f"{digits[:-places]}.{digits[-places:]}"
+    whole, frac = divmod(x.numerator * 1000 // x.denominator, 1000)
+    return f"{whole}.{frac:03d}"

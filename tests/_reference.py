@@ -4,12 +4,16 @@
 that engine against this plain whole-matrix reduced row echelon form,
 which shares none of its code. Exact while ``(p-1)**2 < 2**63``.
 Determinants are checked against Gaussian elimination over the rationals
-(``det_fraction``), which shares no code with ``airindex`` either.
+(``det_fraction``), which shares no code with ``airindex`` either. The
+minimal-rate pair is checked against the extended Euclidean walk
+(``bezout_min_pair``) that ``find_min_rate`` replaced with a modular
+inverse.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 
@@ -94,3 +98,32 @@ def det_fraction(rows) -> int:
             a[r] = [x - f * y for x, y in zip(a[r], a[c])]
     assert det.denominator == 1
     return int(det)
+
+
+def extended_bezout(K: int, d_plus_1: int) -> tuple[int, int, int]:
+    """Extended Euclidean coefficients ``(g, m, n)`` with g = m*K - n*(d_plus_1)."""
+    old_r, r = K, d_plus_1
+    old_s, s = 1, 0
+    old_t, t = 0, 1
+    while r:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_s, s = s, old_s - q * s
+        old_t, t = t, old_t - q * t
+    return old_r, old_s, -old_t
+
+
+def bezout_min_pair(K: int, D: int, U: int) -> tuple[int, int]:
+    """The minimal-rate (a, b) by the Bezout walk over a = l*g, l = 1, 2, ..."""
+    g = gcd(K, D + 1)
+    if U + 1 <= g:
+        return 0, 1
+    _, _, n = extended_bezout(K, D + 1)
+    step = K // g
+    b_cap = K // (U + 1)
+    l_cap = (K % (D + 1)) // g
+    for l in range(1, l_cap + 1):
+        cand = (l * n - 1) % step + 1
+        if cand <= b_cap:
+            return l * g, cand
+    raise AssertionError("candidate walk exhausted its bound")

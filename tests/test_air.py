@@ -1,9 +1,6 @@
-"""Unit tests for AIR matrix construction, structure chains and verification."""
+"""Unit tests for AIR matrix construction and verification."""
 
 from __future__ import annotations
-
-from itertools import product
-from math import gcd
 
 import numpy as np
 import pytest
@@ -18,7 +15,6 @@ from airindex.air import (
     _fill_blocks,
     build_air,
     stacked_identity,
-    structure_chain,
     verify_adjacent_independence,
 )
 from airindex.linalg import det_exact
@@ -90,54 +86,6 @@ class TestBuildAir:
         air = build_air(5, 3)
         with pytest.raises(ValueError):
             air.entries[0, 0] = 0
-
-
-class TestStructureChain:
-    def test_9_5(self):
-        chain = structure_chain(9, 5)
-        assert chain.lambdas == (5, 4, 1)
-        assert chain.betas == (1, 4)
-        assert chain.length == 1
-
-    def test_6_3_terminates_immediately(self):
-        chain = structure_chain(6, 3)
-        assert chain.lambdas == (3, 3)
-        assert chain.betas == (1,)
-        assert chain.length == 0
-
-    def test_5_3(self):
-        chain = structure_chain(5, 3)
-        assert chain.lambdas == (3, 2, 1)
-        assert chain.betas == (1, 2)
-        assert chain.length == 1
-
-    def test_square_is_degenerate(self):
-        chain = structure_chain(4, 4)
-        assert chain.degenerate
-        assert chain.betas == ()
-        assert chain.length == -1
-
-    def test_rejects_wide(self):
-        with pytest.raises(ValueError):
-            structure_chain(3, 5)
-
-    def test_chain_recurrence_sweep(self):
-        for m in range(2, 61):
-            for n in range(1, m):
-                chain = structure_chain(m, n)
-                lam = list(chain.lambdas) + [0]
-                assert lam[0] == n and lam[1] == m - n
-                assert len(chain.betas) == chain.length + 1
-                for i, beta in enumerate(chain.betas):
-                    assert lam[i] == beta * lam[i + 1] + lam[i + 2]
-                # remainders decrease strictly once the chain is running
-                for i in range(1, len(chain.lambdas) - 1):
-                    assert chain.lambdas[i + 1] < chain.lambdas[i]
-                assert chain.lambdas[-1] == gcd(m, n)
-
-    def test_matches_build_air_chain(self):
-        air = build_air(40, 17)
-        assert air.chain == structure_chain(40, 17)
 
 
 class TestConstructionTotality:
@@ -242,7 +190,7 @@ class TestAdjacentIndependence:
         air = build_air(5, 3)
         broken = air.entries.copy()
         broken[1] = broken[0]  # duplicate adjacent rows
-        fake = type(air)(m=5, n=3, entries=broken, chain=air.chain)
+        fake = type(air)(m=5, n=3, entries=broken)
         report = verify_adjacent_independence(fake, primes=(2,))
         assert not report.passed
         assert 0 in report.failures and 1 in report.failures
@@ -259,7 +207,7 @@ class TestAdjacentIndependence:
         wrap = data.draw(st.booleans())
         primes = tuple(data.draw(st.lists(st.sampled_from([2, 3, 5, 7]), min_size=1, max_size=4)))
         entries = np.array(cells, dtype=np.int64).reshape(m, n)
-        fake = AirMatrix(m=m, n=n, entries=entries, chain=structure_chain(m, n))
+        fake = AirMatrix(m=m, n=n, entries=entries)
         expected = []
         for s in range(m if wrap else m - n + 1):
             window = entries[(s + np.arange(n)) % m]
@@ -275,7 +223,7 @@ class TestAdjacentIndependence:
         # window 1 is [[1, 3], [0, -2]]: identity mod 3 with no wrap, full rank
         # mod 3 and mod 5, yet its determinant is -2; window 0 has det -1
         entries = np.array([[0, 1], [1, 3], [0, -2]], dtype=np.int64)
-        fake = AirMatrix(m=3, n=2, entries=entries, chain=structure_chain(3, 2))
+        fake = AirMatrix(m=3, n=2, entries=entries)
         assert det_exact(entries[1:]) == -2
         assert reference_rank(entries[1:], 3) == reference_rank(entries[1:], 5) == 2
         assert verify_adjacent_independence(fake, primes=(3, 5)).failures == (1,)

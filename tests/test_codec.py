@@ -25,7 +25,7 @@ from airindex.codec import (
     simulate,
 )
 from airindex.linalg import is_prime
-from airindex.rates import ProblemInstance, find_min_rate, solution_for_pair
+from airindex.rates import ProblemInstance, find_min_rate, oracle_min_rate, solution_for_pair
 
 
 def _encoder(K, D, U, a, b, p, allow_infeasible=False):
@@ -423,6 +423,20 @@ class TestSimulate:
         enc = build_encoder(p1, find_min_rate(p1), 2)
         with pytest.raises(ValueError, match="does not match"):
             simulate(p2, find_min_rate(p2), 2, trials=1, seed=0, encoder=enc)
+
+    @pytest.mark.parametrize(
+        "source",
+        [oracle_min_rate, lambda problem: solution_for_pair(problem, 3, 8)],
+        ids=["oracle", "manual"],
+    )
+    def test_encoder_reuse_ignores_solution_source(self, source):
+        # the same pair (3, 8) as find_min_rate, labelled "oracle" or "manual"
+        problem = ProblemInstance(17, 5, 1)
+        sol = find_min_rate(problem)
+        enc = build_encoder(problem, source(problem), 3)
+        reused = simulate(problem, sol, 3, trials=4, seed=2, encoder=enc)
+        fresh = simulate(problem, sol, 3, trials=4, seed=2)
+        assert (reused.a, reused.b, reused.failures) == (fresh.a, fresh.b, ())
 
     def test_rejects_negative_trials(self):
         problem = ProblemInstance(5, 1, 1)
