@@ -29,7 +29,6 @@ from .rates import (
     RateSolution,
     find_min_rate,
     is_feasible,
-    known_broadcast_rate,
     oracle_min_rate,
     rate_upper_bound,
     solution_for_pair,
@@ -55,7 +54,6 @@ __all__ = [
     "interference_set",
     "is_feasible",
     "is_prime",
-    "known_broadcast_rate",
     "oracle_min_rate",
     "rank_mod_p",
     "rate_upper_bound",

@@ -12,8 +12,9 @@ per-prime ranks. The GF(3) rank is read from the elimination that
 certifies the determinant; every other prime is an independent
 elimination of rows packed once per matrix.
 
-``build_air`` refuses a matrix of more than ``MAX_CELLS`` entries before
-allocating it; the codec's encoders share that cap.
+``build_air`` refuses a shape that is wider than tall or has more than
+``MAX_CELLS`` entries before allocating it; the codec's encoders pass the
+same check. Primes pass :func:`airindex.linalg.require_prime` on entry.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Iterator
 import numpy as np
 
 from ._echelon import stream_echelon
-from .linalg import _det, as_int_matrix, require_rank_prime
+from .linalg import _det, as_int_matrix, require_prime
 
 __all__ = [
     "MAX_CELLS",
@@ -117,6 +118,16 @@ class AirMatrix:
         return "\n".join(",".join(str(int(v)) for v in row) for row in self.entries)
 
 
+def _require_shape(m: int, n: int) -> None:
+    """Refuse an m x n AIR shape unless 1 <= n <= m and m*n <= MAX_CELLS."""
+    if n < 1 or m < n:
+        raise ValueError(f"need 1 <= n <= m, got m={m}, n={n}")
+    if m * n > MAX_CELLS:
+        raise ValueError(
+            f"AIR matrix would have {m}x{n} = {m * n} entries, over the limit of {MAX_CELLS}"
+        )
+
+
 def build_air(m: int, n: int) -> AirMatrix:
     """Assemble the m x n AIR matrix (requires 1 <= n <= m).
 
@@ -124,12 +135,7 @@ def build_air(m: int, n: int) -> AirMatrix:
     When n | m the result is m/n stacked identities; m == n gives the
     identity matrix. More than ``MAX_CELLS`` entries raise ``ValueError``.
     """
-    if n < 1 or m < n:
-        raise ValueError(f"need 1 <= n <= m, got m={m}, n={n}")
-    if m * n > MAX_CELLS:
-        raise ValueError(
-            f"AIR matrix would have {m}x{n} = {m * n} entries, over the limit of {MAX_CELLS}"
-        )
+    _require_shape(m, n)
     grid = np.zeros((m, n), dtype=np.int64)
     for top, left, block in _fill_blocks(m, n):
         h, w = block.shape
@@ -185,11 +191,10 @@ def verify_adjacent_independence(
     are read once and packed once per field, and each window eliminates
     its slice of them. Its one GF(3) elimination certifies the
     determinant (Bareiss runs when it proves nothing) and gives the GF(3)
-    rank; every other prime is an independent elimination. Raises
-    ``ValueError`` before any window is checked unless every prime has
-    ``(p-1)**2 < 2**63`` (the exact rank's limit).
+    rank; every other prime is an independent elimination. Every prime
+    passes ``require_prime`` before any window is checked.
     """
-    primes = tuple(require_rank_prime(q) for q in primes)
+    primes = tuple(require_prime(q) for q in primes)
     m, n = air.m, air.n
     starts = range(m) if wrap else range(m - n + 1)
     rows = as_int_matrix(air.entries)

@@ -20,7 +20,7 @@ import click
 
 from .air import build_air, verify_adjacent_independence
 from .codec import build_encoder, decodable, simulate
-from .linalg import require_prime, require_rank_prime
+from .linalg import require_prime
 from .rates import (
     ProblemInstance,
     RateSolution,
@@ -42,18 +42,11 @@ def _instance(k: int, d: int, u: int) -> ProblemInstance:
         _fail_usage(str(exc))
 
 
-def _prime(p: int) -> int:
-    try:
-        return require_prime(p)
-    except ValueError as exc:
-        _fail_usage(str(exc))
-
-
 def _prime_list(spec: str | None, default: str) -> tuple[int, ...]:
     raw = spec or os.environ.get("AIRINDEX_PRIMES") or default
     try:
         # both verify commands compute ranks, so the rank's prime range applies
-        return tuple(require_rank_prime(int(tok)) for tok in raw.split(","))
+        return tuple(require_prime(int(tok)) for tok in raw.split(","))
     except ValueError as exc:
         _fail_usage(f"bad primes list {raw!r}: {exc}")
 
@@ -193,12 +186,12 @@ def verify_code(k: int, d: int, u: int, primes: str | None, as_json: bool) -> No
 def simulate_cmd(k: int, d: int, u: int, p: int, trials: int, seed: int) -> None:
     """Seeded end-to-end encode/decode run; prints the report as JSON."""
     problem = _instance(k, d, u)
-    prime = _prime(p)
     sol = find_min_rate(problem)
     try:
-        report = simulate(problem, sol, prime, trials=trials, seed=seed)
+        report = simulate(problem, sol, p, trials=trials, seed=seed)
     except ValueError as exc:
-        # negative trials, or an encoder or message batch over the codec's limits
+        # negative trials, p not a prime in the codec's range, or an
+        # encoder or message batch over the codec's limits
         _fail_usage(str(exc))
     click.echo(report.to_json_str())
     sys.exit(0 if report.passed else 1)

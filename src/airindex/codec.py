@@ -22,15 +22,17 @@ only its window of D+U+1 messages, so nearly every row of the dense T is
 zero; skipping exactly the all-zero rows leaves every product unchanged.
 
 Supported sizes. All arithmetic is exact in int64: the longest dot product
-has at most K*b terms, each below p**2, so ``build_encoder`` refuses any p
-with K*b*(p-1)**2 >= 2**63. It also refuses an encoder of more than
-``MAX_CELLS`` entries before allocating it, and ``simulate`` refuses a run
-whose message batch (trials*K*b symbols) exceeds the same cap.
+has at most K*b terms, so ``build_encoder`` passes p to
+:func:`airindex.linalg.require_prime` with K*b terms. Before allocating
+anything it also refuses an encoder shape that ``build_air`` would
+refuse, and ``simulate`` refuses a run whose message batch (trials*K*b
+symbols) exceeds the same ``MAX_CELLS`` cap.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -38,7 +40,7 @@ from functools import cached_property
 import numpy as np
 
 from ._echelon import stream_echelon
-from .air import MAX_CELLS, AirMatrix, build_air
+from .air import MAX_CELLS, AirMatrix, _require_shape, build_air
 from .linalg import require_prime
 from .rates import ProblemInstance, RateSolution, is_feasible
 
@@ -174,7 +176,6 @@ def build_encoder(
     Refuses an infeasible pair unless ``allow_infeasible`` is set (useful
     as a negative control: such encoders leave some receiver undecodable).
     """
-    p = require_prime(p)
     if solution.problem != problem:
         raise ValueError(
             f"solution is for {solution.problem}, not for {problem}"
@@ -187,18 +188,8 @@ def build_encoder(
         )
     rows = problem.K * b
     cols = b * (problem.D + 1) + a
-    if cols > rows:
-        raise ValueError(f"encoder would be wider than tall ({rows}x{cols})")
-    if rows * cols > MAX_CELLS:
-        raise ValueError(
-            f"encoder would have {rows}x{cols} = {rows * cols} entries, "
-            f"over the limit of {MAX_CELLS}"
-        )
-    if rows * (p - 1) ** 2 >= 2**63:
-        raise ValueError(
-            f"p={p} is too large for K*b={rows}: "
-            f"K*b*(p-1)**2 must stay below 2**63 for exact int64 decoding"
-        )
+    _require_shape(rows, cols)
+    p = require_prime(p, terms=rows)
     return Encoder(problem=problem, solution=solution, matrix=build_air(rows, cols), p=p)
 
 
@@ -414,7 +405,7 @@ def simulate(
     if (
         enc.problem != problem
         or (enc.a, enc.b) != (solution.a_min, solution.b_min)
-        or enc.p != require_prime(p)
+        or enc.p != operator.index(p)
     ):
         raise ValueError("supplied encoder does not match the requested simulation")
     K, b = problem.K, enc.b

@@ -14,15 +14,13 @@ fraction-free (Bareiss) elimination over Python ints.
 
 Matrices are 2-D arrays of integers (anything ``np.asarray`` accepts that
 holds only integer values); anything else is refused rather than
-truncated. A field modulus is a plain int that must be prime, checked on
-entry. Ranks are supported while ``(p-1)**2 < 2**63``, the range where a
-product of two residues fits in int64; larger primes are refused. The
-elimination itself does its arithmetic on Python ints above GF(3), so
-that bound is a chosen envelope, not a limit of the arithmetic.
+truncated. Every field modulus passes :func:`require_prime` on entry,
+which states the supported range of p once for ranks and the codec.
 """
 
 from __future__ import annotations
 
+import operator
 from functools import lru_cache
 
 import numpy as np
@@ -33,7 +31,6 @@ __all__ = [
     "is_prime",
     "require_prime",
     "as_int_matrix",
-    "require_rank_prime",
     "rank_mod_p",
     "det_exact",
 ]
@@ -56,13 +53,23 @@ def is_prime(p: int) -> bool:
     return True
 
 
-def require_prime(p) -> int:
-    """Coerce to int and fail fast unless prime.
+def require_prime(p, terms: int = 1) -> int:
+    """The modulus as a plain int, refused unless a prime in range.
 
-    Every GF(p) entry point funnels through this, so a composite modulus
-    can never reach the arithmetic.
+    Every GF(p) entry point funnels through this. ``terms`` is the number
+    of residue products the caller's arithmetic sums: 1 for ranks, K*b
+    for the codec. p is supported while ``terms*(p-1)**2 < 2**63``, so
+    each such sum is exact in int64 (the echelon works on Python ints
+    above GF(3), so for ranks the bound is a chosen envelope). Checks run
+    cheapest first: a non-integer raises ``TypeError`` rather than being
+    truncated, and the range is checked before trial-division primality.
     """
-    p = int(p)
+    p = operator.index(p)
+    if p > 1 and terms * (p - 1) ** 2 >= 2**63:
+        raise ValueError(
+            f"p={p} is too large: {terms}*(p-1)**2 must stay below 2**63 "
+            "for exact int64 arithmetic"
+        )
     if not is_prime(p):
         raise ValueError(f"field modulus must be prime, got {p}")
     return p
@@ -96,25 +103,9 @@ def as_int_matrix(mat) -> np.ndarray:
     return out
 
 
-def require_rank_prime(p) -> int:
-    """``require_prime``, plus the supported range of GF(p) ranks.
-
-    Ranks are supported while ``(p-1)**2 < 2**63``, where a product of
-    two residues fits in int64, and a larger prime is refused here. The
-    echelon forms ``f * row`` on Python ints, so it would stay exact
-    beyond that; the bound is kept as the supported range.
-    """
-    p = require_prime(p)
-    if (p - 1) ** 2 >= 2**63:
-        raise ValueError(
-            f"p={p} is outside the supported range of exact ranks: (p-1)**2 must stay below 2**63"
-        )
-    return p
-
-
 def rank_mod_p(mat, p) -> int:
     """Rank of ``mat`` over GF(p), by streaming elimination of its rows."""
-    p = require_rank_prime(p)
+    p = require_prime(p)
     a = as_int_matrix(mat)
     return stream_echelon(a.shape[1], 0, p).insert(a)
 

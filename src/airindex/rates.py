@@ -35,7 +35,6 @@ __all__ = [
     "find_min_rate",
     "oracle_min_rate",
     "rate_upper_bound",
-    "known_broadcast_rate",
     "truncated_decimal",
 ]
 
@@ -215,20 +214,6 @@ def rate_upper_bound(K: int, D: int) -> Fraction:
     if D + 1 > K:
         raise ValueError(f"need D + 1 <= K, got D={D}, K={K}")
     return Fraction(K, K // (D + 1))
-
-
-def known_broadcast_rate(problem: ProblemInstance) -> Fraction | None:
-    """Exact optimal rate in the regimes where it is known, else None.
-
-    U = D = 1 has rate K / floor(K/2); U = gcd(K, D+1) - 1 has rate
-    D + 1 (a scalar code meets the lower bound there).
-    """
-    K, D, U = problem.K, problem.D, problem.U
-    if D == 1 and U == 1:
-        return Fraction(K, K // 2)
-    if U == gcd(K, D + 1) - 1:
-        return Fraction(D + 1)
-    return None
 
 
 def truncated_decimal(x: Fraction) -> str:

@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,8 +20,11 @@ from _reference import det_fraction
 from _reference import rank_mod_p as reference_rank
 from _reference import solve_left
 from airindex import linalg
-from airindex.air import build_air
+from airindex.air import build_air, verify_adjacent_independence
+from airindex.cli import main
+from airindex.codec import build_encoder, simulate
 from airindex.linalg import det_exact, is_prime, rank_mod_p, require_prime
+from airindex.rates import ProblemInstance, find_min_rate
 
 # The 5x3 construction, derived by hand from the fill algorithm:
 # identity on top, then a 2x2 identity in the bottom-left, ones in the
@@ -53,6 +57,78 @@ class TestPrimality:
         with pytest.raises(ValueError, match="prime"):
             require_prime(1)
         assert require_prime(13) == 13
+
+
+class TestFieldGate:
+    """Every GF(p) entry point checks the range of p before its primality."""
+
+    MERSENNE_127 = 2**127 - 1
+    MERSENNE_61 = 2**61 - 1
+    P_17_5_1 = ProblemInstance(17, 5, 1)
+
+    @pytest.fixture(autouse=True)
+    def range_before_primality(self, monkeypatch):
+        # trial division of these primes would not return in any useful time
+        is_prime_ = linalg.is_prime
+
+        def guarded(p):
+            if p > 2**32:
+                raise AssertionError(f"is_prime({p}) ran before the range check")
+            return is_prime_(p)
+
+        monkeypatch.setattr(linalg, "is_prime", guarded)
+
+    def test_require_prime(self):
+        with pytest.raises(ValueError, match="2\\*\\*63"):
+            require_prime(self.MERSENNE_127)
+        with pytest.raises(ValueError, match="too large"):
+            require_prime(self.MERSENNE_61, terms=136)
+
+    def test_rank(self):
+        with pytest.raises(ValueError, match="2\\*\\*63"):
+            rank_mod_p(np.eye(2, dtype=int), self.MERSENNE_127)
+
+    def test_verify_air(self):
+        with pytest.raises(ValueError, match="2\\*\\*63"):
+            verify_adjacent_independence(build_air(5, 3), primes=(2, self.MERSENNE_127))
+
+    def test_build_encoder(self):
+        sol = find_min_rate(self.P_17_5_1)
+        with pytest.raises(ValueError, match="too large"):
+            build_encoder(self.P_17_5_1, sol, self.MERSENNE_61)
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("verify-air", "5", "3", "--primes", str(MERSENNE_127)),
+            ("simulate", "17", "5", "1", "--p", str(MERSENNE_61)),
+        ],
+    )
+    def test_cli_exits_2(self, args):
+        result = CliRunner().invoke(main, args, catch_exceptions=False)
+        assert result.exit_code == 2
+        assert "too large" in result.output
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda pr, sol: rank_mod_p([[1, 1], [1, -1]], 2.9),
+            lambda pr, sol: build_encoder(pr, sol, 3.7),
+            lambda pr, sol: simulate(pr, sol, 2.5, trials=1),
+            lambda pr, sol: simulate(pr, sol, 3.0, trials=1, encoder=build_encoder(pr, sol, 3)),
+            lambda pr, sol: verify_adjacent_independence(build_air(5, 3), primes=(5.99,)),
+        ],
+        ids=["rank", "build_encoder", "simulate", "simulate_prebuilt", "verify_air"],
+    )
+    def test_fractional_modulus_refused(self, call):
+        with pytest.raises(TypeError):
+            call(self.P_17_5_1, find_min_rate(self.P_17_5_1))
+
+    def test_numpy_integer_moduli_accepted(self):
+        p = require_prime(np.int64(3))
+        assert p == 3 and type(p) is int
+        assert rank_mod_p([[1, 1], [1, -1]], np.int64(3)) == 2
+        assert verify_adjacent_independence(build_air(5, 3), primes=(np.int64(3),)).passed
 
 
 class TestRank:

@@ -14,7 +14,6 @@ from airindex.rates import (
     ProblemInstance,
     find_min_rate,
     is_feasible,
-    known_broadcast_rate,
     oracle_min_rate,
     rate_upper_bound,
     solution_for_pair,
@@ -44,7 +43,7 @@ def _instances(max_k=30, max_d=8):
     return (
         st.integers(3, max_k)
         .flatmap(
-            lambda k: st.integers(1, min(max_d, k - 2)).flatmap(
+            lambda k: st.integers(1, min(max_d, k - 1)).flatmap(
                 lambda d: st.tuples(
                     st.just(k), st.just(d), st.integers(0, min(d, k - 1 - d))
                 )
@@ -186,21 +185,6 @@ class TestBounds:
     def test_rejects_d_too_large(self):
         with pytest.raises(ValueError):
             rate_upper_bound(3, 3)
-
-
-class TestKnownRate:
-    def test_two_sided_single_interference(self):
-        assert known_broadcast_rate(ProblemInstance(7, 1, 1)) == Fraction(7, 3)
-
-    def test_gcd_regime(self):
-        assert known_broadcast_rate(ProblemInstance(12, 3, 3)) == Fraction(4)
-
-    def test_unknown_regime(self):
-        assert known_broadcast_rate(ProblemInstance(37, 5, 2)) is None
-
-    def test_even_k_overlap_is_consistent(self):
-        # both closed regimes apply when K is even and D = U = 1
-        assert known_broadcast_rate(ProblemInstance(8, 1, 1)) == Fraction(2)
 
 
 class TestTruncatedDecimal:
