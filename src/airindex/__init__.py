@@ -4,7 +4,6 @@ from .air import (
     AirMatrix,
     VerificationReport,
     build_air,
-    stacked_identity,
     verify_adjacent_independence,
 )
 from .codec import (
@@ -61,7 +60,6 @@ __all__ = [
     "require_prime",
     "simulate",
     "solution_for_pair",
-    "stacked_identity",
     "truncated_decimal",
     "verify_adjacent_independence",
 ]

@@ -1,16 +1,21 @@
 """Construction and verification of adjacent-independent-row (AIR) matrices.
 
-An AIR matrix is a binary m x n matrix (n <= m) assembled from identity
-blocks whose shapes follow the Euclidean divisions of (m, n). The
-construction alternates two moves on the shrinking unfilled bottom-right
-corner: fill rows with vertically stacked d x d identities, then fill
-columns with the transposed (side-by-side) version, until a remainder
-hits zero. The family is designed so that every window of n adjacent
-rows is nonsingular over every field; :func:`verify_adjacent_independence`
-checks that claim window by window with an exact determinant and
-per-prime ranks. The GF(3) rank is read from the elimination that
-certifies the determinant; every other prime is an independent
-elimination of rows packed once per matrix.
+An AIR matrix is a binary m x n matrix (n <= m) tiled by rectangles
+whose shapes follow the Euclidean divisions of (m, n). The walk
+alternates two moves on the shrinking unfilled bottom-right corner: a
+row fill covers the corner's full width, a column fill its full height,
+until a remainder hits zero. Each rectangle's long side is a multiple of
+its short side, and it holds the identity tiled along its long side: an
+h x w rectangle at (top, left) has its ones at
+
+    (top + i % h, left + i % w)    for i < max(h, w),
+
+the one formula ``build_air`` writes. The family is designed so that
+every window of n adjacent rows is nonsingular over every field;
+:func:`verify_adjacent_independence` checks that claim window by window
+with an exact determinant and per-prime ranks. The GF(3) rank is read
+from the elimination that certifies the determinant; every other prime
+is an independent elimination of rows packed once per matrix.
 
 ``build_air`` refuses a shape that is wider than tall or has more than
 ``MAX_CELLS`` entries before allocating it; the codec's encoders pass the
@@ -30,7 +35,6 @@ from .linalg import _det, as_int_matrix, require_prime
 
 __all__ = [
     "MAX_CELLS",
-    "stacked_identity",
     "AirMatrix",
     "build_air",
     "VerificationReport",
@@ -43,39 +47,26 @@ __all__ = [
 MAX_CELLS = 2**26
 
 
-def stacked_identity(c: int, d: int) -> np.ndarray:
-    """c x d binary matrix of c // d identity blocks stacked vertically.
-
-    Requires d | c; the transpose gives the side-by-side variant.
-    """
-    if c < 1 or d < 1 or c % d:
-        raise ValueError(f"need positive c, d with d | c, got c={c}, d={d}")
-    out = np.zeros((c, d), dtype=np.int64)
-    idx = np.arange(c)
-    out[idx, idx % d] = 1
-    return out
-
-
-def _fill_blocks(m: int, n: int) -> Iterator[tuple[int, int, np.ndarray]]:
-    """Yield ``(top, left, block)`` rectangles tiling the m x n grid.
+def _fill_blocks(m: int, n: int) -> Iterator[tuple[int, int, int, int]]:
+    """Yield ``(top, left, h, w)`` rectangles tiling the m x n grid.
 
     Each step works on the unfilled corner of ``rows_left x cols_left``
     cells anchored at ``(top, left)``: a row fill covers the corner's
-    full width with stacked identities, a column fill covers its full
-    height with side-by-side identities. Divisions follow the Euclidean
-    recursion on (m, n), so the corner shrinks strictly and the walk
-    terminates with the grid exactly covered.
+    full width with a rectangle ``q`` times as tall, a column fill covers
+    its full height with one ``q`` times as wide. Divisions follow the
+    Euclidean recursion on (m, n), so the corner shrinks strictly and the
+    walk terminates with the grid exactly covered.
     """
     top = left = 0
     rows_left, cols_left = m, n
     while True:
         q, r = divmod(rows_left, cols_left)
-        yield top, left, stacked_identity(q * cols_left, cols_left)
+        yield top, left, q * cols_left, cols_left
         top += q * cols_left
         if r == 0:
             return
         q2, r2 = divmod(cols_left, r)
-        yield top, left, stacked_identity(q2 * r, r).T
+        yield top, left, r, q2 * r
         left += q2 * r
         if r2 == 0:
             return
@@ -131,15 +122,18 @@ def _require_shape(m: int, n: int) -> None:
 def build_air(m: int, n: int) -> AirMatrix:
     """Assemble the m x n AIR matrix (requires 1 <= n <= m).
 
-    Deterministic: the same (m, n) always yields bit-identical entries.
-    When n | m the result is m/n stacked identities; m == n gives the
-    identity matrix. More than ``MAX_CELLS`` entries raise ``ValueError``.
+    Every rectangle ``(top, left, h, w)`` of the tiling gets its ones at
+    ``(top + i % h, left + i % w)`` for ``i < max(h, w)``, written
+    straight into the grid. Deterministic: the same (m, n) always yields
+    bit-identical entries. When n | m the result is m/n stacked
+    identities; m == n gives the identity matrix. More than
+    ``MAX_CELLS`` entries raise ``ValueError``.
     """
     _require_shape(m, n)
     grid = np.zeros((m, n), dtype=np.int64)
-    for top, left, block in _fill_blocks(m, n):
-        h, w = block.shape
-        grid[top : top + h, left : left + w] = block
+    for top, left, h, w in _fill_blocks(m, n):
+        i = np.arange(max(h, w))
+        grid[top + i % h, left + i % w] = 1
     grid.setflags(write=False)
     return AirMatrix(m=m, n=n, entries=grid)
 

@@ -98,7 +98,7 @@ def matrix(m: int, n: int, fmt: str, as_json: bool) -> None:
     except ValueError as exc:
         _fail_usage(str(exc))
     if as_json:
-        rows = ["".join(str(int(v)) for v in row) for row in air.entries]
+        rows = air.to_text().split("\n")
         click.echo(json.dumps({"m": m, "n": n, "rows": rows}, sort_keys=True))
     else:
         click.echo(air.to_csv() if fmt == "csv" else air.to_text())

@@ -234,7 +234,10 @@ class _ReceiverPlan:
         self.decodable = self.rank_all == self.rank_interference + b
         self._echelon = ech
         self._maps: tuple[np.ndarray, ...] | None = None
-        self._encoder = encoder
+        # what maps() reads of the encoder; holding the encoder itself would
+        # make Encoder._plans -> plan -> encoder a reference cycle
+        self._col_support = encoder._col_support
+        self._pad_index = encoder.rows
 
     def maps(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(rows_T, T_rows, known_support), the compact decode map.
@@ -256,14 +259,13 @@ class _ReceiverPlan:
         if not self.decodable:
             raise ValueError(f"receiver {self.k} is not decodable; no map exists")
         if self._maps is None:
-            enc = self._encoder
             pivots, aux = self._echelon.solved_form()
             nonzero = aux.any(axis=1)
             rows_T = pivots[nonzero]
-            support = enc._col_support[rows_T]
-            known = np.zeros(enc.rows + 1, dtype=bool)  # the padding index stays unknown
+            support = self._col_support[rows_T]
+            known = np.zeros(self._pad_index + 1, dtype=bool)  # the padding index stays unknown
             known[self.known_rows] = True
-            known_support = np.where(known[support], support, enc.rows)
+            known_support = np.where(known[support], support, self._pad_index)
             self._maps = (rows_T, aux[nonzero], known_support)
         return self._maps
 
@@ -411,8 +413,8 @@ def simulate(
     K, b = problem.K, enc.b
     rng = np.random.default_rng(seed)
     X = rng.integers(0, enc.p, size=(trials, K * b), dtype=np.int64)
-    C = enc._broadcast(X)
     padded = _pad(X)
+    C = _gather_sum(padded, enc._col_support) % enc.p
     failures: list[tuple[int, int]] = []
     for k in range(K):
         plan = _plan(enc, k)

@@ -7,7 +7,10 @@ Determinants are checked against Gaussian elimination over the rationals
 (``det_fraction``), which shares no code with ``airindex`` either. The
 minimal-rate pair is checked against the extended Euclidean walk
 (``bezout_min_pair``) that ``find_min_rate`` replaced with a modular
-inverse.
+inverse. AIR matrices are checked against the block construction
+(``reference_air``) that ``build_air`` replaced with one index formula:
+each rectangle built as a dense block of stacked identities and copied
+into the grid.
 """
 
 from __future__ import annotations
@@ -127,3 +130,35 @@ def bezout_min_pair(K: int, D: int, U: int) -> tuple[int, int]:
         if cand <= b_cap:
             return l * g, cand
     raise AssertionError("candidate walk exhausted its bound")
+
+
+def stacked_identity(c: int, d: int) -> np.ndarray:
+    """c x d binary matrix of c // d identity blocks stacked vertically.
+
+    Requires d | c; the transpose gives the side-by-side variant.
+    """
+    if c < 1 or d < 1 or c % d:
+        raise ValueError(f"need positive c, d with d | c, got c={c}, d={d}")
+    out = np.zeros((c, d), dtype=np.int64)
+    idx = np.arange(c)
+    out[idx, idx % d] = 1
+    return out
+
+
+def reference_air(m: int, n: int) -> np.ndarray:
+    """The m x n AIR matrix, one dense identity block per Euclidean step."""
+    grid = np.zeros((m, n), dtype=np.int64)
+    top = left = 0
+    rows_left, cols_left = m, n
+    while True:
+        q, r = divmod(rows_left, cols_left)
+        grid[top : top + q * cols_left, left:] = stacked_identity(q * cols_left, cols_left)
+        top += q * cols_left
+        if r == 0:
+            return grid
+        q2, r2 = divmod(cols_left, r)
+        grid[top:, left : left + q2 * r] = stacked_identity(q2 * r, r).T
+        left += q2 * r
+        if r2 == 0:
+            return grid
+        rows_left, cols_left = r, r2

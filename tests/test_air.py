@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from _reference import det_fraction
 from _reference import rank_mod_p as reference_rank
+from _reference import reference_air, stacked_identity
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,7 +15,6 @@ from airindex.air import (
     AirMatrix,
     _fill_blocks,
     build_air,
-    stacked_identity,
     verify_adjacent_independence,
 )
 from airindex.linalg import det_exact
@@ -32,6 +32,8 @@ AIR_5_3_ROWS = [
 
 
 class TestStackedIdentity:
+    """Hand checks of the oracle's identity blocks (``tests/_reference.py``)."""
+
     def test_4_by_2(self):
         assert stacked_identity(4, 2).tolist() == [[1, 0], [0, 1], [1, 0], [0, 1]]
 
@@ -87,18 +89,37 @@ class TestBuildAir:
         with pytest.raises(ValueError):
             air.entries[0, 0] = 0
 
+    @pytest.mark.parametrize(
+        "shapes",
+        [
+            [(m, n) for m in range(1, 121) for n in range(1, m + 1)],
+            [(2130, 781)],
+        ],
+        ids=["all-m-to-120", "2130x781"],
+    )
+    def test_matches_block_oracle(self, shapes):
+        for m, n in shapes:
+            air = build_air(m, n)
+            expected = reference_air(m, n)
+            assert air.entries.dtype == expected.dtype == np.int64
+            assert air.entries.shape == expected.shape
+            assert np.array_equal(air.entries, expected), (m, n)
+            assert not air.entries.flags.writeable
+
 
 class TestConstructionTotality:
     def test_blocks_tile_grid_exactly(self):
-        # every block must sit on the unfilled corner and shrink it; the
-        # corner must be empty when the walk stops
+        # every rectangle must sit on the unfilled corner and shrink it; the
+        # corner must be empty when the walk stops. build_air's formula
+        # tiles the identity along the long side, so that side must be a
+        # multiple of the short one
         for m in range(1, 201):
             for n in range(1, m + 1):
                 top = left = 0
                 rows_left, cols_left = m, n
-                for t, l, block in _fill_blocks(m, n):
-                    h, w = block.shape
+                for t, l, h, w in _fill_blocks(m, n):
                     assert (t, l) == (top, left)
+                    assert max(h, w) % min(h, w) == 0, (m, n, h, w)
                     if w == cols_left and h <= rows_left:
                         top += h
                         rows_left -= h
@@ -107,7 +128,7 @@ class TestConstructionTotality:
                         cols_left -= w
                     else:
                         raise AssertionError(
-                            f"block {h}x{w} does not fit corner "
+                            f"rectangle {h}x{w} does not fit corner "
                             f"{rows_left}x{cols_left} of ({m},{n})"
                         )
                 assert rows_left == 0 or cols_left == 0
@@ -116,8 +137,7 @@ class TestConstructionTotality:
         for m in range(1, 61):
             for n in range(1, m + 1):
                 counts = np.zeros((m, n), dtype=np.int64)
-                for t, l, block in _fill_blocks(m, n):
-                    h, w = block.shape
+                for t, l, h, w in _fill_blocks(m, n):
                     counts[t : t + h, l : l + w] += 1
                 assert np.all(counts == 1), (m, n)
 

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -288,6 +290,22 @@ class TestDecode:
             decode(enc, bad[0], c, side)
 
 
+    def test_inconsistent_codeword_raises(self):
+        # (5,2,1) at (a, b) = (2, 1) is the 5x5 identity: receiver 0 knows
+        # only message 3, and its unknown rows 4, 0, 1, 2 have rank 4, so a
+        # codeword on column 3 that side information does not cancel lies
+        # outside their span
+        enc = _encoder(5, 2, 1, a=2, b=1, p=2)
+        assert enc.matrix.entries.shape == (5, 5)
+        assert receiver_ranks(enc, 0) == (3, 4)
+        side = {3: np.zeros(1, dtype=int)}
+        for col in (0, 1, 2, 4):
+            got = decode(enc, 0, np.eye(5, dtype=int)[col], side)
+            assert got.tolist() == [int(col == 0)], col
+        with pytest.raises(ArithmeticError, match="not produced by this encoder"):
+            decode(enc, 0, np.eye(5, dtype=int)[3], side)
+
+
 class TestDecodeMaps:
     # (37,8,8) is the wide window; (5,3,1) has K = D+U+1, so every message
     # is unknown and every known_support entry is padding
@@ -350,6 +368,20 @@ class TestSimulate:
             tracemalloc.stop()
         assert np.array_equal(got, X @ enc.matrix.entries % 3)
         assert peak < 3 * X.nbytes
+
+    def test_encoder_freed_without_gc(self):
+        # plans and maps are cached on the encoder; none may refer back to
+        # it, or dropping the encoder would leave a cycle for the collector
+        gc.disable()
+        try:
+            enc = _encoder(17, 5, 1, a=3, b=8, p=3)
+            assert simulate(enc.problem, enc.solution, 3, trials=2, encoder=enc).passed
+            assert enc._plans
+            ref = weakref.ref(enc)
+            del enc
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_clean_gf2(self):
         problem = ProblemInstance(5, 1, 1)
