@@ -35,12 +35,13 @@ directly, with no solve.
 Each field supplies only its row form and the steps that depend on it:
 ``pack``, the reduction kernel ``_reduce(row, mask)`` over the pivot
 columns in ``mask``, ``_lead`` and ``_unit`` (find a reduced row's pivot
-column and scale it to 1 there) and ``_aux`` (unpack aux parts). GF(2)
-rows are packed into single Python integers and GF(3) rows into two
-bitplanes, so a whole-row operation costs a handful of big-int ops.
-Other primes keep a row's nonzero entries in a dict and do arithmetic on
-Python ints, which is exact for any p. All of them give identical
-results.
+column and scale it to 1 there), ``_aux`` (unpack aux parts),
+``_column`` (read one column of many rows) and ``_with_one`` (copy a row
+with one zero cell set to 1). GF(2) rows are packed into single Python
+integers and GF(3) rows into two bitplanes, so a whole-row operation
+costs a handful of big-int ops. Other primes keep a row's nonzero
+entries in a dict and do arithmetic on Python ints, which is exact for
+any p. All of them give identical results.
 
 The GF(3) engine also certifies integer determinants. Read GF(3) in
 balanced form {-1, 0, 1}: clearing a pivot column is ``row - pivot`` or
@@ -59,15 +60,19 @@ included, so a stray wrap can only withdraw a certificate, never grant
 one; a certificate of the inserted rows alone must be read before
 either is called.
 
-This is the package's one GF(p) elimination: the codec's receiver plans
-and :func:`airindex.linalg.rank_mod_p` both run on it.
+This is the package's one GF(p) elimination. The codec inserts each
+receiver's rows and reads its decode map and parity check from
+``solved_form()`` and ``pivot_entries()``, once per receiver;
+:func:`airindex.linalg.rank_mod_p` and the window verifier insert rows
+and read ranks. ``reduce()`` serves the tests as the membership oracle.
 
 Every engine converts rows to its own form with ``pack(main, aux=None)``
 and accumulates them with ``insert_packed(rows)``; ``insert`` is exactly
 ``insert_packed(pack(main, aux))``. A caller that inserts the same rows
 into many accumulators of one width and field packs them once and passes
 slices of the packed rows. Packed rows are never modified, so they can be
-shared. Rows packed without aux columns carry zeros there.
+shared. Rows packed without aux columns carry zeros there, and
+``with_unit_aux`` copies them with stacked identity blocks as aux.
 """
 
 from __future__ import annotations
@@ -156,6 +161,29 @@ class _Echelon:
             pivots[c] = reduce(pivots[c], mask ^ (1 << c))
         return np.array(cols, dtype=np.int64), self._aux([pivots[c] for c in cols])
 
+    def pivot_entries(self, cols) -> np.ndarray:
+        """The pivot rows' entries at main columns ``cols``, in [0, p).
+
+        One row per pivot, in ascending pivot-column order as
+        ``solved_form()`` lists them.
+        """
+        out = np.zeros((self.rank, len(cols)), dtype=np.int64)
+        if cols:
+            rows = [self._pivots[c] for c in sorted(self._pivots)]
+            for j, c in enumerate(cols):
+                out[:, j] = self._column(rows, c)
+        return out
+
+    def with_unit_aux(self, rows) -> list:
+        """Copies of packed rows, the i-th with a 1 at aux column ``i % aux_cols``.
+
+        For rows packed without aux columns these are the rows with
+        identity blocks stacked down their aux part: what ``pack`` gives
+        for that aux, built without a dense copy of it.
+        """
+        m, a, one = self.main_cols, self.aux_cols, self._with_one
+        return [one(row, m + i % a) for i, row in enumerate(rows)]
+
 
 class _EchelonGF2(_Echelon):
     p = 2
@@ -179,6 +207,12 @@ class _EchelonGF2(_Echelon):
 
     def _aux(self, rows: list[int]) -> np.ndarray:
         return _unpack_rows([row >> self.main_cols for row in rows], self.aux_cols)
+
+    def _column(self, rows: list[int], c: int) -> list[int]:
+        return [row >> c & 1 for row in rows]
+
+    def _with_one(self, row: int, c: int) -> int:
+        return row | 1 << c
 
 
 class _EchelonGF3(_Echelon):
@@ -231,6 +265,12 @@ class _EchelonGF3(_Echelon):
         shift, width = self.main_cols, self.aux_cols
         lo = _unpack_rows([row[0] >> shift for row in rows], width)
         return lo + 2 * _unpack_rows([row[1] >> shift for row in rows], width)
+
+    def _column(self, rows: list[tuple[int, int]], c: int) -> list[int]:
+        return [(lo >> c & 1) + 2 * (hi >> c & 1) for lo, hi in rows]
+
+    def _with_one(self, row: tuple[int, int], c: int) -> tuple[int, int]:
+        return row[0] | 1 << c, row[1]
 
     def unimodular_det(self) -> int | None:
         """Integer determinant of the rows that raised the rank, when proven.
@@ -306,6 +346,12 @@ class _EchelonGeneric(_Echelon):
                 if j >= self.main_cols:
                     out[i, j - self.main_cols] = x
         return out
+
+    def _column(self, rows: list[dict[int, int]], c: int) -> list[int]:
+        return [row.get(c, 0) for row in rows]
+
+    def _with_one(self, row: dict[int, int], c: int) -> dict[int, int]:
+        return {**row, c: 1}
 
 
 def stream_echelon(main_cols: int, aux_cols: int, p: int) -> _Echelon:

@@ -11,8 +11,11 @@ are unique exactly when
 
     rank([interference rows; wanted rows]) == rank(interference rows) + b
 
-over GF(p). Per-receiver elimination state is computed once per encoder
-and reused, which keeps repeated decodes and batched simulations cheap.
+over GF(p). Each receiver's plan is one elimination of its unknown rows,
+run once per encoder: the ranks come from it, and on the first decode of
+a decodable receiver so do its decode map and parity check. The plan then
+drops the elimination and keeps only those, and every decode, single or
+batched, applies the same map. Checking decodability alone builds no map.
 
 A receiver's decode map is compact: the nonzero rows of T (the map from
 codeword to wanted symbols) with their codeword columns, and the known
@@ -20,6 +23,15 @@ encoder rows in each of those columns, over which the receiver gathers
 its side information's share of the codeword before applying T. It sees
 only its window of D+U+1 messages, so nearly every row of the dense T is
 zero; skipping exactly the all-zero rows leaves every product unchanged.
+The parity check tells whether a share-corrected codeword lies in the
+span of the unknown rows at all: it compares the codeword at the free
+(non-pivot) columns with what the pivot columns imply there. Most
+receivers have no free column; those of minimal-rate encoders with
+K <= 40 have at most four.
+
+Message vectors, codewords and side information must hold integers
+(:func:`airindex.linalg.as_int_array`); receiver indices go through
+``operator.index``. Neither is ever truncated.
 
 Supported sizes. All arithmetic is exact in int64: the longest dot product
 has at most K*b terms, so ``build_encoder`` passes p to
@@ -41,7 +53,7 @@ import numpy as np
 
 from ._echelon import stream_echelon
 from .air import MAX_CELLS, AirMatrix, _require_shape, build_air
-from .linalg import require_prime
+from .linalg import as_int_array, require_prime
 from .rates import ProblemInstance, RateSolution, is_feasible
 
 __all__ = [
@@ -64,9 +76,16 @@ def interference_set(problem: ProblemInstance, k: int) -> set[int]:
     These are the U messages before and D after message k on the cycle;
     side information is the complement of this set plus k itself.
     """
+    k = _receiver(problem, k)
+    return set(_window(problem, k)) - {k}
+
+
+def _receiver(problem: ProblemInstance, k) -> int:
+    """The receiver index as a plain int, refused unless in [0, K)."""
+    k = operator.index(k)
     if not 0 <= k < problem.K:
         raise ValueError(f"receiver index must be in [0, {problem.K}), got {k}")
-    return set(_window(problem, k)) - {k}
+    return k
 
 
 def _window(problem: ProblemInstance, k: int) -> list[int]:
@@ -81,10 +100,11 @@ def _window(problem: ProblemInstance, k: int) -> list[int]:
 class Encoder:
     """An instance bound to its AIR encoding matrix over GF(p).
 
-    Immutable after construction; per-receiver elimination plans, the
-    encoder rows packed for the field's echelon and the nonzero structure
-    of the encoder columns are cached internally and shared by
-    decodability checks, decoding and simulation.
+    Immutable after construction. Cached internally and shared by
+    decodability checks, decoding and simulation: the per-receiver plans
+    (ranks, then decode map and parity check), the encoder rows packed
+    once for the field's echelon both as interference rows and as wanted
+    rows, and the nonzero structure of the encoder columns.
     """
 
     problem: ProblemInstance
@@ -113,6 +133,11 @@ class Encoder:
     def _packed_rows(self):
         """The encoder rows in the form its receivers' echelons insert."""
         return stream_echelon(self.cols, self.b, self.p).pack(self.matrix.entries)
+
+    @cached_property
+    def _packed_wanted(self):
+        """The packed rows with aux: row k*b+i marks wanted symbol i of message k."""
+        return stream_echelon(self.cols, self.b, self.p).with_unit_aux(self._packed_rows)
 
     @cached_property
     def _col_support(self) -> np.ndarray:
@@ -195,7 +220,7 @@ def build_encoder(
 
 def encode(encoder: Encoder, x) -> np.ndarray:
     """Codeword x @ L over GF(p) for a length-K*b message vector."""
-    xv = np.asarray(x, dtype=np.int64)
+    xv = as_int_array(x)
     if xv.ndim != 1 or xv.shape[0] != encoder.rows:
         raise ValueError(
             f"message vector must have length {encoder.rows}, got shape {xv.shape}"
@@ -204,11 +229,13 @@ def encode(encoder: Encoder, x) -> np.ndarray:
 
 
 class _ReceiverPlan:
-    """Elimination state for one receiver, built once per encoder.
+    """Ranks, then decode map and parity check, for one receiver of an encoder.
 
     Inserts the interference rows first and the wanted rows last into a
     streaming echelon, recording the rank after each phase; the rank
-    criterion and the decoding map both fall out of that single pass.
+    criterion falls out of that single pass. A decodable receiver keeps the
+    echelon only until ``maps()`` reads its map and parity check from the
+    solved form; an undecodable one drops it at once.
     """
 
     def __init__(self, encoder: Encoder, k: int):
@@ -229,15 +256,17 @@ class _ReceiverPlan:
             if j != k:
                 ech.insert_packed(packed[j * b : (j + 1) * b])
         self.rank_interference = ech.rank
-        ech.insert(encoder.matrix.entries[k * b : (k + 1) * b], np.eye(b, dtype=np.int64))
+        ech.insert_packed(encoder._packed_wanted[k * b : (k + 1) * b])
         self.rank_all = ech.rank
         self.decodable = self.rank_all == self.rank_interference + b
-        self._echelon = ech
+        self._echelon = ech if self.decodable else None
         self._maps: tuple[np.ndarray, ...] | None = None
+        self._check: tuple[np.ndarray, ...] | None = None
         # what maps() reads of the encoder; holding the encoder itself would
         # make Encoder._plans -> plan -> encoder a reference cycle
         self._col_support = encoder._col_support
         self._pad_index = encoder.rows
+        self.p = encoder.p
 
     def maps(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(rows_T, T_rows, known_support), the compact decode map.
@@ -255,11 +284,15 @@ class _ReceiverPlan:
         known-free codeword c'. Once the pivot rows are back-reduced to
         solved form, T is zero off the pivot columns and its pivot rows
         are the aux columns, which track the wanted-row combinations.
+
+        The first call also builds the parity check (see ``consistent``)
+        and drops the echelon.
         """
         if not self.decodable:
             raise ValueError(f"receiver {self.k} is not decodable; no map exists")
         if self._maps is None:
-            pivots, aux = self._echelon.solved_form()
+            ech = self._echelon
+            pivots, aux = ech.solved_form()
             nonzero = aux.any(axis=1)
             rows_T = pivots[nonzero]
             support = self._col_support[rows_T]
@@ -267,12 +300,40 @@ class _ReceiverPlan:
             known[self.known_rows] = True
             known_support = np.where(known[support], support, self._pad_index)
             self._maps = (rows_T, aux[nonzero], known_support)
+            free = np.ones(ech.main_cols, dtype=bool)
+            free[pivots] = False
+            free = np.flatnonzero(free)
+            R = ech.pivot_entries(free.tolist())
+            implied = R.any(axis=1)
+            self._check = (free, pivots[implied], R[implied])
+            self._echelon = None
         return self._maps
 
+    def consistent(self, c: np.ndarray) -> bool:
+        """Whether share-corrected codeword c (entries in [0, p)) is in the span.
 
-def _plan(encoder: Encoder, k: int) -> _ReceiverPlan:
-    if not 0 <= k < encoder.problem.K:
-        raise ValueError(f"receiver index must be in [0, {encoder.problem.K}), got {k}")
+        Solved pivot rows are zero at every pivot column but their own, so
+        the combination of them that matches c at the pivot columns has
+        c[pivots] as coefficients. c lies in the span of the unknown rows
+        iff that combination matches c at the free columns F as well:
+        c[F] == c[pivots] @ R, with R the pivot rows' entries at F. Only
+        the pivot columns where R is nonzero are kept.
+        """
+        self.maps()
+        free, cols, R = self._check
+        return np.array_equal(c[free], c[cols] @ R % self.p)
+
+    def wanted(self, corrected: np.ndarray) -> np.ndarray:
+        """Wanted symbols from share-corrected codeword symbols at ``rows_T``.
+
+        ``corrected`` is c'[rows_T] for one codeword c', or a batch of such
+        rows, entries in [0, p); each sum has at most cols <= K*b terms.
+        """
+        return corrected @ self.maps()[1] % self.p
+
+
+def _plan(encoder: Encoder, k) -> _ReceiverPlan:
+    k = _receiver(encoder.problem, k)
     plan = encoder._plans.get(k)
     if plan is None:
         plan = _ReceiverPlan(encoder, k)
@@ -285,7 +346,8 @@ def decodable(encoder: Encoder, k: int) -> bool:
 
     True iff stacking the wanted rows onto the interference rows raises
     the rank by exactly b over GF(p), which is equivalent to the wanted
-    symbols being uniquely determined given the side information.
+    symbols being uniquely determined given the side information. Builds
+    the receiver's plan, not its decode map.
     """
     return _plan(encoder, k).decodable
 
@@ -301,15 +363,18 @@ def decode(encoder: Encoder, k: int, codeword, side_info) -> np.ndarray:
 
     ``side_info`` maps message index j to its b symbols for every j the
     receiver knows (anything outside the interference window and k
-    itself); extra entries are ignored. Raises if the receiver is not
-    decodable or the codeword is inconsistent with the encoder rows (the
-    latter cannot happen for genuine codewords).
+    itself); extra entries are ignored. Subtracts the known messages'
+    share of the codeword, checks the rest against the receiver's parity
+    check and applies its decode map, both built on the first decode and
+    kept. Raises if the receiver is not decodable or the codeword is
+    inconsistent with the encoder rows (the latter cannot happen for
+    genuine codewords).
     """
     plan = _plan(encoder, k)
     if not plan.decodable:
         raise ValueError(f"receiver {k} cannot decode with this encoder")
     p = encoder.p
-    c = np.asarray(codeword, dtype=np.int64)
+    c = as_int_array(codeword)
     if c.ndim != 1 or c.shape[0] != encoder.cols:
         raise ValueError(f"codeword must have length {encoder.cols}, got shape {c.shape}")
     c = c % p
@@ -320,7 +385,7 @@ def decode(encoder: Encoder, k: int, codeword, side_info) -> np.ndarray:
                 v = side_info[j]
             except (KeyError, TypeError, IndexError):
                 raise ValueError(f"side information for message {j} is missing") from None
-            v = np.asarray(v, dtype=np.int64)
+            v = as_int_array(v)
             if v.shape != (encoder.b,):
                 raise ValueError(
                     f"side information for message {j} must have length {encoder.b}"
@@ -330,13 +395,12 @@ def decode(encoder: Encoder, k: int, codeword, side_info) -> np.ndarray:
         x_known = np.zeros(encoder.rows, dtype=np.int64)
         x_known[plan.known_rows] = np.concatenate(parts) % p
         c = (c - encoder._broadcast(x_known[None])[0]) % p
-    ok, aux = plan._echelon.reduce(c)
-    if not ok:
+    if not plan.consistent(c):
         raise ArithmeticError(
             "codeword is not a combination of the unknown rows; "
             "it was not produced by this encoder"
         )
-    return (-aux) % p
+    return plan.wanted(c[plan.maps()[0]])
 
 
 @dataclass(frozen=True)
@@ -421,9 +485,9 @@ def simulate(
         if not plan.decodable:
             failures.extend((t, k) for t in range(trials))
             continue
-        rows_T, T_rows, known_support = plan.maps()
+        rows_T, _, known_support = plan.maps()
         share = _gather_sum(padded, known_support)
-        got = (C[:, rows_T] - share) % enc.p @ T_rows % enc.p
+        got = plan.wanted((C[:, rows_T] - share) % enc.p)
         sent = X[:, k * b : (k + 1) * b]
         for t in np.nonzero(np.any(got != sent, axis=1))[0]:
             failures.append((int(t), k))

@@ -31,6 +31,7 @@ __all__ = [
     "is_prime",
     "require_prime",
     "as_int_matrix",
+    "as_int_array",
     "rank_mod_p",
     "det_exact",
 ]
@@ -78,14 +79,23 @@ def require_prime(p, terms: int = 1) -> int:
 def as_int_matrix(mat) -> np.ndarray:
     """View the input as a 2-D int64 array of exactly the same integers.
 
+    Entries follow the rule of :func:`as_int_array`.
+    """
+    a = np.asarray(mat)
+    if a.ndim != 2:
+        raise ValueError(f"expected a 2-D matrix, got shape {a.shape}")
+    return as_int_array(a)
+
+
+def as_int_array(values) -> np.ndarray:
+    """View the input as an int64 array of exactly the same integers.
+
     Integer and bool arrays convert as they are. Any other entries (floats,
     Python objects) must be integer values that fit in int64; fractional,
     non-finite, complex or string entries raise ``ValueError`` instead of
     being truncated.
     """
-    a = np.asarray(mat)
-    if a.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got shape {a.shape}")
+    a = np.asarray(values)
     if a.dtype.kind in "bi" or a.size == 0:
         return a.astype(np.int64, copy=False)
     out = None

@@ -9,11 +9,12 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from _reference import rank_mod_p as reference_rank
-from _reference import solve_left
+from _reference import rref_mod_p, solve_left
+from airindex._echelon import _Echelon
 from airindex.codec import (
     MAX_CELLS,
     _gather_sum,
@@ -27,7 +28,13 @@ from airindex.codec import (
     simulate,
 )
 from airindex.linalg import is_prime
-from airindex.rates import ProblemInstance, find_min_rate, oracle_min_rate, solution_for_pair
+from airindex.rates import (
+    ProblemInstance,
+    find_min_rate,
+    is_feasible,
+    oracle_min_rate,
+    solution_for_pair,
+)
 
 
 def _encoder(K, D, U, a, b, p, allow_infeasible=False):
@@ -340,6 +347,222 @@ class TestDecodeMaps:
             assert np.array_equal(share, dense[:, rows_T]), k
             if K == D + U + 1:
                 assert plan.known_rows.size == 0 and (known_support == enc.rows).all()
+
+
+def _unknown_rows(enc, k):
+    """Receiver k's message window and the encoder rows of those messages."""
+    K, D, U, b = enc.problem.K, enc.problem.D, enc.problem.U, enc.b
+    window = [(k - U + i) % K for i in range(D + U + 1)]
+    return window, np.concatenate([np.arange(j * b, (j + 1) * b) for j in window])
+
+
+def _check_decode_paths(enc, trials=3, seed=0) -> list[int]:
+    """Check decode against the dense reference, simulate and the span test.
+
+    For every receiver and each of ``trials`` message vectors, which are
+    drawn as ``simulate`` draws its batch for ``seed``: decode returns the
+    reference's left solve of the unknown-row system, which is the sent
+    row, and simulate reports no failure, so its batch row is that row too.
+    A unit vector added at any free column of the unknown rows (from the
+    reference's echelon form) makes decode raise; a receiver with no free
+    column decodes arbitrary vectors. Returns, per receiver, the number of
+    free columns and whether the unknown rows are nonzero at any of them
+    (only then does a genuine codeword's parity check compare nonzero
+    values).
+    """
+    p, K, b, L = enc.p, enc.problem.K, enc.b, enc.matrix.entries
+    report = simulate(enc.problem, enc.solution, p, trials=trials, seed=seed, encoder=enc)
+    assert report.failures == ()
+    X = np.random.default_rng(seed).integers(0, p, size=(trials, enc.rows), dtype=np.int64)
+    C = X @ L % p
+    sides = [{j: x[j * b : (j + 1) * b] for j in range(K)} for x in X]
+    rng = np.random.default_rng([seed, p])
+    free_counts = []
+    for k in range(K):
+        window, unknown = _unknown_rows(enc, k)
+        pos = window.index(k)
+        known = np.setdiff1d(np.arange(enc.rows), unknown)
+        for t in range(trials):
+            got = decode(enc, k, C[t], sides[t])
+            u = solve_left(L[unknown], (C[t] - X[t, known] @ L[known]) % p, p)
+            assert np.array_equal(got, u[pos * b : (pos + 1) * b]), (k, t)
+            assert np.array_equal(got, X[t, k * b : (k + 1) * b]), (k, t)
+        free = sorted(set(range(enc.cols)) - set(rref_mod_p(L[unknown], p)[1]))
+        free_counts.append((len(free), bool(L[np.ix_(unknown, free)].any())))
+        for f in free:
+            bad = C[0].copy()
+            bad[f] = (bad[f] + 1) % p
+            with pytest.raises(ArithmeticError, match="not produced by this encoder"):
+                decode(enc, k, bad, sides[0])
+        if not free:
+            for _ in range(3):
+                decode(enc, k, rng.integers(0, p, size=enc.cols), sides[0])
+    return free_counts
+
+
+class TestDecodeThroughMaps:
+    # (5,2,1) at (2, 1), (11,5,3) at (5, 1) and (17,8,5) at (8, 1) are
+    # minimal-rate encoders (identity matrices) whose receivers have 1, 2
+    # and 3 free columns, all zero in the unknown rows, as every free
+    # column of every minimal-rate encoder with K <= 40 is; the feasible,
+    # non-minimal pairs (5,1,0) at (1, 1), (6,2,0) at (2, 1) and (5,2,0)
+    # at (3, 3) also have receivers whose unknown rows reach their free
+    # columns
+    @pytest.mark.parametrize("p", [2, 3, 5, 65521])
+    @pytest.mark.parametrize(
+        "K,D,U,a,b,free",
+        [
+            (5, 2, 1, 2, 1, [(1, False)] * 5),
+            (11, 5, 3, 5, 1, [(2, False)] * 11),
+            (17, 8, 5, 8, 1, [(3, False)] * 17),
+            (5, 1, 0, 1, 1, [(1, False)] * 3 + [(1, True)] * 2),
+            (6, 2, 0, 2, 1, [(2, False)] * 3 + [(2, True)] * 3),
+            (5, 2, 0, 3, 3, [(3, False)] * 2 + [(3, True)] * 3),
+        ],
+    )
+    def test_free_columns(self, K, D, U, a, b, free, p):
+        enc = _encoder(K, D, U, a, b, p)
+        assert _check_decode_paths(enc, seed=K + p) == free
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        K=st.integers(3, 12),
+        data=st.data(),
+        p=st.sampled_from([2, 3, 5, 65521]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_drawn_instances(self, K, data, p, seed):
+        # the minimal pair, or any feasible pair with a, b <= 3
+        D = data.draw(st.integers(1, K - 1))
+        U = data.draw(st.integers(0, min(D, K - 1 - D)))
+        problem = ProblemInstance(K, D, U)
+        if data.draw(st.booleans()):
+            sol = find_min_rate(problem)
+        else:
+            a, b = data.draw(st.integers(0, 3)), data.draw(st.integers(1, 3))
+            assume(is_feasible(problem, a, b) and b * (D + 1) + a <= K * b)
+            sol = solution_for_pair(problem, a, b)
+        _check_decode_paths(build_encoder(problem, sol, p), trials=2, seed=seed)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_largest_encoder(self, p):
+        # every (71,25,1) receiver's unknown rows have full rank 781, so no
+        # free column: any vector decodes, and genuine codewords decode right
+        enc = _encoder(71, 25, 1, 1, 30, p)
+        trials, seed, b = 2, 7, enc.b
+        assert simulate(enc.problem, enc.solution, p, trials=trials, seed=seed, encoder=enc).passed
+        X = np.random.default_rng(seed).integers(0, p, size=(trials, enc.rows), dtype=np.int64)
+        C = enc._broadcast(X)
+        noise = np.random.default_rng(p).integers(0, p, size=(71, enc.cols))
+        for k in range(71):
+            assert receiver_ranks(enc, k)[1] == enc.cols, k
+            for t in range(trials):
+                side = {j: X[t, j * b : (j + 1) * b] for j in range(71)}
+                assert np.array_equal(decode(enc, k, C[t], side), X[t, k * b : (k + 1) * b])
+            decode(enc, k, noise[k], side)
+
+
+class TestDecodeGuards:
+    @pytest.mark.parametrize("p", [2, 3, 65521])
+    def test_decode_never_reduces(self, monkeypatch, p):
+        def no_reduce(self, main, aux=None):
+            raise AssertionError("decode reduced a codeword against the echelon")
+
+        monkeypatch.setattr(_Echelon, "reduce", no_reduce)
+        for K, D, U, a, b in [(5, 1, 1, 1, 2), (17, 5, 1, 3, 8)]:
+            enc = _encoder(K, D, U, a, b, p)
+            x = np.random.default_rng(K).integers(0, p, size=enc.rows)
+            c = encode(enc, x)
+            side = {j: x[j * b : (j + 1) * b] for j in range(K)}
+            for k in range(K):
+                assert np.array_equal(decode(enc, k, c, side), x[k * b : (k + 1) * b])
+
+    def test_plans_keep_only_maps(self):
+        # after one decode per receiver a plan holds its map and parity
+        # check, not its echelon: about 2 MB for all 71 receivers of
+        # (71,25,1) over GF(3), where keeping the echelons holds about 9 MB
+        enc = _encoder(71, 25, 1, 1, 30, p=3)
+        x = np.random.default_rng(71).integers(0, 3, size=enc.rows)
+        c = encode(enc, x)
+        side = {j: x[j * 30 : (j + 1) * 30] for j in range(71)}
+        # encoder-wide tables, built outside the measurement
+        enc._packed_rows, enc._packed_wanted, enc._col_support
+        tracemalloc.start()
+        try:
+            decoded = [decode(enc, k, c, side) for k in range(71)]
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert all(np.array_equal(decoded[k], x[k * 30 : (k + 1) * 30]) for k in range(71))
+        assert all(_plan(enc, k)._echelon is None for k in range(71))
+        assert held < 5 * 2**20
+
+    @pytest.mark.parametrize("p", [2, 3, 65521])
+    def test_rank_sweep_builds_no_map(self, p):
+        enc = _encoder(17, 5, 1, a=3, b=8, p=p)
+        assert all(decodable(enc, k) for k in range(17))
+        assert all(receiver_ranks(enc, k)[1] == receiver_ranks(enc, k)[0] + 8 for k in range(17))
+        assert all(_plan(enc, k)._maps is None for k in range(17))
+
+    def test_undecodable_plan_drops_its_echelon(self):
+        enc = _encoder(17, 11, 1, a=1, b=6, p=2, allow_infeasible=True)
+        for k in range(17):
+            plan = _plan(enc, k)
+            assert (plan._echelon is None) == (not plan.decodable), k
+
+
+class TestIntegerInputs:
+    # every entry point refuses fractional values instead of truncating
+    # them, and takes integer-valued floats and numpy integers as integers
+    def enc(self):
+        return _encoder(5, 1, 1, a=1, b=2, p=3)
+
+    def test_encode(self):
+        enc = self.enc()
+        with pytest.raises(ValueError, match="integer"):
+            encode(enc, [0.6] * 10)
+        x = np.arange(10) % 3
+        assert np.array_equal(encode(enc, x.astype(float)), encode(enc, x))
+
+    def test_decode_side_information(self):
+        enc = self.enc()
+        x = np.arange(10) % 3
+        c = encode(enc, x)
+        side = {j: x[2 * j : 2 * j + 2] for j in range(5)}
+        with pytest.raises(ValueError, match="integer"):
+            decode(enc, 0, c, {**side, 2: [1.9, 0]})
+        want = decode(enc, 0, c, side)
+        assert np.array_equal(decode(enc, 0, c, {**side, 2: side[2].astype(float)}), want)
+
+    def test_decode_codeword(self):
+        enc = self.enc()
+        x = np.arange(10) % 3
+        c = encode(enc, x)
+        side = {j: x[2 * j : 2 * j + 2] for j in range(5)}
+        with pytest.raises(ValueError, match="integer"):
+            decode(enc, 0, c + 0.5, side)
+        assert np.array_equal(decode(enc, 0, c.astype(float), side), x[:2])
+
+    def test_receiver_index(self):
+        enc = self.enc()
+        x = np.arange(10) % 3
+        c = encode(enc, x)
+        side = {j: x[2 * j : 2 * j + 2] for j in range(5)}
+        for call in (
+            lambda k: decodable(enc, k),
+            lambda k: receiver_ranks(enc, k),
+            lambda k: decode(enc, k, c, side),
+        ):
+            with pytest.raises(TypeError):
+                call(1.0)
+            assert np.array_equal(call(np.int64(1)), call(1))
+
+    def test_interference_set(self):
+        problem = ProblemInstance(5, 1, 1)
+        with pytest.raises(TypeError):
+            interference_set(problem, 1.0)
+        got = interference_set(problem, np.int64(1))
+        assert got == {0, 2} and all(type(j) is int for j in got)
 
 
 class TestSimulate:

@@ -1,8 +1,9 @@
 """Cross-checks for the streaming echelon.
 
 Ranks are compared with the dense whole-matrix elimination in
-``_reference``; insert, reduce and solved-form results with
-``_AllPivotsReference`` below, a plain echelon that walks every pivot.
+``_reference``; insert, reduce, solved-form and pivot-entry results
+with ``_AllPivotsReference`` below, a plain echelon that walks every
+pivot.
 ``airindex.linalg.rank_mod_p`` is this engine, so it is no reference.
 """
 
@@ -283,3 +284,34 @@ def test_solved_form_keeps_later_results(mat, aux_cols, p, data):
     # a second call on solved rows changes nothing
     _assert_same_solved_form(ech, ref, width)
     assert ech.pivot_cols == ref.pivot_cols
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    mat=_matrices(max_rows=12, max_cols=10),
+    aux_cols=st.integers(1, 4),
+    p=st.sampled_from([2, 3, 5, 65521]),
+    data=st.data(),
+)
+def test_unit_aux_and_pivot_entries(mat, aux_cols, p, data):
+    # with_unit_aux on main-only rows equals packing them with stacked
+    # identity blocks as aux, and leaves its input as it was; pivot_entries
+    # reads the pivot rows' columns, before and after solved_form()
+    a = np.array(mat, dtype=np.int64)
+    rows, width = a.shape
+    identities = np.tile(np.eye(aux_cols, dtype=np.int64), (rows // aux_cols + 1, 1))[:rows]
+    ech = stream_echelon(width, aux_cols, p)
+    packed = ech.pack(a)
+    tagged = ech.with_unit_aux(packed)
+    assert tagged == ech.pack(a, identities)
+    assert packed == ech.pack(a)
+    ref = _AllPivotsReference(width, aux_cols, p)
+    assert ech.insert_packed(tagged) == sum(map(ref.insert, a, identities))
+    cols = data.draw(st.lists(st.integers(0, width - 1), unique=True))
+    order = np.argsort(ref.pivot_cols)
+    raw = np.array([ref.rows[i] for i in order], dtype=np.int64).reshape(
+        len(order), width + aux_cols
+    )
+    assert np.array_equal(ech.pivot_entries(cols), raw[:, cols])
+    ech.solved_form()
+    assert np.array_equal(ech.pivot_entries(cols), ref.solved_rows()[1][:, cols])
