@@ -3,9 +3,8 @@
 Rows are inserted one at a time and reduced against the pivots found so
 far, so the rank of any prefix of the insertion order can be read off
 mid-stream. Each row may carry auxiliary bookkeeping columns that ride
-along under the same row operations; reducing a fresh vector against the
-accumulated pivots reports whether it lies in their row space and what
-auxiliary combination expresses it.
+along under the same row operations, so a pivot row's aux part records
+which combination of tagged inserted rows it is.
 
 Pivots are kept in a map from pivot column to pivot row, in insertion
 order. A pivot row's lowest nonzero main entry is its column, where it
@@ -23,25 +22,27 @@ pivot-column order, by the same rule with the row's own column left out;
 the pivot rows above it are solved already, so each step clears one
 column. Afterwards every pivot row is zero at every pivot column but its
 own. The pivot rows keep their span, their columns and their insertion
-order, so ``rank``, ``pivot_cols`` and every later ``reduce`` or
-``insert`` give the same results as before, and a second call changes
-nothing. It returns the pivot columns in ascending order and the
-matching aux parts, so a matrix T that is zero off the pivot columns and
-equals those aux parts on them satisfies ``main @ T == aux`` for every
-pivot row and every combination of pivot rows. When the aux columns
-track which inserted rows each pivot row combines, T is read off
-directly, with no solve.
+order, so ``rank``, ``pivot_cols`` and every later ``insert`` give the
+same results as before, and a second call changes nothing. It returns
+the pivot columns in ascending order and the matching aux parts, so a
+matrix T that is zero off the pivot columns and equals those aux parts
+on them satisfies ``main @ T == aux`` for every pivot row and every
+combination of pivot rows. When the aux columns track which inserted
+rows each pivot row combines, T is read off directly, with no solve.
+``pivot_entries(cols)`` reads the pivot rows at main columns, in the
+same order.
 
-Each field supplies only its row form and the steps that depend on it:
-``pack``, the reduction kernel ``_reduce(row, mask)`` over the pivot
-columns in ``mask``, ``_lead`` and ``_unit`` (find a reduced row's pivot
-column and scale it to 1 there), ``_aux`` (unpack aux parts),
-``_column`` (read one column of many rows) and ``_with_one`` (copy a row
-with one zero cell set to 1). GF(2) rows are packed into single Python
-integers and GF(3) rows into two bitplanes, so a whole-row operation
-costs a handful of big-int ops. Other primes keep a row's nonzero
-entries in a dict and do arithmetic on Python ints, which is exact for
-any p. All of them give identical results.
+Each field supplies six primitives, the steps that depend on its row
+form: ``pack`` (rows to that form), the reduction kernel
+``_reduce(row, mask)`` over the pivot columns in ``mask``, ``_lead`` and
+``_unit`` (find a reduced row's pivot column and scale it to 1 there),
+``_cells(rows, lo, width)`` (read the cells ``[lo, lo + width)`` of many
+rows) and ``_with_one`` (copy a row with one zero cell set to 1). GF(2)
+rows are packed into single Python integers and GF(3) rows into two
+bitplanes, so a whole-row operation costs a handful of big-int ops.
+Other primes keep a row's nonzero entries in a dict and do arithmetic on
+Python ints, which is exact for any p. All of them give identical
+results.
 
 The GF(3) engine also certifies integer determinants. Read GF(3) in
 balanced form {-1, 0, 1}: clearing a pivot column is ``row - pivot`` or
@@ -55,24 +56,24 @@ triangular matrix and a diagonal of signs, and sorted by pivot column
 they are unit upper triangular. Their determinant is therefore
 ``(-1)**negations`` times the sign of the permutation from insertion
 order to pivot column; ``unimodular_det()`` returns it, or ``None``.
-The mask covers every reduction, ``reduce()`` and ``solved_form()``
-included, so a stray wrap can only withdraw a certificate, never grant
-one; a certificate of the inserted rows alone must be read before
-either is called.
+The mask covers every reduction, ``solved_form()`` included, so a stray
+wrap can only withdraw a certificate, never grant one; a certificate of
+the inserted rows alone must be read before it is called.
 
 This is the package's one GF(p) elimination. The codec inserts each
 receiver's rows and reads its decode map and parity check from
 ``solved_form()`` and ``pivot_entries()``, once per receiver;
 :func:`airindex.linalg.rank_mod_p` and the window verifier insert rows
-and read ranks. ``reduce()`` serves the tests as the membership oracle.
+and read ranks.
 
-Every engine converts rows to its own form with ``pack(main, aux=None)``
-and accumulates them with ``insert_packed(rows)``; ``insert`` is exactly
-``insert_packed(pack(main, aux))``. A caller that inserts the same rows
-into many accumulators of one width and field packs them once and passes
-slices of the packed rows. Packed rows are never modified, so they can be
-shared. Rows packed without aux columns carry zeros there, and
-``with_unit_aux`` copies them with stacked identity blocks as aux.
+Every engine converts rows to its own form with ``pack(main)`` and
+accumulates them with ``insert_packed(rows)``; ``insert`` is exactly
+``insert_packed(pack(main))``. A caller that inserts the same rows into
+many accumulators of one width and field packs them once and passes
+slices of the packed rows. Packed rows are never modified, so they can
+be shared. They carry zeros in the aux columns; ``with_unit_aux`` copies
+them with stacked identity blocks as aux, which tags each copy as its
+own wanted row.
 """
 
 from __future__ import annotations
@@ -80,11 +81,9 @@ from __future__ import annotations
 import numpy as np
 
 
-def _rows(main, aux, p: int) -> np.ndarray:
-    """[main | aux] mod p as a 2-D int64 array; a 1-D ``main`` is one row."""
+def _rows(main, p: int) -> np.ndarray:
+    """``main`` mod p as a 2-D int64 array; a 1-D ``main`` is one row."""
     rows = np.asarray(main, dtype=np.int64)
-    if aux is not None:
-        rows = np.hstack([rows, np.asarray(aux, dtype=np.int64)])
     if rows.ndim == 1:
         rows = rows[None]
     # the division is the costly step and encoder rows are already reduced;
@@ -147,19 +146,16 @@ class _Echelon:
     def insert_packed(self, rows) -> int:
         return sum(map(self._insert_one, rows))
 
-    def insert(self, main, aux=None) -> int:
-        return self.insert_packed(self.pack(main, aux))
-
-    def reduce(self, main, aux=None) -> tuple[bool, np.ndarray]:
-        row = self._reduce(self.pack(main, aux)[0], self._pivot_mask)
-        return self._lead(row) < 0, self._aux([row])[0]
+    def insert(self, main) -> int:
+        return self.insert_packed(self.pack(main))
 
     def solved_form(self) -> tuple[np.ndarray, np.ndarray]:
         pivots, mask, reduce = self._pivots, self._pivot_mask, self._reduce
         cols = sorted(pivots)
         for c in reversed(cols):
             pivots[c] = reduce(pivots[c], mask ^ (1 << c))
-        return np.array(cols, dtype=np.int64), self._aux([pivots[c] for c in cols])
+        rows = [pivots[c] for c in cols]
+        return np.array(cols, dtype=np.int64), self._cells(rows, self.main_cols, self.aux_cols)
 
     def pivot_entries(self, cols) -> np.ndarray:
         """The pivot rows' entries at main columns ``cols``, in [0, p).
@@ -171,15 +167,15 @@ class _Echelon:
         if cols:
             rows = [self._pivots[c] for c in sorted(self._pivots)]
             for j, c in enumerate(cols):
-                out[:, j] = self._column(rows, c)
+                out[:, j : j + 1] = self._cells(rows, c, 1)
         return out
 
     def with_unit_aux(self, rows) -> list:
         """Copies of packed rows, the i-th with a 1 at aux column ``i % aux_cols``.
 
-        For rows packed without aux columns these are the rows with
-        identity blocks stacked down their aux part: what ``pack`` gives
-        for that aux, built without a dense copy of it.
+        ``pack`` leaves the aux part zero, so these are the rows with
+        identity blocks stacked down their aux part, built without a
+        dense copy of it.
         """
         m, a, one = self.main_cols, self.aux_cols, self._with_one
         return [one(row, m + i % a) for i, row in enumerate(rows)]
@@ -188,8 +184,8 @@ class _Echelon:
 class _EchelonGF2(_Echelon):
     p = 2
 
-    def pack(self, main, aux=None) -> list[int]:
-        return _pack_rows(_rows(main, aux, 2) != 0)
+    def pack(self, main) -> list[int]:
+        return _pack_rows(_rows(main, 2) != 0)
 
     def _reduce(self, row: int, mask: int) -> int:
         pivots = self._pivots
@@ -205,11 +201,9 @@ class _EchelonGF2(_Echelon):
     def _unit(self, row: int, c: int) -> int:
         return row
 
-    def _aux(self, rows: list[int]) -> np.ndarray:
-        return _unpack_rows([row >> self.main_cols for row in rows], self.aux_cols)
-
-    def _column(self, rows: list[int], c: int) -> list[int]:
-        return [row >> c & 1 for row in rows]
+    def _cells(self, rows: list[int], lo: int, width: int) -> np.ndarray:
+        keep = (1 << width) - 1
+        return _unpack_rows([row >> lo & keep for row in rows], width)
 
     def _with_one(self, row: int, c: int) -> int:
         return row | 1 << c
@@ -225,8 +219,8 @@ class _EchelonGF3(_Echelon):
         self._wrapped = 0  # every cell where a reduction added 1+1 or 2+2
         self._negations = 0  # pivot rows scaled by 2 on insertion
 
-    def pack(self, main, aux=None) -> list[tuple[int, int]]:
-        v = _rows(main, aux, 3)
+    def pack(self, main) -> list[tuple[int, int]]:
+        v = _rows(main, 3)
         return list(zip(_pack_rows(v == 1), _pack_rows(v == 2)))
 
     def _reduce(self, row: tuple[int, int], mask: int) -> tuple[int, int]:
@@ -261,13 +255,10 @@ class _EchelonGF3(_Echelon):
             return hi, lo  # scale by 2 so the pivot entry is 1
         return row
 
-    def _aux(self, rows: list[tuple[int, int]]) -> np.ndarray:
-        shift, width = self.main_cols, self.aux_cols
-        lo = _unpack_rows([row[0] >> shift for row in rows], width)
-        return lo + 2 * _unpack_rows([row[1] >> shift for row in rows], width)
-
-    def _column(self, rows: list[tuple[int, int]], c: int) -> list[int]:
-        return [(lo >> c & 1) + 2 * (hi >> c & 1) for lo, hi in rows]
+    def _cells(self, rows: list[tuple[int, int]], lo: int, width: int) -> np.ndarray:
+        keep = (1 << width) - 1
+        ones = _unpack_rows([row[0] >> lo & keep for row in rows], width)
+        return ones + 2 * _unpack_rows([row[1] >> lo & keep for row in rows], width)
 
     def _with_one(self, row: tuple[int, int], c: int) -> tuple[int, int]:
         return row[0] | 1 << c, row[1]
@@ -301,8 +292,8 @@ class _EchelonGeneric(_Echelon):
         super().__init__(main_cols, aux_cols)
         self.p = p
 
-    def pack(self, main, aux=None) -> list[dict[int, int]]:
-        v = _rows(main, aux, self.p)
+    def pack(self, main) -> list[dict[int, int]]:
+        v = _rows(main, self.p)
         packed: list[dict[int, int]] = [{} for _ in range(v.shape[0])]
         rows, cols = np.nonzero(v)
         for r, c, x in zip(rows.tolist(), cols.tolist(), v[rows, cols].tolist()):
@@ -339,16 +330,13 @@ class _EchelonGeneric(_Echelon):
         inv, p = pow(row[c], -1, self.p), self.p
         return {j: x * inv % p for j, x in row.items()}
 
-    def _aux(self, rows: list[dict[int, int]]) -> np.ndarray:
-        out = np.zeros((len(rows), self.aux_cols), dtype=np.int64)
+    def _cells(self, rows: list[dict[int, int]], lo: int, width: int) -> np.ndarray:
+        out = np.zeros((len(rows), width), dtype=np.int64)
         for i, row in enumerate(rows):
             for j, x in row.items():
-                if j >= self.main_cols:
-                    out[i, j - self.main_cols] = x
+                if lo <= j < lo + width:
+                    out[i, j - lo] = x
         return out
-
-    def _column(self, rows: list[dict[int, int]], c: int) -> list[int]:
-        return [row.get(c, 0) for row in rows]
 
     def _with_one(self, row: dict[int, int], c: int) -> dict[int, int]:
         return {**row, c: 1}
@@ -359,10 +347,11 @@ def stream_echelon(main_cols: int, aux_cols: int, p: int) -> _Echelon:
 
     ``aux_cols`` extra columns follow the same row operations. Picks the
     packed implementation for p in {2, 3}, sparse rows otherwise.
-    ``insert(main, aux)`` adds one row, or the rows of a 2-D block in
-    order (packed in one call), and returns how many of them raised the
-    rank; ``insert_packed`` does the same for rows ``pack`` already
-    converted, on any accumulator of the same width and field.
+    ``insert(main)`` adds one row, or the rows of a 2-D block in order
+    (packed in one call), and returns how many of them raised the rank;
+    ``insert_packed`` does the same for rows ``pack`` or
+    ``with_unit_aux`` already converted, on any accumulator of the same
+    width and field.
     """
     if p == 2:
         return _EchelonGF2(main_cols, aux_cols)

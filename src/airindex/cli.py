@@ -6,14 +6,11 @@ decodability, run seeded simulations, and reproduce the rate tables.
 
 Exit codes: 0 success, 1 a verification found failures, 2 invalid usage
 or arguments. Structured output goes to stdout, diagnostics to stderr.
-The AIRINDEX_PRIMES environment variable (comma-separated) overrides the
-default prime list used by the verify commands.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import sys
 
 import click
@@ -43,7 +40,7 @@ def _instance(k: int, d: int, u: int) -> ProblemInstance:
 
 
 def _prime_list(spec: str | None, default: str) -> tuple[int, ...]:
-    raw = spec or os.environ.get("AIRINDEX_PRIMES") or default
+    raw = spec or default
     try:
         # both verify commands compute ranks, so the rank's prime range applies
         return tuple(require_prime(int(tok)) for tok in raw.split(","))

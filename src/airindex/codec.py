@@ -47,6 +47,7 @@ import json
 import operator
 import time
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -103,8 +104,9 @@ class Encoder:
     Immutable after construction. Cached internally and shared by
     decodability checks, decoding and simulation: the per-receiver plans
     (ranks, then decode map and parity check), the encoder rows packed
-    once for the field's echelon both as interference rows and as wanted
-    rows, and the nonzero structure of the encoder columns.
+    once for the field's echelon, which each plan inserts as interference
+    rows or tags as its own wanted rows, and the nonzero structure of the
+    encoder columns.
     """
 
     problem: ProblemInstance
@@ -133,11 +135,6 @@ class Encoder:
     def _packed_rows(self):
         """The encoder rows in the form its receivers' echelons insert."""
         return stream_echelon(self.cols, self.b, self.p).pack(self.matrix.entries)
-
-    @cached_property
-    def _packed_wanted(self):
-        """The packed rows with aux: row k*b+i marks wanted symbol i of message k."""
-        return stream_echelon(self.cols, self.b, self.p).with_unit_aux(self._packed_rows)
 
     @cached_property
     def _col_support(self) -> np.ndarray:
@@ -200,6 +197,8 @@ def build_encoder(
 
     Refuses an infeasible pair unless ``allow_infeasible`` is set (useful
     as a negative control: such encoders leave some receiver undecodable).
+    Always refuses a pair whose rate exceeds K: its encoder would have
+    more columns than rows.
     """
     if solution.problem != problem:
         raise ValueError(
@@ -213,6 +212,11 @@ def build_encoder(
         )
     rows = problem.K * b
     cols = b * (problem.D + 1) + a
+    if cols > rows:
+        raise ValueError(
+            f"(a={a}, b={b}) for {problem} has rate {Fraction(cols, b)}, above K={problem.K}: "
+            f"its {rows}x{cols} encoder would be wider than tall"
+        )
     _require_shape(rows, cols)
     p = require_prime(p, terms=rows)
     return Encoder(problem=problem, solution=solution, matrix=build_air(rows, cols), p=p)
@@ -256,7 +260,8 @@ class _ReceiverPlan:
             if j != k:
                 ech.insert_packed(packed[j * b : (j + 1) * b])
         self.rank_interference = ech.rank
-        ech.insert_packed(encoder._packed_wanted[k * b : (k + 1) * b])
+        # wanted row k*b+i carries a 1 at aux column i
+        ech.insert_packed(ech.with_unit_aux(packed[k * b : (k + 1) * b]))
         self.rank_all = ech.rank
         self.decodable = self.rank_all == self.rank_interference + b
         self._echelon = ech if self.decodable else None

@@ -30,8 +30,8 @@ def no_huge_arrays(monkeypatch):
     monkeypatch.setattr(np, "zeros", guarded)
 
 
-def invoke(runner, *args, env=None):
-    return runner.invoke(main, args, env=env, catch_exceptions=False)
+def invoke(runner, *args):
+    return runner.invoke(main, args, catch_exceptions=False)
 
 
 class TestRate:
@@ -125,12 +125,6 @@ class TestVerifyAir:
             "primes": [2, 3, 5],
         }
 
-    def test_primes_env_var(self, runner):
-        result = invoke(
-            runner, "verify-air", "5", "3", "--json", env={"AIRINDEX_PRIMES": "2,7"}
-        )
-        assert json.loads(result.output)["primes"] == [2, 7]
-
     def test_bad_primes_exit_2(self, runner):
         assert invoke(runner, "verify-air", "5", "3", "--primes", "2,4").exit_code == 2
 
@@ -144,10 +138,6 @@ class TestVerifyAir:
             result = invoke(runner, "verify-air", "40", "17", "--primes", p)
             assert result.exit_code == 2
             assert "2**63" in result.output
-            env = {"AIRINDEX_PRIMES": f"2,{p}"}
-            from_env = invoke(runner, "verify-air", "40", "17", env=env)
-            assert from_env.exit_code == 2
-            assert "2**63" in from_env.output
 
 
 class TestVerifyCode:
@@ -167,14 +157,6 @@ class TestVerifyCode:
         payload = json.loads(result.output)
         assert payload["all_decodable"] is True
         assert payload["failures"] == {"2": [], "3": []}
-
-    def test_primes_env_var(self, runner):
-        env = {"AIRINDEX_PRIMES": "5"}
-        result = invoke(runner, "verify-code", "5", "1", "1", "--json", env=env)
-        assert result.exit_code == 0
-        assert json.loads(result.output)["primes"] == [5]
-        result = invoke(runner, "verify-code", "5", "1", "1", "--json", "--p", "2", env=env)
-        assert json.loads(result.output)["primes"] == [2]
 
     def test_boundary_instance_accepted(self, runner):
         # D + U = K - 1 is a valid instance

@@ -1,9 +1,11 @@
 """Cross-checks for the streaming echelon.
 
 Ranks are compared with the dense whole-matrix elimination in
-``_reference``; insert, reduce, solved-form and pivot-entry results
-with ``_AllPivotsReference`` below, a plain echelon that walks every
-pivot.
+``_reference``; insert, solved-form and pivot-entry results with
+``_AllPivotsReference`` below, a plain echelon that walks every pivot.
+Rows carry aux parts only as ``with_unit_aux`` tags them; the reference
+is fed the same stacked identity blocks. Reduction turns those unit
+tags into arbitrary residues, so every aux value is still compared.
 ``airindex.linalg.rank_mod_p`` is this engine, so it is no reference.
 """
 
@@ -21,8 +23,8 @@ from airindex.air import build_air
 class _AllPivotsReference:
     """Plain echelon that walks every pivot in insertion order.
 
-    Each insert or reduce visits all pivots found so far, whether or not
-    the row has an entry at their column. The engines must produce the
+    Each insert visits all pivots found so far, whether or not the row
+    has an entry at their column. The engines must produce the
     same reduced rows while visiting only the pivot columns present.
     """
 
@@ -55,10 +57,6 @@ class _AllPivotsReference:
         self.rows.append(v * pow(int(v[c]), -1, self.p) % self.p)
         return True
 
-    def reduce(self, main, aux=None) -> tuple[bool, np.ndarray]:
-        v = self._reduce(main, aux)
-        return not np.any(v[: self.main_cols]), v[self.main_cols :]
-
     def solved_rows(self) -> tuple[list[int], np.ndarray]:
         """Pivot rows, by ascending column, cleared at every other pivot column."""
         order = np.argsort(self.pivot_cols)
@@ -72,6 +70,19 @@ class _AllPivotsReference:
                 if f:
                     rows[j] = (rows[j] - f * rows[i]) % self.p
         return cols, rows
+
+
+def _tags(n: int, aux_cols: int) -> np.ndarray:
+    """The aux parts ``_tagged`` gives n rows: stacked identity blocks."""
+    if not aux_cols:
+        return np.zeros((n, 0), dtype=np.int64)
+    return np.eye(aux_cols, dtype=np.int64)[np.arange(n) % aux_cols]
+
+
+def _tagged(ech, rows) -> list:
+    """``rows`` packed for ``ech``, tagged by ``with_unit_aux`` if it has aux columns."""
+    packed = ech.pack(rows)
+    return ech.with_unit_aux(packed) if ech.aux_cols else packed
 
 
 def _matrices(max_rows=8, max_cols=8):
@@ -117,17 +128,18 @@ def test_reduce_detects_row_space_membership(mat, p, data):
         ),
         dtype=np.int64,
     )
-    member = coeffs @ a % p
-    ok, _ = ech.reduce(member)
-    assert ok
-    if ech.rank < a.shape[1]:
+    # a member of the row space reduces to zero and leaves the rank as it was
+    rank = ech.rank
+    assert ech.insert(coeffs @ a % p) == 0
+    assert ech.rank == rank
+    if rank < a.shape[1]:
         # any unit vector on a non-pivot coordinate lies outside the row
-        # space of the pivots and must be flagged
+        # space of the pivots and must raise the rank
         non_pivot = next(c for c in range(a.shape[1]) if c not in set(ech.pivot_cols))
         probe = np.zeros(a.shape[1], dtype=np.int64)
         probe[non_pivot] = 1
-        ok_probe, _ = ech.reduce(probe)
-        assert not ok_probe
+        assert ech.insert(probe) == 1
+        assert ech.pivot_cols[-1] == non_pivot
 
 
 @settings(max_examples=150, deadline=None)
@@ -136,9 +148,7 @@ def test_aux_columns_track_row_combinations(mat, p):
     a = np.array(mat, dtype=np.int64) % p
     rows, cols = a.shape
     ech = stream_echelon(cols, rows, p)
-    eye = np.eye(rows, dtype=np.int64)
-    for i, row in enumerate(a):
-        ech.insert(row, eye[i])
+    ech.insert_packed(_tagged(ech, a))  # input row i carries aux column i
     pivots, aux = ech.solved_form()
     assert aux.shape == (ech.rank, rows)
     # every solved row is the combination of inputs its aux part claims:
@@ -160,8 +170,7 @@ def test_pivot_structure(p, seed):
     rng = np.random.default_rng(seed)
     a = rng.integers(0, p, size=(7, 5))
     ech = stream_echelon(5, 7, p)
-    for i, row in enumerate(a):
-        ech.insert(row, np.eye(7, dtype=np.int64)[i])
+    ech.insert_packed(_tagged(ech, a))
     pivots, aux = ech.solved_form()
     # ascending pivot columns, the same set the inserts found
     assert pivots.tolist() == sorted(ech.pivot_cols)
@@ -174,52 +183,52 @@ def test_pivot_structure(p, seed):
         assert not solved[j, :c].any()
 
 
-def _same_reduce(x, y, main, aux) -> bool:
-    x_ok, x_aux = x.reduce(main, aux)
-    y_ok, y_aux = y.reduce(main, aux)
-    return x_ok == y_ok and np.array_equal(x_aux, y_aux)
+def _insert_each(ech, ref, rows, main_only=False) -> None:
+    """Insert tagged ``rows`` one at a time into both; ranks must agree at every step.
+
+    With ``main_only`` the rows carry no tags and the reference zero aux.
+    """
+    rows = np.asarray(rows, dtype=np.int64).reshape(-1, ech.main_cols)
+    packed, tags = _tagged(ech, rows), _tags(len(rows), ech.aux_cols)
+    if main_only:
+        packed, tags = ech.pack(rows), 0 * tags
+    for row, tag, one in zip(rows, tags, packed):
+        assert ech.insert_packed([one]) == ref.insert(row, tag)
+        assert ech.rank == len(ref.rows)
+    assert ech.pivot_cols == ref.pivot_cols
+
+
+def _assert_same_solved_form(ech, ref):
+    pivots, aux = ech.solved_form()
+    want_cols, want_rows = ref.solved_rows()
+    assert pivots.tolist() == want_cols
+    assert np.array_equal(aux, want_rows[:, ech.main_cols :])
 
 
 def _assert_matches_reference(mat, aux_cols, p, probes):
     a = np.array(mat, dtype=np.int64)
-    ech = stream_echelon(a.shape[1], aux_cols, p)
-    ref = _AllPivotsReference(a.shape[1], aux_cols, p)
-    aux_in = np.arange(a.shape[0] * aux_cols).reshape(a.shape[0], aux_cols) % 7
-    for row, aux in zip(a, aux_in):
-        assert ech.insert(row, aux) == ref.insert(row, aux)
-        assert ech.rank == len(ref.rows)
-    assert ech.pivot_cols == ref.pivot_cols
-    # one block insert packs every row at once and must end in the same state,
-    # as must inserting rows packed beforehand, with or without their aux part
-    block = stream_echelon(a.shape[1], aux_cols, p)
-    assert block.insert(a, aux_in) == ech.rank
-    prepacked = stream_echelon(a.shape[1], aux_cols, p)
-    assert prepacked.insert_packed(prepacked.pack(a, aux_in)) == ech.rank
-    main_only = stream_echelon(a.shape[1], aux_cols, p)
-    main_ref = _AllPivotsReference(a.shape[1], aux_cols, p)
-    assert main_only.insert_packed(main_only.pack(a)) == sum(map(main_ref.insert, a))
-    assert main_only.pivot_cols == main_ref.pivot_cols
-    pivots, aux = main_only.solved_form()
-    want_cols, want_rows = main_ref.solved_rows()
-    assert pivots.tolist() == want_cols
-    assert np.array_equal(aux, want_rows[:, a.shape[1] :])
-    for other in (block, prepacked):
-        assert other.rank == ech.rank
-        assert other.pivot_cols == ech.pivot_cols
-        assert all(np.array_equal(x, y) for x, y in zip(other.solved_form(), ech.solved_form()))
-    for probe in probes:
-        probe = np.asarray(probe, dtype=np.int64)
-        probe_aux = np.resize(probe, aux_cols)
-        got_ok, got_aux = ech.reduce(probe, probe_aux)
-        want_ok, want_aux = ref.reduce(probe, probe_aux)
-        assert got_ok == want_ok
-        assert np.array_equal(got_aux, want_aux)
-        assert all(_same_reduce(ech, other, probe, probe_aux) for other in (block, prepacked))
-        assert _same_reduce(main_only, main_ref, probe, probe_aux)
-    pivots, aux = ech.solved_form()
-    want_cols, want_rows = ref.solved_rows()
-    assert pivots.tolist() == want_cols
-    assert np.array_equal(aux, want_rows[:, a.shape[1] :])
+    width = a.shape[1]
+    ech = stream_echelon(width, aux_cols, p)
+    ref = _AllPivotsReference(width, aux_cols, p)
+    _insert_each(ech, ref, a)
+    # inserting all the tagged rows in one call must end in the same state,
+    # and so must rows packed in one block insert without tags, against a
+    # reference fed zero aux
+    prepacked = stream_echelon(width, aux_cols, p)
+    assert prepacked.insert_packed(_tagged(prepacked, a)) == ech.rank
+    block = stream_echelon(width, aux_cols, p)
+    main_ref = _AllPivotsReference(width, aux_cols, p)
+    assert block.insert(a) == sum(map(main_ref.insert, a))
+    assert block.pivot_cols == main_ref.pivot_cols
+    _assert_same_solved_form(block, main_ref)
+    assert prepacked.pivot_cols == ech.pivot_cols
+    assert all(np.array_equal(x, y) for x, y in zip(prepacked.solved_form(), ech.solved_form()))
+    # probes raise the rank exactly when they leave the row space, and the
+    # solved forms stay equal after them
+    _insert_each(ech, ref, probes)
+    _assert_same_solved_form(ech, ref)
+    _insert_each(block, main_ref, probes, main_only=True)
+    _assert_same_solved_form(block, main_ref)
 
 
 @settings(max_examples=150, deadline=None)
@@ -245,13 +254,6 @@ def test_matches_all_pivots_reference_air_rows(rows, aux_cols, p):
     _assert_matches_reference(rows, aux_cols, p, probes)
 
 
-def _assert_same_solved_form(ech, ref, width):
-    pivots, aux = ech.solved_form()
-    want_cols, want_rows = ref.solved_rows()
-    assert pivots.tolist() == want_cols
-    assert np.array_equal(aux, want_rows[:, width:])
-
-
 @settings(max_examples=150, deadline=None)
 @given(
     mat=_matrices(max_rows=12, max_cols=10),
@@ -260,29 +262,25 @@ def _assert_same_solved_form(ech, ref, width):
     data=st.data(),
 )
 def test_solved_form_keeps_later_results(mat, aux_cols, p, data):
-    # solved_form() back-reduces the pivot rows in place; inserts, reduces
-    # and solved forms after it must match a reference that never solved
+    # solved_form() back-reduces the pivot rows in place; inserts and
+    # solved forms after it must match a reference that never solved
     a = np.array(mat, dtype=np.int64)
     width = a.shape[1]
     split = data.draw(st.integers(0, a.shape[0]))
     probes = data.draw(
         st.lists(st.lists(st.integers(0, 6), min_size=width, max_size=width), max_size=4)
     )
-    aux_in = np.arange(a.shape[0] * aux_cols).reshape(a.shape[0], aux_cols) % 5
     ech = stream_echelon(width, aux_cols, p)
     ref = _AllPivotsReference(width, aux_cols, p)
-    assert ech.insert(a[:split], aux_in[:split]) == sum(map(ref.insert, a[:split], aux_in[:split]))
-    _assert_same_solved_form(ech, ref, width)
-    for row, aux in zip(a[split:], aux_in[split:]):
-        assert ech.insert(row, aux) == ref.insert(row, aux)
-        assert ech.rank == len(ref.rows)
-    assert ech.pivot_cols == ref.pivot_cols
-    for probe in probes + mat[:2]:
-        probe_aux = np.resize(np.asarray(probe, dtype=np.int64), aux_cols)
-        assert _same_reduce(ech, ref, probe, probe_aux)
-    _assert_same_solved_form(ech, ref, width)
+    tags = _tags(split, aux_cols)
+    assert ech.insert_packed(_tagged(ech, a[:split])) == sum(map(ref.insert, a[:split], tags))
+    _assert_same_solved_form(ech, ref)
+    _insert_each(ech, ref, a[split:])
+    _assert_same_solved_form(ech, ref)
+    _insert_each(ech, ref, probes + mat[:2])
+    _assert_same_solved_form(ech, ref)
     # a second call on solved rows changes nothing
-    _assert_same_solved_form(ech, ref, width)
+    _assert_same_solved_form(ech, ref)
     assert ech.pivot_cols == ref.pivot_cols
 
 
@@ -294,16 +292,19 @@ def test_solved_form_keeps_later_results(mat, aux_cols, p, data):
     data=st.data(),
 )
 def test_unit_aux_and_pivot_entries(mat, aux_cols, p, data):
-    # with_unit_aux on main-only rows equals packing them with stacked
-    # identity blocks as aux, and leaves its input as it was; pivot_entries
-    # reads the pivot rows' columns, before and after solved_form()
+    # with_unit_aux gives the packed rows stacked identity blocks as aux
+    # and leaves its input as it was; _cells reads both parts back, and
+    # pivot_entries reads the pivot rows' columns, before and after
+    # solved_form()
     a = np.array(mat, dtype=np.int64)
     rows, width = a.shape
-    identities = np.tile(np.eye(aux_cols, dtype=np.int64), (rows // aux_cols + 1, 1))[:rows]
+    identities = _tags(rows, aux_cols)
     ech = stream_echelon(width, aux_cols, p)
     packed = ech.pack(a)
     tagged = ech.with_unit_aux(packed)
-    assert tagged == ech.pack(a, identities)
+    assert np.array_equal(ech._cells(tagged, 0, width), a % p)
+    assert np.array_equal(ech._cells(tagged, width, aux_cols), identities)
+    assert not ech._cells(packed, width, aux_cols).any()
     assert packed == ech.pack(a)
     ref = _AllPivotsReference(width, aux_cols, p)
     assert ech.insert_packed(tagged) == sum(map(ref.insert, a, identities))
