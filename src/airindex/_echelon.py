@@ -22,13 +22,13 @@ pivot-column order, by the same rule with the row's own column left out;
 the pivot rows above it are solved already, so each step clears one
 column. Afterwards every pivot row is zero at every pivot column but its
 own. The pivot rows keep their span, their columns and their insertion
-order, so ``rank``, ``pivot_cols`` and every later ``insert`` give the
-same results as before, and a second call changes nothing. It returns
-the pivot columns in ascending order and the matching aux parts, so a
-matrix T that is zero off the pivot columns and equals those aux parts
-on them satisfies ``main @ T == aux`` for every pivot row and every
-combination of pivot rows. When the aux columns track which inserted
-rows each pivot row combines, T is read off directly, with no solve.
+order, so ``rank`` and every later ``insert`` give the same results as
+before, and a second call changes nothing. It returns the pivot columns
+in ascending order and the matching aux parts, so a matrix T that is
+zero off the pivot columns and equals those aux parts on them satisfies
+``main @ T == aux`` for every pivot row and every combination of pivot
+rows. When the aux columns track which inserted rows each pivot row
+combines, T is read off directly, with no solve.
 ``pivot_entries(cols)`` reads the pivot rows at main columns, in the
 same order.
 
@@ -61,8 +61,8 @@ wrap can only withdraw a certificate, never grant one; a certificate of
 the inserted rows alone must be read before it is called.
 
 This is the package's one GF(p) elimination. The codec inserts each
-receiver's rows and reads its decode map and parity check from
-``solved_form()`` and ``pivot_entries()``, once per receiver;
+receiver's rows and reads its decoder matrix from ``solved_form()`` and
+``pivot_entries()``, once per receiver;
 :func:`airindex.linalg.rank_mod_p` and the window verifier insert rows
 and read ranks.
 
@@ -129,10 +129,6 @@ class _Echelon:
     @property
     def rank(self) -> int:
         return len(self._pivots)
-
-    @property
-    def pivot_cols(self) -> list[int]:
-        return list(self._pivots)
 
     def _insert_one(self, row) -> bool:
         row = self._reduce(row, self._pivot_mask)

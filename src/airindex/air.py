@@ -18,8 +18,8 @@ from the elimination that certifies the determinant; every other prime
 is an independent elimination of rows packed once per matrix.
 
 ``build_air`` refuses a shape that is wider than tall or has more than
-``MAX_CELLS`` entries before allocating it; the codec's encoders pass the
-same check. Primes pass :func:`airindex.linalg.require_prime` on entry.
+``MAX_CELLS`` entries before allocating it; the codec's encoders and
+every ``AirMatrix`` pass the same check. Primes pass :func:`airindex.linalg.require_prime` on entry.
 """
 
 from __future__ import annotations
@@ -78,12 +78,20 @@ class AirMatrix:
     """A built m x n AIR matrix.
 
     ``entries`` is an (m, n) array of 0/1 values, write-protected so the
-    object can be shared freely after construction.
+    object can be shared freely after construction. Construction refuses
+    entries of any other shape, and any m x n that ``build_air`` refuses.
     """
 
     m: int
     n: int
     entries: np.ndarray
+
+    def __post_init__(self):
+        _require_shape(self.m, self.n)
+        if np.shape(self.entries) != (self.m, self.n):
+            raise ValueError(
+                f"entries have shape {np.shape(self.entries)}, not ({self.m}, {self.n})"
+            )
 
     def row_window(self, start: int, wrap: bool = False) -> np.ndarray:
         """The n x n window of rows ``start .. start+n-1``.

@@ -13,21 +13,23 @@ are unique exactly when
 
 over GF(p). Each receiver's plan is one elimination of its unknown rows,
 run once per encoder: the ranks come from it, and on the first decode of
-a decodable receiver so do its decode map and parity check. The plan then
-drops the elimination and keeps only those, and every decode, single or
-batched, applies the same map. Checking decodability alone builds no map.
+a decodable receiver so does its decoder. The plan then drops the
+elimination and keeps only the decoder, and every decode, single or
+batched, is the same product with it. Checking decodability alone
+builds no decoder.
 
-A receiver's decode map is compact: the nonzero rows of T (the map from
-codeword to wanted symbols) with their codeword columns, and the known
-encoder rows in each of those columns, over which the receiver gathers
-its side information's share of the codeword before applying T. It sees
-only its window of D+U+1 messages, so nearly every row of the dense T is
-zero; skipping exactly the all-zero rows leaves every product unchanged.
-The parity check tells whether a share-corrected codeword lies in the
-span of the unknown rows at all: it compares the codeword at the free
-(non-pivot) columns with what the pivot columns imply there. Most
-receivers have no free column; those of minimal-rate encoders with
-K <= 40 have at most four.
+A receiver's decoder is one matrix M = [T | P] over the codeword columns
+``cols`` where it has a nonzero row, and the known encoder rows in each
+of those columns, over which the receiver gathers its side information's
+share of the codeword. For a share-corrected codeword c', c'[cols] @ T
+gives the wanted symbols, and c'[cols] @ P is zero exactly when c' lies
+in the span of the unknown rows: P has one column per free (non-pivot)
+column f, with a 1 at f and -R[:, f] mod p at the pivot columns, where R
+holds the solved pivot rows' entries at the free columns. A receiver
+sees only its window of D+U+1 messages, so nearly every row of the dense
+T is zero, and skipping exactly the all-zero rows of M leaves every
+product unchanged. Most receivers have no free column; those of
+minimal-rate encoders with K <= 40 have at most four.
 
 Message vectors, codewords and side information must hold integers
 (:func:`airindex.linalg.as_int_array`); receiver indices go through
@@ -49,6 +51,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -103,7 +106,7 @@ class Encoder:
 
     Immutable after construction. Cached internally and shared by
     decodability checks, decoding and simulation: the per-receiver plans
-    (ranks, then decode map and parity check), the encoder rows packed
+    (ranks, then one decoder matrix each), the encoder rows packed
     once for the field's echelon, which each plan inserts as interference
     rows or tags as its own wanted rows, and the nonzero structure of the
     encoder columns.
@@ -232,14 +235,29 @@ def encode(encoder: Encoder, x) -> np.ndarray:
     return encoder._broadcast((xv % encoder.p)[None])[0]
 
 
+class _Decoder(NamedTuple):
+    """One receiver's decoder; see the module docstring.
+
+    ``cols`` lists the codeword columns it reads, ascending.
+    ``known_support`` is the encoder's column support at ``cols``, each
+    unknown row replaced by the padding index ``encoder.rows``. ``M`` is
+    [T | P] at ``cols``: b wanted columns, then one parity column per
+    free column, entries in [0, p).
+    """
+
+    cols: np.ndarray
+    known_support: np.ndarray
+    M: np.ndarray
+
+
 class _ReceiverPlan:
-    """Ranks, then decode map and parity check, for one receiver of an encoder.
+    """Ranks, then one decoder matrix, for one receiver of an encoder.
 
     Inserts the interference rows first and the wanted rows last into a
     streaming echelon, recording the rank after each phase; the rank
     criterion falls out of that single pass. A decodable receiver keeps the
-    echelon only until ``maps()`` reads its map and parity check from the
-    solved form; an undecodable one drops it at once.
+    echelon only until ``decoder`` reads its matrix from the solved form;
+    an undecodable one drops it at once.
     """
 
     def __init__(self, encoder: Encoder, k: int):
@@ -249,11 +267,6 @@ class _ReceiverPlan:
         in_window = set(window)
         self.k = k
         self.known_messages = [j for j in range(K) if j not in in_window]
-        self.known_rows = (
-            np.concatenate([np.arange(j * b, (j + 1) * b) for j in self.known_messages])
-            if self.known_messages
-            else np.empty(0, dtype=np.int64)
-        )
         packed = encoder._packed_rows
         ech = stream_echelon(encoder.cols, b, encoder.p)
         for j in window:
@@ -265,76 +278,61 @@ class _ReceiverPlan:
         self.rank_all = ech.rank
         self.decodable = self.rank_all == self.rank_interference + b
         self._echelon = ech if self.decodable else None
-        self._maps: tuple[np.ndarray, ...] | None = None
-        self._check: tuple[np.ndarray, ...] | None = None
-        # what maps() reads of the encoder; holding the encoder itself would
-        # make Encoder._plans -> plan -> encoder a reference cycle
+        self._decoder: _Decoder | None = None
+        # what the decoder reads of the encoder; holding the encoder itself
+        # would make Encoder._plans -> plan -> encoder a reference cycle
         self._col_support = encoder._col_support
         self._pad_index = encoder.rows
+        self.b = b
         self.p = encoder.p
 
-    def maps(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(rows_T, T_rows, known_support), the compact decode map.
+    @property
+    def decoder(self) -> _Decoder:
+        """The decoder, built from the echelon on first use, which then drops it.
 
-        ``rows_T`` lists the codeword columns where the dense map T
-        (cols x b) is nonzero, ascending, and ``T_rows`` holds exactly those
-        rows, entries in [0, p). ``known_support`` is the encoder's column
-        support at ``rows_T``, each unknown row replaced by the padding
-        index ``encoder.rows``. Over GF(p), the wanted symbols of codeword c
-        are (c[rows_T] - share) @ T_rows, where share sums the message
-        vector x over ``known_support``: the known messages' part of c.
-
-        T solves A @ T = E where A stacks the unknown rows and E marks
-        the wanted ones, so c' @ T recovers the wanted symbols from the
-        known-free codeword c'. Once the pivot rows are back-reduced to
-        solved form, T is zero off the pivot columns and its pivot rows
-        are the aux columns, which track the wanted-row combinations.
-
-        The first call also builds the parity check (see ``consistent``)
-        and drops the echelon.
+        T solves A @ T = E where A stacks the unknown rows and E marks the
+        wanted ones. Once the pivot rows are back-reduced to solved form, T
+        is zero off the pivot columns and its pivot rows are the aux
+        columns, which track the wanted-row combinations. Solved pivot rows
+        are zero at every pivot column but their own, so the combination of
+        them that matches c' at the pivot columns has c'[pivots] as
+        coefficients; c' is in their span iff it matches at each free
+        column f too, c'[f] == c'[pivots] @ R[:, f], which is P's column.
         """
         if not self.decodable:
-            raise ValueError(f"receiver {self.k} is not decodable; no map exists")
-        if self._maps is None:
-            ech = self._echelon
+            raise ValueError(f"receiver {self.k} is not decodable; no decoder exists")
+        if self._decoder is None:
+            ech, b = self._echelon, self.b
             pivots, aux = ech.solved_form()
-            nonzero = aux.any(axis=1)
-            rows_T = pivots[nonzero]
-            support = self._col_support[rows_T]
+            free = np.flatnonzero(np.bincount(pivots, minlength=ech.main_cols) == 0)
+            M = np.zeros((ech.main_cols, b + free.size), dtype=np.int64)
+            M[pivots, :b] = aux
+            if free.size:  # most receivers have no free column
+                M[pivots, b:] = -ech.pivot_entries(free.tolist()) % self.p
+                M[free, b + np.arange(free.size)] = 1
+            cols = np.flatnonzero(M.any(axis=1))
+            support = self._col_support[cols]
             known = np.zeros(self._pad_index + 1, dtype=bool)  # the padding index stays unknown
-            known[self.known_rows] = True
+            known[:-1].reshape(-1, b)[self.known_messages] = True
             known_support = np.where(known[support], support, self._pad_index)
-            self._maps = (rows_T, aux[nonzero], known_support)
-            free = np.ones(ech.main_cols, dtype=bool)
-            free[pivots] = False
-            free = np.flatnonzero(free)
-            R = ech.pivot_entries(free.tolist())
-            implied = R.any(axis=1)
-            self._check = (free, pivots[implied], R[implied])
+            self._decoder = _Decoder(cols, known_support, M[cols])
             self._echelon = None
-        return self._maps
+        return self._decoder
 
-    def consistent(self, c: np.ndarray) -> bool:
-        """Whether share-corrected codeword c (entries in [0, p)) is in the span.
+    def solve(self, C: np.ndarray, padded: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(wanted symbols, inconsistency flags) for each codeword row of C.
 
-        Solved pivot rows are zero at every pivot column but their own, so
-        the combination of them that matches c at the pivot columns has
-        c[pivots] as coefficients. c lies in the span of the unknown rows
-        iff that combination matches c at the free columns F as well:
-        c[F] == c[pivots] @ R, with R the pivot rows' entries at F. Only
-        the pivot columns where R is nonzero are kept.
+        C is a batch of codewords, entries in [0, p); ``padded`` holds the
+        matching message vectors, entries in [0, p), with a zero column
+        appended (see ``_pad``), of which only the known rows are read.
+        A row is flagged when its share-corrected codeword fails the parity
+        columns, that is, lies outside the span of the unknown rows, as no
+        genuine codeword does. Each sum has at most cols <= K*b terms.
         """
-        self.maps()
-        free, cols, R = self._check
-        return np.array_equal(c[free], c[cols] @ R % self.p)
-
-    def wanted(self, corrected: np.ndarray) -> np.ndarray:
-        """Wanted symbols from share-corrected codeword symbols at ``rows_T``.
-
-        ``corrected`` is c'[rows_T] for one codeword c', or a batch of such
-        rows, entries in [0, p); each sum has at most cols <= K*b terms.
-        """
-        return corrected @ self.maps()[1] % self.p
+        cols, known_support, M = self.decoder
+        share = _gather_sum(padded, known_support)
+        out = (C[:, cols] - share) % self.p @ M % self.p
+        return out[:, : self.b], out[:, self.b :].any(axis=1)
 
 
 def _plan(encoder: Encoder, k) -> _ReceiverPlan:
@@ -352,7 +350,7 @@ def decodable(encoder: Encoder, k: int) -> bool:
     True iff stacking the wanted rows onto the interference rows raises
     the rank by exactly b over GF(p), which is equivalent to the wanted
     symbols being uniquely determined given the side information. Builds
-    the receiver's plan, not its decode map.
+    the receiver's plan, not its decoder.
     """
     return _plan(encoder, k).decodable
 
@@ -368,44 +366,36 @@ def decode(encoder: Encoder, k: int, codeword, side_info) -> np.ndarray:
 
     ``side_info`` maps message index j to its b symbols for every j the
     receiver knows (anything outside the interference window and k
-    itself); extra entries are ignored. Subtracts the known messages'
-    share of the codeword, checks the rest against the receiver's parity
-    check and applies its decode map, both built on the first decode and
-    kept. Raises if the receiver is not decodable or the codeword is
-    inconsistent with the encoder rows (the latter cannot happen for
-    genuine codewords).
+    itself); extra entries are ignored. A batch of one for the receiver's
+    decoder, built on the first decode and kept: the side information
+    goes into a message row whose unknown messages stay zero. Raises if
+    the receiver is not decodable or the codeword fails the decoder's
+    parity check, as no genuine codeword can.
     """
     plan = _plan(encoder, k)
     if not plan.decodable:
         raise ValueError(f"receiver {k} cannot decode with this encoder")
-    p = encoder.p
+    p, b = encoder.p, encoder.b
     c = as_int_array(codeword)
     if c.ndim != 1 or c.shape[0] != encoder.cols:
         raise ValueError(f"codeword must have length {encoder.cols}, got shape {c.shape}")
-    c = c % p
-    if plan.known_messages:
-        parts = []
-        for j in plan.known_messages:
-            try:
-                v = side_info[j]
-            except (KeyError, TypeError, IndexError):
-                raise ValueError(f"side information for message {j} is missing") from None
-            v = as_int_array(v)
-            if v.shape != (encoder.b,):
-                raise ValueError(
-                    f"side information for message {j} must have length {encoder.b}"
-                )
-            parts.append(v)
-        # the known messages' share of the codeword; unknown rows stay 0
-        x_known = np.zeros(encoder.rows, dtype=np.int64)
-        x_known[plan.known_rows] = np.concatenate(parts) % p
-        c = (c - encoder._broadcast(x_known[None])[0]) % p
-    if not plan.consistent(c):
+    padded = np.zeros((1, encoder.rows + 1), dtype=np.int64)
+    for j in plan.known_messages:
+        try:
+            v = side_info[j]
+        except (KeyError, TypeError, IndexError):
+            raise ValueError(f"side information for message {j} is missing") from None
+        v = as_int_array(v)
+        if v.shape != (b,):
+            raise ValueError(f"side information for message {j} must have length {b}")
+        padded[0, j * b : (j + 1) * b] = v % p
+    wanted, inconsistent = plan.solve(c[None] % p, padded)
+    if inconsistent[0]:
         raise ArithmeticError(
             "codeword is not a combination of the unknown rows; "
             "it was not produced by this encoder"
         )
-    return plan.wanted(c[plan.maps()[0]])
+    return wanted[0]
 
 
 @dataclass(frozen=True)
@@ -458,9 +448,12 @@ def simulate(
     """Encode/decode ``trials`` uniform random message vectors.
 
     Messages are drawn from a generator seeded with ``seed``, so reports
-    are reproducible bit for bit. Every receiver decodes every trial; a
-    mismatch (or an undecodable receiver) is recorded per (trial,
-    receiver). Pass a prebuilt ``encoder`` to reuse its cached plans.
+    are reproducible bit for bit. Every receiver decodes the whole batch
+    through its decoder, as ``decode`` does one codeword; a trial fails
+    at a receiver that is undecodable, whose decoded symbols differ from
+    the sent ones, or whose corrected codeword fails its parity check,
+    recorded per (trial, receiver). Pass a prebuilt ``encoder`` to reuse
+    its cached plans.
     """
     if trials < 0:
         raise ValueError(f"trials must be nonnegative, got {trials}")
@@ -490,12 +483,9 @@ def simulate(
         if not plan.decodable:
             failures.extend((t, k) for t in range(trials))
             continue
-        rows_T, _, known_support = plan.maps()
-        share = _gather_sum(padded, known_support)
-        got = plan.wanted((C[:, rows_T] - share) % enc.p)
-        sent = X[:, k * b : (k + 1) * b]
-        for t in np.nonzero(np.any(got != sent, axis=1))[0]:
-            failures.append((int(t), k))
+        got, inconsistent = plan.solve(C, padded)
+        wrong = inconsistent | np.any(got != X[:, k * b : (k + 1) * b], axis=1)
+        failures.extend((int(t), k) for t in np.flatnonzero(wrong))
     failures.sort()
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     return SimReport(

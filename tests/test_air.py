@@ -206,6 +206,16 @@ class TestAdjacentIndependence:
             with pytest.raises(ValueError, match="2\\*\\*63"):
                 verify_adjacent_independence(air, primes=(2, p))
 
+    @pytest.mark.parametrize(
+        "m,n,entries",
+        [(2, 3, np.ones((2, 3))), (2, 2, np.eye(3)), (3, 0, np.zeros((3, 0)))],
+        ids=["wide", "entries-mismatch", "no-columns"],
+    )
+    def test_shape_checked_at_construction(self, m, n, entries):
+        # verify_adjacent_independence would otherwise pass these over 0, 1 and 4 windows
+        with pytest.raises(ValueError, match="need 1 <= n <= m|entries have shape"):
+            AirMatrix(m=m, n=n, entries=entries)
+
     def test_failure_is_reported_not_raised(self):
         air = build_air(5, 3)
         broken = air.entries.copy()

@@ -17,7 +17,9 @@ from _reference import rref_mod_p, solve_left
 from airindex.codec import (
     MAX_CELLS,
     _gather_sum,
+    _pad,
     _plan,
+    _ReceiverPlan,
     build_encoder,
     decodable,
     decode,
@@ -43,12 +45,12 @@ def _encoder(K, D, U, a, b, p, allow_infeasible=False):
     )
 
 
-def _dense_maps(enc, plan):
-    """The compact decode map of ``plan`` expanded to the dense T (cols x b)."""
-    rows_T, T_rows, _ = plan.maps()
-    T = np.zeros((enc.cols, enc.b), dtype=np.int64)
-    T[rows_T] = T_rows
-    return T
+def _dense_decoder(enc, plan):
+    """The decoder matrix M = [T | P] of ``plan`` expanded to all codeword columns."""
+    cols, _, M = plan.decoder
+    dense = np.zeros((enc.cols, M.shape[1]), dtype=np.int64)
+    dense[cols] = M
+    return dense
 
 
 def _envelope_primes(kb):
@@ -232,11 +234,21 @@ class TestDecodable:
             )
 
     def test_unknown_row_count(self):
+        # a receiver reads the b symbols of each of its K-D-U-1 known
+        # messages, and decode refuses side information missing any of them
         enc = _encoder(17, 5, 1, a=3, b=8, p=2)
+        x = np.random.default_rng(17).integers(0, 2, size=enc.rows)
+        c = encode(enc, x)
         for k in (0, 5, 16):
             plan = _plan(enc, k)
-            assert plan.known_rows.size == (17 - 5 - 1 - 1) * 8
             assert len(plan.known_messages) == 17 - 7
+            assert set(plan.known_messages) == set(range(17)) - interference_set(enc.problem, k) - {k}
+            side = {j: x[j * 8 : (j + 1) * 8] for j in plan.known_messages}
+            assert sum(v.size for v in side.values()) == (17 - 5 - 1 - 1) * 8
+            assert np.array_equal(decode(enc, k, c, side), x[k * 8 : (k + 1) * 8])
+            for j in plan.known_messages:
+                with pytest.raises(ValueError, match=f"message {j} is missing"):
+                    decode(enc, k, c, {i: v for i, v in side.items() if i != j})
 
 
 class TestDecode:
@@ -337,27 +349,33 @@ class TestDecodeMaps:
         X = np.random.default_rng(K * p).integers(0, p, size=(5, enc.rows), dtype=np.int64)
         for k in range(K):
             plan = _plan(enc, k)
-            rows_T, T_rows, known_support = plan.maps()
-            T = _dense_maps(enc, plan)
-            window = [(k - U + i) % K for i in range(D + U + 1)]
-            unknown = np.concatenate([np.arange(j * b, (j + 1) * b) for j in window])
+            cols, known_support, M = plan.decoder
+            dense_M = _dense_decoder(enc, plan)
+            T, P = dense_M[:, :b], dense_M[:, b:]
+            window, unknown = _unknown_rows(enc, k)
+            known_rows = np.setdiff1d(np.arange(enc.rows), unknown)
             E = np.zeros((unknown.size, b), dtype=np.int64)
             E[window.index(k) * b : (window.index(k) + 1) * b] = np.eye(b, dtype=np.int64)
             assert np.array_equal(L[unknown] @ T % p, E), k
+            # one parity column per free column, with its 1 there and 0 at
+            # the other free columns, vanishing on every unknown row
+            free = sorted(set(range(enc.cols)) - set(rref_mod_p(L[unknown], p)[1]))
+            assert np.array_equal(P[free], np.eye(len(free), dtype=np.int64)), k
+            assert not (L[unknown] @ P % p).any(), k
             # the kept rows are exactly the nonzero rows: none zero, none dropped
-            assert rows_T.tolist() == np.flatnonzero(T.any(axis=1)).tolist(), k
-            assert T_rows.any(axis=1).all() and (T_rows < p).all(), k
+            assert cols.tolist() == np.flatnonzero(dense_M.any(axis=1)).tolist(), k
+            assert M.any(axis=1).all() and ((0 <= M) & (M < p)).all(), k
             # known_support names only known rows, padded with enc.rows
-            assert known_support.shape[0] == rows_T.size, k
-            assert np.isin(known_support, np.append(plan.known_rows, enc.rows)).all(), k
-            for col, slots in zip(rows_T, known_support):
-                want = plan.known_rows[L[plan.known_rows, col] != 0]
+            assert known_support.shape[0] == cols.size, k
+            assert np.isin(known_support, np.append(known_rows, enc.rows)).all(), k
+            for col, slots in zip(cols, known_support):
+                want = known_rows[L[known_rows, col] != 0]
                 assert sorted(slots[slots < enc.rows].tolist()) == want.tolist(), k
-            share = _gather_sum(np.pad(X, ((0, 0), (0, 1))), known_support) % p
-            dense = X[:, plan.known_rows] @ L[plan.known_rows] % p
-            assert np.array_equal(share, dense[:, rows_T]), k
+            share = _gather_sum(_pad(X), known_support) % p
+            dense = X[:, known_rows] @ L[known_rows] % p
+            assert np.array_equal(share, dense[:, cols]), k
             if K == D + U + 1:
-                assert plan.known_rows.size == 0 and (known_support == enc.rows).all()
+                assert known_rows.size == 0 and (known_support == enc.rows).all()
 
 
 def _unknown_rows(enc, k):
@@ -473,11 +491,59 @@ class TestDecodeThroughMaps:
             decode(enc, k, noise[k], side)
 
 
+class TestBatchDecoder:
+    # receivers of (5,1,0) at (1, 1) and (5,2,0) at (3, 3) whose unknown
+    # rows reach their free columns: the parity columns carry -R mod p at
+    # pivot columns as well as their 1
+    @pytest.mark.parametrize("p", [2, 3, 5, 65521])
+    @pytest.mark.parametrize("K,D,U,a,b", [(5, 1, 0, 1, 1), (5, 2, 0, 3, 3)])
+    def test_parity_columns_flag_perturbed_rows(self, K, D, U, a, b, p):
+        enc = _encoder(K, D, U, a, b, p)
+        L = enc.matrix.entries
+        X = np.random.default_rng(K * b * p).integers(0, p, size=(6, enc.rows), dtype=np.int64)
+        C = X @ L % p
+        padded = _pad(X)
+        reaches = 0
+        for k in range(K):
+            plan = _plan(enc, k)
+            got, inconsistent = plan.solve(C, padded)
+            assert not inconsistent.any(), k
+            assert np.array_equal(got, X[:, k * b : (k + 1) * b]), k
+            _, unknown = _unknown_rows(enc, k)
+            free = sorted(set(range(enc.cols)) - set(rref_mod_p(L[unknown], p)[1]))
+            assert free, k
+            pivots = np.setdiff1d(np.arange(enc.cols), free)
+            reaches += bool(_dense_decoder(enc, plan)[pivots, b:].any())
+            side = {j: X[0, j * b : (j + 1) * b] for j in range(K)}
+            for f in free:
+                for step in {1, p - 1}:
+                    bad = C.copy()
+                    bad[:, f] = (bad[:, f] + step) % p
+                    assert plan.solve(bad, padded)[1].all(), (k, f, step)
+                    with pytest.raises(ArithmeticError, match="not produced by this encoder"):
+                        decode(enc, k, bad[0], side)
+        assert reaches
+
+    def test_simulate_counts_parity_failures(self, monkeypatch):
+        # a trial whose symbols decode right but whose corrected codeword
+        # fails the parity check is a failure
+        solve = _ReceiverPlan.solve
+
+        def first_row_inconsistent(plan, C, padded):
+            got, inconsistent = solve(plan, C, padded)
+            return got, inconsistent | (np.arange(inconsistent.size) == 0)
+
+        monkeypatch.setattr(_ReceiverPlan, "solve", first_row_inconsistent)
+        problem = ProblemInstance(5, 1, 1)
+        report = simulate(problem, find_min_rate(problem), 3, trials=3, seed=2)
+        assert report.failures == tuple((0, k) for k in range(5))
+
+
 class TestDecodeGuards:
     def test_plans_keep_only_maps(self):
-        # after one decode per receiver a plan holds its map and parity
-        # check, not its echelon: about 2 MB for all 71 receivers of
-        # (71,25,1) over GF(3), where keeping the echelons holds about 9 MB
+        # after one decode per receiver a plan holds its decoder, not its
+        # echelon: about 2 MB for all 71 receivers of (71,25,1) over
+        # GF(3), where keeping the echelons holds about 9 MB
         enc = _encoder(71, 25, 1, 1, 30, p=3)
         x = np.random.default_rng(71).integers(0, 3, size=enc.rows)
         c = encode(enc, x)
@@ -492,6 +558,7 @@ class TestDecodeGuards:
             tracemalloc.stop()
         assert all(np.array_equal(decoded[k], x[k * 30 : (k + 1) * 30]) for k in range(71))
         assert all(_plan(enc, k)._echelon is None for k in range(71))
+        assert all(_plan(enc, k)._decoder is not None for k in range(71))
         assert held < 5 * 2**20
 
     @pytest.mark.parametrize("p", [2, 3, 65521])
@@ -499,13 +566,16 @@ class TestDecodeGuards:
         enc = _encoder(17, 5, 1, a=3, b=8, p=p)
         assert all(decodable(enc, k) for k in range(17))
         assert all(receiver_ranks(enc, k)[1] == receiver_ranks(enc, k)[0] + 8 for k in range(17))
-        assert all(_plan(enc, k)._maps is None for k in range(17))
+        assert all(_plan(enc, k)._decoder is None for k in range(17))
 
     def test_undecodable_plan_drops_its_echelon(self):
         enc = _encoder(17, 11, 1, a=1, b=6, p=2, allow_infeasible=True)
         for k in range(17):
             plan = _plan(enc, k)
             assert (plan._echelon is None) == (not plan.decodable), k
+            if not plan.decodable:
+                with pytest.raises(ValueError, match="not decodable"):
+                    plan.decoder
 
 
 class TestIntegerInputs:
@@ -642,8 +712,9 @@ class TestSimulate:
             if not plan.decodable:
                 want += [(t, k) for t in range(trials)]
                 continue
-            share = X[:, plan.known_rows] @ enc.matrix.entries[plan.known_rows]
-            got = (C - share) @ _dense_maps(enc, plan) % p
+            known_rows = np.setdiff1d(np.arange(enc.rows), _unknown_rows(enc, k)[1])
+            share = X[:, known_rows] @ enc.matrix.entries[known_rows]
+            got = (C - share) @ _dense_decoder(enc, plan)[:, :b] % p
             want += [(int(t), k) for t in np.flatnonzero((got != X[:, k * b : (k + 1) * b]).any(1))]
         report = simulate(problem, sol, p, trials=trials, seed=seed, encoder=enc)
         assert want and report.failures == tuple(sorted(want))
