@@ -17,29 +17,30 @@ each pivot column is visited at most once. The reduced row is the unique
 member of ``row + span(pivots)`` that is zero at every pivot column, so
 every field and every visiting order agree on it.
 
-``solved_form()`` back-reduces the pivot rows in place, in descending
+``solved_cells()`` back-reduces the pivot rows in place, in descending
 pivot-column order, by the same rule with the row's own column left out;
 the pivot rows above it are solved already, so each step clears one
 column. Afterwards every pivot row is zero at every pivot column but its
 own. The pivot rows keep their span, their columns and their insertion
 order, so ``rank`` and every later ``insert`` give the same results as
-before, and a second call changes nothing. It returns the pivot columns
-in ascending order and the matching aux parts, so a matrix T that is
-zero off the pivot columns and equals those aux parts on them satisfies
-``main @ T == aux`` for every pivot row and every combination of pivot
-rows. When the aux columns track which inserted rows each pivot row
-combines, T is read off directly, with no solve.
-``pivot_entries(cols)`` reads the pivot rows at main columns, in the
-same order.
+before, and a second call changes nothing. It returns the solved form
+sparse: the free (non-pivot) main columns and the nonzero cells of the
+pivot rows off the pivot columns, at free main columns and at aux
+columns. A matrix T that is zero off the pivot columns and holds each
+pivot row's aux part at its pivot column satisfies ``main @ T == aux``
+for every pivot row and every combination of pivot rows. When the aux
+columns track which inserted rows each pivot row combines, T is read
+off directly, with no solve.
 
 Each field supplies six primitives, the steps that depend on its row
 form: ``pack`` (rows to that form), the reduction kernel
 ``_reduce(row, mask)`` over the pivot columns in ``mask``, ``_lead`` and
 ``_unit`` (find a reduced row's pivot column and scale it to 1 there),
-``_cells(rows, lo, width)`` (read the cells ``[lo, lo + width)`` of many
-rows) and ``_with_one`` (copy a row with one zero cell set to 1). GF(2)
-rows are packed into single Python integers and GF(3) rows into two
-bitplanes, so a whole-row operation costs a handful of big-int ops.
+``_sparse_cells(rows, mask)`` (the nonzero cells of many rows at the
+columns in ``mask``, as (row, column, value) triples) and ``_with_one``
+(copy a row with one zero cell set to 1). GF(2) rows are
+packed into single Python integers and GF(3) rows into two bitplanes,
+so a whole-row operation costs a handful of big-int ops.
 Other primes keep a row's nonzero entries in a dict and do arithmetic on
 Python ints, which is exact for any p. All of them give identical
 results.
@@ -56,13 +57,13 @@ triangular matrix and a diagonal of signs, and sorted by pivot column
 they are unit upper triangular. Their determinant is therefore
 ``(-1)**negations`` times the sign of the permutation from insertion
 order to pivot column; ``unimodular_det()`` returns it, or ``None``.
-The mask covers every reduction, ``solved_form()`` included, so a stray
+The mask covers every reduction, the back-reduction included, so a stray
 wrap can only withdraw a certificate, never grant one; a certificate of
 the inserted rows alone must be read before it is called.
 
 This is the package's one GF(p) elimination. The codec inserts each
-receiver's rows and reads its decoder matrix from ``solved_form()`` and
-``pivot_entries()``, once per receiver;
+receiver's rows and reads its decoder entries from ``solved_cells()``,
+once per receiver;
 :func:`airindex.linalg.rank_mod_p` and the window verifier insert rows
 and read ranks.
 
@@ -100,13 +101,14 @@ def _pack_rows(bits: np.ndarray) -> list[int]:
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
-def _unpack_rows(words: list[int], width: int) -> np.ndarray:
-    """(len(words), width) 0/1 array; row i holds the low bits of words[i]."""
-    nbytes = max(1, (width + 7) // 8)
-    raw = b"".join(w.to_bytes(nbytes, "little") for w in words)
-    grid = np.frombuffer(raw, dtype=np.uint8).reshape(len(words), nbytes)
-    bits = np.unpackbits(grid, axis=1, bitorder="little")
-    return bits[:, :width].astype(np.int64)
+def _bits(x: int) -> list[int]:
+    """Indices of the set bits of ``x``, ascending."""
+    out = []
+    while x:
+        low = x & -x
+        out.append(low.bit_length() - 1)
+        x ^= low
+    return out
 
 
 def _low_bit(x: int) -> int:
@@ -145,26 +147,24 @@ class _Echelon:
     def insert(self, main) -> int:
         return self.insert_packed(self.pack(main))
 
-    def solved_form(self) -> tuple[np.ndarray, np.ndarray]:
+    def solved_cells(self) -> tuple[list[int], list[tuple[int, int, int]]]:
+        """Back-reduce in place; the solved form's free columns and cells off the pivot columns.
+
+        Returns the main columns that hold no pivot, ascending, and one
+        (pivot column, column, value) triple per nonzero cell of a pivot
+        row at a free main column or at an aux column (column
+        ``main_cols + i`` for aux column i), values in [1, p), by
+        ascending pivot column. A pivot row that is zero off the pivot
+        columns costs one mask test.
+        """
         pivots, mask, reduce = self._pivots, self._pivot_mask, self._reduce
         cols = sorted(pivots)
         for c in reversed(cols):
             pivots[c] = reduce(pivots[c], mask ^ (1 << c))
+        off = ((1 << (self.main_cols + self.aux_cols)) - 1) ^ mask
         rows = [pivots[c] for c in cols]
-        return np.array(cols, dtype=np.int64), self._cells(rows, self.main_cols, self.aux_cols)
-
-    def pivot_entries(self, cols) -> np.ndarray:
-        """The pivot rows' entries at main columns ``cols``, in [0, p).
-
-        One row per pivot, in ascending pivot-column order as
-        ``solved_form()`` lists them.
-        """
-        out = np.zeros((self.rank, len(cols)), dtype=np.int64)
-        if cols:
-            rows = [self._pivots[c] for c in sorted(self._pivots)]
-            for j, c in enumerate(cols):
-                out[:, j : j + 1] = self._cells(rows, c, 1)
-        return out
+        cells = [(cols[i], j, x) for i, j, x in self._sparse_cells(rows, off)]
+        return _bits(off & self._main_mask), cells
 
     def with_unit_aux(self, rows) -> list:
         """Copies of packed rows, the i-th with a 1 at aux column ``i % aux_cols``.
@@ -197,9 +197,8 @@ class _EchelonGF2(_Echelon):
     def _unit(self, row: int, c: int) -> int:
         return row
 
-    def _cells(self, rows: list[int], lo: int, width: int) -> np.ndarray:
-        keep = (1 << width) - 1
-        return _unpack_rows([row >> lo & keep for row in rows], width)
+    def _sparse_cells(self, rows: list[int], mask: int) -> list[tuple[int, int, int]]:
+        return [(i, j, 1) for i, row in enumerate(rows) if (hit := row & mask) for j in _bits(hit)]
 
     def _with_one(self, row: int, c: int) -> int:
         return row | 1 << c
@@ -251,10 +250,14 @@ class _EchelonGF3(_Echelon):
             return hi, lo  # scale by 2 so the pivot entry is 1
         return row
 
-    def _cells(self, rows: list[tuple[int, int]], lo: int, width: int) -> np.ndarray:
-        keep = (1 << width) - 1
-        ones = _unpack_rows([row[0] >> lo & keep for row in rows], width)
-        return ones + 2 * _unpack_rows([row[1] >> lo & keep for row in rows], width)
+    def _sparse_cells(self, rows: list[tuple[int, int]], mask: int) -> list[tuple[int, int, int]]:
+        return [
+            (i, j, x)
+            for i, (lo, hi) in enumerate(rows)
+            if (lo | hi) & mask
+            for x, plane in ((1, lo), (2, hi))
+            for j in _bits(plane & mask)
+        ]
 
     def _with_one(self, row: tuple[int, int], c: int) -> tuple[int, int]:
         return row[0] | 1 << c, row[1]
@@ -326,13 +329,8 @@ class _EchelonGeneric(_Echelon):
         inv, p = pow(row[c], -1, self.p), self.p
         return {j: x * inv % p for j, x in row.items()}
 
-    def _cells(self, rows: list[dict[int, int]], lo: int, width: int) -> np.ndarray:
-        out = np.zeros((len(rows), width), dtype=np.int64)
-        for i, row in enumerate(rows):
-            for j, x in row.items():
-                if lo <= j < lo + width:
-                    out[i, j - lo] = x
-        return out
+    def _sparse_cells(self, rows: list[dict[int, int]], mask: int) -> list[tuple[int, int, int]]:
+        return [(i, j, x) for i, row in enumerate(rows) for j, x in row.items() if mask >> j & 1]
 
     def _with_one(self, row: dict[int, int], c: int) -> dict[int, int]:
         return {**row, c: 1}

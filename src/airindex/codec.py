@@ -12,31 +12,39 @@ are unique exactly when
     rank([interference rows; wanted rows]) == rank(interference rows) + b
 
 over GF(p). Each receiver's plan is one elimination of its unknown rows,
-run once per encoder: the ranks come from it, and on the first decode of
-a decodable receiver so does its decoder. The plan then drops the
-elimination and keeps only the decoder, and every decode, single or
-batched, is the same product with it. Checking decodability alone
-builds no decoder.
+run once per encoder, and the ranks come from it; checking decodability
+alone builds no decoder. The first ``decode`` or ``simulate`` on an
+encoder builds the decoders of all its decodable receivers in one pass
+over their plans' solved forms, so even a single decode on a fresh
+encoder eliminates every receiver. Each plan then drops its elimination.
 
-A receiver's decoder is one matrix M = [T | P] over the codeword columns
-``cols`` where it has a nonzero row, and the known encoder rows in each
-of those columns, over which the receiver gathers its side information's
-share of the codeword. For a share-corrected codeword c', c'[cols] @ T
-gives the wanted symbols, and c'[cols] @ P is zero exactly when c' lies
-in the span of the unknown rows: P has one column per free (non-pivot)
-column f, with a 1 at f and -R[:, f] mod p at the pivot columns, where R
-holds the solved pivot rows' entries at the free columns. A receiver
-sees only its window of D+U+1 messages, so nearly every row of the dense
-T is zero, and skipping exactly the all-zero rows of M leaves every
-product unchanged. Most receivers have no free column; those of
-minimal-rate encoders with K <= 40 have at most four.
+A receiver's decoder is a matrix M = [T | P] over the codeword columns.
+For a codeword c' corrected by the side information's share (the
+known encoder rows' contribution to each column), c' @ T gives the
+wanted symbols, and c' @ P is zero exactly when c' lies in the span of
+the unknown rows: P has one column per free (non-pivot) column f, with a
+1 at f and -R[:, f] mod p at the pivot columns, where R holds the solved
+pivot rows' entries at the free columns. A receiver sees only its window
+of D+U+1 messages, so M is very sparse (T is about 0.2% nonzero on
+(71,25,1)). Most receivers have no free column; those of minimal-rate
+encoders with K <= 40 have at most four.
+
+The encoder keeps the nonzero entries of every decodable receiver's M
+in one sparse batch. Each entry names a codeword column, that column's
+known encoder rows for its receiver, and a coefficient in [1, p). The
+entries are sorted into one contiguous segment per output (a wanted
+symbol or a parity column), and each receiver owns one contiguous range
+of entries and of outputs. Decoding a batch of codewords takes three
+steps: gather each entry's share, form (c[col] - share) % p * coef, and
+sum every segment with ``np.add.reduceat``. ``simulate`` runs them once
+over all receivers, ``decode`` over one receiver's range.
 
 Message vectors, codewords and side information must hold integers
 (:func:`airindex.linalg.as_int_array`); receiver indices go through
 ``operator.index``. Neither is ever truncated.
 
-Supported sizes. All arithmetic is exact in int64: the longest dot product
-has at most K*b terms, so ``build_encoder`` passes p to
+Supported sizes. All arithmetic is exact in int64: each output sums at
+most K*b products below p**2, so ``build_encoder`` passes p to
 :func:`airindex.linalg.require_prime` with K*b terms. Before allocating
 anything it also refuses an encoder shape that ``build_air`` would
 refuse, and ``simulate`` refuses a run whose message batch (trials*K*b
@@ -106,7 +114,8 @@ class Encoder:
 
     Immutable after construction. Cached internally and shared by
     decodability checks, decoding and simulation: the per-receiver plans
-    (ranks, then one decoder matrix each), the encoder rows packed
+    (ranks), the decoder of every decodable receiver as one sparse batch,
+    built by the first ``decode`` or ``simulate``, the encoder rows packed
     once for the field's echelon, which each plan inserts as interference
     rows or tags as its own wanted rows, and the nonzero structure of the
     encoder columns.
@@ -143,6 +152,11 @@ class Encoder:
     def _col_support(self) -> np.ndarray:
         """Row indices of each encoder column's nonzero entries."""
         return _support(self.matrix.entries.T)
+
+    @cached_property
+    def _decoder(self) -> _BatchDecoder:
+        """Every decodable receiver's decoder, built on first use; see ``_BatchDecoder``."""
+        return _build_decoder(self)
 
     def _broadcast(self, X: np.ndarray) -> np.ndarray:
         """``X @ L % p`` for a 2-D batch X of message vectors with entries < p.
@@ -235,29 +249,14 @@ def encode(encoder: Encoder, x) -> np.ndarray:
     return encoder._broadcast((xv % encoder.p)[None])[0]
 
 
-class _Decoder(NamedTuple):
-    """One receiver's decoder; see the module docstring.
-
-    ``cols`` lists the codeword columns it reads, ascending.
-    ``known_support`` is the encoder's column support at ``cols``, each
-    unknown row replaced by the padding index ``encoder.rows``. ``M`` is
-    [T | P] at ``cols``: b wanted columns, then one parity column per
-    free column, entries in [0, p).
-    """
-
-    cols: np.ndarray
-    known_support: np.ndarray
-    M: np.ndarray
-
-
 class _ReceiverPlan:
-    """Ranks, then one decoder matrix, for one receiver of an encoder.
+    """Ranks for one receiver of an encoder.
 
     Inserts the interference rows first and the wanted rows last into a
     streaming echelon, recording the rank after each phase; the rank
     criterion falls out of that single pass. A decodable receiver keeps the
-    echelon only until ``decoder`` reads its matrix from the solved form;
-    an undecodable one drops it at once.
+    echelon only until ``_build_decoder`` reads its decoder from the
+    solved form; an undecodable one drops it at once.
     """
 
     def __init__(self, encoder: Encoder, k: int):
@@ -278,61 +277,6 @@ class _ReceiverPlan:
         self.rank_all = ech.rank
         self.decodable = self.rank_all == self.rank_interference + b
         self._echelon = ech if self.decodable else None
-        self._decoder: _Decoder | None = None
-        # what the decoder reads of the encoder; holding the encoder itself
-        # would make Encoder._plans -> plan -> encoder a reference cycle
-        self._col_support = encoder._col_support
-        self._pad_index = encoder.rows
-        self.b = b
-        self.p = encoder.p
-
-    @property
-    def decoder(self) -> _Decoder:
-        """The decoder, built from the echelon on first use, which then drops it.
-
-        T solves A @ T = E where A stacks the unknown rows and E marks the
-        wanted ones. Once the pivot rows are back-reduced to solved form, T
-        is zero off the pivot columns and its pivot rows are the aux
-        columns, which track the wanted-row combinations. Solved pivot rows
-        are zero at every pivot column but their own, so the combination of
-        them that matches c' at the pivot columns has c'[pivots] as
-        coefficients; c' is in their span iff it matches at each free
-        column f too, c'[f] == c'[pivots] @ R[:, f], which is P's column.
-        """
-        if not self.decodable:
-            raise ValueError(f"receiver {self.k} is not decodable; no decoder exists")
-        if self._decoder is None:
-            ech, b = self._echelon, self.b
-            pivots, aux = ech.solved_form()
-            free = np.flatnonzero(np.bincount(pivots, minlength=ech.main_cols) == 0)
-            M = np.zeros((ech.main_cols, b + free.size), dtype=np.int64)
-            M[pivots, :b] = aux
-            if free.size:  # most receivers have no free column
-                M[pivots, b:] = -ech.pivot_entries(free.tolist()) % self.p
-                M[free, b + np.arange(free.size)] = 1
-            cols = np.flatnonzero(M.any(axis=1))
-            support = self._col_support[cols]
-            known = np.zeros(self._pad_index + 1, dtype=bool)  # the padding index stays unknown
-            known[:-1].reshape(-1, b)[self.known_messages] = True
-            known_support = np.where(known[support], support, self._pad_index)
-            self._decoder = _Decoder(cols, known_support, M[cols])
-            self._echelon = None
-        return self._decoder
-
-    def solve(self, C: np.ndarray, padded: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(wanted symbols, inconsistency flags) for each codeword row of C.
-
-        C is a batch of codewords, entries in [0, p); ``padded`` holds the
-        matching message vectors, entries in [0, p), with a zero column
-        appended (see ``_pad``), of which only the known rows are read.
-        A row is flagged when its share-corrected codeword fails the parity
-        columns, that is, lies outside the span of the unknown rows, as no
-        genuine codeword does. Each sum has at most cols <= K*b terms.
-        """
-        cols, known_support, M = self.decoder
-        share = _gather_sum(padded, known_support)
-        out = (C[:, cols] - share) % self.p @ M % self.p
-        return out[:, : self.b], out[:, self.b :].any(axis=1)
 
 
 def _plan(encoder: Encoder, k) -> _ReceiverPlan:
@@ -342,6 +286,133 @@ def _plan(encoder: Encoder, k) -> _ReceiverPlan:
         plan = _ReceiverPlan(encoder, k)
         encoder._plans[k] = plan
     return plan
+
+
+class _BatchDecoder(NamedTuple):
+    """The decoders of all decodable receivers of an encoder, as sparse entries.
+
+    Entry e reads codeword column ``cols[e]``, subtracts the share of
+    the message rows in ``known_support[e]`` (that column's support,
+    each row its receiver does not know replaced by the padding index
+    ``encoder.rows``) and multiplies by ``coef[e]`` in [1, p). Output o
+    sums the entries ``starts[o]`` up to the next output's start, mod p;
+    it must equal message row ``targets[o]`` for a wanted symbol, and
+    zero, read at the padding index, for a parity column. Receiver k
+    owns entries ``entry_bounds[k] : entry_bounds[k + 1]`` and outputs
+    ``output_bounds[k] : output_bounds[k + 1]``: its b wanted symbols,
+    then one parity column per free column. An undecodable receiver owns
+    none.
+    """
+
+    p: int
+    cols: np.ndarray
+    known_support: np.ndarray
+    coef: np.ndarray
+    starts: np.ndarray
+    targets: np.ndarray
+    entry_bounds: np.ndarray
+    output_bounds: np.ndarray
+
+    def outputs(self, C: np.ndarray, padded: np.ndarray, k: int | None = None) -> np.ndarray:
+        """Receiver k's outputs, or every receiver's, for each codeword row of C.
+
+        C is a batch of codewords, entries in [0, p); ``padded`` holds the
+        matching message vectors, entries in [0, p), with a zero column
+        appended (see ``_pad``), of which only the known rows are read.
+        A genuine codeword gives the sent symbols and zero parity.
+        """
+        lo, hi = (0, len(self.cols)) if k is None else self.entry_bounds[k : k + 2]
+        outs = slice(None) if k is None else slice(*self.output_bounds[k : k + 2])
+        out = C[:, self.cols[lo:hi]]
+        out -= _gather_sum(padded, self.known_support[lo:hi])
+        out %= self.p
+        out *= self.coef[lo:hi]
+        return np.add.reduceat(out, self.starts[outs] - lo, axis=1) % self.p
+
+
+# bound on the cells of each temporary array in one decode step of
+# ``simulate``, so that its working set stays near the message batch's
+_DECODE_CELLS = 1 << 16
+
+
+def _segment_starts(outs: np.ndarray, n: int) -> np.ndarray:
+    """First index of each of the n segments of the sorted labels ``outs``.
+
+    Refuses an empty segment: ``np.add.reduceat`` over one silently
+    returns the next element instead of zero.
+    """
+    counts = np.bincount(outs, minlength=n)
+    if not counts.all():
+        empty = np.flatnonzero(counts == 0).tolist()
+        raise AssertionError(f"decoder outputs {empty} have no entry")
+    return np.cumsum(counts) - counts
+
+
+def _build_decoder(encoder: Encoder) -> _BatchDecoder:
+    """The encoder's batch decoder, from one pass over every receiver's plan.
+
+    Builds each plan first if needed and drops its echelon once read.
+    T solves A @ T = E where A stacks the unknown rows and E marks the
+    wanted ones. Once the pivot rows are back-reduced to solved form, T
+    is zero off the pivot columns and its pivot rows are the aux
+    columns, which track the wanted-row combinations. Solved pivot rows
+    are zero at every pivot column but their own, so the combination of
+    them that matches c' at the pivot columns has c'[pivots] as
+    coefficients; c' is in their span iff it matches at each free
+    column f too, c'[f] == c'[pivots] @ R[:, f], which is P's column.
+    Every segment is nonempty: each T column is nonzero as A @ T = E,
+    and each parity column holds its 1.
+    """
+    problem, b, p, main = encoder.problem, encoder.b, encoder.p, encoder.cols
+    cols: list[int] = []
+    outs: list[int] = []
+    coef: list[int] = []
+    owners: list[int] = []
+    targets: list[int] = []
+    output_bounds = [0]
+    # known[k, j]: receiver k knows message j; the padding index falls in
+    # column K, which stays False
+    known = np.zeros((problem.K, problem.K + 1), dtype=bool)
+    for k in range(problem.K):
+        plan = _plan(encoder, k)
+        known[k, plan.known_messages] = True
+        if plan.decodable:
+            free, cells = plan._echelon.solved_cells()
+            plan._echelon = None
+            base = len(targets)
+            parity = {f: base + b + j for j, f in enumerate(free)}
+            for c, j, x in cells:
+                cols.append(c)
+                if j < main:  # P's entry -R[c, j] mod p
+                    outs.append(parity[j])
+                    coef.append(p - x)
+                else:  # T's entry at (c, j - main)
+                    outs.append(base + j - main)
+                    coef.append(x)
+            cols += free
+            outs += parity.values()
+            coef += [1] * len(free)
+            owners += [k] * (len(cols) - len(owners))
+            targets += range(k * b, (k + 1) * b)
+            targets += [encoder.rows] * len(free)
+        output_bounds.append(len(targets))
+    outs_arr = np.array(outs, dtype=np.int64)
+    order = np.argsort(outs_arr, kind="stable")
+    starts = _segment_starts(outs_arr[order], len(targets))
+    col_arr = np.array(cols, dtype=np.int64)[order]
+    owner_arr = np.array(owners, dtype=np.int64)[order]
+    support = encoder._col_support[col_arr]
+    bounds = np.array(output_bounds, dtype=np.int64)
+    return _BatchDecoder(
+        p=p,
+        cols=col_arr,
+        known_support=np.where(known[owner_arr[:, None], support // b], support, encoder.rows),
+        coef=np.array(coef, dtype=np.int64)[order],
+        starts=starts,
+        targets=np.array(targets, dtype=np.int64),
+        entry_bounds=np.append(starts, col_arr.size)[bounds],
+        output_bounds=bounds,
+    )
 
 
 def decodable(encoder: Encoder, k: int) -> bool:
@@ -366,11 +437,12 @@ def decode(encoder: Encoder, k: int, codeword, side_info) -> np.ndarray:
 
     ``side_info`` maps message index j to its b symbols for every j the
     receiver knows (anything outside the interference window and k
-    itself); extra entries are ignored. A batch of one for the receiver's
-    decoder, built on the first decode and kept: the side information
-    goes into a message row whose unknown messages stay zero. Raises if
-    the receiver is not decodable or the codeword fails the decoder's
-    parity check, as no genuine codeword can.
+    itself); extra entries are ignored. Runs the receiver's range of the
+    encoder's batch decoder on a batch of one: the side information goes
+    into a message row whose unknown messages stay zero. The first decode
+    or ``simulate`` on an encoder builds every receiver's plan and
+    decoder. Raises if the receiver is not decodable or the codeword
+    fails the receiver's parity check, as no genuine codeword can.
     """
     plan = _plan(encoder, k)
     if not plan.decodable:
@@ -389,13 +461,13 @@ def decode(encoder: Encoder, k: int, codeword, side_info) -> np.ndarray:
         if v.shape != (b,):
             raise ValueError(f"side information for message {j} must have length {b}")
         padded[0, j * b : (j + 1) * b] = v % p
-    wanted, inconsistent = plan.solve(c[None] % p, padded)
-    if inconsistent[0]:
+    out = encoder._decoder.outputs(c[None] % p, padded, plan.k)[0]
+    if out[b:].any():
         raise ArithmeticError(
             "codeword is not a combination of the unknown rows; "
             "it was not produced by this encoder"
         )
-    return wanted[0]
+    return out[:b]
 
 
 @dataclass(frozen=True)
@@ -448,13 +520,15 @@ def simulate(
     """Encode/decode ``trials`` uniform random message vectors.
 
     Messages are drawn from a generator seeded with ``seed``, so reports
-    are reproducible bit for bit. Every receiver decodes the whole batch
-    through its decoder, as ``decode`` does one codeword; a trial fails
-    at a receiver that is undecodable, whose decoded symbols differ from
-    the sent ones, or whose corrected codeword fails its parity check,
-    recorded per (trial, receiver). Pass a prebuilt ``encoder`` to reuse
-    its cached plans.
+    are reproducible bit for bit. The encoder's batch decoder decodes the
+    whole batch at every receiver at once, as ``decode`` does one
+    codeword at one; a trial fails at a receiver that is undecodable,
+    whose decoded symbols differ from the sent ones, or whose corrected
+    codeword fails its parity check, recorded per (trial, receiver). The
+    first ``simulate`` or ``decode`` on an encoder builds every receiver's
+    plan and decoder; pass a prebuilt ``encoder`` to reuse them.
     """
+    trials, seed = operator.index(trials), operator.index(seed)
     if trials < 0:
         raise ValueError(f"trials must be nonnegative, got {trials}")
     symbols = trials * problem.K * solution.b_min
@@ -474,19 +548,21 @@ def simulate(
         raise ValueError("supplied encoder does not match the requested simulation")
     K, b = problem.K, enc.b
     rng = np.random.default_rng(seed)
-    X = rng.integers(0, enc.p, size=(trials, K * b), dtype=np.int64)
-    padded = _pad(X)
+    padded = _pad(rng.integers(0, enc.p, size=(trials, K * b), dtype=np.int64))
     C = _gather_sum(padded, enc._col_support) % enc.p
-    failures: list[tuple[int, int]] = []
-    for k in range(K):
-        plan = _plan(enc, k)
-        if not plan.decodable:
-            failures.extend((t, k) for t in range(trials))
-            continue
-        got, inconsistent = plan.solve(C, padded)
-        wrong = inconsistent | np.any(got != X[:, k * b : (k + 1) * b], axis=1)
-        failures.extend((int(t), k) for t in np.flatnonzero(wrong))
-    failures.sort()
+    dec = enc._decoder
+    # every decodable receiver owns at least its b outputs
+    receivers = np.flatnonzero(np.diff(dec.output_bounds))
+    failed = np.ones((trials, K), dtype=bool)
+    # a slice of the trials at a time, so no temporary exceeds _DECODE_CELLS
+    step = max(1, _DECODE_CELLS // max(1, dec.cols.size))
+    for lo in range(0, trials, step):
+        rows = slice(lo, lo + step)
+        wrong = dec.outputs(C[rows], padded[rows]) != padded[rows, dec.targets]
+        firsts = dec.output_bounds[receivers]
+        failed[rows, receivers] = np.logical_or.reduceat(wrong, firsts, axis=1)
+    # row-major order is (trial, receiver) order
+    failures = tuple(zip(*(i.tolist() for i in np.nonzero(failed))))
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     return SimReport(
         problem=problem,
@@ -495,6 +571,6 @@ def simulate(
         p=enc.p,
         trials=trials,
         seed=seed,
-        failures=tuple(failures),
+        failures=failures,
         elapsed_ms=round(elapsed_ms, 3),
     )

@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import math
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -16,10 +17,11 @@ from _reference import rank_mod_p as reference_rank
 from _reference import rref_mod_p, solve_left
 from airindex.codec import (
     MAX_CELLS,
+    _BatchDecoder,
     _gather_sum,
     _pad,
     _plan,
-    _ReceiverPlan,
+    _segment_starts,
     build_encoder,
     decodable,
     decode,
@@ -45,11 +47,28 @@ def _encoder(K, D, U, a, b, p, allow_infeasible=False):
     )
 
 
-def _dense_decoder(enc, plan):
-    """The decoder matrix M = [T | P] of ``plan`` expanded to all codeword columns."""
-    cols, _, M = plan.decoder
-    dense = np.zeros((enc.cols, M.shape[1]), dtype=np.int64)
-    dense[cols] = M
+def _receiver_slice(enc, k):
+    """Receiver k's range of the encoder's batch decoder.
+
+    (cols, known_support, coef, outs) per entry, with ``outs`` the
+    entry's output counted from the receiver's first, and the receiver's
+    output targets.
+    """
+    dec = enc._decoder
+    lo, hi = dec.entry_bounds[k : k + 2]
+    first, last = dec.output_bounds[k : k + 2]
+    sizes = np.diff(np.append(dec.starts[first:last], hi))
+    outs = np.repeat(np.arange(last - first), sizes)
+    return dec.cols[lo:hi], dec.known_support[lo:hi], dec.coef[lo:hi], outs, dec.targets[first:last]
+
+
+def _dense_decoder(enc, k):
+    """Receiver k's decoder matrix M = [T | P] over all codeword columns."""
+    cols, _, coef, outs, targets = _receiver_slice(enc, k)
+    # one entry per cell, so writing them gives M exactly
+    assert len(set(zip(cols.tolist(), outs.tolist()))) == cols.size
+    dense = np.zeros((enc.cols, targets.size), dtype=np.int64)
+    dense[cols, outs] = coef
     return dense
 
 
@@ -348,9 +367,8 @@ class TestDecodeMaps:
         L = enc.matrix.entries
         X = np.random.default_rng(K * p).integers(0, p, size=(5, enc.rows), dtype=np.int64)
         for k in range(K):
-            plan = _plan(enc, k)
-            cols, known_support, M = plan.decoder
-            dense_M = _dense_decoder(enc, plan)
+            cols, known_support, coef, outs, targets = _receiver_slice(enc, k)
+            dense_M = _dense_decoder(enc, k)
             T, P = dense_M[:, :b], dense_M[:, b:]
             window, unknown = _unknown_rows(enc, k)
             known_rows = np.setdiff1d(np.arange(enc.rows), unknown)
@@ -362,9 +380,12 @@ class TestDecodeMaps:
             free = sorted(set(range(enc.cols)) - set(rref_mod_p(L[unknown], p)[1]))
             assert np.array_equal(P[free], np.eye(len(free), dtype=np.int64)), k
             assert not (L[unknown] @ P % p).any(), k
-            # the kept rows are exactly the nonzero rows: none zero, none dropped
-            assert cols.tolist() == np.flatnonzero(dense_M.any(axis=1)).tolist(), k
-            assert M.any(axis=1).all() and ((0 <= M) & (M < p)).all(), k
+            # wanted outputs target the receiver's own message rows, parity
+            # outputs the padding index, whose message symbol is zero
+            assert targets.tolist() == list(range(k * b, (k + 1) * b)) + [enc.rows] * len(free), k
+            # only nonzero cells are kept, one entry each
+            assert ((0 < coef) & (coef < p)).all(), k
+            assert np.count_nonzero(dense_M) == cols.size, k
             # known_support names only known rows, padded with enc.rows
             assert known_support.shape[0] == cols.size, k
             assert np.isin(known_support, np.append(known_rows, enc.rows)).all(), k
@@ -377,12 +398,73 @@ class TestDecodeMaps:
             if K == D + U + 1:
                 assert known_rows.size == 0 and (known_support == enc.rows).all()
 
+    @pytest.mark.parametrize("p", [2, 3, 65521])
+    @pytest.mark.parametrize(
+        "K,D,U,a,b,allow",
+        [
+            (5, 2, 1, 2, 1, False),
+            (5, 2, 0, 3, 3, False),
+            (17, 5, 1, 3, 8, False),
+            (17, 11, 1, 1, 6, True),
+        ],
+    )
+    def test_segments_nonempty_and_contiguous(self, K, D, U, a, b, allow, p):
+        # every output owns a nonempty run of entries, every receiver one
+        # run of entries and outputs, in receiver order; an undecodable
+        # receiver owns none
+        enc = _encoder(K, D, U, a, b, p, allow_infeasible=allow)
+        dec = enc._decoder
+        ends = np.append(dec.starts[1:], dec.cols.size)
+        assert dec.starts.size == dec.targets.size
+        assert dec.starts.size == 0 or dec.starts[0] == 0
+        assert (ends > dec.starts).all()
+        assert dec.entry_bounds[0] == dec.output_bounds[0] == 0
+        assert dec.entry_bounds[-1] == dec.cols.size and dec.output_bounds[-1] == dec.targets.size
+        for k in range(K):
+            owned = dec.output_bounds[k + 1] - dec.output_bounds[k]
+            assert owned >= b if decodable(enc, k) else owned == 0, k
+            first = dec.output_bounds[k]
+            want = dec.starts[first] if first < dec.starts.size else dec.cols.size
+            assert dec.entry_bounds[k] == want, k
+        assert allow == (not all(decodable(enc, k) for k in range(K)))
+
+    def test_empty_segment_refused(self):
+        # np.add.reduceat over an empty segment returns the next element
+        # instead of zero, so the decoder refuses to build one
+        assert _segment_starts(np.array([0, 1, 1, 2]), 3).tolist() == [0, 1, 3]
+        with pytest.raises(AssertionError, match=r"outputs \[1\] have no entry"):
+            _segment_starts(np.array([0, 0, 2]), 3)
+        with pytest.raises(AssertionError, match=r"outputs \[2\] have no entry"):
+            _segment_starts(np.array([0, 1]), 3)
+
 
 def _unknown_rows(enc, k):
     """Receiver k's message window and the encoder rows of those messages."""
     K, D, U, b = enc.problem.K, enc.problem.D, enc.problem.U, enc.b
     window = [(k - U + i) % K for i in range(D + U + 1)]
     return window, np.concatenate([np.arange(j * b, (j + 1) * b) for j in window])
+
+
+def _reference_receiver(enc, k):
+    """Receiver k's dense reference, from ``_reference``'s elimination.
+
+    Returns its rank verdict and a solver: for a codeword c and message
+    vector x, of which only the known rows are read, the wanted part of
+    the left solve of the unknown-row system, or ``None`` when the
+    share-corrected codeword is outside the unknown rows' span.
+    """
+    p, b, L = enc.p, enc.b, enc.matrix.entries
+    window, unknown = _unknown_rows(enc, k)
+    known = np.setdiff1d(np.arange(enc.rows), unknown)
+    pos = window.index(k)
+    interference = np.delete(unknown, np.s_[pos * b : (pos + 1) * b])
+    ok = reference_rank(L[unknown], p) == reference_rank(L[interference], p) + b
+
+    def solve(c, x):
+        u = solve_left(L[unknown], (c - x[known] @ L[known]) % p, p)
+        return None if u is None else u[pos * b : (pos + 1) * b]
+
+    return ok, solve
 
 
 def _check_decode_paths(enc, trials=3, seed=0) -> list[int]:
@@ -473,6 +555,78 @@ class TestDecodeThroughMaps:
             sol = solution_for_pair(problem, a, b)
         _check_decode_paths(build_encoder(problem, sol, p), trials=2, seed=seed)
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        K=st.integers(3, 12),
+        data=st.data(),
+        p=st.sampled_from([2, 3, 5, 65521]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_batch_matches_dense_reference(self, K, data, p, seed):
+        # the minimal pair, a feasible pair or an infeasible one (a, b <= 3),
+        # whose undecodable receivers fail every trial and refuse to decode;
+        # genuine codewords and arbitrary vectors, which may fail the parity
+        # check, decode as the reference solves them
+        D = data.draw(st.integers(1, K - 1))
+        U = data.draw(st.integers(0, min(D, K - 1 - D)))
+        problem = ProblemInstance(K, D, U)
+        kind = data.draw(st.sampled_from(["minimal", "feasible", "infeasible"]))
+        if kind == "minimal":
+            sol = find_min_rate(problem)
+        else:
+            a, b = data.draw(st.integers(0, 3)), data.draw(st.integers(1, 3))
+            assume(is_feasible(problem, a, b) == (kind == "feasible") and b * (D + 1) + a <= K * b)
+            sol = solution_for_pair(problem, a, b)
+        enc = build_encoder(problem, sol, p, allow_infeasible=True)
+        b, trials = enc.b, 3
+        report = simulate(problem, sol, p, trials=trials, seed=seed, encoder=enc)
+        X = np.random.default_rng(seed).integers(0, p, size=(trials, enc.rows), dtype=np.int64)
+        C = X @ enc.matrix.entries % p
+        noise = np.random.default_rng([seed, p]).integers(0, p, size=(2, enc.cols))
+        vectors = [(C[t], X[t]) for t in range(trials)] + [(c, X[0]) for c in noise]
+        want = []
+        for k in range(K):
+            ok, solve = _reference_receiver(enc, k)
+            assert decodable(enc, k) == ok, k
+            for t in range(trials):
+                got = solve(C[t], X[t]) if ok else None
+                if got is None or not np.array_equal(got, X[t, k * b : (k + 1) * b]):
+                    want.append((t, k))
+            for c, x in vectors:
+                side = {j: x[j * b : (j + 1) * b] for j in range(K)}
+                ref = solve(c, x) if ok else None
+                if not ok:
+                    with pytest.raises(ValueError, match="cannot decode"):
+                        decode(enc, k, c, side)
+                elif ref is None:
+                    with pytest.raises(ArithmeticError, match="not produced by this encoder"):
+                        decode(enc, k, c, side)
+                else:
+                    assert np.array_equal(decode(enc, k, c, side), ref), k
+        assert report.failures == tuple(sorted(want))
+        assert kind == "infeasible" or not want
+
+    @pytest.mark.parametrize("p", [2, 3, 65521])
+    def test_single_decode_on_fresh_encoder(self, p):
+        # one decode builds every receiver's plan and the batch decoder
+        enc = _encoder(17, 5, 1, 3, 8, p)
+        x = np.random.default_rng(p).integers(0, p, size=enc.rows)
+        c = encode(enc, x)
+        side = {j: x[j * 8 : (j + 1) * 8] for j in range(17)}
+        ok, solve = _reference_receiver(enc, 6)
+        assert ok
+        assert np.array_equal(decode(enc, 6, c, side), solve(c, x))
+        assert "_decoder" in vars(enc) and sorted(enc._plans) == list(range(17))
+        assert all(plan._echelon is None for plan in enc._plans.values())
+
+    def test_single_decode_on_fresh_encoder_refuses_undecodable(self):
+        enc = _encoder(17, 11, 1, 1, 6, 2, allow_infeasible=True)
+        bad = [k for k in range(17) if not _reference_receiver(enc, k)[0]]
+        assert bad and not enc._plans
+        side = {j: np.zeros(6, dtype=int) for j in range(17)}
+        with pytest.raises(ValueError, match="cannot decode"):
+            decode(enc, bad[0], np.zeros(enc.cols, dtype=int), side)
+
     @pytest.mark.parametrize("p", [2, 3])
     def test_largest_encoder(self, p):
         # every (71,25,1) receiver's unknown rows have full rank 781, so no
@@ -503,47 +657,54 @@ class TestBatchDecoder:
         X = np.random.default_rng(K * b * p).integers(0, p, size=(6, enc.rows), dtype=np.int64)
         C = X @ L % p
         padded = _pad(X)
+        dec = enc._decoder
         reaches = 0
         for k in range(K):
-            plan = _plan(enc, k)
-            got, inconsistent = plan.solve(C, padded)
+            out = dec.outputs(C, padded, k)
+            got, inconsistent = out[:, :b], out[:, b:].any(axis=1)
             assert not inconsistent.any(), k
             assert np.array_equal(got, X[:, k * b : (k + 1) * b]), k
             _, unknown = _unknown_rows(enc, k)
             free = sorted(set(range(enc.cols)) - set(rref_mod_p(L[unknown], p)[1]))
             assert free, k
             pivots = np.setdiff1d(np.arange(enc.cols), free)
-            reaches += bool(_dense_decoder(enc, plan)[pivots, b:].any())
+            reaches += bool(_dense_decoder(enc, k)[pivots, b:].any())
             side = {j: X[0, j * b : (j + 1) * b] for j in range(K)}
             for f in free:
                 for step in {1, p - 1}:
                     bad = C.copy()
                     bad[:, f] = (bad[:, f] + step) % p
-                    assert plan.solve(bad, padded)[1].all(), (k, f, step)
+                    assert dec.outputs(bad, padded, k)[:, b:].any(axis=1).all(), (k, f, step)
                     with pytest.raises(ArithmeticError, match="not produced by this encoder"):
                         decode(enc, k, bad[0], side)
         assert reaches
 
     def test_simulate_counts_parity_failures(self, monkeypatch):
         # a trial whose symbols decode right but whose corrected codeword
-        # fails the parity check is a failure
-        solve = _ReceiverPlan.solve
+        # fails the parity check is a failure; every receiver of (5,2,1)
+        # at (2, 1) has one parity output, (5,1,1) at (1, 2) none
+        outputs = _BatchDecoder.outputs
 
-        def first_row_inconsistent(plan, C, padded):
-            got, inconsistent = solve(plan, C, padded)
-            return got, inconsistent | (np.arange(inconsistent.size) == 0)
+        def first_row_inconsistent(dec, C, padded, k=None):
+            out = outputs(dec, C, padded, k)
+            if C.shape[0]:
+                out[0, dec.targets == 5] = 1  # the padding index of a 5-row encoder
+            return out
 
-        monkeypatch.setattr(_ReceiverPlan, "solve", first_row_inconsistent)
-        problem = ProblemInstance(5, 1, 1)
-        report = simulate(problem, find_min_rate(problem), 3, trials=3, seed=2)
+        monkeypatch.setattr(_BatchDecoder, "outputs", first_row_inconsistent)
+        problem = ProblemInstance(5, 2, 1)
+        sol = find_min_rate(problem)
+        assert (sol.a_min, sol.b_min) == (2, 1)
+        report = simulate(problem, sol, 3, trials=3, seed=2)
         assert report.failures == tuple((0, k) for k in range(5))
 
 
 class TestDecodeGuards:
     def test_plans_keep_only_maps(self):
-        # after one decode per receiver a plan holds its decoder, not its
-        # echelon: about 2 MB for all 71 receivers of (71,25,1) over
-        # GF(3), where keeping the echelons holds about 9 MB
+        # after one decode per receiver the plans hold no echelon and the
+        # encoder holds the batch decoder: about 0.4 MB for all 71
+        # receivers of (71,25,1) over GF(3), where keeping the echelons
+        # holds about 9 MB
         enc = _encoder(71, 25, 1, 1, 30, p=3)
         x = np.random.default_rng(71).integers(0, 3, size=enc.rows)
         c = encode(enc, x)
@@ -558,7 +719,7 @@ class TestDecodeGuards:
             tracemalloc.stop()
         assert all(np.array_equal(decoded[k], x[k * 30 : (k + 1) * 30]) for k in range(71))
         assert all(_plan(enc, k)._echelon is None for k in range(71))
-        assert all(_plan(enc, k)._decoder is not None for k in range(71))
+        assert "_decoder" in vars(enc)
         assert held < 5 * 2**20
 
     @pytest.mark.parametrize("p", [2, 3, 65521])
@@ -566,16 +727,23 @@ class TestDecodeGuards:
         enc = _encoder(17, 5, 1, a=3, b=8, p=p)
         assert all(decodable(enc, k) for k in range(17))
         assert all(receiver_ranks(enc, k)[1] == receiver_ranks(enc, k)[0] + 8 for k in range(17))
-        assert all(_plan(enc, k)._decoder is None for k in range(17))
+        assert "_decoder" not in vars(enc)
+        assert all(_plan(enc, k)._echelon is not None for k in range(17))
 
     def test_undecodable_plan_drops_its_echelon(self):
         enc = _encoder(17, 11, 1, a=1, b=6, p=2, allow_infeasible=True)
         for k in range(17):
             plan = _plan(enc, k)
             assert (plan._echelon is None) == (not plan.decodable), k
-            if not plan.decodable:
-                with pytest.raises(ValueError, match="not decodable"):
-                    plan.decoder
+        # undecodable receivers own nothing in the batch and still refuse
+        dec = enc._decoder
+        c, side = np.zeros(enc.cols, dtype=int), {j: np.zeros(6, dtype=int) for j in range(17)}
+        for k in range(17):
+            if not decodable(enc, k):
+                assert dec.entry_bounds[k] == dec.entry_bounds[k + 1], k
+                assert dec.output_bounds[k] == dec.output_bounds[k + 1], k
+                with pytest.raises(ValueError, match="cannot decode"):
+                    decode(enc, k, c, side)
 
 
 class TestIntegerInputs:
@@ -714,7 +882,7 @@ class TestSimulate:
                 continue
             known_rows = np.setdiff1d(np.arange(enc.rows), _unknown_rows(enc, k)[1])
             share = X[:, known_rows] @ enc.matrix.entries[known_rows]
-            got = (C - share) @ _dense_decoder(enc, plan)[:, :b] % p
+            got = (C - share) @ _dense_decoder(enc, k)[:, :b] % p
             want += [(int(t), k) for t in np.flatnonzero((got != X[:, k * b : (k + 1) * b]).any(1))]
         report = simulate(problem, sol, p, trials=trials, seed=seed, encoder=enc)
         assert want and report.failures == tuple(sorted(want))
@@ -760,6 +928,31 @@ class TestSimulate:
         reused = simulate(problem, sol, 3, trials=4, seed=2, encoder=enc)
         fresh = simulate(problem, sol, 3, trials=4, seed=2)
         assert (reused.a, reused.b, reused.failures) == (fresh.a, fresh.b, ())
+
+    def test_trials_and_seed_are_integers(self, monkeypatch):
+        # both are coerced before the size check, so a numpy trials count
+        # whose product with K*b would wrap int64 is refused as too large,
+        # and fractional values are refused before any encoder is built
+        problem = ProblemInstance(5, 1, 1)
+        sol = find_min_rate(problem)
+
+        def no_encoder(*args, **kwargs):
+            raise AssertionError("build_encoder was called")
+
+        with monkeypatch.context() as patch:
+            patch.setattr("airindex.codec.build_encoder", no_encoder)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="over the limit"):
+                    simulate(problem, sol, 2, trials=np.int64(2**62))
+            for kwargs in ({"trials": 2.0}, {"trials": 2.5}, {"seed": 1.0}, {"seed": 1.5}):
+                with pytest.raises(TypeError):
+                    simulate(problem, sol, 2, **kwargs)
+        report = simulate(problem, sol, 2, trials=np.int64(3), seed=np.int64(4))
+        assert type(report.trials) is int and type(report.seed) is int
+        got, want = report.to_json(), simulate(problem, sol, 2, trials=3, seed=4).to_json()
+        got.pop("elapsed_ms"), want.pop("elapsed_ms")
+        assert got == want
 
     def test_rejects_negative_trials(self):
         problem = ProblemInstance(5, 1, 1)

@@ -85,6 +85,34 @@ def _tagged(ech, rows) -> list:
     return ech.with_unit_aux(packed) if ech.aux_cols else packed
 
 
+def _dense_cells(ech, rows) -> np.ndarray:
+    """Every cell of packed ``rows``, main then aux, read through ``_sparse_cells``."""
+    width = ech.main_cols + ech.aux_cols
+    out = np.zeros((len(rows), width), dtype=np.int64)
+    for i, j, x in ech._sparse_cells(rows, (1 << width) - 1):
+        out[i, j] = x
+    return out
+
+
+def _densify(ech, free, cells) -> tuple[list[int], np.ndarray]:
+    """``solved_cells()`` output as pivot columns, ascending, and their full solved rows.
+
+    The pivot columns are the main columns ``free`` leaves out; each row
+    holds a 1 at its own pivot column and the listed cells.
+    """
+    pivots = sorted(set(range(ech.main_cols)) - set(free))
+    rows = np.zeros((len(pivots), ech.main_cols + ech.aux_cols), dtype=np.int64)
+    rows[range(len(pivots)), pivots] = 1
+    for c, j, x in cells:
+        rows[pivots.index(c), j] = x
+    return pivots, rows
+
+
+def _solved_form(ech) -> tuple[list[int], np.ndarray]:
+    """Back-reduce ``ech`` and return its pivot columns and full solved rows."""
+    return _densify(ech, *ech.solved_cells())
+
+
 def _matrices(max_rows=8, max_cols=8):
     return st.tuples(st.integers(1, max_rows), st.integers(1, max_cols)).flatmap(
         lambda shape: st.lists(
@@ -149,11 +177,13 @@ def test_aux_columns_track_row_combinations(mat, p):
     rows, cols = a.shape
     ech = stream_echelon(cols, rows, p)
     ech.insert_packed(_tagged(ech, a))  # input row i carries aux column i
-    pivots, aux = ech.solved_form()
+    pivots, form = _solved_form(ech)
+    aux = form[:, cols:]
     assert aux.shape == (ech.rank, rows)
     # every solved row is the combination of inputs its aux part claims:
     # the identity at the pivot columns, nothing before its own column
     solved = aux @ a % p
+    assert np.array_equal(solved, form[:, :cols])
     assert np.array_equal(solved[:, pivots], np.eye(ech.rank, dtype=np.int64))
     for j, c in enumerate(pivots):
         assert not solved[j, :c].any()
@@ -171,11 +201,12 @@ def test_pivot_structure(p, seed):
     a = rng.integers(0, p, size=(7, 5))
     ech = stream_echelon(5, 7, p)
     ech.insert_packed(_tagged(ech, a))
-    pivots, aux = ech.solved_form()
+    pivots, form = _solved_form(ech)
     # ascending pivot columns, the same set the inserts found
-    assert pivots.tolist() == sorted(ech._pivots)
+    assert pivots == sorted(ech._pivots)
     assert len(set(ech._pivots)) == ech.rank == reference_rank(a, p)
-    solved = aux @ a % p
+    solved = form[:, 5:] @ a % p
+    assert np.array_equal(solved, form[:, :5])
     for j, c in enumerate(pivots):
         assert solved[j, c] == 1
         others = np.delete(pivots, j)
@@ -199,10 +230,19 @@ def _insert_each(ech, ref, rows, main_only=False) -> None:
 
 
 def _assert_same_solved_form(ech, ref):
-    pivots, aux = ech.solved_form()
+    # solved_cells() is the solved form, sparse: the free main columns and
+    # one triple per nonzero cell off the pivot columns, by pivot column;
+    # with a 1 at each pivot column they are the reference's solved rows
+    free, cells = ech.solved_cells()
     want_cols, want_rows = ref.solved_rows()
-    assert pivots.tolist() == want_cols
-    assert np.array_equal(aux, want_rows[:, ech.main_cols :])
+    assert free == sorted(set(range(ech.main_cols)) - set(want_cols))
+    assert [c for c, _, _ in cells] == sorted(c for c, _, _ in cells)
+    assert len({(c, j) for c, j, _ in cells}) == len(cells)
+    assert all(0 < x < ech.p for _, _, x in cells)
+    assert not {j for _, j, _ in cells} & set(want_cols)
+    pivots, rows = _densify(ech, free, cells)
+    assert pivots == want_cols
+    assert np.array_equal(rows, want_rows)
 
 
 def _assert_matches_reference(mat, aux_cols, p, probes):
@@ -222,7 +262,10 @@ def _assert_matches_reference(mat, aux_cols, p, probes):
     assert list(block._pivots) == main_ref.pivot_cols
     _assert_same_solved_form(block, main_ref)
     assert list(prepacked._pivots) == list(ech._pivots)
-    assert all(np.array_equal(x, y) for x, y in zip(prepacked.solved_form(), ech.solved_form()))
+    want_cols, want_rows = _solved_form(ech)
+    got_cols, got_rows = _solved_form(prepacked)
+    assert got_cols == want_cols
+    assert np.array_equal(got_rows, want_rows)
     # probes raise the rank exactly when they leave the row space, and the
     # solved forms stay equal after them
     _insert_each(ech, ref, probes)
@@ -262,7 +305,7 @@ def test_matches_all_pivots_reference_air_rows(rows, aux_cols, p):
     data=st.data(),
 )
 def test_solved_form_keeps_later_results(mat, aux_cols, p, data):
-    # solved_form() back-reduces the pivot rows in place; inserts and
+    # solved_cells() back-reduces the pivot rows in place; inserts and
     # solved forms after it must match a reference that never solved
     a = np.array(mat, dtype=np.int64)
     width = a.shape[1]
@@ -289,30 +332,25 @@ def test_solved_form_keeps_later_results(mat, aux_cols, p, data):
     mat=_matrices(max_rows=12, max_cols=10),
     aux_cols=st.integers(1, 4),
     p=st.sampled_from([2, 3, 5, 65521]),
-    data=st.data(),
 )
-def test_unit_aux_and_pivot_entries(mat, aux_cols, p, data):
+def test_unit_aux_and_pivot_entries(mat, aux_cols, p):
     # with_unit_aux gives the packed rows stacked identity blocks as aux
-    # and leaves its input as it was; _cells reads both parts back, and
-    # pivot_entries reads the pivot rows' columns, before and after
-    # solved_form()
+    # and leaves its input as it was; _sparse_cells reads both parts back,
+    # and every entry of the pivot rows, before and after solved_cells()
     a = np.array(mat, dtype=np.int64)
     rows, width = a.shape
     identities = _tags(rows, aux_cols)
     ech = stream_echelon(width, aux_cols, p)
     packed = ech.pack(a)
     tagged = ech.with_unit_aux(packed)
-    assert np.array_equal(ech._cells(tagged, 0, width), a % p)
-    assert np.array_equal(ech._cells(tagged, width, aux_cols), identities)
-    assert not ech._cells(packed, width, aux_cols).any()
+    assert np.array_equal(_dense_cells(ech, tagged), np.hstack([a % p, identities]))
+    assert np.array_equal(_dense_cells(ech, packed), np.hstack([a % p, 0 * identities]))
     assert packed == ech.pack(a)
     ref = _AllPivotsReference(width, aux_cols, p)
     assert ech.insert_packed(tagged) == sum(map(ref.insert, a, identities))
-    cols = data.draw(st.lists(st.integers(0, width - 1), unique=True))
     order = np.argsort(ref.pivot_cols)
     raw = np.array([ref.rows[i] for i in order], dtype=np.int64).reshape(
         len(order), width + aux_cols
     )
-    assert np.array_equal(ech.pivot_entries(cols), raw[:, cols])
-    ech.solved_form()
-    assert np.array_equal(ech.pivot_entries(cols), ref.solved_rows()[1][:, cols])
+    assert np.array_equal(_dense_cells(ech, [ech._pivots[c] for c in sorted(ech._pivots)]), raw)
+    assert np.array_equal(_solved_form(ech)[1], ref.solved_rows()[1])
