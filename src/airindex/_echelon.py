@@ -2,13 +2,11 @@
 
 Rows are inserted one at a time and reduced against the pivots found so
 far, so the rank of any prefix of the insertion order can be read off
-mid-stream. Each row may carry auxiliary bookkeeping columns that ride
-along under the same row operations, so a pivot row's aux part records
-which combination of tagged inserted rows it is.
+mid-stream.
 
 Pivots are kept in a map from pivot column to pivot row, in insertion
-order. A pivot row's lowest nonzero main entry is its column, where it
-holds a 1, and it is zero at every pivot column found before it.
+order. A pivot row's lowest nonzero entry is its column, where it holds
+a 1, and it is zero at every pivot column found before it.
 
 One reduction rule serves every field: clear the pivot columns a row
 meets in ascending order. Clearing column c adds a multiple of c's pivot
@@ -17,33 +15,15 @@ each pivot column is visited at most once. The reduced row is the unique
 member of ``row + span(pivots)`` that is zero at every pivot column, so
 every field and every visiting order agree on it.
 
-``solved_cells()`` back-reduces the pivot rows in place, in descending
-pivot-column order, by the same rule with the row's own column left out;
-the pivot rows above it are solved already, so each step clears one
-column. Afterwards every pivot row is zero at every pivot column but its
-own. The pivot rows keep their span, their columns and their insertion
-order, so ``rank`` and every later ``insert`` give the same results as
-before, and a second call changes nothing. It returns the solved form
-sparse: the free (non-pivot) main columns and the nonzero cells of the
-pivot rows off the pivot columns, at free main columns and at aux
-columns. A matrix T that is zero off the pivot columns and holds each
-pivot row's aux part at its pivot column satisfies ``main @ T == aux``
-for every pivot row and every combination of pivot rows. When the aux
-columns track which inserted rows each pivot row combines, T is read
-off directly, with no solve.
-
-Each field supplies six primitives, the steps that depend on its row
+Each field supplies four primitives, the steps that depend on its row
 form: ``pack`` (rows to that form), the reduction kernel
-``_reduce(row, mask)`` over the pivot columns in ``mask``, ``_lead`` and
-``_unit`` (find a reduced row's pivot column and scale it to 1 there),
-``_sparse_cells(rows, mask)`` (the nonzero cells of many rows at the
-columns in ``mask``, as (row, column, value) triples) and ``_with_one``
-(copy a row with one zero cell set to 1). GF(2) rows are
-packed into single Python integers and GF(3) rows into two bitplanes,
-so a whole-row operation costs a handful of big-int ops.
-Other primes keep a row's nonzero entries in a dict and do arithmetic on
-Python ints, which is exact for any p. All of them give identical
-results.
+``_reduce(row, mask)`` over the pivot columns in ``mask``, and ``_lead``
+and ``_unit`` (find a reduced row's pivot column and scale it to 1
+there). GF(2) rows are packed into single Python integers and GF(3) rows
+into two bitplanes, so a whole-row operation costs a handful of big-int
+ops. Other primes keep a row's nonzero entries in a dict and do
+arithmetic on Python ints, which is exact for any p. All of them give
+identical results.
 
 The GF(3) engine also certifies integer determinants. Read GF(3) in
 balanced form {-1, 0, 1}: clearing a pivot column is ``row - pivot`` or
@@ -51,30 +31,26 @@ balanced form {-1, 0, 1}: clearing a pivot column is ``row - pivot`` or
 negation. These are integer row operations, exact over Z unless a cell
 wraps (1 + 1 or (-1) + (-1)). The engine keeps a sticky mask of every
 cell that wrapped and a count of the negations. If the rows that raised
-the rank had entries in {-1, 0, 1}, fill every main column and no main
-column ever wrapped, the pivot rows are those rows times a unit lower
-triangular matrix and a diagonal of signs, and sorted by pivot column
-they are unit upper triangular. Their determinant is therefore
-``(-1)**negations`` times the sign of the permutation from insertion
-order to pivot column; ``unimodular_det()`` returns it, or ``None``.
-The mask covers every reduction, the back-reduction included, so a stray
-wrap can only withdraw a certificate, never grant one; a certificate of
-the inserted rows alone must be read before it is called.
+the rank had entries in {-1, 0, 1}, fill every column and no cell ever
+wrapped, the pivot rows are those rows times a unit lower triangular
+matrix and a diagonal of signs, and sorted by pivot column they are unit
+upper triangular. Their determinant is therefore ``(-1)**negations``
+times the sign of the permutation from insertion order to pivot column;
+``unimodular_det()`` returns it, or ``None``. The mask covers every
+reduction, so a stray wrap can only withdraw a certificate, never grant
+one.
 
-This is the package's one GF(p) elimination. The codec inserts each
-receiver's rows and reads its decoder entries from ``solved_cells()``,
-once per receiver;
+This is the package's one GF(p) elimination.
 :func:`airindex.linalg.rank_mod_p` and the window verifier insert rows
-and read ranks.
+and read ranks; the codec does the same for a receiver its peel does
+not certify.
 
-Every engine converts rows to its own form with ``pack(main)`` and
+Every engine converts rows to its own form with ``pack(rows)`` and
 accumulates them with ``insert_packed(rows)``; ``insert`` is exactly
-``insert_packed(pack(main))``. A caller that inserts the same rows into
+``insert_packed(pack(rows))``. A caller that inserts the same rows into
 many accumulators of one width and field packs them once and passes
 slices of the packed rows. Packed rows are never modified, so they can
-be shared. They carry zeros in the aux columns; ``with_unit_aux`` copies
-them with stacked identity blocks as aux, which tags each copy as its
-own wanted row.
+be shared.
 """
 
 from __future__ import annotations
@@ -82,9 +58,9 @@ from __future__ import annotations
 import numpy as np
 
 
-def _rows(main, p: int) -> np.ndarray:
-    """``main`` mod p as a 2-D int64 array; a 1-D ``main`` is one row."""
-    rows = np.asarray(main, dtype=np.int64)
+def _rows(rows, p: int) -> np.ndarray:
+    """``rows`` mod p as a 2-D int64 array; a 1-D ``rows`` is one row."""
+    rows = np.asarray(rows, dtype=np.int64)
     if rows.ndim == 1:
         rows = rows[None]
     # the division is the costly step and encoder rows are already reduced;
@@ -101,16 +77,6 @@ def _pack_rows(bits: np.ndarray) -> list[int]:
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
-def _bits(x: int) -> list[int]:
-    """Indices of the set bits of ``x``, ascending."""
-    out = []
-    while x:
-        low = x & -x
-        out.append(low.bit_length() - 1)
-        x ^= low
-    return out
-
-
 def _low_bit(x: int) -> int:
     """Index of the lowest set bit of ``x``; -1 when ``x`` is 0."""
     return (x & -x).bit_length() - 1
@@ -121,10 +87,8 @@ class _Echelon:
 
     p: int
 
-    def __init__(self, main_cols: int, aux_cols: int):
-        self.main_cols = main_cols
-        self.aux_cols = aux_cols
-        self._main_mask = (1 << main_cols) - 1
+    def __init__(self, cols: int):
+        self.cols = cols
         self._pivots: dict = {}  # pivot column -> row
         self._pivot_mask = 0
 
@@ -144,44 +108,15 @@ class _Echelon:
     def insert_packed(self, rows) -> int:
         return sum(map(self._insert_one, rows))
 
-    def insert(self, main) -> int:
-        return self.insert_packed(self.pack(main))
-
-    def solved_cells(self) -> tuple[list[int], list[tuple[int, int, int]]]:
-        """Back-reduce in place; the solved form's free columns and cells off the pivot columns.
-
-        Returns the main columns that hold no pivot, ascending, and one
-        (pivot column, column, value) triple per nonzero cell of a pivot
-        row at a free main column or at an aux column (column
-        ``main_cols + i`` for aux column i), values in [1, p), by
-        ascending pivot column. A pivot row that is zero off the pivot
-        columns costs one mask test.
-        """
-        pivots, mask, reduce = self._pivots, self._pivot_mask, self._reduce
-        cols = sorted(pivots)
-        for c in reversed(cols):
-            pivots[c] = reduce(pivots[c], mask ^ (1 << c))
-        off = ((1 << (self.main_cols + self.aux_cols)) - 1) ^ mask
-        rows = [pivots[c] for c in cols]
-        cells = [(cols[i], j, x) for i, j, x in self._sparse_cells(rows, off)]
-        return _bits(off & self._main_mask), cells
-
-    def with_unit_aux(self, rows) -> list:
-        """Copies of packed rows, the i-th with a 1 at aux column ``i % aux_cols``.
-
-        ``pack`` leaves the aux part zero, so these are the rows with
-        identity blocks stacked down their aux part, built without a
-        dense copy of it.
-        """
-        m, a, one = self.main_cols, self.aux_cols, self._with_one
-        return [one(row, m + i % a) for i, row in enumerate(rows)]
+    def insert(self, rows) -> int:
+        return self.insert_packed(self.pack(rows))
 
 
 class _EchelonGF2(_Echelon):
     p = 2
 
-    def pack(self, main) -> list[int]:
-        return _pack_rows(_rows(main, 2) != 0)
+    def pack(self, rows) -> list[int]:
+        return _pack_rows(_rows(rows, 2) != 0)
 
     def _reduce(self, row: int, mask: int) -> int:
         pivots = self._pivots
@@ -192,30 +127,24 @@ class _EchelonGF2(_Echelon):
         return row
 
     def _lead(self, row: int) -> int:
-        return _low_bit(row & self._main_mask)
+        return _low_bit(row)
 
     def _unit(self, row: int, c: int) -> int:
         return row
-
-    def _sparse_cells(self, rows: list[int], mask: int) -> list[tuple[int, int, int]]:
-        return [(i, j, 1) for i, row in enumerate(rows) if (hit := row & mask) for j in _bits(hit)]
-
-    def _with_one(self, row: int, c: int) -> int:
-        return row | 1 << c
 
 
 class _EchelonGF3(_Echelon):
     # values live in two disjoint bitplanes: 1 -> lo bit, 2 -> hi bit
     p = 3
 
-    def __init__(self, main_cols: int, aux_cols: int):
-        super().__init__(main_cols, aux_cols)
-        self._mask = (1 << (main_cols + aux_cols)) - 1
+    def __init__(self, cols: int):
+        super().__init__(cols)
+        self._mask = (1 << cols) - 1
         self._wrapped = 0  # every cell where a reduction added 1+1 or 2+2
         self._negations = 0  # pivot rows scaled by 2 on insertion
 
-    def pack(self, main) -> list[tuple[int, int]]:
-        v = _rows(main, 3)
+    def pack(self, rows) -> list[tuple[int, int]]:
+        v = _rows(rows, 3)
         return list(zip(_pack_rows(v == 1), _pack_rows(v == 2)))
 
     def _reduce(self, row: tuple[int, int], mask: int) -> tuple[int, int]:
@@ -241,7 +170,7 @@ class _EchelonGF3(_Echelon):
         return lo, hi
 
     def _lead(self, row: tuple[int, int]) -> int:
-        return _low_bit((row[0] | row[1]) & self._main_mask)
+        return _low_bit(row[0] | row[1])
 
     def _unit(self, row: tuple[int, int], c: int) -> tuple[int, int]:
         lo, hi = row
@@ -250,27 +179,15 @@ class _EchelonGF3(_Echelon):
             return hi, lo  # scale by 2 so the pivot entry is 1
         return row
 
-    def _sparse_cells(self, rows: list[tuple[int, int]], mask: int) -> list[tuple[int, int, int]]:
-        return [
-            (i, j, x)
-            for i, (lo, hi) in enumerate(rows)
-            if (lo | hi) & mask
-            for x, plane in ((1, lo), (2, hi))
-            for j in _bits(plane & mask)
-        ]
-
-    def _with_one(self, row: tuple[int, int], c: int) -> tuple[int, int]:
-        return row[0] | 1 << c, row[1]
-
     def unimodular_det(self) -> int | None:
         """Integer determinant of the rows that raised the rank, when proven.
 
         Valid for rows inserted with entries in {-1, 0, 1}, read as
-        integers in insertion order. Returns +-1 when they fill every main
-        column and no main column wrapped (see the module docstring);
-        ``None`` when the run proves nothing.
+        integers in insertion order. Returns +-1 when they fill every
+        column and no cell wrapped (see the module docstring); ``None``
+        when the run proves nothing.
         """
-        if self.rank != self.main_cols or self._wrapped & self._main_mask:
+        if self.rank != self.cols or self._wrapped:
             return None
         sign = -1 if self._negations % 2 else 1
         # sort insertion order into pivot-column order; each swap flips the sign
@@ -287,12 +204,12 @@ class _EchelonGeneric(_Echelon):
     # rows are sparse: a dict from column to nonzero entry; AIR rows have
     # at most 3 ones and their pivot rows stay about as sparse
 
-    def __init__(self, main_cols: int, aux_cols: int, p: int):
-        super().__init__(main_cols, aux_cols)
+    def __init__(self, cols: int, p: int):
+        super().__init__(cols)
         self.p = p
 
-    def pack(self, main) -> list[dict[int, int]]:
-        v = _rows(main, self.p)
+    def pack(self, rows) -> list[dict[int, int]]:
+        v = _rows(rows, self.p)
         packed: list[dict[int, int]] = [{} for _ in range(v.shape[0])]
         rows, cols = np.nonzero(v)
         for r, c, x in zip(rows.tolist(), cols.tolist(), v[rows, cols].tolist()):
@@ -323,32 +240,24 @@ class _EchelonGeneric(_Echelon):
         return row
 
     def _lead(self, row: dict[int, int]) -> int:
-        return min((c for c in row if c < self.main_cols), default=-1)
+        return min(row, default=-1)
 
     def _unit(self, row: dict[int, int], c: int) -> dict[int, int]:
         inv, p = pow(row[c], -1, self.p), self.p
         return {j: x * inv % p for j, x in row.items()}
 
-    def _sparse_cells(self, rows: list[dict[int, int]], mask: int) -> list[tuple[int, int, int]]:
-        return [(i, j, x) for i, row in enumerate(rows) for j, x in row.items() if mask >> j & 1]
 
-    def _with_one(self, row: dict[int, int], c: int) -> dict[int, int]:
-        return {**row, c: 1}
+def stream_echelon(cols: int, p: int) -> _Echelon:
+    """Echelon accumulator for width ``cols`` rows over GF(p).
 
-
-def stream_echelon(main_cols: int, aux_cols: int, p: int) -> _Echelon:
-    """Echelon accumulator for width ``main_cols`` rows over GF(p).
-
-    ``aux_cols`` extra columns follow the same row operations. Picks the
-    packed implementation for p in {2, 3}, sparse rows otherwise.
-    ``insert(main)`` adds one row, or the rows of a 2-D block in order
-    (packed in one call), and returns how many of them raised the rank;
-    ``insert_packed`` does the same for rows ``pack`` or
-    ``with_unit_aux`` already converted, on any accumulator of the same
-    width and field.
+    Picks the packed implementation for p in {2, 3}, sparse rows
+    otherwise. ``insert(rows)`` adds one row, or the rows of a 2-D block
+    in order (packed in one call), and returns how many of them raised
+    the rank; ``insert_packed`` does the same for rows ``pack`` already
+    converted, on any accumulator of the same width and field.
     """
     if p == 2:
-        return _EchelonGF2(main_cols, aux_cols)
+        return _EchelonGF2(cols)
     if p == 3:
-        return _EchelonGF3(main_cols, aux_cols)
-    return _EchelonGeneric(main_cols, aux_cols, p)
+        return _EchelonGF3(cols)
+    return _EchelonGeneric(cols, p)

@@ -25,6 +25,7 @@ every ``AirMatrix`` pass the same check. Primes pass :func:`airindex.linalg.requ
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -87,7 +88,9 @@ class AirMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        _require_shape(self.m, self.n)
+        m, n = _require_shape(self.m, self.n)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n", n)
         if np.shape(self.entries) != (self.m, self.n):
             raise ValueError(
                 f"entries have shape {np.shape(self.entries)}, not ({self.m}, {self.n})"
@@ -117,14 +120,19 @@ class AirMatrix:
         return "\n".join(",".join(str(int(v)) for v in row) for row in self.entries)
 
 
-def _require_shape(m: int, n: int) -> None:
-    """Refuse an m x n AIR shape unless 1 <= n <= m and m*n <= MAX_CELLS."""
+def _require_shape(m: int, n: int) -> tuple[int, int]:
+    """(m, n) as plain ints, refused unless 1 <= n <= m and m*n <= MAX_CELLS.
+
+    Coercing first keeps m*n exact: in a numpy integer type it could wrap.
+    """
+    m, n = operator.index(m), operator.index(n)
     if n < 1 or m < n:
         raise ValueError(f"need 1 <= n <= m, got m={m}, n={n}")
     if m * n > MAX_CELLS:
         raise ValueError(
             f"AIR matrix would have {m}x{n} = {m * n} entries, over the limit of {MAX_CELLS}"
         )
+    return m, n
 
 
 def build_air(m: int, n: int) -> AirMatrix:
@@ -137,7 +145,7 @@ def build_air(m: int, n: int) -> AirMatrix:
     identities; m == n gives the identity matrix. More than
     ``MAX_CELLS`` entries raise ``ValueError``.
     """
-    _require_shape(m, n)
+    m, n = _require_shape(m, n)
     grid = np.zeros((m, n), dtype=np.int64)
     for top, left, h, w in _fill_blocks(m, n):
         i = np.arange(max(h, w))
@@ -204,12 +212,12 @@ def verify_adjacent_independence(
         # window s is rows s .. s+n-1 in both modes
         rows = rows[np.arange(m + n - 1) % m]
     # GF(3) always runs: its elimination certifies the determinant
-    packed = {q: stream_echelon(n, 0, q).pack(rows) for q in (3, *primes)}
+    packed = {q: stream_echelon(n, q).pack(rows) for q in (3, *primes)}
     failures = []
     for s in starts:
         ech = {}
         for q, field_rows in packed.items():
-            ech[q] = stream_echelon(n, 0, q)
+            ech[q] = stream_echelon(n, q)
             ech[q].insert_packed(field_rows[s : s + n])
         ok = _det(rows[s : s + n], ech[3]) in (-1, 1) and all(
             ech[q].rank == n for q in primes

@@ -11,29 +11,45 @@ are unique exactly when
 
     rank([interference rows; wanted rows]) == rank(interference rows) + b
 
-over GF(p). Each receiver's plan is one elimination of its unknown rows,
-run once per encoder, and the ranks come from it; checking decodability
+over GF(p). Each receiver's plan peels its unknown rows, once per
+encoder. Once the side information's share is subtracted, a codeword
+column is the plain sum of its unknown rows, as L is 0/1, so a column
+with one unsolved unknown row solves that row by +-1 steps. A receiver
+whose b wanted rows all peel, and whose leftover rows pass a second
+peel, is decodable over every field: the peel gives its ranks and its
+decoder with integer coefficients, with no field arithmetic. Only a
+receiver whose peel stalls runs an elimination over GF(p), for its ranks
+only; every stalled receiver seen so far is undecodable at every prime.
+That every receiver of every feasible pair peels is a checked
+conjecture, not a theorem. The tests check it for every minimal-rate
+encoder with K <= 20 and for drawn pairs with a, b <= 3, and it has held
+for every minimal-rate encoder with K <= 30 and for (71,25,1),
+(53,6,2), (60,20,10), (100,10,3) and (37,8,8). Checking decodability
 alone builds no decoder. The first ``decode`` or ``simulate`` on an
 encoder builds the decoders of all its decodable receivers in one pass
-over their plans' solved forms, so even a single decode on a fresh
-encoder eliminates every receiver. Each plan then drops its elimination.
+over their plans, so even a single decode on a fresh encoder peels every
+receiver.
 
 A receiver's decoder is a matrix M = [T | P] over the codeword columns.
 For a codeword c' corrected by the side information's share (the
 known encoder rows' contribution to each column), c' @ T gives the
 wanted symbols, and c' @ P is zero exactly when c' lies in the span of
-the unknown rows: P has one column per free (non-pivot) column f, with a
-1 at f and -R[:, f] mod p at the pivot columns, where R holds the solved
-pivot rows' entries at the free columns. A receiver sees only its window
-of D+U+1 messages, so M is very sparse (T is about 0.2% nonzero on
-(71,25,1)). Most receivers have no free column; those of minimal-rate
-encoders with K <= 40 have at most four.
+the unknown rows. T's column for a wanted row is its peel expression:
+the column that solved it, minus the expressions of the other rows that
+column holds. P has one column per parity column f, a column that no
+peel step used and no unsolved row meets: f minus the expressions of its
+rows. There are n minus the rank of them, each with its 1 at its own
+column, so together they are every check. Coefficients are reduced mod
+p, and an entry that vanishes is dropped. A receiver sees only its
+window of D+U+1 messages, so M is very sparse (T is about 0.2% nonzero
+on (71,25,1)). Most receivers have no parity column; those of
+minimal-rate encoders with K <= 40 have at most four.
 
 The encoder keeps the nonzero entries of every decodable receiver's M
 in one sparse batch. Each entry names a codeword column, that column's
 known encoder rows for its receiver, and a coefficient in [1, p). The
 entries are sorted into one contiguous segment per output (a wanted
-symbol or a parity column), and each receiver owns one contiguous range
+symbol or a parity check), and each receiver owns one contiguous range
 of entries and of outputs. Decoding a batch of codewords takes three
 steps: gather each entry's share, form (c[col] - share) % p * coef, and
 sum every segment with ``np.add.reduceat``. ``simulate`` runs them once
@@ -115,10 +131,10 @@ class Encoder:
     Immutable after construction. Cached internally and shared by
     decodability checks, decoding and simulation: the per-receiver plans
     (ranks), the decoder of every decodable receiver as one sparse batch,
-    built by the first ``decode`` or ``simulate``, the encoder rows packed
-    once for the field's echelon, which each plan inserts as interference
-    rows or tags as its own wanted rows, and the nonzero structure of the
-    encoder columns.
+    built by the first ``decode`` or ``simulate``, the nonzero structure
+    of the encoder rows and columns, which every peel reads, and, only
+    once some receiver's peel stalls, the encoder rows packed once for
+    the field's echelon.
     """
 
     problem: ProblemInstance
@@ -145,8 +161,19 @@ class Encoder:
 
     @cached_property
     def _packed_rows(self):
-        """The encoder rows in the form its receivers' echelons insert."""
-        return stream_echelon(self.cols, self.b, self.p).pack(self.matrix.entries)
+        """The encoder rows in the form a stalled receiver's echelon inserts."""
+        return stream_echelon(self.cols, self.p).pack(self.matrix.entries)
+
+    @cached_property
+    def _incidence(self) -> tuple[list[list[int]], list[list[int]]]:
+        """Each row's nonzero columns and each column's nonzero rows, ascending."""
+        row_cols: list[list[int]] = [[] for _ in range(self.rows)]
+        col_rows: list[list[int]] = [[] for _ in range(self.cols)]
+        rows, cols = np.nonzero(self.matrix.entries)
+        for r, c in zip(rows.tolist(), cols.tolist()):
+            row_cols[r].append(c)
+            col_rows[c].append(r)
+        return row_cols, col_rows
 
     @cached_property
     def _col_support(self) -> np.ndarray:
@@ -250,33 +277,152 @@ def encode(encoder: Encoder, x) -> np.ndarray:
 
 
 class _ReceiverPlan:
-    """Ranks for one receiver of an encoder.
+    """Ranks for one receiver of an encoder, and its decoder until it is read.
 
-    Inserts the interference rows first and the wanted rows last into a
-    streaming echelon, recording the rank after each phase; the rank
-    criterion falls out of that single pass. A decodable receiver keeps the
-    echelon only until ``_build_decoder`` reads its decoder from the
-    solved form; an undecodable one drops it at once.
+    The peel (``_peel``) gives both for every receiver it certifies,
+    which is then decodable; the plan keeps the peel's outputs over Z
+    until ``_build_decoder`` reduces them mod p, then drops them. A
+    receiver whose peel stalls gets its ranks from an elimination of its
+    unknown rows over GF(p), interference rows first and wanted rows
+    last, and keeps nothing else. Every stalled receiver seen so far is
+    undecodable at every prime. One that the elimination calls decodable
+    would need a decoder the peel did not give, so the plan raises
+    instead.
     """
 
     def __init__(self, encoder: Encoder, k: int):
-        problem = encoder.problem
-        K, b = problem.K, encoder.b
+        problem, b = encoder.problem, encoder.b
         window = _window(problem, k)
         in_window = set(window)
         self.k = k
-        self.known_messages = [j for j in range(K) if j not in in_window]
-        packed = encoder._packed_rows
-        ech = stream_echelon(encoder.cols, b, encoder.p)
-        for j in window:
-            if j != k:
-                ech.insert_packed(packed[j * b : (j + 1) * b])
-        self.rank_interference = ech.rank
-        # wanted row k*b+i carries a 1 at aux column i
-        ech.insert_packed(ech.with_unit_aux(packed[k * b : (k + 1) * b]))
-        self.rank_all = ech.rank
-        self.decodable = self.rank_all == self.rank_interference + b
-        self._echelon = ech if self.decodable else None
+        self.known_messages = [j for j in range(problem.K) if j not in in_window]
+        peeled = _peel(encoder, window, k)
+        if peeled is not None:
+            self.rank_all, self._outputs = peeled
+            self.rank_interference = self.rank_all - b
+            self.decodable = True
+            return
+        self.rank_interference, self.rank_all = _eliminated_ranks(encoder, window, k)
+        self.decodable = False
+        self._outputs = None
+        if self.rank_all == self.rank_interference + b:
+            raise AssertionError(
+                f"receiver {k} of {problem} at (a={encoder.a}, b={b}) over GF({encoder.p}): "
+                "the peel stalled, yet elimination finds it decodable"
+            )
+
+
+def _peel(encoder: Encoder, window: list[int], k: int) -> tuple[int, list[dict]] | None:
+    """Receiver k's decoder over Z and the rank of its unknown rows, or None on a stall.
+
+    Once the side information's share is subtracted, codeword column j
+    is the plain sum of its unknown rows, as L is 0/1. So a column with
+    one unsolved unknown row r solves it: x_r = c'_j minus the other
+    rows of j, all solved before. Repeating this solves rows in an order
+    in which each step's column meets no row solved later. The peel
+    stalls unless it solves all b wanted rows.
+
+    The unsolved rows meet only the columns left with two or more of
+    them. A second peel clears those columns one at a time, each by an
+    unsolved row that meets no other column still left. The rows it
+    uses form a unit triangle against the columns, so the leftover
+    block has full column rank in every field; the peel stalls unless
+    this clears every such column. The solved rows form a unit triangle
+    against their columns too, so the unknown rows have rank
+    n - len(parity) in every field, where ``parity`` holds the columns
+    that no step used and no unsolved row meets.
+
+    Returns that rank and the outputs as {column: integer coefficient}
+    maps: the b wanted rows' expressions, then, per parity column f, f
+    minus the expressions of its rows, which vanishes on every
+    combination of the unknown rows. Each output holds its own column
+    with coefficient 1, as the rows it subtracts were solved from other
+    columns, before it.
+    """
+    b, n = encoder.b, encoder.cols
+    row_cols, col_rows = encoder._incidence
+    unknown = [r for j in window for r in range(j * b, (j + 1) * b)]
+    count = [0] * n  # each column's unsolved unknown rows; -1 once a step used it
+    total = [0] * n  # the sum of their indices, which is the row once count is 1
+    for r in unknown:
+        for c in row_cols[r]:
+            count[c] += 1
+            total[c] += r
+    solved = {}  # row -> the column that solved it, in solving order
+    queue = [c for c in range(n) if count[c] == 1]
+    for c in queue:
+        if count[c] != 1:
+            continue
+        r = total[c]
+        solved[r] = c
+        for j in row_cols[r]:
+            count[j] -= 1
+            total[j] -= r
+            if count[j] == 1:
+                queue.append(j)
+        count[c] = -1
+    wanted = range(k * b, (k + 1) * b)
+    if not all(r in solved for r in wanted):
+        return None
+    parity = [c for c in range(n) if not count[c]]
+    left = n - len(solved) - len(parity)
+    # the unsolved rows, each with the number and the sum of the columns
+    # it meets that are still left; all of its columns hold two or more
+    # unsolved rows at first
+    rest = {r: [len(row_cols[r]), sum(row_cols[r])] for r in unknown if r not in solved}
+    queue = [r for r, (d, _) in rest.items() if d == 1]
+    for r in queue:
+        d, c = rest[r]
+        if d != 1:
+            continue
+        left -= 1
+        for i in col_rows[c]:
+            if i in rest:
+                live = rest[i]
+                live[0] -= 1
+                live[1] -= c
+                if live[0] == 1:
+                    queue.append(i)
+    if left:
+        return None
+    # the rows the outputs read, and in turn the earlier rows each solved
+    # one reads, found in one pass back through the solving order
+    need = set(wanted)
+    for f in parity:
+        need.update(col_rows[f])
+    for r, c in reversed(solved.items()):
+        if r in need:
+            need.update(col_rows[c])
+    exprs: dict[int, dict[int, int]] = {}
+    for r, c in solved.items():
+        if r in need:
+            exprs[r] = _minus_found(c, col_rows[c], exprs)
+    outputs = [exprs[r] for r in wanted]
+    outputs += (_minus_found(f, col_rows[f], exprs) for f in parity)
+    return n - len(parity), outputs
+
+
+def _minus_found(c: int, rows: list[int], exprs: dict) -> dict[int, int]:
+    """Column c minus the expressions found so far for its ``rows``."""
+    e = {c: 1}
+    for i in rows:
+        found = exprs.get(i)
+        if found:
+            for j, v in found.items():
+                e[j] = e.get(j, 0) - v
+    return e
+
+
+def _eliminated_ranks(encoder: Encoder, window: list[int], k: int) -> tuple[int, int]:
+    """(rank of interference rows, rank with wanted rows stacked on) over GF(p)."""
+    b, packed = encoder.b, encoder._packed_rows
+    ech = stream_echelon(encoder.cols, encoder.p)
+    for j in window:
+        if j != k:
+            ech.insert_packed(packed[j * b : (j + 1) * b])
+    rank_interference = ech.rank
+    ech.insert_packed(packed[k * b : (k + 1) * b])
+    return rank_interference, ech.rank
 
 
 def _plan(encoder: Encoder, k) -> _ReceiverPlan:
@@ -300,7 +446,7 @@ class _BatchDecoder(NamedTuple):
     zero, read at the padding index, for a parity column. Receiver k
     owns entries ``entry_bounds[k] : entry_bounds[k + 1]`` and outputs
     ``output_bounds[k] : output_bounds[k + 1]``: its b wanted symbols,
-    then one parity column per free column. An undecodable receiver owns
+    then one parity check per parity column. An undecodable receiver owns
     none.
     """
 
@@ -351,19 +497,12 @@ def _segment_starts(outs: np.ndarray, n: int) -> np.ndarray:
 def _build_decoder(encoder: Encoder) -> _BatchDecoder:
     """The encoder's batch decoder, from one pass over every receiver's plan.
 
-    Builds each plan first if needed and drops its echelon once read.
-    T solves A @ T = E where A stacks the unknown rows and E marks the
-    wanted ones. Once the pivot rows are back-reduced to solved form, T
-    is zero off the pivot columns and its pivot rows are the aux
-    columns, which track the wanted-row combinations. Solved pivot rows
-    are zero at every pivot column but their own, so the combination of
-    them that matches c' at the pivot columns has c'[pivots] as
-    coefficients; c' is in their span iff it matches at each free
-    column f too, c'[f] == c'[pivots] @ R[:, f], which is P's column.
-    Every segment is nonempty: each T column is nonzero as A @ T = E,
-    and each parity column holds its 1.
+    Builds each plan first if needed and drops its peel outputs once
+    read. Their coefficients are reduced mod p, and an entry that is 0
+    mod p is dropped. Every segment is nonempty, as each output keeps
+    its own column with coefficient 1.
     """
-    problem, b, p, main = encoder.problem, encoder.b, encoder.p, encoder.cols
+    problem, b, p = encoder.problem, encoder.b, encoder.p
     cols: list[int] = []
     outs: list[int] = []
     coef: list[int] = []
@@ -377,37 +516,28 @@ def _build_decoder(encoder: Encoder) -> _BatchDecoder:
         plan = _plan(encoder, k)
         known[k, plan.known_messages] = True
         if plan.decodable:
-            free, cells = plan._echelon.solved_cells()
-            plan._echelon = None
-            base = len(targets)
-            parity = {f: base + b + j for j, f in enumerate(free)}
-            for c, j, x in cells:
-                cols.append(c)
-                if j < main:  # P's entry -R[c, j] mod p
-                    outs.append(parity[j])
-                    coef.append(p - x)
-                else:  # T's entry at (c, j - main)
-                    outs.append(base + j - main)
-                    coef.append(x)
-            cols += free
-            outs += parity.values()
-            coef += [1] * len(free)
+            outputs, plan._outputs = plan._outputs, None
+            for o, expr in enumerate(outputs, len(targets)):
+                for c, x in expr.items():
+                    x %= p
+                    if x:
+                        cols.append(c)
+                        outs.append(o)
+                        coef.append(x)
             owners += [k] * (len(cols) - len(owners))
             targets += range(k * b, (k + 1) * b)
-            targets += [encoder.rows] * len(free)
+            targets += [encoder.rows] * (len(outputs) - b)
         output_bounds.append(len(targets))
-    outs_arr = np.array(outs, dtype=np.int64)
-    order = np.argsort(outs_arr, kind="stable")
-    starts = _segment_starts(outs_arr[order], len(targets))
-    col_arr = np.array(cols, dtype=np.int64)[order]
-    owner_arr = np.array(owners, dtype=np.int64)[order]
+    starts = _segment_starts(np.array(outs, dtype=np.int64), len(targets))
+    col_arr = np.array(cols, dtype=np.int64)
+    owner_arr = np.array(owners, dtype=np.int64)
     support = encoder._col_support[col_arr]
     bounds = np.array(output_bounds, dtype=np.int64)
     return _BatchDecoder(
         p=p,
         cols=col_arr,
         known_support=np.where(known[owner_arr[:, None], support // b], support, encoder.rows),
-        coef=np.array(coef, dtype=np.int64)[order],
+        coef=np.array(coef, dtype=np.int64),
         starts=starts,
         targets=np.array(targets, dtype=np.int64),
         entry_bounds=np.append(starts, col_arr.size)[bounds],

@@ -1,8 +1,9 @@
 """Exact integer and prime-field matrix arithmetic.
 
 Deterministic routines backing the AIR window verification: rank over
-GF(p), computed by the same streaming echelon the codec eliminates with
-(:mod:`airindex._echelon`), and exact integer determinants.
+GF(p), computed by the streaming echelon (:mod:`airindex._echelon`) that
+the codec also runs for a receiver its peel does not certify, and exact
+integer determinants.
 
 A determinant of a matrix with entries in {-1, 0, 1} comes from one GF(3)
 elimination of its rows whenever that elimination certifies it: read in
@@ -117,7 +118,7 @@ def rank_mod_p(mat, p) -> int:
     """Rank of ``mat`` over GF(p), by streaming elimination of its rows."""
     p = require_prime(p)
     a = as_int_matrix(mat)
-    return stream_echelon(a.shape[1], 0, p).insert(a)
+    return stream_echelon(a.shape[1], p).insert(a)
 
 
 def det_exact(mat) -> int:
@@ -151,7 +152,7 @@ def _det(M: np.ndarray, gf3: _EchelonGF3 | None = None) -> int:
     # min/max, not abs: abs(-2**63) wraps to -2**63 in int64
     if M.min() >= -1 and M.max() <= 1:
         if gf3 is None:
-            gf3 = _EchelonGF3(M.shape[1], 0)
+            gf3 = _EchelonGF3(M.shape[1])
             gf3.insert(M)
         det = gf3.unimodular_det()
         if det is not None:

@@ -71,7 +71,9 @@ def is_feasible(problem: ProblemInstance, a: int, b: int) -> bool:
 
     True iff gcd(b*K, b*(D+1) + a) >= b*(U+1), i.e. splitting messages
     into b symbols with a extra coded symbols admits the construction.
+    a and b go through ``operator.index``, as K, D and U do.
     """
+    a, b = operator.index(a), operator.index(b)
     if a < 0:
         raise ValueError(f"a must be nonnegative, got {a}")
     if b < 1:
@@ -118,8 +120,11 @@ def solution_for_pair(
     """Package an explicit (a, b) choice without checking feasibility.
 
     Useful for negative controls; the encoder builder re-checks
-    feasibility unless told otherwise.
+    feasibility unless told otherwise. a and b go through
+    ``operator.index``, so numpy integers become plain ints and floats
+    are refused.
     """
+    a, b = operator.index(a), operator.index(b)
     if a < 0 or b < 1:
         raise ValueError(f"need a >= 0 and b >= 1, got a={a}, b={b}")
     cols = b * (problem.D + 1) + a

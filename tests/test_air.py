@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 from _reference import det_fraction
@@ -78,6 +80,20 @@ class TestBuildAir:
             build_air(3, 5)
         with pytest.raises(ValueError):
             build_air(3, 0)
+
+    def test_refuses_wrapping_shape_without_allocating(self, monkeypatch):
+        # 50000*50000 wraps negative in int32; compared as plain ints the
+        # shape is over the cap and refused before np.zeros runs
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("np.zeros was called")
+
+        monkeypatch.setattr(air_module.np, "zeros", no_allocation)
+        with np.errstate(over="ignore"):
+            assert np.int32(50000) * np.int32(50000) < 0
+        with pytest.raises(ValueError, match="over the limit"):
+            build_air(np.int32(50000), np.int32(50000))
+        with pytest.raises(TypeError):
+            build_air(5.0, 3)
 
     def test_deterministic(self):
         a, b = build_air(23, 9), build_air(23, 9)
@@ -215,6 +231,13 @@ class TestAdjacentIndependence:
         # verify_adjacent_independence would otherwise pass these over 0, 1 and 4 windows
         with pytest.raises(ValueError, match="need 1 <= n <= m|entries have shape"):
             AirMatrix(m=m, n=n, entries=entries)
+
+    def test_numpy_integer_shape(self):
+        # numpy integers become plain ints, which the packed echelons need
+        air = AirMatrix(m=np.int64(5), n=np.int32(3), entries=build_air(5, 3).entries)
+        assert type(air.m) is int and type(air.n) is int
+        report = verify_adjacent_independence(air)
+        assert report.passed and json.loads(json.dumps(report.to_json()))["m"] == 5
 
     def test_failure_is_reported_not_raised(self):
         air = build_air(5, 3)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import json
 import math
 import tracemalloc
 import warnings
@@ -18,10 +19,13 @@ from _reference import rref_mod_p, solve_left
 from airindex.codec import (
     MAX_CELLS,
     _BatchDecoder,
+    _eliminated_ranks,
     _gather_sum,
     _pad,
+    _peel,
     _plan,
     _segment_starts,
+    _window,
     build_encoder,
     decodable,
     decode,
@@ -511,6 +515,27 @@ def _check_decode_paths(enc, trials=3, seed=0) -> list[int]:
     return free_counts
 
 
+def _peeled(enc, k):
+    """Receiver k's peel: (rank, outputs), or None when it stalls."""
+    return _peel(enc, _window(enc.problem, k), k)
+
+
+def _drawn_encoder(K, data, p, kinds=("minimal", "feasible", "infeasible")):
+    """An encoder for a drawn (K, D, U): the minimal pair, or a feasible or
+    infeasible pair with a, b <= 3."""
+    D = data.draw(st.integers(1, K - 1))
+    U = data.draw(st.integers(0, min(D, K - 1 - D)))
+    problem = ProblemInstance(K, D, U)
+    kind = data.draw(st.sampled_from(kinds))
+    if kind == "minimal":
+        sol = find_min_rate(problem)
+    else:
+        a, b = data.draw(st.integers(0, 3)), data.draw(st.integers(1, 3))
+        assume(is_feasible(problem, a, b) == (kind == "feasible") and b * (D + 1) + a <= K * b)
+        sol = solution_for_pair(problem, a, b)
+    return build_encoder(problem, sol, p, allow_infeasible=True)
+
+
 class TestDecodeThroughMaps:
     # (5,2,1) at (2, 1), (11,5,3) at (5, 1) and (17,8,5) at (8, 1) are
     # minimal-rate encoders (identity matrices) whose receivers have 1, 2
@@ -567,18 +592,8 @@ class TestDecodeThroughMaps:
         # whose undecodable receivers fail every trial and refuse to decode;
         # genuine codewords and arbitrary vectors, which may fail the parity
         # check, decode as the reference solves them
-        D = data.draw(st.integers(1, K - 1))
-        U = data.draw(st.integers(0, min(D, K - 1 - D)))
-        problem = ProblemInstance(K, D, U)
-        kind = data.draw(st.sampled_from(["minimal", "feasible", "infeasible"]))
-        if kind == "minimal":
-            sol = find_min_rate(problem)
-        else:
-            a, b = data.draw(st.integers(0, 3)), data.draw(st.integers(1, 3))
-            assume(is_feasible(problem, a, b) == (kind == "feasible") and b * (D + 1) + a <= K * b)
-            sol = solution_for_pair(problem, a, b)
-        enc = build_encoder(problem, sol, p, allow_infeasible=True)
-        b, trials = enc.b, 3
+        enc = _drawn_encoder(K, data, p)
+        problem, sol, b, trials = enc.problem, enc.solution, enc.b, 3
         report = simulate(problem, sol, p, trials=trials, seed=seed, encoder=enc)
         X = np.random.default_rng(seed).integers(0, p, size=(trials, enc.rows), dtype=np.int64)
         C = X @ enc.matrix.entries % p
@@ -604,11 +619,12 @@ class TestDecodeThroughMaps:
                 else:
                     assert np.array_equal(decode(enc, k, c, side), ref), k
         assert report.failures == tuple(sorted(want))
-        assert kind == "infeasible" or not want
+        assert not is_feasible(problem, enc.a, b) or not want
 
     @pytest.mark.parametrize("p", [2, 3, 65521])
     def test_single_decode_on_fresh_encoder(self, p):
-        # one decode builds every receiver's plan and the batch decoder
+        # one decode builds every receiver's plan and the batch decoder;
+        # every receiver peels, so no elimination runs
         enc = _encoder(17, 5, 1, 3, 8, p)
         x = np.random.default_rng(p).integers(0, p, size=enc.rows)
         c = encode(enc, x)
@@ -617,7 +633,8 @@ class TestDecodeThroughMaps:
         assert ok
         assert np.array_equal(decode(enc, 6, c, side), solve(c, x))
         assert "_decoder" in vars(enc) and sorted(enc._plans) == list(range(17))
-        assert all(plan._echelon is None for plan in enc._plans.values())
+        assert all(plan._outputs is None for plan in enc._plans.values())
+        assert "_packed_rows" not in vars(enc)
 
     def test_single_decode_on_fresh_encoder_refuses_undecodable(self):
         enc = _encoder(17, 11, 1, 1, 6, 2, allow_infeasible=True)
@@ -645,10 +662,100 @@ class TestDecodeThroughMaps:
             decode(enc, k, noise[k], side)
 
 
+class TestPeel:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        K=st.integers(3, 12),
+        data=st.data(),
+        p=st.sampled_from([2, 3, 5, 65521]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_certified_peel_decodes(self, K, data, p, seed):
+        # a receiver the peel certifies is decodable, has the reference's
+        # ranks, and decodes genuine codewords as the reference solves them
+        enc = _drawn_encoder(K, data, p)
+        b, L = enc.b, enc.matrix.entries
+        X = np.random.default_rng(seed).integers(0, p, size=(2, enc.rows), dtype=np.int64)
+        C = X @ L % p
+        for k in range(K):
+            if _peeled(enc, k) is None:
+                continue
+            ok, solve = _reference_receiver(enc, k)
+            assert ok and decodable(enc, k), k
+            window, unknown = _unknown_rows(enc, k)
+            pos = window.index(k)
+            interference = np.delete(unknown, np.s_[pos * b : (pos + 1) * b])
+            want = (reference_rank(L[interference], p), reference_rank(L[unknown], p))
+            assert receiver_ranks(enc, k) == want, k
+            for c, x in zip(C, X):
+                side = {j: x[j * b : (j + 1) * b] for j in range(K)}
+                got = decode(enc, k, c, side)
+                assert np.array_equal(got, solve(c, x)), k
+                assert np.array_equal(got, x[k * b : (k + 1) * b]), k
+
+    @settings(max_examples=60, deadline=None)
+    @given(K=st.integers(3, 12), data=st.data(), p=st.sampled_from([2, 3, 5]))
+    def test_peel_verdict_is_rank_verdict(self, K, data, p):
+        # feasible or infeasible pairs with a, b <= 3: the peel stalls
+        # exactly on the receivers the rank criterion calls undecodable
+        enc = _drawn_encoder(K, data, p, kinds=("feasible", "infeasible"))
+        for k in range(K):
+            assert (_peeled(enc, k) is not None) == _reference_receiver(enc, k)[0], k
+
+    @pytest.mark.parametrize("p", [2, 3, 65521])
+    def test_stalled_receiver_gets_ranks_only(self, p, monkeypatch):
+        # receiver 14 of (17,11,1) at (1, 6) is undecodable at every prime;
+        # its peel stalls and only it runs the elimination, for ranks
+        calls = []
+
+        def spy(encoder, window, k):
+            calls.append(k)
+            return _eliminated_ranks(encoder, window, k)
+
+        monkeypatch.setattr("airindex.codec._eliminated_ranks", spy)
+        enc = _encoder(17, 11, 1, 1, 6, p, allow_infeasible=True)
+        assert [k for k in range(17) if not decodable(enc, k)] == [14]
+        assert calls == [14]
+        assert _peeled(enc, 14) is None and _plan(enc, 14)._outputs is None
+        L, b = enc.matrix.entries, enc.b
+        window, unknown = _unknown_rows(enc, 14)
+        pos = window.index(14)
+        interference = np.delete(unknown, np.s_[pos * b : (pos + 1) * b])
+        want = (reference_rank(L[interference], p), reference_rank(L[unknown], p))
+        assert receiver_ranks(enc, 14) == want and want[1] < want[0] + b
+
+    def test_stall_called_decodable_raises(self, monkeypatch):
+        # an elimination that finds a stalled receiver decodable would need
+        # a decoder the peel did not give, so the plan refuses to exist
+        monkeypatch.setattr("airindex.codec._eliminated_ranks", lambda enc, window, k: (60, 66))
+        enc = _encoder(17, 11, 1, 1, 6, 2, allow_infeasible=True)
+        assert decodable(enc, 13)
+        with pytest.raises(
+            AssertionError,
+            match=r"receiver 14 of ProblemInstance\(K=17, D=11, U=1\) at \(a=1, b=6\) over GF\(2\)",
+        ):
+            decodable(enc, 14)
+
+    def test_minimal_rate_catalogue_peels(self):
+        # every receiver of every minimal-rate encoder with K <= 20,
+        # D <= 10 and D <= K-2: the peel is field-free, so one prime serves
+        receivers = 0
+        for K in range(3, 21):
+            for D in range(1, min(10, K - 2) + 1):
+                for U in range(0, min(D, K - 1 - D) + 1):
+                    problem = ProblemInstance(K, D, U)
+                    enc = build_encoder(problem, find_min_rate(problem), 2)
+                    for k in range(K):
+                        assert _peeled(enc, k) is not None, (K, D, U, k)
+                    receivers += K
+        assert receivers == 9240
+
+
 class TestBatchDecoder:
     # receivers of (5,1,0) at (1, 1) and (5,2,0) at (3, 3) whose unknown
-    # rows reach their free columns: the parity columns carry -R mod p at
-    # pivot columns as well as their 1
+    # rows reach their free columns: each parity check carries, besides
+    # the 1 at its own column, minus the peel expressions of that column's
+    # unknown rows
     @pytest.mark.parametrize("p", [2, 3, 5, 65521])
     @pytest.mark.parametrize("K,D,U,a,b", [(5, 1, 0, 1, 1), (5, 2, 0, 3, 3)])
     def test_parity_columns_flag_perturbed_rows(self, K, D, U, a, b, p):
@@ -701,16 +808,15 @@ class TestBatchDecoder:
 
 class TestDecodeGuards:
     def test_plans_keep_only_maps(self):
-        # after one decode per receiver the plans hold no echelon and the
-        # encoder holds the batch decoder: about 0.4 MB for all 71
-        # receivers of (71,25,1) over GF(3), where keeping the echelons
-        # holds about 9 MB
+        # after one decode per receiver the plans hold no peel outputs and
+        # the encoder holds the batch decoder: about 0.3 MB for all 71
+        # receivers of (71,25,1) over GF(3)
         enc = _encoder(71, 25, 1, 1, 30, p=3)
         x = np.random.default_rng(71).integers(0, 3, size=enc.rows)
         c = encode(enc, x)
         side = {j: x[j * 30 : (j + 1) * 30] for j in range(71)}
         # encoder-wide tables, built outside the measurement
-        enc._packed_rows, enc._col_support
+        enc._incidence, enc._col_support
         tracemalloc.start()
         try:
             decoded = [decode(enc, k, c, side) for k in range(71)]
@@ -718,8 +824,8 @@ class TestDecodeGuards:
         finally:
             tracemalloc.stop()
         assert all(np.array_equal(decoded[k], x[k * 30 : (k + 1) * 30]) for k in range(71))
-        assert all(_plan(enc, k)._echelon is None for k in range(71))
-        assert "_decoder" in vars(enc)
+        assert all(_plan(enc, k)._outputs is None for k in range(71))
+        assert "_decoder" in vars(enc) and "_packed_rows" not in vars(enc)
         assert held < 5 * 2**20
 
     @pytest.mark.parametrize("p", [2, 3, 65521])
@@ -727,14 +833,18 @@ class TestDecodeGuards:
         enc = _encoder(17, 5, 1, a=3, b=8, p=p)
         assert all(decodable(enc, k) for k in range(17))
         assert all(receiver_ranks(enc, k)[1] == receiver_ranks(enc, k)[0] + 8 for k in range(17))
-        assert "_decoder" not in vars(enc)
-        assert all(_plan(enc, k)._echelon is not None for k in range(17))
+        # the plans hold their peel outputs until a decode reads them
+        assert "_decoder" not in vars(enc) and "_packed_rows" not in vars(enc)
+        assert all(_plan(enc, k)._outputs is not None for k in range(17))
 
     def test_undecodable_plan_drops_its_echelon(self):
+        # an undecodable receiver's peel stalls; its plan keeps the ranks
+        # of the elimination that ran instead, and nothing else
         enc = _encoder(17, 11, 1, a=1, b=6, p=2, allow_infeasible=True)
         for k in range(17):
             plan = _plan(enc, k)
-            assert (plan._echelon is None) == (not plan.decodable), k
+            assert (plan._outputs is None) == (not plan.decodable), k
+        assert "_packed_rows" in vars(enc)
         # undecodable receivers own nothing in the batch and still refuse
         dec = enc._decoder
         c, side = np.zeros(enc.cols, dtype=int), {j: np.zeros(6, dtype=int) for j in range(17)}
@@ -791,6 +901,22 @@ class TestIntegerInputs:
             with pytest.raises(TypeError):
                 call(1.0)
             assert np.array_equal(call(np.int64(1)), call(1))
+
+    def test_numpy_integer_pair(self):
+        # the pair becomes plain ints, so the solution serializes and the
+        # encoder's plans, decoder and elimination fallback run on ints
+        problem = ProblemInstance(5, 1, 1)
+        sol = solution_for_pair(problem, np.int64(1), np.int64(2))
+        assert json.loads(json.dumps(sol.to_json()))["b_min"] == 2
+        report = simulate(problem, sol, 3, trials=4, seed=1)
+        assert report.passed and json.loads(report.to_json_str())["b"] == 2
+        # (17,11,1) at (1, 6) has receivers whose peel stalls
+        problem = ProblemInstance(17, 11, 1)
+        sol = solution_for_pair(problem, np.int64(1), np.int64(6))
+        enc = build_encoder(problem, sol, 2, allow_infeasible=True)
+        report = simulate(problem, sol, 2, trials=2, seed=0, encoder=enc)
+        assert report.failures and "_packed_rows" in vars(enc)
+        assert json.loads(report.to_json_str())["a"] == 1
 
     def test_interference_set(self):
         problem = ProblemInstance(5, 1, 1)

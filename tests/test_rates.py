@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -100,6 +101,21 @@ class TestFeasibility:
             is_feasible(ProblemInstance(5, 1, 1), -1, 2)
         with pytest.raises(ValueError):
             is_feasible(ProblemInstance(5, 1, 1), 1, 0)
+
+    def test_pair_goes_through_operator_index(self):
+        # numpy integers become plain ints, so a solution's JSON and every
+        # int-only step after it accept them; floats are refused
+        problem = ProblemInstance(5, 1, 1)
+        assert is_feasible(problem, np.int64(1), np.int32(2)) == is_feasible(problem, 1, 2)
+        sol = solution_for_pair(problem, np.int64(1), np.int64(2))
+        assert type(sol.a_min) is int and type(sol.b_min) is int
+        assert sol == solution_for_pair(problem, 1, 2)
+        assert json.loads(json.dumps(sol.to_json())) == solution_for_pair(problem, 1, 2).to_json()
+        for a, b in [(1.0, 2), (1, 2.0)]:
+            with pytest.raises(TypeError):
+                solution_for_pair(problem, a, b)
+            with pytest.raises(TypeError):
+                is_feasible(problem, a, b)
 
 
 class TestFindMinRate:
