@@ -42,8 +42,8 @@ one.
 
 This is the package's one GF(p) elimination.
 :func:`airindex.linalg.rank_mod_p` and the window verifier insert rows
-and read ranks; the codec does the same for a receiver its peel does
-not certify.
+and read ranks. The codec reaches it only through ``rank_mod_p``, for a
+receiver its peel does not certify.
 
 Every engine converts rows to its own form with ``pack(rows)`` and
 accumulates them with ``insert_packed(rows)``; ``insert`` is exactly

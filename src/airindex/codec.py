@@ -11,24 +11,25 @@ are unique exactly when
 
     rank([interference rows; wanted rows]) == rank(interference rows) + b
 
-over GF(p). Each receiver's plan peels its unknown rows, once per
-encoder. Once the side information's share is subtracted, a codeword
-column is the plain sum of its unknown rows, as L is 0/1, so a column
-with one unsolved unknown row solves that row by +-1 steps. A receiver
-whose b wanted rows all peel, and whose leftover rows pass a second
-peel, is decodable over every field: the peel gives its ranks and its
-decoder with integer coefficients, with no field arithmetic. Only a
-receiver whose peel stalls runs an elimination over GF(p), for its ranks
-only; every stalled receiver seen so far is undecodable at every prime.
-That every receiver of every feasible pair peels is a checked
-conjecture, not a theorem. The tests check it for every minimal-rate
-encoder with K <= 20 and for drawn pairs with a, b <= 3, and it has held
-for every minimal-rate encoder with K <= 30 and for (71,25,1),
-(53,6,2), (60,20,10), (100,10,3) and (37,8,8). Checking decodability
-alone builds no decoder. The first ``decode`` or ``simulate`` on an
-encoder builds the decoders of all its decodable receivers in one pass
-over their plans, so even a single decode on a fresh encoder peels every
-receiver.
+over GF(p). The first ``decodable``, ``receiver_ranks``, ``decode`` or
+``simulate`` on an encoder peels every receiver once, in one sweep over
+its unknown rows. Once the side information's share is subtracted, a
+codeword column is the plain sum of its unknown rows, as L is 0/1, so a
+column with one unsolved unknown row solves that row by +-1 steps. A
+receiver whose b wanted rows all peel, and whose leftover rows pass a
+second peel, is decodable over every field: the peel gives its ranks and
+its decoder with integer coefficients, with no field arithmetic. Only a
+receiver whose peel stalls gets its ranks from ``rank_mod_p`` on its
+window's rows; every stalled receiver seen so far is undecodable at
+every prime. That every receiver of every feasible pair peels is a
+checked conjecture, not a theorem. The tests check it for every
+minimal-rate encoder with K <= 20 and for drawn pairs with a, b <= 3,
+and it has held for every minimal-rate encoder with K <= 30 and for
+(71,25,1), (53,6,2), (60,20,10), (100,10,3) and (37,8,8). The sweep
+keeps each receiver's two ranks, and its peel outputs until the first
+``decode`` or ``simulate`` builds the decoders of all decodable
+receivers from them in one pass, so even a single decode on a fresh
+encoder peels every receiver once.
 
 A receiver's decoder is a matrix M = [T | P] over the codeword columns.
 For a codeword c' corrected by the side information's share (the
@@ -64,7 +65,12 @@ most K*b products below p**2, so ``build_encoder`` passes p to
 :func:`airindex.linalg.require_prime` with K*b terms. Before allocating
 anything it also refuses an encoder shape that ``build_air`` would
 refuse, and ``simulate`` refuses a run whose message batch (trials*K*b
-symbols) exceeds the same ``MAX_CELLS`` cap.
+symbols) exceeds the same ``MAX_CELLS`` cap. The batch decoder's
+side-information table holds one row per entry, as wide as the encoder's
+widest column, so on D = 1 it grows as K**2/2 cells; building it raises
+``ValueError`` before allocating a table over ``MAX_CELLS`` cells, which
+``decode`` and ``simulate`` pass on. Checking decodability builds no
+such table.
 """
 
 from __future__ import annotations
@@ -72,16 +78,16 @@ from __future__ import annotations
 import json
 import operator
 import time
-from dataclasses import dataclass, field
+from bisect import bisect_left
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from ._echelon import stream_echelon
 from .air import MAX_CELLS, AirMatrix, _require_shape, build_air
-from .linalg import as_int_array, require_prime
+from .linalg import as_int_array, rank_mod_p, require_prime
 from .rates import ProblemInstance, RateSolution, is_feasible
 
 __all__ = [
@@ -124,24 +130,31 @@ def _window(problem: ProblemInstance, k: int) -> list[int]:
     return [(k + i) % problem.K for i in range(-problem.U, problem.D + 1)]
 
 
+def _knows(problem: ProblemInstance, k, j):
+    """Whether receiver k knows message j: j is outside k's window.
+
+    Elementwise on numpy arrays of k and j.
+    """
+    return (j - k + problem.U) % problem.K > problem.D + problem.U
+
+
 @dataclass(frozen=True, eq=False)
 class Encoder:
     """An instance bound to its AIR encoding matrix over GF(p).
 
     Immutable after construction. Cached internally and shared by
-    decodability checks, decoding and simulation: the per-receiver plans
-    (ranks), the decoder of every decodable receiver as one sparse batch,
-    built by the first ``decode`` or ``simulate``, the nonzero structure
-    of the encoder rows and columns, which every peel reads, and, only
-    once some receiver's peel stalls, the encoder rows packed once for
-    the field's echelon.
+    decodability checks, decoding and simulation: the nonzero structure
+    of the encoder rows and columns, which every peel reads, the sweep
+    that peels every receiver once (``_sweep``), and the decoder of every
+    decodable receiver as one sparse batch, built by the first ``decode``
+    or ``simulate``, which raises ``ValueError`` instead when the batch's
+    side-information table would exceed ``MAX_CELLS`` cells.
     """
 
     problem: ProblemInstance
     solution: RateSolution
     matrix: AirMatrix
     p: int
-    _plans: dict = field(default_factory=dict, repr=False)
 
     @property
     def b(self) -> int:
@@ -160,11 +173,6 @@ class Encoder:
         return self.matrix.n
 
     @cached_property
-    def _packed_rows(self):
-        """The encoder rows in the form a stalled receiver's echelon inserts."""
-        return stream_echelon(self.cols, self.p).pack(self.matrix.entries)
-
-    @cached_property
     def _incidence(self) -> tuple[list[list[int]], list[list[int]]]:
         """Each row's nonzero columns and each column's nonzero rows, ascending."""
         row_cols: list[list[int]] = [[] for _ in range(self.rows)]
@@ -177,8 +185,21 @@ class Encoder:
 
     @cached_property
     def _col_support(self) -> np.ndarray:
-        """Row indices of each encoder column's nonzero entries."""
-        return _support(self.matrix.entries.T)
+        """Row indices of each encoder column's nonzero entries.
+
+        One row per column, padded with the out-of-range index ``rows``
+        to the widest column's count.
+        """
+        col_rows = self._incidence[1]
+        table = np.full((self.cols, max(map(len, col_rows))), self.rows, dtype=np.int64)
+        for c, rows in enumerate(col_rows):
+            table[c, : len(rows)] = rows
+        return table
+
+    @cached_property
+    def _sweep(self) -> _Sweep:
+        """Every receiver's ranks and peel outputs; see ``_sweep_receivers``."""
+        return _sweep_receivers(self)
 
     @cached_property
     def _decoder(self) -> _BatchDecoder:
@@ -213,22 +234,6 @@ def _gather_sum(padded: np.ndarray, support: np.ndarray) -> np.ndarray:
     for slot in support.T:
         out += padded[:, slot]
     return out
-
-
-def _support(matrix: np.ndarray) -> np.ndarray:
-    """Column indices of the nonzero entries of each row of ``matrix``.
-
-    One row per row of ``matrix``, padded with the out-of-range index
-    ``matrix.shape[1]`` to the widest row's count.
-    """
-    # nonzero() is several times faster on a bool array than on int64
-    rows, cols = np.nonzero(matrix != 0)
-    m, n = matrix.shape
-    counts = np.bincount(rows, minlength=m)
-    starts = np.cumsum(counts) - counts
-    table = np.full((m, int(counts.max(initial=0))), n, dtype=np.int64)
-    table[rows, np.arange(rows.size) - starts[rows]] = cols
-    return table
 
 
 def build_encoder(
@@ -276,44 +281,58 @@ def encode(encoder: Encoder, x) -> np.ndarray:
     return encoder._broadcast((xv % encoder.p)[None])[0]
 
 
-class _ReceiverPlan:
-    """Ranks for one receiver of an encoder, and its decoder until it is read.
+class _Sweep(NamedTuple):
+    """Every receiver's peel, run once per encoder.
 
-    The peel (``_peel``) gives both for every receiver it certifies,
-    which is then decodable; the plan keeps the peel's outputs over Z
-    until ``_build_decoder`` reduces them mod p, then drops them. A
-    receiver whose peel stalls gets its ranks from an elimination of its
-    unknown rows over GF(p), interference rows first and wanted rows
-    last, and keeps nothing else. Every stalled receiver seen so far is
-    undecodable at every prime. One that the elimination calls decodable
-    would need a decoder the peel did not give, so the plan raises
-    instead.
+    ``ranks[k]`` is receiver k's (rank of interference rows, rank with
+    wanted rows stacked on). ``outputs[k]`` is its peel's outputs over Z,
+    or None when its peel stalled; ``_build_decoder`` reduces them mod p
+    and then empties the list.
     """
 
-    def __init__(self, encoder: Encoder, k: int):
-        problem, b = encoder.problem, encoder.b
+    ranks: list[tuple[int, int]]
+    outputs: list[list[dict[int, int]] | None]
+
+
+def _sweep_receivers(encoder: Encoder) -> _Sweep:
+    """Peel every receiver of the encoder once.
+
+    A receiver the peel certifies is decodable, with the peel's ranks. A
+    receiver whose peel stalls gets its ranks from ``rank_mod_p`` on its
+    window's rows, interference rows first and wanted rows last. Every
+    stalled receiver seen so far is undecodable at every prime. One that
+    these ranks call decodable would need a decoder the peel did not
+    give, so the sweep raises instead.
+    """
+    problem, b, p = encoder.problem, encoder.b, encoder.p
+    sweep = _Sweep([], [])
+    for k in range(problem.K):
         window = _window(problem, k)
-        in_window = set(window)
-        self.k = k
-        self.known_messages = [j for j in range(problem.K) if j not in in_window]
         peeled = _peel(encoder, window, k)
         if peeled is not None:
-            self.rank_all, self._outputs = peeled
-            self.rank_interference = self.rank_all - b
-            self.decodable = True
-            return
-        self.rank_interference, self.rank_all = _eliminated_ranks(encoder, window, k)
-        self.decodable = False
-        self._outputs = None
-        if self.rank_all == self.rank_interference + b:
+            rank_all, outputs = peeled
+            sweep.ranks.append((rank_all - b, rank_all))
+            sweep.outputs.append(outputs)
+            continue
+        rows = [r for j in window if j != k for r in range(j * b, (j + 1) * b)]
+        rank_interference = rank_mod_p(encoder.matrix.entries[rows], p)
+        rows += range(k * b, (k + 1) * b)
+        rank_all = rank_mod_p(encoder.matrix.entries[rows], p)
+        if rank_all == rank_interference + b:
             raise AssertionError(
-                f"receiver {k} of {problem} at (a={encoder.a}, b={b}) over GF({encoder.p}): "
+                f"receiver {k} of {problem} at (a={encoder.a}, b={b}) over GF({p}): "
                 "the peel stalled, yet elimination finds it decodable"
             )
+        sweep.ranks.append((rank_interference, rank_all))
+        sweep.outputs.append(None)
+    return sweep
 
 
 def _peel(encoder: Encoder, window: list[int], k: int) -> tuple[int, list[dict]] | None:
     """Receiver k's decoder over Z and the rank of its unknown rows, or None on a stall.
+
+    ``window`` is ``_window(problem, k)``, so the unknown rows are one
+    cyclic run of encoder rows, starting at its first message's.
 
     Once the side information's share is subtracted, codeword column j
     is the plain sum of its unknown rows, as L is 0/1. So a column with
@@ -339,7 +358,7 @@ def _peel(encoder: Encoder, window: list[int], k: int) -> tuple[int, list[dict]]
     with coefficient 1, as the rows it subtracts were solved from other
     columns, before it.
     """
-    b, n = encoder.b, encoder.cols
+    b, m, n = encoder.b, encoder.rows, encoder.cols
     row_cols, col_rows = encoder._incidence
     unknown = [r for j in window for r in range(j * b, (j + 1) * b)]
     count = [0] * n  # each column's unsolved unknown rows; -1 once a step used it
@@ -348,6 +367,22 @@ def _peel(encoder: Encoder, window: list[int], k: int) -> tuple[int, list[dict]]
         for c in row_cols[r]:
             count[c] += 1
             total[c] += r
+    # the unknown rows are lo .. hi-1, cyclically mod m
+    lo, hi = unknown[0], unknown[0] + len(unknown)
+
+    def mine(c: int) -> list[int]:
+        """Column c's rows for the steps below to read, ascending.
+
+        They skip rows that are not unknown, so a column no longer than
+        the window is read whole. A longer one, which on D = 1 holds
+        about K/2 rows, is cut to its unknown rows by bisection (those
+        past m wrap to the front), so no step reads more than the window.
+        """
+        col = col_rows[c]
+        if len(col) <= hi - lo:
+            return col
+        return col[: bisect_left(col, hi - m)] + col[bisect_left(col, lo) : bisect_left(col, hi)]
+
     solved = {}  # row -> the column that solved it, in solving order
     queue = [c for c in range(n) if count[c] == 1]
     for c in queue:
@@ -376,7 +411,7 @@ def _peel(encoder: Encoder, window: list[int], k: int) -> tuple[int, list[dict]]
         if d != 1:
             continue
         left -= 1
-        for i in col_rows[c]:
+        for i in mine(c):
             if i in rest:
                 live = rest[i]
                 live[0] -= 1
@@ -389,16 +424,16 @@ def _peel(encoder: Encoder, window: list[int], k: int) -> tuple[int, list[dict]]
     # one reads, found in one pass back through the solving order
     need = set(wanted)
     for f in parity:
-        need.update(col_rows[f])
+        need.update(mine(f))
     for r, c in reversed(solved.items()):
         if r in need:
-            need.update(col_rows[c])
+            need.update(mine(c))
     exprs: dict[int, dict[int, int]] = {}
     for r, c in solved.items():
         if r in need:
-            exprs[r] = _minus_found(c, col_rows[c], exprs)
+            exprs[r] = _minus_found(c, mine(c), exprs)
     outputs = [exprs[r] for r in wanted]
-    outputs += (_minus_found(f, col_rows[f], exprs) for f in parity)
+    outputs += (_minus_found(f, mine(f), exprs) for f in parity)
     return n - len(parity), outputs
 
 
@@ -411,27 +446,6 @@ def _minus_found(c: int, rows: list[int], exprs: dict) -> dict[int, int]:
             for j, v in found.items():
                 e[j] = e.get(j, 0) - v
     return e
-
-
-def _eliminated_ranks(encoder: Encoder, window: list[int], k: int) -> tuple[int, int]:
-    """(rank of interference rows, rank with wanted rows stacked on) over GF(p)."""
-    b, packed = encoder.b, encoder._packed_rows
-    ech = stream_echelon(encoder.cols, encoder.p)
-    for j in window:
-        if j != k:
-            ech.insert_packed(packed[j * b : (j + 1) * b])
-    rank_interference = ech.rank
-    ech.insert_packed(packed[k * b : (k + 1) * b])
-    return rank_interference, ech.rank
-
-
-def _plan(encoder: Encoder, k) -> _ReceiverPlan:
-    k = _receiver(encoder.problem, k)
-    plan = encoder._plans.get(k)
-    if plan is None:
-        plan = _ReceiverPlan(encoder, k)
-        encoder._plans[k] = plan
-    return plan
 
 
 class _BatchDecoder(NamedTuple):
@@ -495,28 +509,24 @@ def _segment_starts(outs: np.ndarray, n: int) -> np.ndarray:
 
 
 def _build_decoder(encoder: Encoder) -> _BatchDecoder:
-    """The encoder's batch decoder, from one pass over every receiver's plan.
+    """The encoder's batch decoder, from one pass over the sweep's peel outputs.
 
-    Builds each plan first if needed and drops its peel outputs once
-    read. Their coefficients are reduced mod p, and an entry that is 0
-    mod p is dropped. Every segment is nonempty, as each output keeps
-    its own column with coefficient 1.
+    Their coefficients are reduced mod p, and an entry that is 0 mod p is
+    dropped. Every segment is nonempty, as each output keeps its own
+    column with coefficient 1. Raises ``ValueError`` before allocating a
+    side-information table of more than ``MAX_CELLS`` cells; otherwise
+    empties the sweep's outputs once read.
     """
     problem, b, p = encoder.problem, encoder.b, encoder.p
+    sweep = encoder._sweep
     cols: list[int] = []
     outs: list[int] = []
     coef: list[int] = []
     owners: list[int] = []
     targets: list[int] = []
     output_bounds = [0]
-    # known[k, j]: receiver k knows message j; the padding index falls in
-    # column K, which stays False
-    known = np.zeros((problem.K, problem.K + 1), dtype=bool)
-    for k in range(problem.K):
-        plan = _plan(encoder, k)
-        known[k, plan.known_messages] = True
-        if plan.decodable:
-            outputs, plan._outputs = plan._outputs, None
+    for k, outputs in enumerate(sweep.outputs):
+        if outputs is not None:
             for o, expr in enumerate(outputs, len(targets)):
                 for c, x in expr.items():
                     x %= p
@@ -528,15 +538,25 @@ def _build_decoder(encoder: Encoder) -> _BatchDecoder:
             targets += range(k * b, (k + 1) * b)
             targets += [encoder.rows] * (len(outputs) - b)
         output_bounds.append(len(targets))
+    width = encoder._col_support.shape[1]
+    if len(cols) * width > MAX_CELLS:
+        raise ValueError(
+            f"the decoder of {problem} at (a={encoder.a}, b={b}) needs a side-information table "
+            f"of {len(cols)}x{width} = {len(cols) * width} cells, over the limit of {MAX_CELLS}"
+        )
+    sweep.outputs.clear()
     starts = _segment_starts(np.array(outs, dtype=np.int64), len(targets))
     col_arr = np.array(cols, dtype=np.int64)
     owner_arr = np.array(owners, dtype=np.int64)
-    support = encoder._col_support[col_arr]
+    known_support = encoder._col_support[col_arr]
+    # one slot of the table at a time, so no temporary exceeds a column of it
+    for slot in known_support.T:
+        slot[~_knows(problem, owner_arr, slot // b)] = encoder.rows
     bounds = np.array(output_bounds, dtype=np.int64)
     return _BatchDecoder(
         p=p,
         cols=col_arr,
-        known_support=np.where(known[owner_arr[:, None], support // b], support, encoder.rows),
+        known_support=known_support,
         coef=np.array(coef, dtype=np.int64),
         starts=starts,
         targets=np.array(targets, dtype=np.int64),
@@ -550,16 +570,16 @@ def decodable(encoder: Encoder, k: int) -> bool:
 
     True iff stacking the wanted rows onto the interference rows raises
     the rank by exactly b over GF(p), which is equivalent to the wanted
-    symbols being uniquely determined given the side information. Builds
-    the receiver's plan, not its decoder.
+    symbols being uniquely determined given the side information. The
+    first call on an encoder peels every receiver; none builds a decoder.
     """
-    return _plan(encoder, k).decodable
+    rank_interference, rank_all = receiver_ranks(encoder, k)
+    return rank_all == rank_interference + encoder.b
 
 
 def receiver_ranks(encoder: Encoder, k: int) -> tuple[int, int]:
     """(rank of interference rows, rank with wanted rows stacked on)."""
-    plan = _plan(encoder, k)
-    return plan.rank_interference, plan.rank_all
+    return encoder._sweep.ranks[_receiver(encoder.problem, k)]
 
 
 def decode(encoder: Encoder, k: int, codeword, side_info) -> np.ndarray:
@@ -570,19 +590,23 @@ def decode(encoder: Encoder, k: int, codeword, side_info) -> np.ndarray:
     itself); extra entries are ignored. Runs the receiver's range of the
     encoder's batch decoder on a batch of one: the side information goes
     into a message row whose unknown messages stay zero. The first decode
-    or ``simulate`` on an encoder builds every receiver's plan and
-    decoder. Raises if the receiver is not decodable or the codeword
-    fails the receiver's parity check, as no genuine codeword can.
+    or ``simulate`` on an encoder builds the decoders of all its
+    receivers, and raises ``ValueError`` instead if their side-information
+    table would exceed ``MAX_CELLS`` cells (as for (12000,1,0), whose
+    table needs about 72M). Raises if the receiver is not decodable or the
+    codeword fails the receiver's parity check, as no genuine codeword
+    can.
     """
-    plan = _plan(encoder, k)
-    if not plan.decodable:
+    problem, p, b = encoder.problem, encoder.p, encoder.b
+    k = _receiver(problem, k)
+    if not decodable(encoder, k):
         raise ValueError(f"receiver {k} cannot decode with this encoder")
-    p, b = encoder.p, encoder.b
     c = as_int_array(codeword)
     if c.ndim != 1 or c.shape[0] != encoder.cols:
         raise ValueError(f"codeword must have length {encoder.cols}, got shape {c.shape}")
     padded = np.zeros((1, encoder.rows + 1), dtype=np.int64)
-    for j in plan.known_messages:
+    known = [j for j in range(problem.K) if _knows(problem, k, j)]
+    for j in known:
         try:
             v = side_info[j]
         except (KeyError, TypeError, IndexError):
@@ -591,7 +615,7 @@ def decode(encoder: Encoder, k: int, codeword, side_info) -> np.ndarray:
         if v.shape != (b,):
             raise ValueError(f"side information for message {j} must have length {b}")
         padded[0, j * b : (j + 1) * b] = v % p
-    out = encoder._decoder.outputs(c[None] % p, padded, plan.k)[0]
+    out = encoder._decoder.outputs(c[None] % p, padded, k)[0]
     if out[b:].any():
         raise ArithmeticError(
             "codeword is not a combination of the unknown rows; "
@@ -655,8 +679,11 @@ def simulate(
     codeword at one; a trial fails at a receiver that is undecodable,
     whose decoded symbols differ from the sent ones, or whose corrected
     codeword fails its parity check, recorded per (trial, receiver). The
-    first ``simulate`` or ``decode`` on an encoder builds every receiver's
-    plan and decoder; pass a prebuilt ``encoder`` to reuse them.
+    first ``simulate`` or ``decode`` on an encoder peels every receiver
+    and builds the batch decoder; pass a prebuilt ``encoder`` to reuse
+    them. Raises ``ValueError`` before allocating past ``MAX_CELLS``
+    cells, for the message batch or for the decoder's side-information
+    table.
     """
     trials, seed = operator.index(trials), operator.index(seed)
     if trials < 0:

@@ -203,6 +203,13 @@ class TestSimulate:
         assert result.exit_code == 2
         assert "436897x216935" in result.output and "over the limit" in result.output
 
+    def test_oversized_decoder_exits_2(self, runner):
+        # a 12000x2 encoder whose batch decoder would need 72M
+        # side-information cells; refused before the table is allocated
+        result = invoke(runner, "simulate", "12000", "1", "0", "--trials", "1")
+        assert result.exit_code == 2
+        assert "12000x6000 = 72000000 cells, over the limit" in result.output
+
     def test_oversized_message_batch_exits_2(self, runner):
         result = invoke(runner, "simulate", "5", "1", "1", "--trials", "100000000")
         assert result.exit_code == 2

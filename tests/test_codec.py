@@ -19,11 +19,10 @@ from _reference import rref_mod_p, solve_left
 from airindex.codec import (
     MAX_CELLS,
     _BatchDecoder,
-    _eliminated_ranks,
     _gather_sum,
+    _minus_found,
     _pad,
     _peel,
-    _plan,
     _segment_starts,
     _window,
     build_encoder,
@@ -34,7 +33,7 @@ from airindex.codec import (
     receiver_ranks,
     simulate,
 )
-from airindex.linalg import is_prime
+from airindex.linalg import is_prime, rank_mod_p
 from airindex.rates import (
     ProblemInstance,
     find_min_rate,
@@ -263,13 +262,12 @@ class TestDecodable:
         x = np.random.default_rng(17).integers(0, 2, size=enc.rows)
         c = encode(enc, x)
         for k in (0, 5, 16):
-            plan = _plan(enc, k)
-            assert len(plan.known_messages) == 17 - 7
-            assert set(plan.known_messages) == set(range(17)) - interference_set(enc.problem, k) - {k}
-            side = {j: x[j * 8 : (j + 1) * 8] for j in plan.known_messages}
+            known = sorted(set(range(17)) - interference_set(enc.problem, k) - {k})
+            assert len(known) == 17 - 7
+            side = {j: x[j * 8 : (j + 1) * 8] for j in known}
             assert sum(v.size for v in side.values()) == (17 - 5 - 1 - 1) * 8
             assert np.array_equal(decode(enc, k, c, side), x[k * 8 : (k + 1) * 8])
-            for j in plan.known_messages:
+            for j in known:
                 with pytest.raises(ValueError, match=f"message {j} is missing"):
                     decode(enc, k, c, {i: v for i, v in side.items() if i != j})
 
@@ -361,10 +359,13 @@ class TestDecode:
 
 class TestDecodeMaps:
     # (37,8,8) is the wide window; (5,3,1) has K = D+U+1, so every message
-    # is unknown and every known_support entry is padding
+    # is unknown and every known_support entry is padding; each column of
+    # (12,1,1) holds 6 rows, more than a window's 3, and receiver 11's
+    # window 10, 11, 0 wraps, with rows 10 and 0 in one column
     @pytest.mark.parametrize("p", [2, 3, 65521])
     @pytest.mark.parametrize(
-        "K,D,U,a,b", [(5, 1, 1, 1, 2), (17, 5, 1, 3, 8), (37, 8, 8, 1, 4), (5, 3, 1, 1, 1)]
+        "K,D,U,a,b",
+        [(5, 1, 1, 1, 2), (17, 5, 1, 3, 8), (37, 8, 8, 1, 4), (5, 3, 1, 1, 1), (12, 1, 1, 0, 1)],
     )
     def test_maps_solve_unknown_rows(self, K, D, U, a, b, p):
         enc = _encoder(K, D, U, a, b, p)
@@ -520,6 +521,10 @@ def _peeled(enc, k):
     return _peel(enc, _window(enc.problem, k), k)
 
 
+def _no_elimination(rows, p):
+    raise AssertionError("rank_mod_p was called")
+
+
 def _drawn_encoder(K, data, p, kinds=("minimal", "feasible", "infeasible")):
     """An encoder for a drawn (K, D, U): the minimal pair, or a feasible or
     infeasible pair with a, b <= 3."""
@@ -622,9 +627,11 @@ class TestDecodeThroughMaps:
         assert not is_feasible(problem, enc.a, b) or not want
 
     @pytest.mark.parametrize("p", [2, 3, 65521])
-    def test_single_decode_on_fresh_encoder(self, p):
-        # one decode builds every receiver's plan and the batch decoder;
-        # every receiver peels, so no elimination runs
+    def test_single_decode_on_fresh_encoder(self, p, monkeypatch):
+        # one decode peels every receiver and builds the batch decoder,
+        # which consumes every peel's outputs; every receiver peels, so no
+        # elimination runs
+        monkeypatch.setattr("airindex.codec.rank_mod_p", _no_elimination)
         enc = _encoder(17, 5, 1, 3, 8, p)
         x = np.random.default_rng(p).integers(0, p, size=enc.rows)
         c = encode(enc, x)
@@ -632,14 +639,13 @@ class TestDecodeThroughMaps:
         ok, solve = _reference_receiver(enc, 6)
         assert ok
         assert np.array_equal(decode(enc, 6, c, side), solve(c, x))
-        assert "_decoder" in vars(enc) and sorted(enc._plans) == list(range(17))
-        assert all(plan._outputs is None for plan in enc._plans.values())
-        assert "_packed_rows" not in vars(enc)
+        assert "_decoder" in vars(enc) and len(enc._sweep.ranks) == 17
+        assert not enc._sweep.outputs
 
     def test_single_decode_on_fresh_encoder_refuses_undecodable(self):
         enc = _encoder(17, 11, 1, 1, 6, 2, allow_infeasible=True)
         bad = [k for k in range(17) if not _reference_receiver(enc, k)[0]]
-        assert bad and not enc._plans
+        assert bad and "_sweep" not in vars(enc)
         side = {j: np.zeros(6, dtype=int) for j in range(17)}
         with pytest.raises(ValueError, match="cannot decode"):
             decode(enc, bad[0], np.zeros(enc.cols, dtype=int), side)
@@ -705,36 +711,81 @@ class TestPeel:
     @pytest.mark.parametrize("p", [2, 3, 65521])
     def test_stalled_receiver_gets_ranks_only(self, p, monkeypatch):
         # receiver 14 of (17,11,1) at (1, 6) is undecodable at every prime;
-        # its peel stalls and only it runs the elimination, for ranks
+        # its peel stalls, and only it calls rank_mod_p, on its window's
+        # interference rows and then on all of its unknown rows
         calls = []
 
-        def spy(encoder, window, k):
-            calls.append(k)
-            return _eliminated_ranks(encoder, window, k)
+        def spy(rows, q):
+            calls.append((rows.copy(), q))
+            return rank_mod_p(rows, q)
 
-        monkeypatch.setattr("airindex.codec._eliminated_ranks", spy)
+        monkeypatch.setattr("airindex.codec.rank_mod_p", spy)
         enc = _encoder(17, 11, 1, 1, 6, p, allow_infeasible=True)
         assert [k for k in range(17) if not decodable(enc, k)] == [14]
-        assert calls == [14]
-        assert _peeled(enc, 14) is None and _plan(enc, 14)._outputs is None
+        assert _peeled(enc, 14) is None and enc._sweep.outputs[14] is None
         L, b = enc.matrix.entries, enc.b
         window, unknown = _unknown_rows(enc, 14)
         pos = window.index(14)
         interference = np.delete(unknown, np.s_[pos * b : (pos + 1) * b])
+        wanted = np.arange(14 * b, 15 * b)
+        assert len(calls) == 2 and all(q == p for _, q in calls)
+        assert np.array_equal(calls[0][0], L[interference])
+        assert np.array_equal(calls[1][0], L[np.append(interference, wanted)])
         want = (reference_rank(L[interference], p), reference_rank(L[unknown], p))
         assert receiver_ranks(enc, 14) == want and want[1] < want[0] + b
 
     def test_stall_called_decodable_raises(self, monkeypatch):
-        # an elimination that finds a stalled receiver decodable would need
-        # a decoder the peel did not give, so the plan refuses to exist
-        monkeypatch.setattr("airindex.codec._eliminated_ranks", lambda enc, window, k: (60, 66))
+        # ranks that find a stalled receiver decodable would need a decoder
+        # the peel did not give, so the sweep refuses to finish: the first
+        # call on the encoder raises, whichever receiver it asks about
+        monkeypatch.setattr("airindex.codec.rank_mod_p", lambda rows, p: len(rows))
         enc = _encoder(17, 11, 1, 1, 6, 2, allow_infeasible=True)
-        assert decodable(enc, 13)
-        with pytest.raises(
-            AssertionError,
-            match=r"receiver 14 of ProblemInstance\(K=17, D=11, U=1\) at \(a=1, b=6\) over GF\(2\)",
-        ):
-            decodable(enc, 14)
+        for _ in range(2):
+            with pytest.raises(
+                AssertionError,
+                match=r"receiver 14 of ProblemInstance\(K=17, D=11, U=1\) at \(a=1, b=6\) over GF\(2\)",
+            ):
+                decodable(enc, 13)
+        assert "_sweep" not in vars(enc)
+
+    @pytest.mark.parametrize(
+        "K,D,U,a,b,allow", [(17, 5, 1, 3, 8, False), (17, 11, 1, 1, 6, True)]
+    )
+    def test_one_peel_per_receiver(self, K, D, U, a, b, allow, monkeypatch):
+        # the first call peels every receiver once; the calls after it,
+        # whichever receiver they ask about, reuse that sweep
+        calls = []
+
+        def spy(encoder, window, k):
+            calls.append(k)
+            return _peel(encoder, window, k)
+
+        monkeypatch.setattr("airindex.codec._peel", spy)
+        enc = _encoder(K, D, U, a, b, 3, allow_infeasible=allow)
+        x = np.random.default_rng(K).integers(0, 3, size=enc.rows)
+        c = encode(enc, x)
+        side = {j: x[j * b : (j + 1) * b] for j in range(K)}
+        assert decodable(enc, 4) and calls == list(range(K))
+        receiver_ranks(enc, 7)
+        assert np.array_equal(decode(enc, 5, c, side), x[5 * b : 6 * b])
+        report = simulate(enc.problem, enc.solution, 3, trials=2, seed=1, encoder=enc)
+        assert report.passed != allow
+        assert calls == list(range(K))
+
+    def test_peel_reads_only_its_window_rows(self, monkeypatch):
+        # each column of (200,1,0) at (0, 1) holds 100 encoder rows, but at
+        # most two of them, rows k and k+1, are receiver k's unknowns
+        seen = []
+
+        def spy(c, rows, exprs):
+            seen.append(len(rows))
+            return _minus_found(c, rows, exprs)
+
+        monkeypatch.setattr("airindex.codec._minus_found", spy)
+        enc = _encoder(200, 1, 0, 0, 1, 2)
+        assert max(map(len, enc._incidence[1])) == 100
+        assert all(decodable(enc, k) for k in range(200))
+        assert len(seen) == 200 and max(seen) <= 2
 
     def test_minimal_rate_catalogue_peels(self):
         # every receiver of every minimal-rate encoder with K <= 20,
@@ -824,29 +875,71 @@ class TestDecodeGuards:
         finally:
             tracemalloc.stop()
         assert all(np.array_equal(decoded[k], x[k * 30 : (k + 1) * 30]) for k in range(71))
-        assert all(_plan(enc, k)._outputs is None for k in range(71))
-        assert "_decoder" in vars(enc) and "_packed_rows" not in vars(enc)
+        assert "_decoder" in vars(enc) and not enc._sweep.outputs
         assert held < 5 * 2**20
+
+    def test_rank_sweep_memory_linear_in_K(self):
+        # (2000,1,0) at (0, 1): a decodability sweep keeps two ranks and
+        # one small output per receiver, 0.75 MB in all on Python 3.11;
+        # a list of each receiver's K-D-U-1 known messages took 145 MB
+        enc = _encoder(2000, 1, 0, 0, 1, 2)
+        enc._incidence  # built outside the measurement
+        tracemalloc.start()
+        try:
+            assert all(decodable(enc, k) for k in range(2000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+
+    def test_decoder_table_cap_refuses_without_allocating(self, monkeypatch):
+        # (1000,1,0) at (0, 1): each receiver's one output reads one column,
+        # and each of the 2 columns holds 500 rows, so the side-information
+        # table has 1000x500 cells (4 MB); one cell under the cap, decode
+        # and simulate refuse before allocating it, and keep the sweep
+        problem = ProblemInstance(1000, 1, 0)
+        sol = solution_for_pair(problem, 0, 1)
+        assert _encoder(1000, 1, 0, 0, 1, 2)._decoder.known_support.shape == (1000, 500)
+        monkeypatch.setattr("airindex.codec.MAX_CELLS", 1000 * 500 - 1)
+        enc = build_encoder(problem, sol, 2)
+        enc._incidence, enc._col_support  # built outside the measurement
+        side = {j: [0] for j in range(1000)}
+        message = (
+            r"decoder of ProblemInstance\(K=1000, D=1, U=0\) at \(a=0, b=1\) needs a "
+            r"side-information table of 1000x500 = 500000 cells, over the limit of 499999"
+        )
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=message):
+                simulate(problem, sol, 2, trials=1, encoder=enc)
+            with pytest.raises(ValueError, match=message):
+                decode(enc, 0, [0, 0], side)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1000 * 500 * 8 // 4
+        assert "_decoder" not in vars(enc) and len(enc._sweep.outputs) == 1000
+        monkeypatch.setattr("airindex.codec.MAX_CELLS", 1000 * 500)
+        assert simulate(problem, sol, 2, trials=1, encoder=enc).passed
 
     @pytest.mark.parametrize("p", [2, 3, 65521])
     def test_rank_sweep_builds_no_map(self, p):
         enc = _encoder(17, 5, 1, a=3, b=8, p=p)
         assert all(decodable(enc, k) for k in range(17))
         assert all(receiver_ranks(enc, k)[1] == receiver_ranks(enc, k)[0] + 8 for k in range(17))
-        # the plans hold their peel outputs until a decode reads them
-        assert "_decoder" not in vars(enc) and "_packed_rows" not in vars(enc)
-        assert all(_plan(enc, k)._outputs is not None for k in range(17))
+        # the sweep holds every peel's outputs until a decode reads them
+        assert "_decoder" not in vars(enc)
+        assert len(enc._sweep.outputs) == 17 and None not in enc._sweep.outputs
 
     def test_undecodable_plan_drops_its_echelon(self):
-        # an undecodable receiver's peel stalls; its plan keeps the ranks
-        # of the elimination that ran instead, and nothing else
+        # an undecodable receiver's peel stalls; the sweep keeps the ranks
+        # that rank_mod_p gave it instead, and no outputs
         enc = _encoder(17, 11, 1, a=1, b=6, p=2, allow_infeasible=True)
         for k in range(17):
-            plan = _plan(enc, k)
-            assert (plan._outputs is None) == (not plan.decodable), k
-        assert "_packed_rows" in vars(enc)
+            assert (enc._sweep.outputs[k] is None) == (not decodable(enc, k)), k
         # undecodable receivers own nothing in the batch and still refuse
         dec = enc._decoder
+        assert not enc._sweep.outputs
         c, side = np.zeros(enc.cols, dtype=int), {j: np.zeros(6, dtype=int) for j in range(17)}
         for k in range(17):
             if not decodable(enc, k):
@@ -904,7 +997,7 @@ class TestIntegerInputs:
 
     def test_numpy_integer_pair(self):
         # the pair becomes plain ints, so the solution serializes and the
-        # encoder's plans, decoder and elimination fallback run on ints
+        # encoder's sweep, decoder and rank fallback run on ints
         problem = ProblemInstance(5, 1, 1)
         sol = solution_for_pair(problem, np.int64(1), np.int64(2))
         assert json.loads(json.dumps(sol.to_json()))["b_min"] == 2
@@ -915,7 +1008,8 @@ class TestIntegerInputs:
         sol = solution_for_pair(problem, np.int64(1), np.int64(6))
         enc = build_encoder(problem, sol, 2, allow_infeasible=True)
         report = simulate(problem, sol, 2, trials=2, seed=0, encoder=enc)
-        assert report.failures and "_packed_rows" in vars(enc)
+        assert report.failures and not decodable(enc, 14)
+        assert all(type(r) is int for ranks in enc._sweep.ranks for r in ranks)
         assert json.loads(report.to_json_str())["a"] == 1
 
     def test_interference_set(self):
@@ -954,13 +1048,14 @@ class TestSimulate:
         assert peak < 3 * X.nbytes
 
     def test_encoder_freed_without_gc(self):
-        # plans and maps are cached on the encoder; none may refer back to
-        # it, or dropping the encoder would leave a cycle for the collector
+        # the sweep and the decoder are cached on the encoder; neither may
+        # refer back to it, or dropping the encoder would leave a cycle for
+        # the collector
         gc.disable()
         try:
             enc = _encoder(17, 5, 1, a=3, b=8, p=3)
             assert simulate(enc.problem, enc.solution, 3, trials=2, encoder=enc).passed
-            assert enc._plans
+            assert "_sweep" in vars(enc) and "_decoder" in vars(enc)
             ref = weakref.ref(enc)
             del enc
             assert ref() is None
@@ -1002,8 +1097,7 @@ class TestSimulate:
         C = X @ enc.matrix.entries % p
         want = []
         for k in range(problem.K):
-            plan = _plan(enc, k)
-            if not plan.decodable:
+            if not decodable(enc, k):
                 want += [(t, k) for t in range(trials)]
                 continue
             known_rows = np.setdiff1d(np.arange(enc.rows), _unknown_rows(enc, k)[1])
