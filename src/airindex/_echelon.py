@@ -42,8 +42,9 @@ one.
 
 This is the package's one GF(p) elimination.
 :func:`airindex.linalg.rank_mod_p` and the window verifier insert rows
-and read ranks. The codec reaches it only through ``rank_mod_p``, for a
-receiver its peel does not certify.
+and read ranks. The codec reaches it only through :mod:`airindex.linalg`,
+for a receiver its peel does not certify: one elimination gives that
+receiver's rank before and after its wanted rows are inserted.
 
 Every engine converts rows to its own form with ``pack(rows)`` and
 accumulates them with ``insert_packed(rows)``; ``insert`` is exactly

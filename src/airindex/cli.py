@@ -187,8 +187,9 @@ def simulate_cmd(k: int, d: int, u: int, p: int, trials: int, seed: int) -> None
     try:
         report = simulate(problem, sol, p, trials=trials, seed=seed)
     except ValueError as exc:
-        # negative trials, p not a prime in the codec's range, or an
-        # encoder or message batch over the codec's limits
+        # negative trials, p not a prime in the codec's range, an encoder
+        # or message batch over the codec's limits, or a batch decoder
+        # whose side-information table is over MAX_CELLS
         _fail_usage(str(exc))
     click.echo(report.to_json_str())
     sys.exit(0 if report.passed else 1)

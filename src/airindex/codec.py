@@ -19,9 +19,9 @@ column with one unsolved unknown row solves that row by +-1 steps. A
 receiver whose b wanted rows all peel, and whose leftover rows pass a
 second peel, is decodable over every field: the peel gives its ranks and
 its decoder with integer coefficients, with no field arithmetic. Only a
-receiver whose peel stalls gets its ranks from ``rank_mod_p`` on its
-window's rows; every stalled receiver seen so far is undecodable at
-every prime. That every receiver of every feasible pair peels is a
+receiver whose peel stalls gets its ranks from one GF(p) elimination
+of its window's rows; every stalled receiver seen so far is undecodable
+at every prime. That every receiver of every feasible pair peels is a
 checked conjecture, not a theorem. The tests check it for every
 minimal-rate encoder with K <= 20 and for drawn pairs with a, b <= 3,
 and it has held for every minimal-rate encoder with K <= 30 and for
@@ -87,7 +87,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .air import MAX_CELLS, AirMatrix, _require_shape, build_air
-from .linalg import as_int_array, rank_mod_p, require_prime
+from .linalg import _stacked_ranks_mod_p, as_int_array, require_prime
 from .rates import ProblemInstance, RateSolution, is_feasible
 
 __all__ = [
@@ -298,7 +298,7 @@ def _sweep_receivers(encoder: Encoder) -> _Sweep:
     """Peel every receiver of the encoder once.
 
     A receiver the peel certifies is decodable, with the peel's ranks. A
-    receiver whose peel stalls gets its ranks from ``rank_mod_p`` on its
+    receiver whose peel stalls gets its ranks from one elimination of its
     window's rows, interference rows first and wanted rows last. Every
     stalled receiver seen so far is undecodable at every prime. One that
     these ranks call decodable would need a decoder the peel did not
@@ -314,10 +314,10 @@ def _sweep_receivers(encoder: Encoder) -> _Sweep:
             sweep.ranks.append((rank_all - b, rank_all))
             sweep.outputs.append(outputs)
             continue
-        rows = [r for j in window if j != k for r in range(j * b, (j + 1) * b)]
-        rank_interference = rank_mod_p(encoder.matrix.entries[rows], p)
-        rows += range(k * b, (k + 1) * b)
-        rank_all = rank_mod_p(encoder.matrix.entries[rows], p)
+        interference = [r for j in window if j != k for r in range(j * b, (j + 1) * b)]
+        rank_interference, rank_all = _stacked_ranks_mod_p(
+            encoder.matrix.entries[interference], encoder.matrix.entries[k * b : (k + 1) * b], p
+        )
         if rank_all == rank_interference + b:
             raise AssertionError(
                 f"receiver {k} of {problem} at (a={encoder.a}, b={b}) over GF({p}): "
@@ -371,16 +371,13 @@ def _peel(encoder: Encoder, window: list[int], k: int) -> tuple[int, list[dict]]
     lo, hi = unknown[0], unknown[0] + len(unknown)
 
     def mine(c: int) -> list[int]:
-        """Column c's rows for the steps below to read, ascending.
+        """Column c's unknown rows, ascending.
 
-        They skip rows that are not unknown, so a column no longer than
-        the window is read whole. A longer one, which on D = 1 holds
-        about K/2 rows, is cut to its unknown rows by bisection (those
-        past m wrap to the front), so no step reads more than the window.
+        Cut from its sorted rows by bisection (those past m wrap to the
+        front), so a heavy column, which on D = 1 holds about K/2 rows,
+        costs no step more than the window.
         """
         col = col_rows[c]
-        if len(col) <= hi - lo:
-            return col
         return col[: bisect_left(col, hi - m)] + col[bisect_left(col, lo) : bisect_left(col, hi)]
 
     solved = {}  # row -> the column that solved it, in solving order

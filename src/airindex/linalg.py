@@ -121,6 +121,19 @@ def rank_mod_p(mat, p) -> int:
     return stream_echelon(a.shape[1], p).insert(a)
 
 
+def _stacked_ranks_mod_p(top, bottom, p) -> tuple[int, int]:
+    """Ranks over GF(p) of ``top`` and of ``top`` with ``bottom`` stacked under it.
+
+    One streaming elimination: ``bottom``'s rows go into the echelon of
+    ``top``'s, so the pair costs what the second rank alone does.
+    """
+    p = require_prime(p)
+    top, bottom = as_int_matrix(top), as_int_matrix(bottom)
+    echelon = stream_echelon(top.shape[1], p)
+    rank = echelon.insert(top)
+    return rank, rank + echelon.insert(bottom)
+
+
 def det_exact(mat) -> int:
     """Exact integer determinant.
 

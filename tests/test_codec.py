@@ -33,7 +33,7 @@ from airindex.codec import (
     receiver_ranks,
     simulate,
 )
-from airindex.linalg import is_prime, rank_mod_p
+from airindex.linalg import _stacked_ranks_mod_p, is_prime
 from airindex.rates import (
     ProblemInstance,
     find_min_rate,
@@ -521,8 +521,8 @@ def _peeled(enc, k):
     return _peel(enc, _window(enc.problem, k), k)
 
 
-def _no_elimination(rows, p):
-    raise AssertionError("rank_mod_p was called")
+def _no_elimination(top, bottom, p):
+    raise AssertionError("a stalled receiver's elimination ran")
 
 
 def _drawn_encoder(K, data, p, kinds=("minimal", "feasible", "infeasible")):
@@ -631,7 +631,7 @@ class TestDecodeThroughMaps:
         # one decode peels every receiver and builds the batch decoder,
         # which consumes every peel's outputs; every receiver peels, so no
         # elimination runs
-        monkeypatch.setattr("airindex.codec.rank_mod_p", _no_elimination)
+        monkeypatch.setattr("airindex.codec._stacked_ranks_mod_p", _no_elimination)
         enc = _encoder(17, 5, 1, 3, 8, p)
         x = np.random.default_rng(p).integers(0, p, size=enc.rows)
         c = encode(enc, x)
@@ -711,15 +711,15 @@ class TestPeel:
     @pytest.mark.parametrize("p", [2, 3, 65521])
     def test_stalled_receiver_gets_ranks_only(self, p, monkeypatch):
         # receiver 14 of (17,11,1) at (1, 6) is undecodable at every prime;
-        # its peel stalls, and only it calls rank_mod_p, on its window's
-        # interference rows and then on all of its unknown rows
+        # its peel stalls, and only it runs an elimination: one of its
+        # window's interference rows with its wanted rows stacked under them
         calls = []
 
-        def spy(rows, q):
-            calls.append((rows.copy(), q))
-            return rank_mod_p(rows, q)
+        def spy(top, bottom, q):
+            calls.append((top.copy(), bottom.copy(), q))
+            return _stacked_ranks_mod_p(top, bottom, q)
 
-        monkeypatch.setattr("airindex.codec.rank_mod_p", spy)
+        monkeypatch.setattr("airindex.codec._stacked_ranks_mod_p", spy)
         enc = _encoder(17, 11, 1, 1, 6, p, allow_infeasible=True)
         assert [k for k in range(17) if not decodable(enc, k)] == [14]
         assert _peeled(enc, 14) is None and enc._sweep.outputs[14] is None
@@ -728,9 +728,9 @@ class TestPeel:
         pos = window.index(14)
         interference = np.delete(unknown, np.s_[pos * b : (pos + 1) * b])
         wanted = np.arange(14 * b, 15 * b)
-        assert len(calls) == 2 and all(q == p for _, q in calls)
+        assert len(calls) == 1 and calls[0][2] == p
         assert np.array_equal(calls[0][0], L[interference])
-        assert np.array_equal(calls[1][0], L[np.append(interference, wanted)])
+        assert np.array_equal(calls[0][1], L[wanted])
         want = (reference_rank(L[interference], p), reference_rank(L[unknown], p))
         assert receiver_ranks(enc, 14) == want and want[1] < want[0] + b
 
@@ -738,7 +738,10 @@ class TestPeel:
         # ranks that find a stalled receiver decodable would need a decoder
         # the peel did not give, so the sweep refuses to finish: the first
         # call on the encoder raises, whichever receiver it asks about
-        monkeypatch.setattr("airindex.codec.rank_mod_p", lambda rows, p: len(rows))
+        monkeypatch.setattr(
+            "airindex.codec._stacked_ranks_mod_p",
+            lambda top, bottom, p: (len(top), len(top) + len(bottom)),
+        )
         enc = _encoder(17, 11, 1, 1, 6, 2, allow_infeasible=True)
         for _ in range(2):
             with pytest.raises(
@@ -933,7 +936,7 @@ class TestDecodeGuards:
 
     def test_undecodable_plan_drops_its_echelon(self):
         # an undecodable receiver's peel stalls; the sweep keeps the ranks
-        # that rank_mod_p gave it instead, and no outputs
+        # that its elimination gave it instead, and no outputs
         enc = _encoder(17, 11, 1, a=1, b=6, p=2, allow_infeasible=True)
         for k in range(17):
             assert (enc._sweep.outputs[k] is None) == (not decodable(enc, k)), k

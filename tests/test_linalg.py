@@ -338,6 +338,19 @@ def test_rank_matches_dense_reference(p, data):
 
 
 @settings(max_examples=200, deadline=None)
+@given(p=st.sampled_from((2, 3, 5, 65521)), data=st.data())
+def test_stacked_ranks_match_dense_reference(p, data):
+    # the codec's one elimination of a stalled receiver's rows reads the
+    # rank of the top block and then of both blocks
+    rows, cols = data.draw(st.integers(0, 7)), data.draw(st.integers(1, 7))
+    split = data.draw(st.integers(0, rows))
+    cells = data.draw(st.lists(st.integers(-3, 3), min_size=rows * cols, max_size=rows * cols))
+    a = np.array(cells, dtype=np.int64).reshape(rows, cols)
+    got = linalg._stacked_ranks_mod_p(a[:split], a[split:], p)
+    assert got == (reference_rank(a[:split], p), reference_rank(a, p))
+
+
+@settings(max_examples=200, deadline=None)
 @given(
     n=st.integers(0, 8),
     entries=st.sampled_from(((-1, 0, 1), (0, 1))),
