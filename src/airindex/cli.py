@@ -40,12 +40,20 @@ def _instance(k: int, d: int, u: int) -> ProblemInstance:
 
 
 def _prime_list(spec: str | None, default: str) -> tuple[int, ...]:
-    raw = spec or default
+    """The primes of a comma-separated list, or of ``default`` when none is given.
+
+    An empty list or one that repeats a prime exits 2, as reports key
+    their results by prime.
+    """
+    raw = default if spec is None else spec
     try:
         # both verify commands compute ranks, so the rank's prime range applies
-        return tuple(require_prime(int(tok)) for tok in raw.split(","))
+        primes = tuple(require_prime(int(tok)) for tok in raw.split(","))
     except ValueError as exc:
         _fail_usage(f"bad primes list {raw!r}: {exc}")
+    if len(set(primes)) < len(primes):
+        _fail_usage(f"bad primes list {raw!r}: it repeats a prime")
+    return primes
 
 
 def _solution_line(sol: RateSolution) -> str:
@@ -187,9 +195,8 @@ def simulate_cmd(k: int, d: int, u: int, p: int, trials: int, seed: int) -> None
     try:
         report = simulate(problem, sol, p, trials=trials, seed=seed)
     except ValueError as exc:
-        # negative trials, p not a prime in the codec's range, an encoder
-        # or message batch over the codec's limits, or a batch decoder
-        # whose side-information table is over MAX_CELLS
+        # negative trials, p not a prime in the codec's range, or an
+        # encoder or message batch over the codec's limits
         _fail_usage(str(exc))
     click.echo(report.to_json_str())
     sys.exit(0 if report.passed else 1)

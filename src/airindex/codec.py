@@ -48,13 +48,20 @@ minimal-rate encoders with K <= 40 have at most four.
 
 The encoder keeps the nonzero entries of every decodable receiver's M
 in one sparse batch. Each entry names a codeword column, that column's
-known encoder rows for its receiver, and a coefficient in [1, p). The
+rows inside its receiver's window, and a coefficient in [1, p). The
 entries are sorted into one contiguous segment per output (a wanted
 symbol or a parity check), and each receiver owns one contiguous range
 of entries and of outputs. Decoding a batch of codewords takes three
-steps: gather each entry's share, form (c[col] - share) % p * coef, and
-sum every segment with ``np.add.reduceat``. ``simulate`` runs them once
-over all receivers, ``decode`` over one receiver's range.
+steps: correct each entry's codeword symbol by the side information's
+share, form c'[col] % p * coef, and sum every segment with
+``np.add.reduceat``. The share is summed over the encoder's column
+support, the table ``encode`` gathers codewords through. ``decode``
+holds only one receiver's known messages, its unknown ones zero, so at
+that receiver's columns the codeword less their support's sum is its
+corrected codeword. ``simulate`` holds every message, so each entry
+subtracts its column's total and adds back the column's rows in its
+receiver's window; it runs every receiver at once, where ``decode``
+runs one receiver's range.
 
 Message vectors, codewords and side information must hold integers
 (:func:`airindex.linalg.as_int_array`); receiver indices go through
@@ -65,12 +72,10 @@ most K*b products below p**2, so ``build_encoder`` passes p to
 :func:`airindex.linalg.require_prime` with K*b terms. Before allocating
 anything it also refuses an encoder shape that ``build_air`` would
 refuse, and ``simulate`` refuses a run whose message batch (trials*K*b
-symbols) exceeds the same ``MAX_CELLS`` cap. The batch decoder's
-side-information table holds one row per entry, as wide as the encoder's
-widest column, so on D = 1 it grows as K**2/2 cells; building it raises
-``ValueError`` before allocating a table over ``MAX_CELLS`` cells, which
-``decode`` and ``simulate`` pass on. Checking decodability builds no
-such table.
+symbols) exceeds the same ``MAX_CELLS`` cap. The batch decoder holds
+entries x window rows cells: one row per entry, as wide as the most rows
+one column holds inside one window (5 on (71,25,1), at most 2 on D = 1
+for K <= 40), so at a fixed window it grows linearly in K.
 """
 
 from __future__ import annotations
@@ -82,6 +87,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -130,12 +136,21 @@ def _window(problem: ProblemInstance, k: int) -> list[int]:
     return [(k + i) % problem.K for i in range(-problem.U, problem.D + 1)]
 
 
-def _knows(problem: ProblemInstance, k, j):
-    """Whether receiver k knows message j: j is outside k's window.
-
-    Elementwise on numpy arrays of k and j.
-    """
+def _knows(problem: ProblemInstance, k: int, j: int) -> bool:
+    """Whether receiver k knows message j: j is outside k's window."""
     return (j - k + problem.U) % problem.K > problem.D + problem.U
+
+
+def _cyclic_cut(col: list[int], lo: int, hi: int, m: int) -> list[int]:
+    """The rows of ``col`` in the cyclic run lo .. hi-1 mod m, ascending.
+
+    ``col`` is one encoder column's rows, ascending, and 0 <= lo < m,
+    hi - lo <= m. Cut by bisection, so a heavy column, which on D = 1
+    holds about K/2 rows, costs no step more than the run.
+    """
+    if hi > m:  # the run wraps past m to the front
+        return col[: bisect_left(col, hi - m)] + col[bisect_left(col, lo) :]
+    return col[bisect_left(col, lo) : bisect_left(col, hi)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,8 +162,9 @@ class Encoder:
     of the encoder rows and columns, which every peel reads, the sweep
     that peels every receiver once (``_sweep``), and the decoder of every
     decodable receiver as one sparse batch, built by the first ``decode``
-    or ``simulate``, which raises ``ValueError`` instead when the batch's
-    side-information table would exceed ``MAX_CELLS`` cells.
+    or ``simulate``. Decoding corrects codewords by the side
+    information's share through the same column support that encodes
+    them.
     """
 
     problem: ProblemInstance
@@ -371,14 +387,8 @@ def _peel(encoder: Encoder, window: list[int], k: int) -> tuple[int, list[dict]]
     lo, hi = unknown[0], unknown[0] + len(unknown)
 
     def mine(c: int) -> list[int]:
-        """Column c's unknown rows, ascending.
-
-        Cut from its sorted rows by bisection (those past m wrap to the
-        front), so a heavy column, which on D = 1 holds about K/2 rows,
-        costs no step more than the window.
-        """
-        col = col_rows[c]
-        return col[: bisect_left(col, hi - m)] + col[bisect_left(col, lo) : bisect_left(col, hi)]
+        """Column c's unknown rows, ascending."""
+        return _cyclic_cut(col_rows[c], lo, hi, m)
 
     solved = {}  # row -> the column that solved it, in solving order
     queue = [c for c in range(n) if count[c] == 1]
@@ -448,14 +458,14 @@ def _minus_found(c: int, rows: list[int], exprs: dict) -> dict[int, int]:
 class _BatchDecoder(NamedTuple):
     """The decoders of all decodable receivers of an encoder, as sparse entries.
 
-    Entry e reads codeword column ``cols[e]``, subtracts the share of
-    the message rows in ``known_support[e]`` (that column's support,
-    each row its receiver does not know replaced by the padding index
-    ``encoder.rows``) and multiplies by ``coef[e]`` in [1, p). Output o
-    sums the entries ``starts[o]`` up to the next output's start, mod p;
-    it must equal message row ``targets[o]`` for a wanted symbol, and
-    zero, read at the padding index, for a parity column. Receiver k
-    owns entries ``entry_bounds[k] : entry_bounds[k + 1]`` and outputs
+    Entry e reads column ``cols[e]`` of its receiver's corrected codeword
+    and multiplies it by ``coef[e]`` in [1, p). ``window_rows[e]`` holds
+    that column's rows inside its receiver's window, padded with the
+    index ``encoder.rows``. Output o sums the entries ``starts[o]`` up to
+    the next output's start, mod p; it must equal message row
+    ``targets[o]`` for a wanted symbol, and zero, read at the padding
+    index, for a parity column. Receiver k owns entries
+    ``entry_bounds[k] : entry_bounds[k + 1]`` and outputs
     ``output_bounds[k] : output_bounds[k + 1]``: its b wanted symbols,
     then one parity check per parity column. An undecodable receiver owns
     none.
@@ -463,26 +473,24 @@ class _BatchDecoder(NamedTuple):
 
     p: int
     cols: np.ndarray
-    known_support: np.ndarray
+    window_rows: np.ndarray
     coef: np.ndarray
     starts: np.ndarray
     targets: np.ndarray
     entry_bounds: np.ndarray
     output_bounds: np.ndarray
 
-    def outputs(self, C: np.ndarray, padded: np.ndarray, k: int | None = None) -> np.ndarray:
-        """Receiver k's outputs, or every receiver's, for each codeword row of C.
+    def outputs(self, fixed: np.ndarray, k: int | None = None) -> np.ndarray:
+        """Receiver k's outputs, or every receiver's, for each row of ``fixed``.
 
-        C is a batch of codewords, entries in [0, p); ``padded`` holds the
-        matching message vectors, entries in [0, p), with a zero column
-        appended (see ``_pad``), of which only the known rows are read.
-        A genuine codeword gives the sent symbols and zero parity.
+        ``fixed`` holds one value per entry of that range: the entry's
+        column of its receiver's corrected codeword, the codeword less the
+        side information's share. A genuine codeword gives the sent
+        symbols and zero parity.
         """
         lo, hi = (0, len(self.cols)) if k is None else self.entry_bounds[k : k + 2]
         outs = slice(None) if k is None else slice(*self.output_bounds[k : k + 2])
-        out = C[:, self.cols[lo:hi]]
-        out -= _gather_sum(padded, self.known_support[lo:hi])
-        out %= self.p
+        out = fixed % self.p
         out *= self.coef[lo:hi]
         return np.add.reduceat(out, self.starts[outs] - lo, axis=1) % self.p
 
@@ -510,20 +518,21 @@ def _build_decoder(encoder: Encoder) -> _BatchDecoder:
 
     Their coefficients are reduced mod p, and an entry that is 0 mod p is
     dropped. Every segment is nonempty, as each output keeps its own
-    column with coefficient 1. Raises ``ValueError`` before allocating a
-    side-information table of more than ``MAX_CELLS`` cells; otherwise
-    empties the sweep's outputs once read.
+    column with coefficient 1. Empties the sweep's outputs once read.
     """
-    problem, b, p = encoder.problem, encoder.b, encoder.p
+    problem, b, p, m = encoder.problem, encoder.b, encoder.p, encoder.rows
+    col_rows = encoder._incidence[1]
     sweep = encoder._sweep
     cols: list[int] = []
     outs: list[int] = []
     coef: list[int] = []
-    owners: list[int] = []
+    window_rows: list[list[int]] = []
     targets: list[int] = []
     output_bounds = [0]
     for k, outputs in enumerate(sweep.outputs):
         if outputs is not None:
+            lo = (k - problem.U) % problem.K * b
+            hi = lo + (problem.D + problem.U + 1) * b
             for o, expr in enumerate(outputs, len(targets)):
                 for c, x in expr.items():
                     x %= p
@@ -531,29 +540,22 @@ def _build_decoder(encoder: Encoder) -> _BatchDecoder:
                         cols.append(c)
                         outs.append(o)
                         coef.append(x)
-            owners += [k] * (len(cols) - len(owners))
+                        window_rows.append(_cyclic_cut(col_rows[c], lo, hi, m))
             targets += range(k * b, (k + 1) * b)
-            targets += [encoder.rows] * (len(outputs) - b)
+            targets += [m] * (len(outputs) - b)
         output_bounds.append(len(targets))
-    width = encoder._col_support.shape[1]
-    if len(cols) * width > MAX_CELLS:
-        raise ValueError(
-            f"the decoder of {problem} at (a={encoder.a}, b={b}) needs a side-information table "
-            f"of {len(cols)}x{width} = {len(cols) * width} cells, over the limit of {MAX_CELLS}"
-        )
     sweep.outputs.clear()
+    width = np.fromiter(map(len, window_rows), dtype=np.int64, count=len(cols))
+    table = np.full((len(cols), width.max(initial=0)), m, dtype=np.int64)
+    # row-major, so each entry's rows fill the front of its own row
+    table[np.arange(table.shape[1]) < width[:, None]] = list(chain.from_iterable(window_rows))
     starts = _segment_starts(np.array(outs, dtype=np.int64), len(targets))
     col_arr = np.array(cols, dtype=np.int64)
-    owner_arr = np.array(owners, dtype=np.int64)
-    known_support = encoder._col_support[col_arr]
-    # one slot of the table at a time, so no temporary exceeds a column of it
-    for slot in known_support.T:
-        slot[~_knows(problem, owner_arr, slot // b)] = encoder.rows
     bounds = np.array(output_bounds, dtype=np.int64)
     return _BatchDecoder(
         p=p,
         cols=col_arr,
-        known_support=known_support,
+        window_rows=table,
         coef=np.array(coef, dtype=np.int64),
         starts=starts,
         targets=np.array(targets, dtype=np.int64),
@@ -586,13 +588,12 @@ def decode(encoder: Encoder, k: int, codeword, side_info) -> np.ndarray:
     receiver knows (anything outside the interference window and k
     itself); extra entries are ignored. Runs the receiver's range of the
     encoder's batch decoder on a batch of one: the side information goes
-    into a message row whose unknown messages stay zero. The first decode
-    or ``simulate`` on an encoder builds the decoders of all its
-    receivers, and raises ``ValueError`` instead if their side-information
-    table would exceed ``MAX_CELLS`` cells (as for (12000,1,0), whose
-    table needs about 72M). Raises if the receiver is not decodable or the
-    codeword fails the receiver's parity check, as no genuine codeword
-    can.
+    into a message row whose unknown messages stay zero, so the codeword
+    less that row's encoding, read at the columns the receiver's decoder
+    reads, is its corrected codeword there. The first decode or
+    ``simulate`` on an encoder builds the decoders of all its receivers.
+    Raises if the receiver is not decodable or the codeword fails the
+    receiver's parity check, as no genuine codeword can.
     """
     problem, p, b = encoder.problem, encoder.p, encoder.b
     k = _receiver(problem, k)
@@ -612,7 +613,11 @@ def decode(encoder: Encoder, k: int, codeword, side_info) -> np.ndarray:
         if v.shape != (b,):
             raise ValueError(f"side information for message {j} must have length {b}")
         padded[0, j * b : (j + 1) * b] = v % p
-    out = encoder._decoder.outputs(c[None] % p, padded, k)[0]
+    dec = encoder._decoder
+    cols = dec.cols[slice(*dec.entry_bounds[k : k + 2])]
+    # one receiver's columns, so summing their whole support at once is small
+    fixed = c[cols] % p - padded[:, encoder._col_support[cols]].sum(axis=2)
+    out = dec.outputs(fixed, k)[0]
     if out[b:].any():
         raise ArithmeticError(
             "codeword is not a combination of the unknown rows; "
@@ -678,9 +683,10 @@ def simulate(
     codeword fails its parity check, recorded per (trial, receiver). The
     first ``simulate`` or ``decode`` on an encoder peels every receiver
     and builds the batch decoder; pass a prebuilt ``encoder`` to reuse
-    them. Raises ``ValueError`` before allocating past ``MAX_CELLS``
-    cells, for the message batch or for the decoder's side-information
-    table.
+    them. Each entry's corrected symbol is its column's codeword symbol
+    less the column's total over the batch, plus the column's rows in its
+    receiver's window. Raises ``ValueError`` before allocating a message
+    batch of more than ``MAX_CELLS`` cells.
     """
     trials, seed = operator.index(trials), operator.index(seed)
     if trials < 0:
@@ -703,16 +709,19 @@ def simulate(
     K, b = problem.K, enc.b
     rng = np.random.default_rng(seed)
     padded = _pad(rng.integers(0, enc.p, size=(trials, K * b), dtype=np.int64))
-    C = _gather_sum(padded, enc._col_support) % enc.p
     dec = enc._decoder
     # every decodable receiver owns at least its b outputs
     receivers = np.flatnonzero(np.diff(dec.output_bounds))
     failed = np.ones((trials, K), dtype=bool)
     # a slice of the trials at a time, so no temporary exceeds _DECODE_CELLS
-    step = max(1, _DECODE_CELLS // max(1, dec.cols.size))
+    step = max(1, _DECODE_CELLS // max(dec.cols.size, enc.cols))
     for lo in range(0, trials, step):
         rows = slice(lo, lo + step)
-        wrong = dec.outputs(C[rows], padded[rows]) != padded[rows, dec.targets]
+        total = _gather_sum(padded[rows], enc._col_support)
+        # the broadcast codeword less each column's total, at the entries'
+        # columns, plus the share of each entry's window rows
+        fixed = (total % enc.p - total)[:, dec.cols] + _gather_sum(padded[rows], dec.window_rows)
+        wrong = dec.outputs(fixed) != padded[rows, dec.targets]
         firsts = dec.output_bounds[receivers]
         failed[rows, receivers] = np.logical_or.reduceat(wrong, firsts, axis=1)
     # row-major order is (trial, receiver) order

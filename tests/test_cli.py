@@ -128,6 +128,13 @@ class TestVerifyAir:
     def test_bad_primes_exit_2(self, runner):
         assert invoke(runner, "verify-air", "5", "3", "--primes", "2,4").exit_code == 2
 
+    @pytest.mark.parametrize("primes", ["", "3,3"])
+    def test_empty_or_repeated_primes_exit_2(self, runner, primes):
+        # an empty list does not fall back to the default primes
+        result = invoke(runner, "verify-air", "5", "3", "--primes", primes)
+        assert result.exit_code == 2
+        assert f"bad primes list {primes!r}" in result.output
+
     def test_prime_at_int64_rank_limit(self, runner):
         # 3037000493 is the largest prime with (p-1)**2 < 2**63; the next
         # prime, and 2**32 + 15, would overflow the elimination's int64 products
@@ -157,6 +164,19 @@ class TestVerifyCode:
         payload = json.loads(result.output)
         assert payload["all_decodable"] is True
         assert payload["failures"] == {"2": [], "3": []}
+
+    def test_empty_primes_exit_2(self, runner):
+        # not the default 2,3
+        result = invoke(runner, "verify-code", "17", "5", "1", "--p", "")
+        assert result.exit_code == 2
+        assert "bad primes list ''" in result.output
+
+    def test_repeated_prime_exits_2(self, runner):
+        # one report key per prime, so a repeated prime cannot be reported
+        result = invoke(runner, "verify-code", "17", "5", "1", "--p", "2,2", "--json")
+        assert result.exit_code == 2
+        assert "bad primes list '2,2': it repeats a prime" in result.output
+        assert not result.stdout
 
     def test_boundary_instance_accepted(self, runner):
         # D + U = K - 1 is a valid instance
@@ -202,13 +222,6 @@ class TestSimulate:
         result = invoke(runner, "simulate", "1009", "500", "1")
         assert result.exit_code == 2
         assert "436897x216935" in result.output and "over the limit" in result.output
-
-    def test_oversized_decoder_exits_2(self, runner):
-        # a 12000x2 encoder whose batch decoder would need 72M
-        # side-information cells; refused before the table is allocated
-        result = invoke(runner, "simulate", "12000", "1", "0", "--trials", "1")
-        assert result.exit_code == 2
-        assert "12000x6000 = 72000000 cells, over the limit" in result.output
 
     def test_oversized_message_batch_exits_2(self, runner):
         result = invoke(runner, "simulate", "5", "1", "1", "--trials", "100000000")

@@ -53,16 +53,16 @@ def _encoder(K, D, U, a, b, p, allow_infeasible=False):
 def _receiver_slice(enc, k):
     """Receiver k's range of the encoder's batch decoder.
 
-    (cols, known_support, coef, outs) per entry, with ``outs`` the
-    entry's output counted from the receiver's first, and the receiver's
-    output targets.
+    (cols, window_rows, coef, outs) per entry, with ``outs`` the entry's
+    output counted from the receiver's first, and the receiver's output
+    targets.
     """
     dec = enc._decoder
     lo, hi = dec.entry_bounds[k : k + 2]
     first, last = dec.output_bounds[k : k + 2]
     sizes = np.diff(np.append(dec.starts[first:last], hi))
     outs = np.repeat(np.arange(last - first), sizes)
-    return dec.cols[lo:hi], dec.known_support[lo:hi], dec.coef[lo:hi], outs, dec.targets[first:last]
+    return dec.cols[lo:hi], dec.window_rows[lo:hi], dec.coef[lo:hi], outs, dec.targets[first:last]
 
 
 def _dense_decoder(enc, k):
@@ -359,9 +359,9 @@ class TestDecode:
 
 class TestDecodeMaps:
     # (37,8,8) is the wide window; (5,3,1) has K = D+U+1, so every message
-    # is unknown and every known_support entry is padding; each column of
-    # (12,1,1) holds 6 rows, more than a window's 3, and receiver 11's
-    # window 10, 11, 0 wraps, with rows 10 and 0 in one column
+    # is unknown and each entry's window rows are its whole column; each
+    # column of (12,1,1) holds 6 rows, more than a window's 3, and
+    # receiver 11's window 10, 11, 0 wraps, with rows 10 and 0 in one column
     @pytest.mark.parametrize("p", [2, 3, 65521])
     @pytest.mark.parametrize(
         "K,D,U,a,b",
@@ -372,7 +372,7 @@ class TestDecodeMaps:
         L = enc.matrix.entries
         X = np.random.default_rng(K * p).integers(0, p, size=(5, enc.rows), dtype=np.int64)
         for k in range(K):
-            cols, known_support, coef, outs, targets = _receiver_slice(enc, k)
+            cols, window_rows, coef, outs, targets = _receiver_slice(enc, k)
             dense_M = _dense_decoder(enc, k)
             T, P = dense_M[:, :b], dense_M[:, b:]
             window, unknown = _unknown_rows(enc, k)
@@ -391,17 +391,20 @@ class TestDecodeMaps:
             # only nonzero cells are kept, one entry each
             assert ((0 < coef) & (coef < p)).all(), k
             assert np.count_nonzero(dense_M) == cols.size, k
-            # known_support names only known rows, padded with enc.rows
-            assert known_support.shape[0] == cols.size, k
-            assert np.isin(known_support, np.append(known_rows, enc.rows)).all(), k
-            for col, slots in zip(cols, known_support):
-                want = known_rows[L[known_rows, col] != 0]
-                assert sorted(slots[slots < enc.rows].tolist()) == want.tolist(), k
-            share = _gather_sum(_pad(X), known_support) % p
+            # each entry names exactly its column's unknown rows, padded
+            # with enc.rows, in a table no wider than the window
+            assert window_rows.shape[1] <= (D + U + 1) * b, k
+            for col, slots in zip(cols, window_rows):
+                want = unknown[L[unknown, col] != 0]
+                assert sorted(slots[slots < enc.rows].tolist()) == sorted(want.tolist()), k
+                assert (slots[len(want) :] == enc.rows).all(), k
+            # column total minus window share is the known rows' share
+            total = _gather_sum(_pad(X), enc._col_support)[:, cols]
+            share = (total - _gather_sum(_pad(X), window_rows)) % p
             dense = X[:, known_rows] @ L[known_rows] % p
             assert np.array_equal(share, dense[:, cols]), k
             if K == D + U + 1:
-                assert known_rows.size == 0 and (known_support == enc.rows).all()
+                assert known_rows.size == 0 and not share.any(), k
 
     @pytest.mark.parametrize("p", [2, 3, 65521])
     @pytest.mark.parametrize(
@@ -821,11 +824,24 @@ class TestBatchDecoder:
         dec = enc._decoder
         reaches = 0
         for k in range(K):
-            out = dec.outputs(C, padded, k)
-            got, inconsistent = out[:, :b], out[:, b:].any(axis=1)
-            assert not inconsistent.any(), k
-            assert np.array_equal(got, X[:, k * b : (k + 1) * b]), k
             _, unknown = _unknown_rows(enc, k)
+            known = padded.copy()
+            known[:, unknown] = 0
+            lo, hi = dec.entry_bounds[k : k + 2]
+            cols = dec.cols[lo:hi]
+            # as simulate forms the corrected codeword, from every row with
+            # the window rows added back, and as decode does, from the
+            # known rows alone
+            total = _gather_sum(padded, enc._col_support)[:, cols]
+            fixes = [
+                C[:, cols] - total + _gather_sum(padded, dec.window_rows[lo:hi]),
+                C[:, cols] - _gather_sum(known, enc._col_support[cols]),
+            ]
+            for fixed in fixes:
+                out = dec.outputs(fixed, k)
+                got, inconsistent = out[:, :b], out[:, b:].any(axis=1)
+                assert not inconsistent.any(), k
+                assert np.array_equal(got, X[:, k * b : (k + 1) * b]), k
             free = sorted(set(range(enc.cols)) - set(rref_mod_p(L[unknown], p)[1]))
             assert free, k
             pivots = np.setdiff1d(np.arange(enc.cols), free)
@@ -833,11 +849,13 @@ class TestBatchDecoder:
             side = {j: X[0, j * b : (j + 1) * b] for j in range(K)}
             for f in free:
                 for step in {1, p - 1}:
-                    bad = C.copy()
-                    bad[:, f] = (bad[:, f] + step) % p
-                    assert dec.outputs(bad, padded, k)[:, b:].any(axis=1).all(), (k, f, step)
+                    for fixed in fixes:
+                        bad = fixed + step * (cols == f)
+                        assert dec.outputs(bad, k)[:, b:].any(axis=1).all(), (k, f, step)
+                    bad = C[0].copy()
+                    bad[f] = (bad[f] + step) % p
                     with pytest.raises(ArithmeticError, match="not produced by this encoder"):
-                        decode(enc, k, bad[0], side)
+                        decode(enc, k, bad, side)
         assert reaches
 
     def test_simulate_counts_parity_failures(self, monkeypatch):
@@ -846,9 +864,9 @@ class TestBatchDecoder:
         # at (2, 1) has one parity output, (5,1,1) at (1, 2) none
         outputs = _BatchDecoder.outputs
 
-        def first_row_inconsistent(dec, C, padded, k=None):
-            out = outputs(dec, C, padded, k)
-            if C.shape[0]:
+        def first_row_inconsistent(dec, fixed, k=None):
+            out = outputs(dec, fixed, k)
+            if fixed.shape[0]:
                 out[0, dec.targets == 5] = 1  # the padding index of a 5-row encoder
             return out
 
@@ -895,35 +913,24 @@ class TestDecodeGuards:
             tracemalloc.stop()
         assert peak < 2 * 2**20
 
-    def test_decoder_table_cap_refuses_without_allocating(self, monkeypatch):
-        # (1000,1,0) at (0, 1): each receiver's one output reads one column,
-        # and each of the 2 columns holds 500 rows, so the side-information
-        # table has 1000x500 cells (4 MB); one cell under the cap, decode
-        # and simulate refuse before allocating it, and keep the sweep
-        problem = ProblemInstance(1000, 1, 0)
+    def test_decoder_memory_linear_in_K(self):
+        # (2000,1,0) at (0, 1): each receiver's one output reads one of
+        # the 2 columns, which hold 1000 rows each, but only the column's
+        # rows in the receiver's 2-row window; a table of each entry's
+        # whole column support peaked at 16.4 MB
+        problem = ProblemInstance(2000, 1, 0)
         sol = solution_for_pair(problem, 0, 1)
-        assert _encoder(1000, 1, 0, 0, 1, 2)._decoder.known_support.shape == (1000, 500)
-        monkeypatch.setattr("airindex.codec.MAX_CELLS", 1000 * 500 - 1)
         enc = build_encoder(problem, sol, 2)
         enc._incidence, enc._col_support  # built outside the measurement
-        side = {j: [0] for j in range(1000)}
-        message = (
-            r"decoder of ProblemInstance\(K=1000, D=1, U=0\) at \(a=0, b=1\) needs a "
-            r"side-information table of 1000x500 = 500000 cells, over the limit of 499999"
-        )
         tracemalloc.start()
         try:
-            with pytest.raises(ValueError, match=message):
-                simulate(problem, sol, 2, trials=1, encoder=enc)
-            with pytest.raises(ValueError, match=message):
-                decode(enc, 0, [0, 0], side)
+            report = simulate(problem, sol, 2, trials=1, encoder=enc)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1000 * 500 * 8 // 4
-        assert "_decoder" not in vars(enc) and len(enc._sweep.outputs) == 1000
-        monkeypatch.setattr("airindex.codec.MAX_CELLS", 1000 * 500)
-        assert simulate(problem, sol, 2, trials=1, encoder=enc).passed
+        assert report.passed and "_decoder" in vars(enc)
+        assert enc._decoder.window_rows.shape[1] <= 2
+        assert peak < 4 * 2**20
 
     @pytest.mark.parametrize("p", [2, 3, 65521])
     def test_rank_sweep_builds_no_map(self, p):
