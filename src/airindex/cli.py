@@ -204,7 +204,8 @@ def simulate_cmd(k: int, d: int, u: int, p: int, trials: int, seed: int) -> None
 
 def _table_rows(k: int, dmax: int, collapse: bool) -> list[dict]:
     rows: list[dict] = []
-    for d in range(1, dmax + 1):
+    # D = K-2 is the last D with room for U >= 1 (D+U < K)
+    for d in range(1, min(dmax, k - 2) + 1):
         u_hi = min(d, k - 1 - d)
         if u_hi < 1:
             continue

@@ -12,8 +12,8 @@ are unique exactly when
     rank([interference rows; wanted rows]) == rank(interference rows) + b
 
 over GF(p). The first ``decodable``, ``receiver_ranks``, ``decode`` or
-``simulate`` on an encoder peels every receiver once, in one sweep over
-its unknown rows. Once the side information's share is subtracted, a
+``simulate`` on an encoder peels every receiver once, each over its
+unknown rows. Once the side information's share is subtracted, a
 codeword column is the plain sum of its unknown rows, as L is 0/1, so a
 column with one unsolved unknown row solves that row by +-1 steps. A
 receiver whose b wanted rows all peel, and whose leftover rows pass a
@@ -25,11 +25,10 @@ at every prime. That every receiver of every feasible pair peels is a
 checked conjecture, not a theorem. The tests check it for every
 minimal-rate encoder with K <= 20 and for drawn pairs with a, b <= 3,
 and it has held for every minimal-rate encoder with K <= 30 and for
-(71,25,1), (53,6,2), (60,20,10), (100,10,3) and (37,8,8). The sweep
-keeps each receiver's two ranks, and its peel outputs until the first
-``decode`` or ``simulate`` builds the decoders of all decodable
-receivers from them in one pass, so even a single decode on a fresh
-encoder peels every receiver once.
+(71,25,1), (53,6,2), (60,20,10), (100,10,3) and (37,8,8). The same pass
+keeps each receiver's two ranks and adds its decoder, reduced mod p, to
+the encoder's batch decoder, so even a single ``decodable`` on a fresh
+encoder builds the decoders of all its receivers.
 
 A receiver's decoder is a matrix M = [T | P] over the codeword columns.
 For a codeword c' corrected by the side information's share (the
@@ -136,11 +135,6 @@ def _window(problem: ProblemInstance, k: int) -> list[int]:
     return [(k + i) % problem.K for i in range(-problem.U, problem.D + 1)]
 
 
-def _knows(problem: ProblemInstance, k: int, j: int) -> bool:
-    """Whether receiver k knows message j: j is outside k's window."""
-    return (j - k + problem.U) % problem.K > problem.D + problem.U
-
-
 def _cyclic_cut(col: list[int], lo: int, hi: int, m: int) -> list[int]:
     """The rows of ``col`` in the cyclic run lo .. hi-1 mod m, ascending.
 
@@ -159,10 +153,10 @@ class Encoder:
 
     Immutable after construction. Cached internally and shared by
     decodability checks, decoding and simulation: the nonzero structure
-    of the encoder rows and columns, which every peel reads, the sweep
-    that peels every receiver once (``_sweep``), and the decoder of every
-    decodable receiver as one sparse batch, built by the first ``decode``
-    or ``simulate``. Decoding corrects codewords by the side
+    of the encoder rows and columns, which every peel reads, and the
+    batch decoder (``_decoder``), which holds every receiver's ranks and
+    the decoder of every decodable receiver, built by one peel per
+    receiver on first use. Decoding corrects codewords by the side
     information's share through the same column support that encodes
     them.
     """
@@ -213,13 +207,8 @@ class Encoder:
         return table
 
     @cached_property
-    def _sweep(self) -> _Sweep:
-        """Every receiver's ranks and peel outputs; see ``_sweep_receivers``."""
-        return _sweep_receivers(self)
-
-    @cached_property
     def _decoder(self) -> _BatchDecoder:
-        """Every decodable receiver's decoder, built on first use; see ``_BatchDecoder``."""
+        """Every receiver's ranks and decoder, built on first use; see ``_BatchDecoder``."""
         return _build_decoder(self)
 
     def _broadcast(self, X: np.ndarray) -> np.ndarray:
@@ -297,54 +286,7 @@ def encode(encoder: Encoder, x) -> np.ndarray:
     return encoder._broadcast((xv % encoder.p)[None])[0]
 
 
-class _Sweep(NamedTuple):
-    """Every receiver's peel, run once per encoder.
-
-    ``ranks[k]`` is receiver k's (rank of interference rows, rank with
-    wanted rows stacked on). ``outputs[k]`` is its peel's outputs over Z,
-    or None when its peel stalled; ``_build_decoder`` reduces them mod p
-    and then empties the list.
-    """
-
-    ranks: list[tuple[int, int]]
-    outputs: list[list[dict[int, int]] | None]
-
-
-def _sweep_receivers(encoder: Encoder) -> _Sweep:
-    """Peel every receiver of the encoder once.
-
-    A receiver the peel certifies is decodable, with the peel's ranks. A
-    receiver whose peel stalls gets its ranks from one elimination of its
-    window's rows, interference rows first and wanted rows last. Every
-    stalled receiver seen so far is undecodable at every prime. One that
-    these ranks call decodable would need a decoder the peel did not
-    give, so the sweep raises instead.
-    """
-    problem, b, p = encoder.problem, encoder.b, encoder.p
-    sweep = _Sweep([], [])
-    for k in range(problem.K):
-        window = _window(problem, k)
-        peeled = _peel(encoder, window, k)
-        if peeled is not None:
-            rank_all, outputs = peeled
-            sweep.ranks.append((rank_all - b, rank_all))
-            sweep.outputs.append(outputs)
-            continue
-        interference = [r for j in window if j != k for r in range(j * b, (j + 1) * b)]
-        rank_interference, rank_all = _stacked_ranks_mod_p(
-            encoder.matrix.entries[interference], encoder.matrix.entries[k * b : (k + 1) * b], p
-        )
-        if rank_all == rank_interference + b:
-            raise AssertionError(
-                f"receiver {k} of {problem} at (a={encoder.a}, b={b}) over GF({p}): "
-                "the peel stalled, yet elimination finds it decodable"
-            )
-        sweep.ranks.append((rank_interference, rank_all))
-        sweep.outputs.append(None)
-    return sweep
-
-
-def _peel(encoder: Encoder, window: list[int], k: int) -> tuple[int, list[dict]] | None:
+def _peel(encoder: Encoder, window: list[int], k: int) -> tuple[int, list[dict], dict] | None:
     """Receiver k's decoder over Z and the rank of its unknown rows, or None on a stall.
 
     ``window`` is ``_window(problem, k)``, so the unknown rows are one
@@ -367,12 +309,13 @@ def _peel(encoder: Encoder, window: list[int], k: int) -> tuple[int, list[dict]]
     n - len(parity) in every field, where ``parity`` holds the columns
     that no step used and no unsolved row meets.
 
-    Returns that rank and the outputs as {column: integer coefficient}
-    maps: the b wanted rows' expressions, then, per parity column f, f
-    minus the expressions of its rows, which vanishes on every
-    combination of the unknown rows. Each output holds its own column
-    with coefficient 1, as the rows it subtracts were solved from other
-    columns, before it.
+    Returns that rank, the outputs as {column: integer coefficient}
+    maps, and {column: its unknown rows, ascending} for every column the
+    outputs hold. The outputs are the b wanted rows' expressions, then,
+    per parity column f, f minus the expressions of its rows, which
+    vanishes on every combination of the unknown rows. Each output holds
+    its own column with coefficient 1, as the rows it subtracts were
+    solved from other columns, before it.
     """
     b, m, n = encoder.b, encoder.rows, encoder.cols
     row_cols, col_rows = encoder._incidence
@@ -428,20 +371,21 @@ def _peel(encoder: Encoder, window: list[int], k: int) -> tuple[int, list[dict]]
     if left:
         return None
     # the rows the outputs read, and in turn the earlier rows each solved
-    # one reads, found in one pass back through the solving order
-    need = set(wanted)
-    for f in parity:
-        need.update(mine(f))
+    # one reads, found in one pass back through the solving order; each
+    # column an output holds is cut once
+    cut = {f: mine(f) for f in parity}
+    need = set(wanted).union(*cut.values())
     for r, c in reversed(solved.items()):
         if r in need:
-            need.update(mine(c))
+            cut[c] = mine(c)
+            need.update(cut[c])
     exprs: dict[int, dict[int, int]] = {}
     for r, c in solved.items():
         if r in need:
-            exprs[r] = _minus_found(c, mine(c), exprs)
+            exprs[r] = _minus_found(c, cut[c], exprs)
     outputs = [exprs[r] for r in wanted]
-    outputs += (_minus_found(f, mine(f), exprs) for f in parity)
-    return n - len(parity), outputs
+    outputs += (_minus_found(f, cut[f], exprs) for f in parity)
+    return n - len(parity), outputs, cut
 
 
 def _minus_found(c: int, rows: list[int], exprs: dict) -> dict[int, int]:
@@ -456,22 +400,24 @@ def _minus_found(c: int, rows: list[int], exprs: dict) -> dict[int, int]:
 
 
 class _BatchDecoder(NamedTuple):
-    """The decoders of all decodable receivers of an encoder, as sparse entries.
+    """Every receiver's ranks and every decodable one's decoder, as sparse entries.
 
-    Entry e reads column ``cols[e]`` of its receiver's corrected codeword
-    and multiplies it by ``coef[e]`` in [1, p). ``window_rows[e]`` holds
-    that column's rows inside its receiver's window, padded with the
-    index ``encoder.rows``. Output o sums the entries ``starts[o]`` up to
-    the next output's start, mod p; it must equal message row
-    ``targets[o]`` for a wanted symbol, and zero, read at the padding
-    index, for a parity column. Receiver k owns entries
-    ``entry_bounds[k] : entry_bounds[k + 1]`` and outputs
+    ``ranks[k]`` is receiver k's (rank of interference rows, rank with
+    wanted rows stacked on). Entry e reads column ``cols[e]`` of its
+    receiver's corrected codeword and multiplies it by ``coef[e]`` in
+    [1, p). ``window_rows[e]`` holds that column's rows inside its
+    receiver's window, padded with the index ``encoder.rows``. Output o
+    sums the entries ``starts[o]`` up to the next output's start, mod p;
+    it must equal message row ``targets[o]`` for a wanted symbol, and
+    zero, read at the padding index, for a parity column. Receiver k owns
+    entries ``entry_bounds[k] : entry_bounds[k + 1]`` and outputs
     ``output_bounds[k] : output_bounds[k + 1]``: its b wanted symbols,
     then one parity check per parity column. An undecodable receiver owns
     none.
     """
 
     p: int
+    ranks: list[tuple[int, int]]
     cols: np.ndarray
     window_rows: np.ndarray
     coef: np.ndarray
@@ -514,25 +460,43 @@ def _segment_starts(outs: np.ndarray, n: int) -> np.ndarray:
 
 
 def _build_decoder(encoder: Encoder) -> _BatchDecoder:
-    """The encoder's batch decoder, from one pass over the sweep's peel outputs.
+    """The encoder's batch decoder, from one peel of every receiver.
 
-    Their coefficients are reduced mod p, and an entry that is 0 mod p is
-    dropped. Every segment is nonempty, as each output keeps its own
-    column with coefficient 1. Empties the sweep's outputs once read.
+    A receiver the peel certifies is decodable, with the peel's ranks.
+    Its outputs' coefficients are reduced mod p, and an entry that is 0
+    mod p is dropped. Every segment is nonempty, as each output keeps its
+    own column with coefficient 1. A receiver whose peel stalls gets its
+    ranks from one elimination of its window's rows, interference rows
+    first and wanted rows last, and no entries. Every stalled receiver
+    seen so far is undecodable at every prime. One that these ranks call
+    decodable would need a decoder the peel did not give, so the build
+    raises instead.
     """
     problem, b, p, m = encoder.problem, encoder.b, encoder.p, encoder.rows
-    col_rows = encoder._incidence[1]
-    sweep = encoder._sweep
+    ranks: list[tuple[int, int]] = []
     cols: list[int] = []
     outs: list[int] = []
     coef: list[int] = []
     window_rows: list[list[int]] = []
     targets: list[int] = []
     output_bounds = [0]
-    for k, outputs in enumerate(sweep.outputs):
-        if outputs is not None:
-            lo = (k - problem.U) % problem.K * b
-            hi = lo + (problem.D + problem.U + 1) * b
+    for k in range(problem.K):
+        window = _window(problem, k)
+        peeled = _peel(encoder, window, k)
+        if peeled is None:
+            interference = [r for j in window if j != k for r in range(j * b, (j + 1) * b)]
+            rank_interference, rank_all = _stacked_ranks_mod_p(
+                encoder.matrix.entries[interference], encoder.matrix.entries[k * b : (k + 1) * b], p
+            )
+            if rank_all == rank_interference + b:
+                raise AssertionError(
+                    f"receiver {k} of {problem} at (a={encoder.a}, b={b}) over GF({p}): "
+                    "the peel stalled, yet elimination finds it decodable"
+                )
+            ranks.append((rank_interference, rank_all))
+        else:
+            rank_all, outputs, cut = peeled
+            ranks.append((rank_all - b, rank_all))
             for o, expr in enumerate(outputs, len(targets)):
                 for c, x in expr.items():
                     x %= p
@@ -540,11 +504,10 @@ def _build_decoder(encoder: Encoder) -> _BatchDecoder:
                         cols.append(c)
                         outs.append(o)
                         coef.append(x)
-                        window_rows.append(_cyclic_cut(col_rows[c], lo, hi, m))
+                        window_rows.append(cut[c])
             targets += range(k * b, (k + 1) * b)
             targets += [m] * (len(outputs) - b)
         output_bounds.append(len(targets))
-    sweep.outputs.clear()
     width = np.fromiter(map(len, window_rows), dtype=np.int64, count=len(cols))
     table = np.full((len(cols), width.max(initial=0)), m, dtype=np.int64)
     # row-major, so each entry's rows fill the front of its own row
@@ -554,6 +517,7 @@ def _build_decoder(encoder: Encoder) -> _BatchDecoder:
     bounds = np.array(output_bounds, dtype=np.int64)
     return _BatchDecoder(
         p=p,
+        ranks=ranks,
         cols=col_arr,
         window_rows=table,
         coef=np.array(coef, dtype=np.int64),
@@ -570,7 +534,8 @@ def decodable(encoder: Encoder, k: int) -> bool:
     True iff stacking the wanted rows onto the interference rows raises
     the rank by exactly b over GF(p), which is equivalent to the wanted
     symbols being uniquely determined given the side information. The
-    first call on an encoder peels every receiver; none builds a decoder.
+    first call on an encoder peels every receiver and builds the batch
+    decoder that ``decode`` and ``simulate`` reuse.
     """
     rank_interference, rank_all = receiver_ranks(encoder, k)
     return rank_all == rank_interference + encoder.b
@@ -578,7 +543,7 @@ def decodable(encoder: Encoder, k: int) -> bool:
 
 def receiver_ranks(encoder: Encoder, k: int) -> tuple[int, int]:
     """(rank of interference rows, rank with wanted rows stacked on)."""
-    return encoder._sweep.ranks[_receiver(encoder.problem, k)]
+    return encoder._decoder.ranks[_receiver(encoder.problem, k)]
 
 
 def decode(encoder: Encoder, k: int, codeword, side_info) -> np.ndarray:
@@ -590,10 +555,11 @@ def decode(encoder: Encoder, k: int, codeword, side_info) -> np.ndarray:
     encoder's batch decoder on a batch of one: the side information goes
     into a message row whose unknown messages stay zero, so the codeword
     less that row's encoding, read at the columns the receiver's decoder
-    reads, is its corrected codeword there. The first decode or
-    ``simulate`` on an encoder builds the decoders of all its receivers.
-    Raises if the receiver is not decodable or the codeword fails the
-    receiver's parity check, as no genuine codeword can.
+    reads, is its corrected codeword there. The first call on an encoder,
+    like the first ``decodable``, peels every receiver and builds the
+    decoders of all of them. Raises if the receiver is not decodable or
+    the codeword fails the receiver's parity check, as no genuine
+    codeword can.
     """
     problem, p, b = encoder.problem, encoder.p, encoder.b
     k = _receiver(problem, k)
@@ -602,9 +568,9 @@ def decode(encoder: Encoder, k: int, codeword, side_info) -> np.ndarray:
     c = as_int_array(codeword)
     if c.ndim != 1 or c.shape[0] != encoder.cols:
         raise ValueError(f"codeword must have length {encoder.cols}, got shape {c.shape}")
-    padded = np.zeros((1, encoder.rows + 1), dtype=np.int64)
-    known = [j for j in range(problem.K) if _knows(problem, k, j)]
-    for j in known:
+    # the known messages are the cyclic run after the window's last, k+D
+    known = []
+    for j in ((k + i) % problem.K for i in range(problem.D + 1, problem.K - problem.U)):
         try:
             v = side_info[j]
         except (KeyError, TypeError, IndexError):
@@ -612,7 +578,12 @@ def decode(encoder: Encoder, k: int, codeword, side_info) -> np.ndarray:
         v = as_int_array(v)
         if v.shape != (b,):
             raise ValueError(f"side information for message {j} must have length {b}")
-        padded[0, j * b : (j + 1) * b] = v % p
+        known.append(v)
+    padded = np.zeros((1, encoder.rows + 1), dtype=np.int64)
+    if known:  # their rows are one cyclic run too
+        first = (k + problem.D + 1) % problem.K * b
+        rows = np.arange(first, first + len(known) * b) % encoder.rows
+        padded[0, rows] = np.concatenate(known) % p
     dec = encoder._decoder
     cols = dec.cols[slice(*dec.entry_bounds[k : k + 2])]
     # one receiver's columns, so summing their whole support at once is small
@@ -681,12 +652,12 @@ def simulate(
     codeword at one; a trial fails at a receiver that is undecodable,
     whose decoded symbols differ from the sent ones, or whose corrected
     codeword fails its parity check, recorded per (trial, receiver). The
-    first ``simulate`` or ``decode`` on an encoder peels every receiver
-    and builds the batch decoder; pass a prebuilt ``encoder`` to reuse
-    them. Each entry's corrected symbol is its column's codeword symbol
-    less the column's total over the batch, plus the column's rows in its
-    receiver's window. Raises ``ValueError`` before allocating a message
-    batch of more than ``MAX_CELLS`` cells.
+    first call on an encoder, like the first ``decodable`` or ``decode``,
+    peels every receiver and builds the batch decoder; pass a prebuilt
+    ``encoder`` to reuse it. Each entry's corrected symbol is its
+    column's codeword symbol less the column's total over the batch, plus
+    the column's rows in its receiver's window. Raises ``ValueError``
+    before allocating a message batch of more than ``MAX_CELLS`` cells.
     """
     trials, seed = operator.index(trials), operator.index(seed)
     if trials < 0:

@@ -270,11 +270,13 @@ class TestTable:
         assert len(rows) == 9
 
     def test_clipping_beyond_valid_d(self, runner):
-        rows = json.loads(invoke(runner, "table", "5", "--dmax", "10", "--json").output)
-        # K=5 admits (D,U) with U>=1 only up to D=3 (D+U<K)
-        assert max(r["D"] for r in rows) == 3
-        for r in rows:
-            assert all(r["D"] + u < 5 for u in r["U"])
+        # a dmax far past K-2 must not walk the D values that have no row
+        for dmax in (10, 10**12):
+            rows = json.loads(invoke(runner, "table", "5", "--dmax", str(dmax), "--json").output)
+            # K=5 admits (D,U) with U>=1 only up to D=3 (D+U<K)
+            assert max(r["D"] for r in rows) == 3
+            for r in rows:
+                assert all(r["D"] + u < 5 for u in r["U"])
 
     def test_no_collapse(self, runner):
         rows = json.loads(

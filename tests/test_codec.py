@@ -520,7 +520,7 @@ def _check_decode_paths(enc, trials=3, seed=0) -> list[int]:
 
 
 def _peeled(enc, k):
-    """Receiver k's peel: (rank, outputs), or None when it stalls."""
+    """Receiver k's peel: (rank, outputs, cuts), or None when it stalls."""
     return _peel(enc, _window(enc.problem, k), k)
 
 
@@ -632,7 +632,7 @@ class TestDecodeThroughMaps:
     @pytest.mark.parametrize("p", [2, 3, 65521])
     def test_single_decode_on_fresh_encoder(self, p, monkeypatch):
         # one decode peels every receiver and builds the batch decoder,
-        # which consumes every peel's outputs; every receiver peels, so no
+        # which holds every receiver's ranks; every receiver peels, so no
         # elimination runs
         monkeypatch.setattr("airindex.codec._stacked_ranks_mod_p", _no_elimination)
         enc = _encoder(17, 5, 1, 3, 8, p)
@@ -642,13 +642,12 @@ class TestDecodeThroughMaps:
         ok, solve = _reference_receiver(enc, 6)
         assert ok
         assert np.array_equal(decode(enc, 6, c, side), solve(c, x))
-        assert "_decoder" in vars(enc) and len(enc._sweep.ranks) == 17
-        assert not enc._sweep.outputs
+        assert "_decoder" in vars(enc) and len(enc._decoder.ranks) == 17
 
     def test_single_decode_on_fresh_encoder_refuses_undecodable(self):
         enc = _encoder(17, 11, 1, 1, 6, 2, allow_infeasible=True)
         bad = [k for k in range(17) if not _reference_receiver(enc, k)[0]]
-        assert bad and "_sweep" not in vars(enc)
+        assert bad and "_decoder" not in vars(enc)
         side = {j: np.zeros(6, dtype=int) for j in range(17)}
         with pytest.raises(ValueError, match="cannot decode"):
             decode(enc, bad[0], np.zeros(enc.cols, dtype=int), side)
@@ -725,7 +724,8 @@ class TestPeel:
         monkeypatch.setattr("airindex.codec._stacked_ranks_mod_p", spy)
         enc = _encoder(17, 11, 1, 1, 6, p, allow_infeasible=True)
         assert [k for k in range(17) if not decodable(enc, k)] == [14]
-        assert _peeled(enc, 14) is None and enc._sweep.outputs[14] is None
+        dec = enc._decoder
+        assert _peeled(enc, 14) is None and dec.entry_bounds[14] == dec.entry_bounds[15]
         L, b = enc.matrix.entries, enc.b
         window, unknown = _unknown_rows(enc, 14)
         pos = window.index(14)
@@ -739,7 +739,7 @@ class TestPeel:
 
     def test_stall_called_decodable_raises(self, monkeypatch):
         # ranks that find a stalled receiver decodable would need a decoder
-        # the peel did not give, so the sweep refuses to finish: the first
+        # the peel did not give, so the build refuses to finish: the first
         # call on the encoder raises, whichever receiver it asks about
         monkeypatch.setattr(
             "airindex.codec._stacked_ranks_mod_p",
@@ -752,14 +752,15 @@ class TestPeel:
                 match=r"receiver 14 of ProblemInstance\(K=17, D=11, U=1\) at \(a=1, b=6\) over GF\(2\)",
             ):
                 decodable(enc, 13)
-        assert "_sweep" not in vars(enc)
+        assert "_decoder" not in vars(enc)
 
     @pytest.mark.parametrize(
         "K,D,U,a,b,allow", [(17, 5, 1, 3, 8, False), (17, 11, 1, 1, 6, True)]
     )
     def test_one_peel_per_receiver(self, K, D, U, a, b, allow, monkeypatch):
-        # the first call peels every receiver once; the calls after it,
-        # whichever receiver they ask about, reuse that sweep
+        # the first call peels every receiver once and builds the batch
+        # decoder; the calls after it, whichever receiver they ask about,
+        # reuse it
         calls = []
 
         def spy(encoder, window, k):
@@ -772,6 +773,7 @@ class TestPeel:
         c = encode(enc, x)
         side = {j: x[j * b : (j + 1) * b] for j in range(K)}
         assert decodable(enc, 4) and calls == list(range(K))
+        assert "_decoder" in vars(enc)
         receiver_ranks(enc, 7)
         assert np.array_equal(decode(enc, 5, c, side), x[5 * b : 6 * b])
         report = simulate(enc.problem, enc.solution, 3, trials=2, seed=1, encoder=enc)
@@ -879,9 +881,9 @@ class TestBatchDecoder:
 
 
 class TestDecodeGuards:
-    def test_plans_keep_only_maps(self):
-        # after one decode per receiver the plans hold no peel outputs and
-        # the encoder holds the batch decoder: about 0.3 MB for all 71
+    def test_decodes_hold_only_the_batch_decoder(self):
+        # after one decode per receiver the encoder holds the batch
+        # decoder and nothing else of the peels: about 0.3 MB for all 71
         # receivers of (71,25,1) over GF(3)
         enc = _encoder(71, 25, 1, 1, 30, p=3)
         x = np.random.default_rng(71).integers(0, 3, size=enc.rows)
@@ -896,13 +898,13 @@ class TestDecodeGuards:
         finally:
             tracemalloc.stop()
         assert all(np.array_equal(decoded[k], x[k * 30 : (k + 1) * 30]) for k in range(71))
-        assert "_decoder" in vars(enc) and not enc._sweep.outputs
+        assert "_decoder" in vars(enc)
         assert held < 5 * 2**20
 
     def test_rank_sweep_memory_linear_in_K(self):
         # (2000,1,0) at (0, 1): a decodability sweep keeps two ranks and
-        # one small output per receiver, 0.75 MB in all on Python 3.11;
-        # a list of each receiver's K-D-U-1 known messages took 145 MB
+        # one small decoder output per receiver, 0.61 MB in all on Python
+        # 3.11; a list of each receiver's K-D-U-1 known messages took 145 MB
         enc = _encoder(2000, 1, 0, 0, 1, 2)
         enc._incidence  # built outside the measurement
         tracemalloc.start()
@@ -937,19 +939,18 @@ class TestDecodeGuards:
         enc = _encoder(17, 5, 1, a=3, b=8, p=p)
         assert all(decodable(enc, k) for k in range(17))
         assert all(receiver_ranks(enc, k)[1] == receiver_ranks(enc, k)[0] + 8 for k in range(17))
-        # the sweep holds every peel's outputs until a decode reads them
-        assert "_decoder" not in vars(enc)
-        assert len(enc._sweep.outputs) == 17 and None not in enc._sweep.outputs
+        # every receiver owns its b wanted outputs in the batch decoder
+        assert (np.diff(enc._decoder.output_bounds) >= 8).all()
 
-    def test_undecodable_plan_drops_its_echelon(self):
-        # an undecodable receiver's peel stalls; the sweep keeps the ranks
-        # that its elimination gave it instead, and no outputs
+    def test_undecodable_receiver_owns_no_entries(self):
+        # an undecodable receiver's peel stalls; the build keeps the ranks
+        # that its elimination gave it instead, and no entries
         enc = _encoder(17, 11, 1, a=1, b=6, p=2, allow_infeasible=True)
-        for k in range(17):
-            assert (enc._sweep.outputs[k] is None) == (not decodable(enc, k)), k
-        # undecodable receivers own nothing in the batch and still refuse
         dec = enc._decoder
-        assert not enc._sweep.outputs
+        for k in range(17):
+            owns = dec.output_bounds[k] < dec.output_bounds[k + 1]
+            assert owns == decodable(enc, k), k
+        # undecodable receivers own nothing in the batch and still refuse
         c, side = np.zeros(enc.cols, dtype=int), {j: np.zeros(6, dtype=int) for j in range(17)}
         for k in range(17):
             if not decodable(enc, k):
@@ -1007,7 +1008,7 @@ class TestIntegerInputs:
 
     def test_numpy_integer_pair(self):
         # the pair becomes plain ints, so the solution serializes and the
-        # encoder's sweep, decoder and rank fallback run on ints
+        # encoder's peels, decoder and rank fallback run on ints
         problem = ProblemInstance(5, 1, 1)
         sol = solution_for_pair(problem, np.int64(1), np.int64(2))
         assert json.loads(json.dumps(sol.to_json()))["b_min"] == 2
@@ -1019,7 +1020,7 @@ class TestIntegerInputs:
         enc = build_encoder(problem, sol, 2, allow_infeasible=True)
         report = simulate(problem, sol, 2, trials=2, seed=0, encoder=enc)
         assert report.failures and not decodable(enc, 14)
-        assert all(type(r) is int for ranks in enc._sweep.ranks for r in ranks)
+        assert all(type(r) is int for ranks in enc._decoder.ranks for r in ranks)
         assert json.loads(report.to_json_str())["a"] == 1
 
     def test_interference_set(self):
@@ -1058,14 +1059,14 @@ class TestSimulate:
         assert peak < 3 * X.nbytes
 
     def test_encoder_freed_without_gc(self):
-        # the sweep and the decoder are cached on the encoder; neither may
-        # refer back to it, or dropping the encoder would leave a cycle for
-        # the collector
+        # the batch decoder is cached on the encoder; it may not refer back
+        # to it, or dropping the encoder would leave a cycle for the
+        # collector
         gc.disable()
         try:
             enc = _encoder(17, 5, 1, a=3, b=8, p=3)
             assert simulate(enc.problem, enc.solution, 3, trials=2, encoder=enc).passed
-            assert "_sweep" in vars(enc) and "_decoder" in vars(enc)
+            assert "_decoder" in vars(enc)
             ref = weakref.ref(enc)
             del enc
             assert ref() is None
