@@ -74,6 +74,17 @@ def _fill_blocks(m: int, n: int) -> Iterator[tuple[int, int, int, int]]:
         rows_left, cols_left = r, r2
 
 
+def _block_cells(m: int, n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield the row and column indices of the ones of each rectangle.
+
+    Rectangle by rectangle of ``_fill_blocks``, each by the index
+    formula; the rectangles tile the m x n grid, so no cell repeats.
+    """
+    for top, left, h, w in _fill_blocks(m, n):
+        i = np.arange(max(h, w))
+        yield top + i % h, left + i % w
+
+
 @dataclass(frozen=True, eq=False)
 class AirMatrix:
     """A built m x n AIR matrix.
@@ -147,9 +158,8 @@ def build_air(m: int, n: int) -> AirMatrix:
     """
     m, n = _require_shape(m, n)
     grid = np.zeros((m, n), dtype=np.int64)
-    for top, left, h, w in _fill_blocks(m, n):
-        i = np.arange(max(h, w))
-        grid[top + i % h, left + i % w] = 1
+    for rows, cols in _block_cells(m, n):
+        grid[rows, cols] = 1
     grid.setflags(write=False)
     return AirMatrix(m=m, n=n, entries=grid)
 

@@ -12,23 +12,35 @@ are unique exactly when
     rank([interference rows; wanted rows]) == rank(interference rows) + b
 
 over GF(p). The first ``decodable``, ``receiver_ranks``, ``decode`` or
-``simulate`` on an encoder peels every receiver once, each over its
-unknown rows. Once the side information's share is subtracted, a
-codeword column is the plain sum of its unknown rows, as L is 0/1, so a
-column with one unsolved unknown row solves that row by +-1 steps. A
-receiver whose b wanted rows all peel, and whose leftover rows pass a
-second peel, is decodable over every field: the peel gives its ranks and
-its decoder with integer coefficients, with no field arithmetic. Only a
-receiver whose peel stalls gets its ranks from one GF(p) elimination
-of its window's rows; every stalled receiver seen so far is undecodable
-at every prime. That every receiver of every feasible pair peels is a
-checked conjecture, not a theorem. The tests check it for every
-minimal-rate encoder with K <= 20 and for drawn pairs with a, b <= 3,
-and it has held for every minimal-rate encoder with K <= 30 and for
-(71,25,1), (53,6,2), (60,20,10), (100,10,3) and (37,8,8). The same pass
-keeps each receiver's two ranks and adds its decoder, reduced mod p, to
-the encoder's batch decoder, so even a single ``decodable`` on a fresh
-encoder builds the decoders of all its receivers.
+``simulate`` on an encoder peels all of its receivers at once. Once the
+side information's share is subtracted, a codeword column is the plain
+sum of its unknown rows, as L is 0/1, so a column with one unsolved
+unknown row solves that row by +-1 steps. A receiver whose b wanted rows
+all peel, and whose leftover rows pass a second peel, is decodable over
+every field: the peel gives its ranks and its decoder with integer
+coefficients, with no field arithmetic. Only a receiver whose peel
+stalls gets its ranks from one GF(p) elimination of its window's rows;
+every stalled receiver seen so far is undecodable at every prime. That
+every receiver of every feasible pair peels is a checked conjecture, not
+a theorem. The tests check it for every minimal-rate encoder with
+K <= 20 and for drawn pairs with a, b <= 3, and it has held for every
+minimal-rate encoder with K <= 30 and for (71,25,1), (53,6,2),
+(60,20,10), (100,10,3) and (37,8,8).
+
+The peel runs on integer arrays, every receiver in step. The encoder's
+nonzero cells are read from the AIR block layout, never from a scan of
+the dense matrix. Each receiver's count and sum of unknown rows per
+column come from one cumulative sum over the receivers, as consecutive
+windows differ by one message at each end. Then, round by round, every
+column left with one unsolved row solves it; where several columns hold
+the same row, the first in column order wins, as in the first round of
+a peel that takes one column at a time. The first peel took at most
+three rounds on every minimal-rate encoder tried, and the number of
+array operations grows with the rounds and with the runs of receivers
+that the build's memory cap allows, not with K itself. The same
+build keeps each receiver's two ranks and adds its decoder, reduced mod
+p, to the encoder's batch decoder, so even a single ``decodable`` on a
+fresh encoder builds the decoders of all its receivers.
 
 A receiver's decoder is a matrix M = [T | P] over the codeword columns.
 For a codeword c' corrected by the side information's share (the
@@ -54,10 +66,12 @@ of entries and of outputs. Decoding a batch of codewords takes three
 steps: correct each entry's codeword symbol by the side information's
 share, form c'[col] % p * coef, and sum every segment with
 ``np.add.reduceat``. The share is summed over the encoder's column
-support, the table ``encode`` gathers codewords through. ``decode``
-holds only one receiver's known messages, its unknown ones zero, so at
-that receiver's columns the codeword less their support's sum is its
-corrected codeword. ``simulate`` holds every message, so each entry
+support. ``encode`` and ``simulate`` sum every column at once, with one
+``np.add.reduceat`` over the nonzero rows in column order; ``decode``
+gathers only its receiver's columns from a padded table of their rows.
+``decode`` holds only one receiver's known messages, its unknown ones
+zero, so at that receiver's columns the codeword less their support's
+sum is its corrected codeword. ``simulate`` holds every message, so each entry
 subtracts its column's total and adds back the column's rows in its
 receiver's window; it runs every receiver at once, where ``decode``
 runs one receiver's range.
@@ -74,7 +88,9 @@ refuse, and ``simulate`` refuses a run whose message batch (trials*K*b
 symbols) exceeds the same ``MAX_CELLS`` cap. The batch decoder holds
 entries x window rows cells: one row per entry, as wide as the most rows
 one column holds inside one window (5 on (71,25,1), at most 2 on D = 1
-for K <= 40), so at a fixed window it grows linearly in K.
+for K <= 40), so at a fixed window it grows linearly in K. Its build
+takes the receivers a run at a time, so that none of its receivers x
+columns or receivers x window rows arrays exceeds ``_PEEL_CELLS`` cells.
 """
 
 from __future__ import annotations
@@ -82,16 +98,14 @@ from __future__ import annotations
 import json
 import operator
 import time
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
 
-from .air import MAX_CELLS, AirMatrix, _require_shape, build_air
+from .air import MAX_CELLS, AirMatrix, _block_cells, _require_shape, build_air
 from .linalg import _stacked_ranks_mod_p, as_int_array, require_prime
 from .rates import ProblemInstance, RateSolution, is_feasible
 
@@ -135,30 +149,18 @@ def _window(problem: ProblemInstance, k: int) -> list[int]:
     return [(k + i) % problem.K for i in range(-problem.U, problem.D + 1)]
 
 
-def _cyclic_cut(col: list[int], lo: int, hi: int, m: int) -> list[int]:
-    """The rows of ``col`` in the cyclic run lo .. hi-1 mod m, ascending.
-
-    ``col`` is one encoder column's rows, ascending, and 0 <= lo < m,
-    hi - lo <= m. Cut by bisection, so a heavy column, which on D = 1
-    holds about K/2 rows, costs no step more than the run.
-    """
-    if hi > m:  # the run wraps past m to the front
-        return col[: bisect_left(col, hi - m)] + col[bisect_left(col, lo) :]
-    return col[bisect_left(col, lo) : bisect_left(col, hi)]
-
-
 @dataclass(frozen=True, eq=False)
 class Encoder:
     """An instance bound to its AIR encoding matrix over GF(p).
 
     Immutable after construction. Cached internally and shared by
-    decodability checks, decoding and simulation: the nonzero structure
-    of the encoder rows and columns, which every peel reads, and the
-    batch decoder (``_decoder``), which holds every receiver's ranks and
-    the decoder of every decodable receiver, built by one peel per
-    receiver on first use. Decoding corrects codewords by the side
-    information's share through the same column support that encodes
-    them.
+    decodability checks, decoding and simulation: the nonzero cells
+    (``_cells``), read from the AIR block layout, which the peel and the
+    column sums read, and the batch decoder (``_decoder``), which holds
+    every receiver's ranks and the decoder of every decodable receiver,
+    built by one batched peel of all receivers on first use. Decoding
+    corrects codewords by the side information's share through the same
+    column support that encodes them.
     """
 
     problem: ProblemInstance
@@ -183,15 +185,27 @@ class Encoder:
         return self.matrix.n
 
     @cached_property
-    def _incidence(self) -> tuple[list[list[int]], list[list[int]]]:
-        """Each row's nonzero columns and each column's nonzero rows, ascending."""
-        row_cols: list[list[int]] = [[] for _ in range(self.rows)]
-        col_rows: list[list[int]] = [[] for _ in range(self.cols)]
-        rows, cols = np.nonzero(self.matrix.entries)
-        for r, c in zip(rows.tolist(), cols.tolist()):
-            row_cols[r].append(c)
-            col_rows[c].append(r)
-        return row_cols, col_rows
+    def _cells(self) -> _Cells:
+        """The nonzero cells, read from the AIR block layout; see ``_Cells``."""
+        m, n = self.rows, self.cols
+        rows, cols = (np.concatenate(part) for part in zip(*_block_cells(m, n)))
+        # every sort in this module is the stable one: ``_firsts`` needs it,
+        # and one sort kernel keeps fewer of numpy's code pages resident
+        by_row = (rows * n + cols).argsort(kind="stable")
+        rows, cols = rows[by_row], cols[by_row]
+        counts = np.bincount(rows, minlength=m)
+        row_ptr = np.zeros(2 * m + 1, dtype=np.int64)
+        np.cumsum(np.concatenate([counts, counts]), out=row_ptr[1:])
+        keys = cols * (2 * m) + rows
+        keys.sort(kind="stable")
+        return _Cells(
+            row_ptr=row_ptr,
+            row_cols=np.concatenate([cols, cols]),
+            cell_rows=np.concatenate([rows, rows]),
+            col_keys=np.sort(np.concatenate([keys, keys + m]), kind="stable"),
+            col_rows=keys % (2 * m),
+            col_starts=keys.searchsorted(np.arange(n) * (2 * m)),
+        )
 
     @cached_property
     def _col_support(self) -> np.ndarray:
@@ -200,16 +214,25 @@ class Encoder:
         One row per column, padded with the out-of-range index ``rows``
         to the widest column's count.
         """
-        col_rows = self._incidence[1]
-        table = np.full((self.cols, max(map(len, col_rows))), self.rows, dtype=np.int64)
-        for c, rows in enumerate(col_rows):
-            table[c, : len(rows)] = rows
-        return table
+        cells = self._cells
+        sizes = np.diff(np.append(cells.col_starts, cells.col_rows.size))
+        return _padded(cells.col_rows, sizes, self.rows)
 
     @cached_property
     def _decoder(self) -> _BatchDecoder:
         """Every receiver's ranks and decoder, built on first use; see ``_BatchDecoder``."""
         return _build_decoder(self)
+
+    def _column_sums(self, X: np.ndarray) -> np.ndarray:
+        """``out[:, c]`` = the sum of ``X[:, r]`` over column c's nonzero rows r.
+
+        X is a 2-D batch with at least the encoder's rows as columns. One
+        gather of the nonzero rows in column order and one
+        ``np.add.reduceat`` over the columns' runs, which are nonempty
+        as every AIR column holds a one.
+        """
+        cells = self._cells
+        return np.add.reduceat(X[:, cells.col_rows], cells.col_starts, axis=1)
 
     def _broadcast(self, X: np.ndarray) -> np.ndarray:
         """``X @ L % p`` for a 2-D batch X of message vectors with entries < p.
@@ -219,7 +242,39 @@ class Encoder:
         symbols per column reads X once, where the dense product streams
         all of L once per message vector.
         """
-        return _gather_sum(_pad(X), self._col_support) % self.p
+        out = self._column_sums(X)
+        out %= self.p
+        return out
+
+
+class _Cells(NamedTuple):
+    """An encoder's nonzero cells, read from the AIR block layout.
+
+    Rows are doubled: row r is stored again as row r + m, so that every
+    cyclic run of w <= m rows starting at lo < m is the plain run
+    lo .. lo+w-1 of the doubled rows. Row r's cells, for r < 2m, are
+    ``row_ptr[r] .. row_ptr[r + 1] - 1``, with their columns, ascending,
+    in ``row_cols`` and their row mod m in ``cell_rows``. ``col_keys``
+    holds c * 2m + r for every doubled cell (r, c), sorted, so a
+    column's rows inside a run are one range of it. ``col_rows`` lists
+    the rows of the (undoubled) cells column by column, column c's from
+    ``col_starts[c]`` on; every AIR column holds a one.
+    """
+
+    row_ptr: np.ndarray
+    row_cols: np.ndarray
+    cell_rows: np.ndarray
+    col_keys: np.ndarray
+    col_rows: np.ndarray
+    col_starts: np.ndarray
+
+
+def _padded(values: np.ndarray, sizes: np.ndarray, pad: int) -> np.ndarray:
+    """A table whose row j holds the next ``sizes[j]`` of ``values``, then ``pad``."""
+    table = np.full((sizes.size, sizes.max(initial=0)), pad, dtype=np.int64)
+    # row-major, so each row's values fill its front
+    table[np.arange(table.shape[1]) < sizes[:, None]] = values
+    return table
 
 
 def _pad(X: np.ndarray) -> np.ndarray:
@@ -286,134 +341,23 @@ def encode(encoder: Encoder, x) -> np.ndarray:
     return encoder._broadcast((xv % encoder.p)[None])[0]
 
 
-def _peel(encoder: Encoder, window: list[int], k: int) -> tuple[int, list[dict], dict] | None:
-    """Receiver k's decoder over Z and the rank of its unknown rows, or None on a stall.
-
-    ``window`` is ``_window(problem, k)``, so the unknown rows are one
-    cyclic run of encoder rows, starting at its first message's.
-
-    Once the side information's share is subtracted, codeword column j
-    is the plain sum of its unknown rows, as L is 0/1. So a column with
-    one unsolved unknown row r solves it: x_r = c'_j minus the other
-    rows of j, all solved before. Repeating this solves rows in an order
-    in which each step's column meets no row solved later. The peel
-    stalls unless it solves all b wanted rows.
-
-    The unsolved rows meet only the columns left with two or more of
-    them. A second peel clears those columns one at a time, each by an
-    unsolved row that meets no other column still left. The rows it
-    uses form a unit triangle against the columns, so the leftover
-    block has full column rank in every field; the peel stalls unless
-    this clears every such column. The solved rows form a unit triangle
-    against their columns too, so the unknown rows have rank
-    n - len(parity) in every field, where ``parity`` holds the columns
-    that no step used and no unsolved row meets.
-
-    Returns that rank, the outputs as {column: integer coefficient}
-    maps, and {column: its unknown rows, ascending} for every column the
-    outputs hold. The outputs are the b wanted rows' expressions, then,
-    per parity column f, f minus the expressions of its rows, which
-    vanishes on every combination of the unknown rows. Each output holds
-    its own column with coefficient 1, as the rows it subtracts were
-    solved from other columns, before it.
-    """
-    b, m, n = encoder.b, encoder.rows, encoder.cols
-    row_cols, col_rows = encoder._incidence
-    unknown = [r for j in window for r in range(j * b, (j + 1) * b)]
-    count = [0] * n  # each column's unsolved unknown rows; -1 once a step used it
-    total = [0] * n  # the sum of their indices, which is the row once count is 1
-    for r in unknown:
-        for c in row_cols[r]:
-            count[c] += 1
-            total[c] += r
-    # the unknown rows are lo .. hi-1, cyclically mod m
-    lo, hi = unknown[0], unknown[0] + len(unknown)
-
-    def mine(c: int) -> list[int]:
-        """Column c's unknown rows, ascending."""
-        return _cyclic_cut(col_rows[c], lo, hi, m)
-
-    solved = {}  # row -> the column that solved it, in solving order
-    queue = [c for c in range(n) if count[c] == 1]
-    for c in queue:
-        if count[c] != 1:
-            continue
-        r = total[c]
-        solved[r] = c
-        for j in row_cols[r]:
-            count[j] -= 1
-            total[j] -= r
-            if count[j] == 1:
-                queue.append(j)
-        count[c] = -1
-    wanted = range(k * b, (k + 1) * b)
-    if not all(r in solved for r in wanted):
-        return None
-    parity = [c for c in range(n) if not count[c]]
-    left = n - len(solved) - len(parity)
-    # the unsolved rows, each with the number and the sum of the columns
-    # it meets that are still left; all of its columns hold two or more
-    # unsolved rows at first
-    rest = {r: [len(row_cols[r]), sum(row_cols[r])] for r in unknown if r not in solved}
-    queue = [r for r, (d, _) in rest.items() if d == 1]
-    for r in queue:
-        d, c = rest[r]
-        if d != 1:
-            continue
-        left -= 1
-        for i in mine(c):
-            if i in rest:
-                live = rest[i]
-                live[0] -= 1
-                live[1] -= c
-                if live[0] == 1:
-                    queue.append(i)
-    if left:
-        return None
-    # the rows the outputs read, and in turn the earlier rows each solved
-    # one reads, found in one pass back through the solving order; each
-    # column an output holds is cut once
-    cut = {f: mine(f) for f in parity}
-    need = set(wanted).union(*cut.values())
-    for r, c in reversed(solved.items()):
-        if r in need:
-            cut[c] = mine(c)
-            need.update(cut[c])
-    exprs: dict[int, dict[int, int]] = {}
-    for r, c in solved.items():
-        if r in need:
-            exprs[r] = _minus_found(c, cut[c], exprs)
-    outputs = [exprs[r] for r in wanted]
-    outputs += (_minus_found(f, cut[f], exprs) for f in parity)
-    return n - len(parity), outputs, cut
-
-
-def _minus_found(c: int, rows: list[int], exprs: dict) -> dict[int, int]:
-    """Column c minus the expressions found so far for its ``rows``."""
-    e = {c: 1}
-    for i in rows:
-        found = exprs.get(i)
-        if found:
-            for j, v in found.items():
-                e[j] = e.get(j, 0) - v
-    return e
-
-
 class _BatchDecoder(NamedTuple):
     """Every receiver's ranks and every decodable one's decoder, as sparse entries.
 
+    Built by ``_build_decoder`` from one batched peel of all receivers.
     ``ranks[k]`` is receiver k's (rank of interference rows, rank with
     wanted rows stacked on). Entry e reads column ``cols[e]`` of its
     receiver's corrected codeword and multiplies it by ``coef[e]`` in
     [1, p). ``window_rows[e]`` holds that column's rows inside its
     receiver's window, padded with the index ``encoder.rows``. Output o
-    sums the entries ``starts[o]`` up to the next output's start, mod p;
-    it must equal message row ``targets[o]`` for a wanted symbol, and
-    zero, read at the padding index, for a parity column. Receiver k owns
-    entries ``entry_bounds[k] : entry_bounds[k + 1]`` and outputs
+    sums the entries ``starts[o]`` up to the next output's start, mod p,
+    each output's entries in column order; it must equal message row
+    ``targets[o]`` for a wanted symbol, and zero, read at the padding
+    index, for a parity column. Receiver k owns entries
+    ``entry_bounds[k] : entry_bounds[k + 1]`` and outputs
     ``output_bounds[k] : output_bounds[k + 1]``: its b wanted symbols,
-    then one parity check per parity column. An undecodable receiver owns
-    none.
+    then one parity check per parity column, ascending. An undecodable
+    receiver owns none.
     """
 
     p: int
@@ -445,6 +389,11 @@ class _BatchDecoder(NamedTuple):
 # ``simulate``, so that its working set stays near the message batch's
 _DECODE_CELLS = 1 << 16
 
+# bound on the cells of each receivers x columns and receivers x window
+# rows array of the decoder build, which holds up to about twenty of them
+# at once
+_PEEL_CELLS = 1 << 14
+
 
 def _segment_starts(outs: np.ndarray, n: int) -> np.ndarray:
     """First index of each of the n segments of the sorted labels ``outs``.
@@ -459,72 +408,278 @@ def _segment_starts(outs: np.ndarray, n: int) -> np.ndarray:
     return np.cumsum(counts) - counts
 
 
-def _build_decoder(encoder: Encoder) -> _BatchDecoder:
-    """The encoder's batch decoder, from one peel of every receiver.
+def _ranges(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every index of the ranges lo[q] .. hi[q]-1, in q order, and its q."""
+    size = hi - lo
+    owner = np.arange(size.size).repeat(size)
+    return owner, np.arange(owner.size) + (lo - size.cumsum() + size).repeat(size)
 
-    A receiver the peel certifies is decodable, with the peel's ranks.
-    Its outputs' coefficients are reduced mod p, and an entry that is 0
-    mod p is dropped. Every segment is nonempty, as each output keeps its
-    own column with coefficient 1. A receiver whose peel stalls gets its
-    ranks from one elimination of its window's rows, interference rows
-    first and wanted rows last, and no entries. Every stalled receiver
-    seen so far is undecodable at every prime. One that these ranks call
-    decodable would need a decoder the peel did not give, so the build
-    raises instead.
+
+def _run_starts(keys: np.ndarray) -> np.ndarray:
+    """The index at which each run of equal values of the sorted ``keys`` starts."""
+    new = np.empty(keys.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    return new.nonzero()[0]
+
+
+def _firsts(keys: np.ndarray) -> np.ndarray:
+    """The index of each distinct key's first occurrence, ascending."""
+    order = keys.argsort(kind="stable")
+    first = order[_run_starts(keys[order])]
+    first.sort(kind="stable")
+    return first
+
+
+def _cut(cells: _Cells, cols: np.ndarray, lo: np.ndarray, w: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of each column ``cols[q]`` in the cyclic run of w rows from ``lo[q]``.
+
+    Returns (q, offset) pairs, grouped by q and ascending within it: the
+    row is ``(lo[q] + offset) % m``. Found by two searches of the sorted
+    cells, so a heavy column, which on D = 1 holds about K/2 rows, costs
+    nothing more than its rows in the run.
     """
-    problem, b, p, m = encoder.problem, encoder.b, encoder.p, encoder.rows
-    ranks: list[tuple[int, int]] = []
-    cols: list[int] = []
-    outs: list[int] = []
-    coef: list[int] = []
-    window_rows: list[list[int]] = []
-    targets: list[int] = []
-    output_bounds = [0]
-    for k in range(problem.K):
+    base = cols * (cells.row_ptr.size - 1) + lo
+    keys = cells.col_keys
+    q, idx = _ranges(keys.searchsorted(base), keys.searchsorted(base + w))
+    return q, keys[idx] - base[q]
+
+
+def _window_counts(
+    cells: _Cells, lo: np.ndarray, w: int, b: int, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """For each window i of w rows from ``lo[i]`` and each column c: the
+    number and the sum of the window's rows in column c, flattened i-major.
+
+    The windows are consecutive receivers', so each starts b rows past
+    the one before. Window i's counts are window i-1's plus the b rows
+    that enter it and less the b rows that leave, so one cumulative sum
+    over those changes gives them all.
+    """
+    C = lo.size
+    # the first window whole, then the rows entering windows 1.., then
+    # the rows leaving them
+    first = np.concatenate([lo[:1], lo[:-1] + w, lo[:-1]])
+    size = np.full(first.size, b)
+    size[0] = w
+    q, idx = _ranges(cells.row_ptr[first], cells.row_ptr[first + size])
+    leaving = q >= C
+    at = (q - leaving * (C - 1)) * n + cells.row_cols[idx]
+    sign = 1 - 2 * leaving.astype(np.int64)
+    count = np.zeros((C, n), dtype=np.int64)
+    total = np.zeros((C, n), dtype=np.int64)
+    np.add.at(count.ravel(), at, sign)
+    np.add.at(total.ravel(), at, sign * cells.cell_rows[idx])
+    np.cumsum(count, axis=0, out=count)
+    np.cumsum(total, axis=0, out=total)
+    return count.ravel(), total.ravel()
+
+
+def _sum_cells(keys: np.ndarray, vals: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct keys, ascending, and the sum of each one's values mod p,
+    less the keys whose sum is 0 mod p."""
+    order = keys.argsort(kind="stable")
+    keys, vals = keys[order], vals[order]
+    if not keys.size:
+        return keys, vals
+    first = _run_starts(keys)
+    sums = np.add.reduceat(vals, first)
+    sums %= p
+    keep = sums != 0
+    return keys[first[keep]], sums[keep]
+
+
+def _peel(encoder: Encoder, lo: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Peel the consecutive receivers whose windows start at rows ``lo``.
+
+    A receiver's unknown rows are its window's w = (D+U+1)*b rows. Once
+    the side information's share is subtracted, codeword column j is the
+    plain sum of its unknown rows, as L is 0/1, so a column with one
+    unsolved unknown row r solves it: x_r = c'_j minus the other rows of
+    j, all solved before. Every receiver peels at once, in rounds: in
+    each, every column left with one unsolved row solves it, and of the
+    columns that hold the same row the first in column order wins; the
+    losers become parity columns. The rows a peel solves, and so the
+    verdicts and ranks, do not depend on that choice, and every choice
+    gives a valid decoder. A receiver stalls unless its b wanted rows
+    are solved.
+
+    The unsolved rows meet only the columns left with two or more of
+    them. A second peel, in rounds too, clears each column that an
+    unsolved row is the last to meet. The rows it uses form a unit
+    triangle against the columns, so the leftover block has full column
+    rank in every field; a receiver stalls unless this clears all of its
+    columns. The solved rows form a unit triangle against their columns
+    too, so a receiver that peels has unknown rows of rank n minus its
+    count of parity columns, those that no round used and no unsolved
+    row meets, in every field.
+
+    Returns ``ok`` and ``parity`` (that count) per receiver, and the
+    decoders of the receivers that peel as entries ``outs``, ``cols`` and
+    ``coef`` (in [1, p)), sorted, with outputs numbered from 0 over those
+    receivers: each one's b wanted rows, then, per parity column
+    f ascending, f minus the expressions of its rows, which vanishes on
+    every combination of the unknown rows. A wanted row's expression is
+    the column that solved it minus the expressions of the other rows
+    that column holds, which earlier rounds solved, so each output is
+    expanded through the winners round by round, with the repeats of a
+    winner in an output merged and every coefficient reduced mod p.
+    """
+    cells, b, p, m, n = encoder._cells, encoder.b, encoder.p, encoder.rows, encoder.cols
+    w = (encoder.problem.D + encoder.problem.U + 1) * b
+    C = lo.size
+    count, total = _window_counts(cells, lo, w, b, n)
+    # first peel: each round's winners as receiver * n + column, and
+    # who[i * w + offset], the winner that solved that row of window i, or -1
+    empty = np.zeros(0, dtype=np.int64)
+    wins, bounds = [empty], [0]
+    who = np.full(C * w, -1)
+    cand = (count == 1).nonzero()[0]
+    while cand.size:
+        rows = total[cand]
+        i = cand // n
+        first = _firsts(i * m + rows)
+        cand, rows, i = cand[first], rows[first], i[first]
+        who[i * w + (rows - lo[i]) % m] = np.arange(bounds[-1], bounds[-1] + cand.size)
+        wins.append(cand)
+        bounds.append(bounds[-1] + cand.size)
+        q, idx = _ranges(cells.row_ptr[rows], cells.row_ptr[rows + 1])
+        touched = i[q] * n + cells.row_cols[idx]
+        np.add.at(count, touched, -1)
+        np.add.at(total, touched, -rows[q])
+        count[cand] = -1
+        touched.sort(kind="stable")
+        touched = touched[_run_starts(touched)]
+        cand = touched[count[touched] == 1]
+    win = np.concatenate(wins)
+    win_i, win_c = win // n, win % n
+    del total, wins, win  # each as large as a receivers x columns array
+    at = encoder.problem.U * b  # the receiver's own message's offset in its window
+    wanted = who.reshape(C, w)[:, at : at + b]
+    ok = (wanted >= 0).all(axis=1)
+    count = count.reshape(C, n)
+    parity = (count == 0).sum(axis=1)
+    live = (count >= 2).sum(axis=1)
+    check = ok & (live > 0)
+    if check.any():
+        # second peel, over each window row's count and sum of live columns
+        row_ptr = cells.row_ptr[: m + 1]
+        rows = (lo[:, None] + np.arange(w)) % m
+        deg = (row_ptr[1:] - row_ptr[:-1])[rows]
+        deg[(who.reshape(C, w) >= 0) | ~check[:, None]] = 0
+        deg = deg.ravel()
+        csum = np.add.reduceat(cells.row_cols[: row_ptr[-1]], row_ptr[:-1])[rows].ravel()
+        cleared = np.zeros(C, dtype=np.int64)
+        cand = (deg == 1).nonzero()[0]
+        while cand.size:
+            i, c = cand // w, csum[cand]
+            first = _firsts(i * n + c)
+            i, c = i[first], c[first]
+            cleared += np.bincount(i, minlength=C)
+            q, off = _cut(cells, c, lo[i], w)
+            off += i[q] * w
+            np.add.at(deg, off, -1)
+            np.add.at(csum, off, -c[q])
+            cand = (deg == 1).nonzero()[0]
+        ok &= ~check | (cleared == live)
+    if not ok.any():
+        return ok, parity, empty, empty, empty
+    # outputs: each receiver's b wanted rows, then its parity columns
+    outputs = (b + parity) * ok
+    base = outputs.cumsum() - outputs
+    par = (count.ravel() == 0).nonzero()[0]
+    par = par[ok[par // n]]
+    par_i, par_c = par // n, par % n
+    par_o = base[par_i] + b + np.arange(par.size) - par_i.searchsorted(par_i)
+    q, off = _cut(cells, par_c, lo[par_i], w)
+    # each output is a sum of terms (output, column, coefficient): a parity
+    # output's own column, then the expressions of the winners it holds,
+    # wanted rows with sign +1 and a parity column's rows with -1; a
+    # winner's expression is its column, less the expressions of the other
+    # rows that column holds, all from earlier rounds, so expanding the
+    # winners round by round ends within the peel's rounds
+    terms = [(par_o, par_c, np.ones(par.size, dtype=np.int64))]
+    o = np.concatenate([(base[ok][:, None] + np.arange(b)).ravel(), par_o[q]])
+    u = np.concatenate([wanted[ok].ravel(), who[par_i[q] * w + off]])
+    sign = np.where(np.arange(o.size) < o.size - q.size, 1, p - 1)
+    while True:
+        terms.append((o, win_c[u], sign))
+        late = u >= bounds[1]
+        if not late.any():
+            break
+        o, u, sign = o[late], u[late], sign[late]
+        q, off = _cut(cells, win_c[u], lo[win_i[u]], w)
+        held = who[win_i[u][q] * w + off]
+        other = held != u[q]
+        # merge the repeats of a winner within an output, so that the terms
+        # grow with the winners reached, not with the paths to them
+        keys, sign = _sum_cells(o[q][other] * win_c.size + held[other], p - sign[q][other], p)
+        o, u = keys // win_c.size, keys % win_c.size
+    o, c, v = (np.concatenate(part) for part in zip(*terms))
+    keys, coef = _sum_cells(o * n + c, v, p)
+    return ok, parity, keys // n, keys % n, coef
+
+
+def _build_decoder(encoder: Encoder) -> _BatchDecoder:
+    """The encoder's batch decoder, from one batched peel of every receiver.
+
+    ``_peel`` runs over runs of consecutive receivers, each small enough
+    that no receivers x columns or receivers x window rows array exceeds
+    ``_PEEL_CELLS`` cells. A receiver the peel certifies is decodable,
+    with the peel's ranks. Every output's segment is nonempty, as each
+    holds its own column with coefficient 1. A receiver whose peel stalls
+    gets its ranks from one elimination of its window's rows, interference
+    rows first and wanted rows last, and no entries. Every stalled
+    receiver seen so far is undecodable at every prime. One that these
+    ranks call decodable would need a decoder the peel did not give, so
+    the build raises instead. Each entry's window rows are its column's
+    rows inside its receiver's window, cut from the encoder's cells.
+    """
+    problem, b, p, m, n = encoder.problem, encoder.b, encoder.p, encoder.rows, encoder.cols
+    K, w = problem.K, (problem.D + problem.U + 1) * b
+    lo = (np.arange(K) - problem.U) % K * b
+    step = max(1, _PEEL_CELLS // max(n, w))
+    firsts = range(0, K, step)
+    ok, parity, outs, cols, coef = zip(*(_peel(encoder, lo[k : k + step]) for k in firsts))
+    ok, parity = np.concatenate(ok), np.concatenate(parity)
+    outputs = (b + parity) * ok
+    output_bounds = np.concatenate([[0], np.cumsum(outputs)])
+    # each run numbers its outputs from 0
+    outs = np.concatenate([o + output_bounds[k] for k, o in zip(firsts, outs)])
+    rank_all = n - parity
+    ranks = list(zip((rank_all - b).tolist(), rank_all.tolist()))
+    for k in (~ok).nonzero()[0].tolist():
         window = _window(problem, k)
-        peeled = _peel(encoder, window, k)
-        if peeled is None:
-            interference = [r for j in window if j != k for r in range(j * b, (j + 1) * b)]
-            rank_interference, rank_all = _stacked_ranks_mod_p(
-                encoder.matrix.entries[interference], encoder.matrix.entries[k * b : (k + 1) * b], p
+        interference = [r for j in window if j != k for r in range(j * b, (j + 1) * b)]
+        rank_interference, rank_all = _stacked_ranks_mod_p(
+            encoder.matrix.entries[interference], encoder.matrix.entries[k * b : (k + 1) * b], p
+        )
+        if rank_all == rank_interference + b:
+            raise AssertionError(
+                f"receiver {k} of {problem} at (a={encoder.a}, b={b}) over GF({p}): "
+                "the peel stalled, yet elimination finds it decodable"
             )
-            if rank_all == rank_interference + b:
-                raise AssertionError(
-                    f"receiver {k} of {problem} at (a={encoder.a}, b={b}) over GF({p}): "
-                    "the peel stalled, yet elimination finds it decodable"
-                )
-            ranks.append((rank_interference, rank_all))
-        else:
-            rank_all, outputs, cut = peeled
-            ranks.append((rank_all - b, rank_all))
-            for o, expr in enumerate(outputs, len(targets)):
-                for c, x in expr.items():
-                    x %= p
-                    if x:
-                        cols.append(c)
-                        outs.append(o)
-                        coef.append(x)
-                        window_rows.append(cut[c])
-            targets += range(k * b, (k + 1) * b)
-            targets += [m] * (len(outputs) - b)
-        output_bounds.append(len(targets))
-    width = np.fromiter(map(len, window_rows), dtype=np.int64, count=len(cols))
-    table = np.full((len(cols), width.max(initial=0)), m, dtype=np.int64)
-    # row-major, so each entry's rows fill the front of its own row
-    table[np.arange(table.shape[1]) < width[:, None]] = list(chain.from_iterable(window_rows))
-    starts = _segment_starts(np.array(outs, dtype=np.int64), len(targets))
-    col_arr = np.array(cols, dtype=np.int64)
-    bounds = np.array(output_bounds, dtype=np.int64)
+        ranks[k] = (rank_interference, rank_all)
+    # output o's receiver and its target: the receiver's own rows, then
+    # the padding index for each parity check
+    recv = np.repeat(np.arange(K), outputs)
+    slot = np.arange(recv.size) - output_bounds[recv]
+    targets = np.where(slot < b, recv * b + slot, m)
+    cols = np.concatenate(cols)
+    entry_lo = lo[recv[outs]]
+    q, off = _cut(encoder._cells, cols, entry_lo, w)
+    window_rows = _padded((entry_lo[q] + off) % m, np.bincount(q, minlength=cols.size), m)
+    starts = _segment_starts(outs, recv.size)
     return _BatchDecoder(
         p=p,
         ranks=ranks,
-        cols=col_arr,
-        window_rows=table,
-        coef=np.array(coef, dtype=np.int64),
+        cols=cols,
+        window_rows=window_rows,
+        coef=np.concatenate(coef),
         starts=starts,
-        targets=np.array(targets, dtype=np.int64),
-        entry_bounds=np.append(starts, col_arr.size)[bounds],
-        output_bounds=bounds,
+        targets=targets,
+        entry_bounds=np.append(starts, cols.size)[output_bounds],
+        output_bounds=output_bounds,
     )
 
 
@@ -685,10 +840,10 @@ def simulate(
     receivers = np.flatnonzero(np.diff(dec.output_bounds))
     failed = np.ones((trials, K), dtype=bool)
     # a slice of the trials at a time, so no temporary exceeds _DECODE_CELLS
-    step = max(1, _DECODE_CELLS // max(dec.cols.size, enc.cols))
+    step = max(1, _DECODE_CELLS // max(dec.cols.size, enc._cells.col_rows.size))
     for lo in range(0, trials, step):
         rows = slice(lo, lo + step)
-        total = _gather_sum(padded[rows], enc._col_support)
+        total = enc._column_sums(padded[rows])
         # the broadcast codeword less each column's total, at the entries'
         # columns, plus the share of each entry's window rows
         fixed = (total % enc.p - total)[:, dec.cols] + _gather_sum(padded[rows], dec.window_rows)

@@ -10,11 +10,14 @@ minimal-rate pair is checked against the extended Euclidean walk
 inverse. AIR matrices are checked against the block construction
 (``reference_air``) that ``build_air`` replaced with one index formula:
 each rectangle built as a dense block of stacked identities and copied
-into the grid.
+into the grid. The codec's batched peel is checked against the per-receiver
+peel (``reference_peel``) that it replaced: one receiver at a time, over
+Python lists of the dense encoder's nonzeros.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from math import gcd
 
@@ -162,3 +165,118 @@ def reference_air(m: int, n: int) -> np.ndarray:
         if r2 == 0:
             return grid
         rows_left, cols_left = r, r2
+
+
+def _cyclic_cut(col: list[int], lo: int, hi: int, m: int) -> list[int]:
+    """The rows of ``col`` in the cyclic run lo .. hi-1 mod m, ascending.
+
+    ``col`` is one encoder column's rows, ascending, and 0 <= lo < m,
+    hi - lo <= m.
+    """
+    if hi > m:  # the run wraps past m to the front
+        return col[: bisect_left(col, hi - m)] + col[bisect_left(col, lo) :]
+    return col[bisect_left(col, lo) : bisect_left(col, hi)]
+
+
+def _minus_found(c: int, rows: list[int], exprs: dict) -> dict[int, int]:
+    """Column c minus the expressions found so far for its ``rows``."""
+    e = {c: 1}
+    for i in rows:
+        found = exprs.get(i)
+        if found:
+            for j, v in found.items():
+                e[j] = e.get(j, 0) - v
+    return e
+
+
+def reference_peel(encoder, k: int) -> tuple[int, list[dict], dict] | None:
+    """Receiver k's decoder over Z and the rank of its unknown rows, or None on a stall.
+
+    The unknown rows are the cyclic run of encoder rows of the messages
+    k-U .. k+D. Once the side information's share is subtracted, codeword
+    column j is the plain sum of its unknown rows, as the encoder is 0/1.
+    So a column with one unsolved unknown row r solves it: x_r = c'_j
+    minus the other rows of j, all solved before. The columns are taken
+    from a queue: first every column with one unknown row, ascending, then
+    each column as it is left with one. The peel stalls unless it solves
+    all b wanted rows.
+
+    A second peel clears the columns left with two or more unsolved rows,
+    each by an unsolved row that meets no other column still left; it
+    stalls unless it clears them all. The unknown rows then have rank
+    n - len(parity) in every field, where ``parity`` holds the columns
+    that no step used and no unsolved row meets.
+
+    Returns that rank, the outputs as {column: integer coefficient} maps
+    (the b wanted rows' expressions, then, per parity column f ascending,
+    f minus the expressions of its rows), and {column: its unknown rows,
+    ascending} for every column the outputs hold.
+    """
+    problem, b, m, n = encoder.problem, encoder.b, encoder.rows, encoder.cols
+    row_cols: list[list[int]] = [[] for _ in range(m)]
+    col_rows: list[list[int]] = [[] for _ in range(n)]
+    for r, c in zip(*(i.tolist() for i in np.nonzero(encoder.matrix.entries))):
+        row_cols[r].append(c)
+        col_rows[c].append(r)
+    window = [(k + i) % problem.K for i in range(-problem.U, problem.D + 1)]
+    unknown = [r for j in window for r in range(j * b, (j + 1) * b)]
+    count = [0] * n  # each column's unsolved unknown rows; -1 once a step used it
+    total = [0] * n  # the sum of their indices, which is the row once count is 1
+    for r in unknown:
+        for c in row_cols[r]:
+            count[c] += 1
+            total[c] += r
+    lo, hi = unknown[0], unknown[0] + len(unknown)
+
+    def mine(c: int) -> list[int]:
+        """Column c's unknown rows, ascending."""
+        return _cyclic_cut(col_rows[c], lo, hi, m)
+
+    solved = {}  # row -> the column that solved it, in solving order
+    queue = [c for c in range(n) if count[c] == 1]
+    for c in queue:
+        if count[c] != 1:
+            continue
+        r = total[c]
+        solved[r] = c
+        for j in row_cols[r]:
+            count[j] -= 1
+            total[j] -= r
+            if count[j] == 1:
+                queue.append(j)
+        count[c] = -1
+    wanted = range(k * b, (k + 1) * b)
+    if not all(r in solved for r in wanted):
+        return None
+    parity = [c for c in range(n) if not count[c]]
+    left = n - len(solved) - len(parity)
+    # each unsolved row with the number and the sum of its columns still left
+    rest = {r: [len(row_cols[r]), sum(row_cols[r])] for r in unknown if r not in solved}
+    queue = [r for r, (d, _) in rest.items() if d == 1]
+    for r in queue:
+        d, c = rest[r]
+        if d != 1:
+            continue
+        left -= 1
+        for i in mine(c):
+            if i in rest:
+                live = rest[i]
+                live[0] -= 1
+                live[1] -= c
+                if live[0] == 1:
+                    queue.append(i)
+    if left:
+        return None
+    cut = {f: mine(f) for f in parity}
+    need = set(wanted).union(*cut.values())
+    for r, c in reversed(solved.items()):
+        if r in need:
+            cut[c] = mine(c)
+            need.update(cut[c])
+    exprs: dict[int, dict[int, int]] = {}
+    for r, c in solved.items():
+        if r in need:
+            exprs[r] = _minus_found(c, cut[c], exprs)
+    outputs = [exprs[r] for r in wanted]
+    outputs += (_minus_found(f, cut[f], exprs) for f in parity)
+    return n - len(parity), outputs, cut

@@ -15,16 +15,17 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from _reference import rank_mod_p as reference_rank
-from _reference import rref_mod_p, solve_left
+from _reference import reference_peel, rref_mod_p, solve_left
+from airindex.air import AirMatrix
 from airindex.codec import (
     MAX_CELLS,
+    Encoder,
     _BatchDecoder,
+    _build_decoder,
+    _cut,
     _gather_sum,
-    _minus_found,
     _pad,
-    _peel,
     _segment_starts,
-    _window,
     build_encoder,
     decodable,
     decode,
@@ -520,8 +521,9 @@ def _check_decode_paths(enc, trials=3, seed=0) -> list[int]:
 
 
 def _peeled(enc, k):
-    """Receiver k's peel: (rank, outputs, cuts), or None when it stalls."""
-    return _peel(enc, _window(enc.problem, k), k)
+    """Receiver k's range of the batch decoder, or None when its peel stalls."""
+    dec = enc._decoder
+    return _receiver_slice(enc, k) if dec.output_bounds[k] < dec.output_bounds[k + 1] else None
 
 
 def _no_elimination(top, bottom, p):
@@ -710,6 +712,30 @@ class TestPeel:
         for k in range(K):
             assert (_peeled(enc, k) is not None) == _reference_receiver(enc, k)[0], k
 
+    @settings(max_examples=60, deadline=None)
+    @given(K=st.integers(3, 12), data=st.data(), p=st.sampled_from([2, 3, 5, 65521]))
+    def test_batched_peel_matches_reference(self, K, data, p):
+        # the minimal pair, or a feasible or infeasible one with a, b <= 3:
+        # every receiver's verdict, ranks and decoder entries, reduced mod p
+        # and compared as a set per output, are the per-receiver peel's,
+        # and each entry's window rows are its column's unknown rows
+        enc = _drawn_encoder(K, data, p)
+        b, m = enc.b, enc.rows
+        for k in range(K):
+            ref = reference_peel(enc, k)
+            assert (_peeled(enc, k) is None) == (ref is None), k
+            if ref is None:
+                continue
+            rank, outputs, cut = ref
+            assert receiver_ranks(enc, k) == (rank - b, rank), k
+            cols, window_rows, coef, outs, targets = _receiver_slice(enc, k)
+            assert targets.tolist() == list(range(k * b, (k + 1) * b)) + [m] * (len(outputs) - b)
+            for o, expr in enumerate(outputs):
+                got = set(zip(cols[outs == o].tolist(), coef[outs == o].tolist()))
+                assert got == {(c, v % p) for c, v in expr.items() if v % p}, (k, o)
+            for c, rows in zip(cols.tolist(), window_rows):
+                assert sorted(rows[rows < m].tolist()) == cut[c], (k, c)
+
     @pytest.mark.parametrize("p", [2, 3, 65521])
     def test_stalled_receiver_gets_ranks_only(self, p, monkeypatch):
         # receiver 14 of (17,11,1) at (1, 6) is undecodable at every prime;
@@ -754,46 +780,63 @@ class TestPeel:
                 decodable(enc, 13)
         assert "_decoder" not in vars(enc)
 
+    def test_residual_that_does_not_clear_is_a_stall(self, monkeypatch):
+        # a 4x3 encoder for (4,2,0) at (0, 1) whose cells are not AIR's:
+        # receiver 0's wanted row 0 peels from column 0, but its rows 1 and 2
+        # both meet columns 1 and 2, so the second peel cannot clear them and
+        # its unknown rows have rank 2, not n minus its 0 parity columns; it
+        # is not certified, and as its elimination finds it decodable, the
+        # build raises
+        entries = np.array([[1, 0, 0], [0, 1, 1], [0, 1, 1], [1, 1, 0]])
+        monkeypatch.setattr("airindex.codec._block_cells", lambda m, n: [np.nonzero(entries)])
+        problem = ProblemInstance(4, 2, 0)
+        enc = Encoder(problem, solution_for_pair(problem, 0, 1), AirMatrix(4, 3, entries), 3)
+        with pytest.raises(AssertionError, match=r"receiver 0 of .*: the peel stalled"):
+            decodable(enc, 1)
+
     @pytest.mark.parametrize(
         "K,D,U,a,b,allow", [(17, 5, 1, 3, 8, False), (17, 11, 1, 1, 6, True)]
     )
     def test_one_peel_per_receiver(self, K, D, U, a, b, allow, monkeypatch):
-        # the first call peels every receiver once and builds the batch
-        # decoder; the calls after it, whichever receiver they ask about,
-        # reuse it
+        # the first call peels every receiver once, in one batched build of
+        # the batch decoder; the calls after it, whichever receiver they
+        # ask about, reuse it
         calls = []
 
-        def spy(encoder, window, k):
-            calls.append(k)
-            return _peel(encoder, window, k)
+        def spy(encoder):
+            calls.append(encoder)
+            return _build_decoder(encoder)
 
-        monkeypatch.setattr("airindex.codec._peel", spy)
+        monkeypatch.setattr("airindex.codec._build_decoder", spy)
         enc = _encoder(K, D, U, a, b, 3, allow_infeasible=allow)
         x = np.random.default_rng(K).integers(0, 3, size=enc.rows)
         c = encode(enc, x)
         side = {j: x[j * b : (j + 1) * b] for j in range(K)}
-        assert decodable(enc, 4) and calls == list(range(K))
+        assert decodable(enc, 4) and calls == [enc]
         assert "_decoder" in vars(enc)
         receiver_ranks(enc, 7)
         assert np.array_equal(decode(enc, 5, c, side), x[5 * b : 6 * b])
         report = simulate(enc.problem, enc.solution, 3, trials=2, seed=1, encoder=enc)
         assert report.passed != allow
-        assert calls == list(range(K))
+        assert calls == [enc]
 
     def test_peel_reads_only_its_window_rows(self, monkeypatch):
         # each column of (200,1,0) at (0, 1) holds 100 encoder rows, but at
-        # most two of them, rows k and k+1, are receiver k's unknowns
+        # most two of them, rows k and k+1, are receiver k's unknowns: every
+        # cut of a column to a window, the last of which gives each of the
+        # 200 outputs' entries its window rows, holds at most two rows
         seen = []
 
-        def spy(c, rows, exprs):
-            seen.append(len(rows))
-            return _minus_found(c, rows, exprs)
+        def spy(cells, cols, lo, w):
+            q, off = _cut(cells, cols, lo, w)
+            seen.append(np.bincount(q, minlength=cols.size))
+            return q, off
 
-        monkeypatch.setattr("airindex.codec._minus_found", spy)
+        monkeypatch.setattr("airindex.codec._cut", spy)
         enc = _encoder(200, 1, 0, 0, 1, 2)
-        assert max(map(len, enc._incidence[1])) == 100
+        assert enc._col_support.shape[1] == 100
         assert all(decodable(enc, k) for k in range(200))
-        assert len(seen) == 200 and max(seen) <= 2
+        assert seen[-1].size >= 200 and max(cut.max(initial=0) for cut in seen) <= 2
 
     def test_minimal_rate_catalogue_peels(self):
         # every receiver of every minimal-rate encoder with K <= 20,
@@ -890,7 +933,7 @@ class TestDecodeGuards:
         c = encode(enc, x)
         side = {j: x[j * 30 : (j + 1) * 30] for j in range(71)}
         # encoder-wide tables, built outside the measurement
-        enc._incidence, enc._col_support
+        enc._cells, enc._col_support
         tracemalloc.start()
         try:
             decoded = [decode(enc, k, c, side) for k in range(71)]
@@ -906,7 +949,7 @@ class TestDecodeGuards:
         # one small decoder output per receiver, 0.61 MB in all on Python
         # 3.11; a list of each receiver's K-D-U-1 known messages took 145 MB
         enc = _encoder(2000, 1, 0, 0, 1, 2)
-        enc._incidence  # built outside the measurement
+        enc._cells  # built outside the measurement
         tracemalloc.start()
         try:
             assert all(decodable(enc, k) for k in range(2000))
@@ -914,6 +957,21 @@ class TestDecodeGuards:
         finally:
             tracemalloc.stop()
         assert peak < 2 * 2**20
+
+    def test_rank_sweep_memory_bounded_on_wide_windows(self):
+        # (1000,499,0) at (0, 1): each receiver's window holds 500 of the
+        # 1000 rows and meets all 500 columns; the peel takes the receivers
+        # a run at a time, so that no receivers x columns array exceeds a
+        # fixed cap, where one (K, n) int64 array would take 4 MB
+        enc = _encoder(1000, 499, 0, 0, 1, 2)
+        enc._cells  # built outside the measurement
+        tracemalloc.start()
+        try:
+            assert all(decodable(enc, k) for k in range(1000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     def test_decoder_memory_linear_in_K(self):
         # (2000,1,0) at (0, 1): each receiver's one output reads one of
@@ -923,7 +981,7 @@ class TestDecodeGuards:
         problem = ProblemInstance(2000, 1, 0)
         sol = solution_for_pair(problem, 0, 1)
         enc = build_encoder(problem, sol, 2)
-        enc._incidence, enc._col_support  # built outside the measurement
+        enc._cells, enc._col_support  # built outside the measurement
         tracemalloc.start()
         try:
             report = simulate(problem, sol, 2, trials=1, encoder=enc)
