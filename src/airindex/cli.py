@@ -141,20 +141,20 @@ def verify_air(m: int, n: int, primes: str | None, wrap: bool, as_json: bool) ->
 @click.option("--p", "primes", default=None, help="Comma-separated primes (default 2,3).")
 @click.option("--json", "as_json", is_flag=True, help="Emit the report as JSON.")
 def verify_code(k: int, d: int, u: int, primes: str | None, as_json: bool) -> None:
-    """Check the per-receiver rank decodability criterion at the minimal rate."""
+    """Check the per-receiver rank decodability criterion at the minimal rate.
+
+    One encoder is built and peeled once; every prime shares its peel.
+    """
     problem = _instance(k, d, u)
     plist = _prime_list(primes, "2,3")
     sol = find_min_rate(problem)
-    results = {}
-    all_ok = True
-    for p in plist:
-        try:
-            enc = build_encoder(problem, sol, p)
-        except ValueError as exc:
-            _fail_usage(str(exc))
-        bad = [recv for recv in range(problem.K) if not decodable(enc, recv)]
-        all_ok = all_ok and not bad
-        results[p] = bad
+    try:
+        enc = build_encoder(problem, sol, plist[0])
+        encoders = [enc.over(p) for p in plist]
+    except ValueError as exc:
+        _fail_usage(str(exc))
+    results = {e.p: [recv for recv in range(problem.K) if not decodable(e, recv)] for e in encoders}
+    all_ok = not any(results.values())
     if as_json:
         click.echo(
             json.dumps(
@@ -207,8 +207,6 @@ def _table_rows(k: int, dmax: int, collapse: bool) -> list[dict]:
     # D = K-2 is the last D with room for U >= 1 (D+U < K)
     for d in range(1, min(dmax, k - 2) + 1):
         u_hi = min(d, k - 1 - d)
-        if u_hi < 1:
-            continue
         groups: list[tuple[list[int], RateSolution]] = []
         for u in range(1, u_hi + 1):
             sol = find_min_rate(ProblemInstance(K=k, D=d, U=u))

@@ -12,17 +12,20 @@ are unique exactly when
     rank([interference rows; wanted rows]) == rank(interference rows) + b
 
 over GF(p). The first ``decodable``, ``receiver_ranks``, ``decode`` or
-``simulate`` on an encoder peels all of its receivers at once. Once the
-side information's share is subtracted, a codeword column is the plain
-sum of its unknown rows, as L is 0/1, so a column with one unsolved
-unknown row solves that row by +-1 steps. A receiver whose b wanted rows
-all peel, and whose leftover rows pass a second peel, is decodable over
-every field: the peel gives its ranks and its decoder with integer
-coefficients, with no field arithmetic. Only a receiver whose peel
-stalls gets its ranks from one GF(p) elimination of its window's rows;
-every stalled receiver seen so far is undecodable at every prime. That
-every receiver of every feasible pair peels is a checked conjecture, not
-a theorem. The tests check it for every minimal-rate encoder with
+``simulate`` on an encoder peels all of its receivers at once. No prime
+enters the peel, so ``Encoder.over`` shares it with the same encoder
+over any other prime, and ``verify-code`` peels once for all its primes.
+Once the side information's share is subtracted, a codeword column is
+the plain sum of its unknown rows, as L is 0/1, so a column with one
+unsolved unknown row solves that row by +-1 steps. A receiver whose b
+wanted rows all peel, and whose leftover rows pass a second peel, is
+decodable over every field: the peel gives its ranks and its decoder
+with integer coefficients, with no field arithmetic. Only a receiver
+whose peel stalls gets its ranks from one GF(p) elimination of its
+window's rows, once per prime and only when ranks are asked for; every
+stalled receiver seen so far is undecodable at every prime. That every
+receiver of every feasible pair peels is a checked conjecture, not a
+theorem. The tests check it for every minimal-rate encoder with
 K <= 20 and for drawn pairs with a, b <= 3, and it has held for every
 minimal-rate encoder with K <= 30 and for (71,25,1), (53,6,2),
 (60,20,10), (100,10,3) and (37,8,8).
@@ -38,9 +41,10 @@ a peel that takes one column at a time. The first peel took at most
 three rounds on every minimal-rate encoder tried, and the number of
 array operations grows with the rounds and with the runs of receivers
 that the build's memory cap allows, not with K itself. The same
-build keeps each receiver's two ranks and adds its decoder, reduced mod
-p, to the encoder's batch decoder, so even a single ``decodable`` on a
-fresh encoder builds the decoders of all its receivers.
+build keeps each receiver's two ranks and adds its decoder, with integer
+coefficients, to the encoder's batch decoder, so even a single
+``decodable`` on a fresh encoder builds the decoders of all its
+receivers.
 
 A receiver's decoder is a matrix M = [T | P] over the codeword columns.
 For a codeword c' corrected by the side information's share (the
@@ -51,37 +55,39 @@ the column that solved it, minus the expressions of the other rows that
 column holds. P has one column per parity column f, a column that no
 peel step used and no unsolved row meets: f minus the expressions of its
 rows. There are n minus the rank of them, each with its 1 at its own
-column, so together they are every check. Coefficients are reduced mod
-p, and an entry that vanishes is dropped. A receiver sees only its
-window of D+U+1 messages, so M is very sparse (T is about 0.2% nonzero
-on (71,25,1)). Most receivers have no parity column; those of
+column, so together they are every check. Coefficients are summed over
+the integers, and an entry whose sum is 0 is dropped, so every prime
+shares them; each has been +1 or -1 on every encoder tried. A receiver
+sees only its window of D+U+1 messages, so M is very sparse (T is about
+0.2% nonzero on (71,25,1)). Most receivers have no parity column; those of
 minimal-rate encoders with K <= 40 have at most four.
 
 The encoder keeps the nonzero entries of every decodable receiver's M
 in one sparse batch. Each entry names a codeword column, that column's
-rows inside its receiver's window, and a coefficient in [1, p). The
-entries are sorted into one contiguous segment per output (a wanted
+rows inside its receiver's window, and a nonzero integer coefficient.
+The entries are sorted into one contiguous segment per output (a wanted
 symbol or a parity check), and each receiver owns one contiguous range
 of entries and of outputs. Decoding a batch of codewords takes three
 steps: correct each entry's codeword symbol by the side information's
-share, form c'[col] % p * coef, and sum every segment with
-``np.add.reduceat``. The share is summed over the encoder's column
-support. ``encode`` and ``simulate`` sum every column at once, with one
-``np.add.reduceat`` over the nonzero rows in column order; ``decode``
-gathers only its receiver's columns from a padded table of their rows.
-``decode`` holds only one receiver's known messages, its unknown ones
-zero, so at that receiver's columns the codeword less their support's
-sum is its corrected codeword. ``simulate`` holds every message, so each entry
-subtracts its column's total and adds back the column's rows in its
-receiver's window; it runs every receiver at once, where ``decode``
-runs one receiver's range.
+share, form c'[col] % p * (coef % p), and sum every segment with
+``np.add.reduceat``. ``encode`` and ``decode`` sum codeword columns one
+way, with one ``np.add.reduceat`` over the nonzero rows in column order:
+``encode`` over the whole message, ``decode`` over a message that holds
+only its receiver's known messages, its unknown ones zero, whose
+encoding it subtracts from the codeword. ``simulate`` checks each
+receiver's decoder on its window's rows instead: each entry's corrected
+symbol is the sum of its column's rows inside its receiver's window, so
+it forms no codeword, and ``encode``/``decode`` cover the broadcast. It
+runs every receiver at once, where ``decode`` runs one receiver's
+range.
 
 Message vectors, codewords and side information must hold integers
 (:func:`airindex.linalg.as_int_array`); receiver indices go through
 ``operator.index``. Neither is ever truncated.
 
 Supported sizes. All arithmetic is exact in int64: each output sums at
-most K*b products below p**2, so ``build_encoder`` passes p to
+most K*b products of two factors reduced into [0, p), so
+``build_encoder`` and ``Encoder.over`` pass p to
 :func:`airindex.linalg.require_prime` with K*b terms. Before allocating
 anything it also refuses an encoder shape that ``build_air`` would
 refuse, and ``simulate`` refuses a run whose message batch (trials*K*b
@@ -156,11 +162,13 @@ class Encoder:
     Immutable after construction. Cached internally and shared by
     decodability checks, decoding and simulation: the nonzero cells
     (``_cells``), read from the AIR block layout, which the peel and the
-    column sums read, and the batch decoder (``_decoder``), which holds
-    every receiver's ranks and the decoder of every decodable receiver,
-    built by one batched peel of all receivers on first use. Decoding
-    corrects codewords by the side information's share through the same
-    column support that encodes them.
+    column sums read; the batch decoder (``_decoder``), which holds the
+    peel's ranks and the decoder of every decodable receiver, built by
+    one batched peel of all receivers on first use; and every receiver's
+    ranks over GF(p) (``_ranks``). The cells and the decoder read no p,
+    so ``over`` shares them with the same encoder over another prime.
+    Decoding corrects codewords by the side information's share through
+    the same column sums that encode them.
     """
 
     problem: ProblemInstance
@@ -208,20 +216,48 @@ class Encoder:
         )
 
     @cached_property
-    def _col_support(self) -> np.ndarray:
-        """Row indices of each encoder column's nonzero entries.
-
-        One row per column, padded with the out-of-range index ``rows``
-        to the widest column's count.
-        """
-        cells = self._cells
-        sizes = np.diff(np.append(cells.col_starts, cells.col_rows.size))
-        return _padded(cells.col_rows, sizes, self.rows)
+    def _decoder(self) -> _BatchDecoder:
+        """Every receiver's peel and decoder, built on first use; see ``_BatchDecoder``."""
+        return _build_decoder(self)
 
     @cached_property
-    def _decoder(self) -> _BatchDecoder:
-        """Every receiver's ranks and decoder, built on first use; see ``_BatchDecoder``."""
-        return _build_decoder(self)
+    def _ranks(self) -> list[tuple[int, int]]:
+        """Every receiver's (interference rank, stacked rank) over GF(p).
+
+        A receiver the peel certifies has the peel's ranks, which hold in
+        every field. One whose peel stalls gets its ranks from one
+        elimination of its window's rows, interference rows first and
+        wanted rows last. Every stalled receiver seen so far is
+        undecodable at every prime. One that these ranks call decodable
+        would need a decoder the peel did not give, so this raises
+        instead, whichever receiver was asked about.
+        """
+        problem, b, p = self.problem, self.b, self.p
+        ranks = list(self._decoder.ranks)
+        for k in [k for k, rank in enumerate(ranks) if rank is None]:
+            window = _window(problem, k)
+            interference = [r for j in window if j != k for r in range(j * b, (j + 1) * b)]
+            rank_interference, rank_all = _stacked_ranks_mod_p(
+                self.matrix.entries[interference], self.matrix.entries[k * b : (k + 1) * b], p
+            )
+            if rank_all == rank_interference + b:
+                raise AssertionError(
+                    f"receiver {k} of {problem} at (a={self.a}, b={b}) over GF({p}): "
+                    "the peel stalled, yet elimination finds it decodable"
+                )
+            ranks[k] = (rank_interference, rank_all)
+        return ranks
+
+    def over(self, p) -> Encoder:
+        """The same encoder over GF(p), sharing this one's cells and peel.
+
+        Peels this encoder first if it has not been peeled yet. Only the
+        ranks of receivers whose peel stalls are computed again, at p.
+        """
+        enc = Encoder(self.problem, self.solution, self.matrix, require_prime(p, terms=self.rows))
+        # a cached_property reads the instance's dict first
+        vars(enc).update(_cells=self._cells, _decoder=self._decoder)
+        return enc
 
     def _column_sums(self, X: np.ndarray) -> np.ndarray:
         """``out[:, c]`` = the sum of ``X[:, r]`` over column c's nonzero rows r.
@@ -267,14 +303,6 @@ class _Cells(NamedTuple):
     col_keys: np.ndarray
     col_rows: np.ndarray
     col_starts: np.ndarray
-
-
-def _padded(values: np.ndarray, sizes: np.ndarray, pad: int) -> np.ndarray:
-    """A table whose row j holds the next ``sizes[j]`` of ``values``, then ``pad``."""
-    table = np.full((sizes.size, sizes.max(initial=0)), pad, dtype=np.int64)
-    # row-major, so each row's values fill its front
-    table[np.arange(table.shape[1]) < sizes[:, None]] = values
-    return table
 
 
 def _pad(X: np.ndarray) -> np.ndarray:
@@ -342,13 +370,15 @@ def encode(encoder: Encoder, x) -> np.ndarray:
 
 
 class _BatchDecoder(NamedTuple):
-    """Every receiver's ranks and every decodable one's decoder, as sparse entries.
+    """Every receiver's peel and every decodable one's decoder, as sparse entries.
 
-    Built by ``_build_decoder`` from one batched peel of all receivers.
-    ``ranks[k]`` is receiver k's (rank of interference rows, rank with
-    wanted rows stacked on). Entry e reads column ``cols[e]`` of its
-    receiver's corrected codeword and multiplies it by ``coef[e]`` in
-    [1, p). ``window_rows[e]`` holds that column's rows inside its
+    Built by ``_build_decoder`` from one batched peel of all receivers,
+    which reads no p, so every prime shares it. ``ranks[k]`` is receiver
+    k's (rank of interference rows, rank with wanted rows stacked on),
+    which hold in every field, or None where its peel stalls. Entry e
+    reads column ``cols[e]`` of its receiver's corrected codeword and
+    multiplies it by ``coef[e]``, a nonzero integer that every prime
+    shares. ``window_rows[e]`` holds that column's rows inside its
     receiver's window, padded with the index ``encoder.rows``. Output o
     sums the entries ``starts[o]`` up to the next output's start, mod p,
     each output's entries in column order; it must equal message row
@@ -360,8 +390,7 @@ class _BatchDecoder(NamedTuple):
     receiver owns none.
     """
 
-    p: int
-    ranks: list[tuple[int, int]]
+    ranks: list[tuple[int, int] | None]
     cols: np.ndarray
     window_rows: np.ndarray
     coef: np.ndarray
@@ -370,23 +399,25 @@ class _BatchDecoder(NamedTuple):
     entry_bounds: np.ndarray
     output_bounds: np.ndarray
 
-    def outputs(self, fixed: np.ndarray, k: int | None = None) -> np.ndarray:
-        """Receiver k's outputs, or every receiver's, for each row of ``fixed``.
+    def outputs(self, fixed: np.ndarray, p: int, k: int | None = None) -> np.ndarray:
+        """Receiver k's outputs over GF(p), or every receiver's, for each row of ``fixed``.
 
         ``fixed`` holds one value per entry of that range: the entry's
         column of its receiver's corrected codeword, the codeword less the
         side information's share. A genuine codeword gives the sent
-        symbols and zero parity.
+        symbols and zero parity. Both factors of each product are reduced
+        into [0, p) first, so every sum stays in ``require_prime``'s
+        envelope of K*b terms.
         """
         lo, hi = (0, len(self.cols)) if k is None else self.entry_bounds[k : k + 2]
         outs = slice(None) if k is None else slice(*self.output_bounds[k : k + 2])
-        out = fixed % self.p
-        out *= self.coef[lo:hi]
-        return np.add.reduceat(out, self.starts[outs] - lo, axis=1) % self.p
+        out = fixed % p
+        out *= self.coef[lo:hi] % p
+        return np.add.reduceat(out, self.starts[outs] - lo, axis=1) % p
 
 
-# bound on the cells of each temporary array in one decode step of
-# ``simulate``, so that its working set stays near the message batch's
+# bound on the cells of each trials x entries array in one decode step
+# of ``simulate``, so that its working set stays near the message batch's
 _DECODE_CELLS = 1 << 16
 
 # bound on the cells of each receivers x columns and receivers x window
@@ -475,16 +506,15 @@ def _window_counts(
     return count.ravel(), total.ravel()
 
 
-def _sum_cells(keys: np.ndarray, vals: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct keys, ascending, and the sum of each one's values mod p,
-    less the keys whose sum is 0 mod p."""
+def _sum_cells(keys: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct keys, ascending, and the sum of each one's values,
+    less the keys whose sum is 0."""
     order = keys.argsort(kind="stable")
     keys, vals = keys[order], vals[order]
     if not keys.size:
         return keys, vals
     first = _run_starts(keys)
     sums = np.add.reduceat(vals, first)
-    sums %= p
     keep = sums != 0
     return keys[first[keep]], sums[keep]
 
@@ -516,16 +546,19 @@ def _peel(encoder: Encoder, lo: np.ndarray) -> tuple[np.ndarray, ...]:
 
     Returns ``ok`` and ``parity`` (that count) per receiver, and the
     decoders of the receivers that peel as entries ``outs``, ``cols`` and
-    ``coef`` (in [1, p)), sorted, with outputs numbered from 0 over those
-    receivers: each one's b wanted rows, then, per parity column
+    ``coef`` (nonzero integers), sorted, with outputs numbered from 0 over
+    those receivers: each one's b wanted rows, then, per parity column
     f ascending, f minus the expressions of its rows, which vanishes on
     every combination of the unknown rows. A wanted row's expression is
     the column that solved it minus the expressions of the other rows
     that column holds, which earlier rounds solved, so each output is
     expanded through the winners round by round, with the repeats of a
-    winner in an output merged and every coefficient reduced mod p.
+    winner in an output merged. No step reads p: coefficients are summed
+    over the integers, and a term is dropped only when its sum is 0. Each
+    has been +1 or -1 on every AIR encoder tried; a term past 2**31 raises
+    ``OverflowError`` before any sum can leave int64.
     """
-    cells, b, p, m, n = encoder._cells, encoder.b, encoder.p, encoder.rows, encoder.cols
+    cells, b, m, n = encoder._cells, encoder.b, encoder.rows, encoder.cols
     w = (encoder.problem.D + encoder.problem.U + 1) * b
     C = lo.size
     count, total = _window_counts(cells, lo, w, b, n)
@@ -601,7 +634,7 @@ def _peel(encoder: Encoder, lo: np.ndarray) -> tuple[np.ndarray, ...]:
     terms = [(par_o, par_c, np.ones(par.size, dtype=np.int64))]
     o = np.concatenate([(base[ok][:, None] + np.arange(b)).ravel(), par_o[q]])
     u = np.concatenate([wanted[ok].ravel(), who[par_i[q] * w + off]])
-    sign = np.where(np.arange(o.size) < o.size - q.size, 1, p - 1)
+    sign = np.where(np.arange(o.size) < o.size - q.size, 1, -1)
     while True:
         terms.append((o, win_c[u], sign))
         late = u >= bounds[1]
@@ -613,10 +646,14 @@ def _peel(encoder: Encoder, lo: np.ndarray) -> tuple[np.ndarray, ...]:
         other = held != u[q]
         # merge the repeats of a winner within an output, so that the terms
         # grow with the winners reached, not with the paths to them
-        keys, sign = _sum_cells(o[q][other] * win_c.size + held[other], p - sign[q][other], p)
+        keys, sign = _sum_cells(o[q][other] * win_c.size + held[other], -sign[q][other])
+        # a merge adds at most w terms and the outputs at most one per
+        # round, so terms below 2**31 keep every sum inside int64
+        if np.abs(sign).max(initial=0) > 2**31:
+            raise OverflowError(f"a decoder coefficient of {encoder.problem} exceeds 2**31")
         o, u = keys // win_c.size, keys % win_c.size
     o, c, v = (np.concatenate(part) for part in zip(*terms))
-    keys, coef = _sum_cells(o * n + c, v, p)
+    keys, coef = _sum_cells(o * n + c, v)
     return ok, parity, keys // n, keys % n, coef
 
 
@@ -628,14 +665,12 @@ def _build_decoder(encoder: Encoder) -> _BatchDecoder:
     ``_PEEL_CELLS`` cells. A receiver the peel certifies is decodable,
     with the peel's ranks. Every output's segment is nonempty, as each
     holds its own column with coefficient 1. A receiver whose peel stalls
-    gets its ranks from one elimination of its window's rows, interference
-    rows first and wanted rows last, and no entries. Every stalled
-    receiver seen so far is undecodable at every prime. One that these
-    ranks call decodable would need a decoder the peel did not give, so
-    the build raises instead. Each entry's window rows are its column's
-    rows inside its receiver's window, cut from the encoder's cells.
+    gets no ranks and no entries; ``Encoder._ranks`` eliminates its
+    window's rows at each prime. Each entry's window rows are its
+    column's rows inside its receiver's window, cut from the encoder's
+    cells. Nothing here reads p.
     """
-    problem, b, p, m, n = encoder.problem, encoder.b, encoder.p, encoder.rows, encoder.cols
+    problem, b, m, n = encoder.problem, encoder.b, encoder.rows, encoder.cols
     K, w = problem.K, (problem.D + problem.U + 1) * b
     lo = (np.arange(K) - problem.U) % K * b
     step = max(1, _PEEL_CELLS // max(n, w))
@@ -646,20 +681,7 @@ def _build_decoder(encoder: Encoder) -> _BatchDecoder:
     output_bounds = np.concatenate([[0], np.cumsum(outputs)])
     # each run numbers its outputs from 0
     outs = np.concatenate([o + output_bounds[k] for k, o in zip(firsts, outs)])
-    rank_all = n - parity
-    ranks = list(zip((rank_all - b).tolist(), rank_all.tolist()))
-    for k in (~ok).nonzero()[0].tolist():
-        window = _window(problem, k)
-        interference = [r for j in window if j != k for r in range(j * b, (j + 1) * b)]
-        rank_interference, rank_all = _stacked_ranks_mod_p(
-            encoder.matrix.entries[interference], encoder.matrix.entries[k * b : (k + 1) * b], p
-        )
-        if rank_all == rank_interference + b:
-            raise AssertionError(
-                f"receiver {k} of {problem} at (a={encoder.a}, b={b}) over GF({p}): "
-                "the peel stalled, yet elimination finds it decodable"
-            )
-        ranks[k] = (rank_interference, rank_all)
+    ranks = [(r - b, r) if good else None for r, good in zip((n - parity).tolist(), ok.tolist())]
     # output o's receiver and its target: the receiver's own rows, then
     # the padding index for each parity check
     recv = np.repeat(np.arange(K), outputs)
@@ -668,10 +690,12 @@ def _build_decoder(encoder: Encoder) -> _BatchDecoder:
     cols = np.concatenate(cols)
     entry_lo = lo[recv[outs]]
     q, off = _cut(encoder._cells, cols, entry_lo, w)
-    window_rows = _padded((entry_lo[q] + off) % m, np.bincount(q, minlength=cols.size), m)
+    sizes = np.bincount(q, minlength=cols.size)
+    window_rows = np.full((cols.size, sizes.max(initial=0)), m, dtype=np.int64)
+    # row-major, so each entry's rows fill the front of its row
+    window_rows[np.arange(window_rows.shape[1]) < sizes[:, None]] = (entry_lo[q] + off) % m
     starts = _segment_starts(outs, recv.size)
     return _BatchDecoder(
-        p=p,
         ranks=ranks,
         cols=cols,
         window_rows=window_rows,
@@ -698,7 +722,7 @@ def decodable(encoder: Encoder, k: int) -> bool:
 
 def receiver_ranks(encoder: Encoder, k: int) -> tuple[int, int]:
     """(rank of interference rows, rank with wanted rows stacked on)."""
-    return encoder._decoder.ranks[_receiver(encoder.problem, k)]
+    return encoder._ranks[_receiver(encoder.problem, k)]
 
 
 def decode(encoder: Encoder, k: int, codeword, side_info) -> np.ndarray:
@@ -709,10 +733,10 @@ def decode(encoder: Encoder, k: int, codeword, side_info) -> np.ndarray:
     itself); extra entries are ignored. Runs the receiver's range of the
     encoder's batch decoder on a batch of one: the side information goes
     into a message row whose unknown messages stay zero, so the codeword
-    less that row's encoding, read at the columns the receiver's decoder
-    reads, is its corrected codeword there. The first call on an encoder,
-    like the first ``decodable``, peels every receiver and builds the
-    decoders of all of them. Raises if the receiver is not decodable or
+    less that row's encoding, by the column sums that ``encode`` uses, is
+    the corrected codeword. The first call on an encoder, like the first
+    ``decodable``, peels every receiver and builds the decoders of all of
+    them. Raises if the receiver is not decodable or
     the codeword fails the receiver's parity check, as no genuine
     codeword can.
     """
@@ -734,16 +758,15 @@ def decode(encoder: Encoder, k: int, codeword, side_info) -> np.ndarray:
         if v.shape != (b,):
             raise ValueError(f"side information for message {j} must have length {b}")
         known.append(v)
-    padded = np.zeros((1, encoder.rows + 1), dtype=np.int64)
+    x = np.zeros((1, encoder.rows), dtype=np.int64)
     if known:  # their rows are one cyclic run too
         first = (k + problem.D + 1) % problem.K * b
         rows = np.arange(first, first + len(known) * b) % encoder.rows
-        padded[0, rows] = np.concatenate(known) % p
+        x[0, rows] = np.concatenate(known) % p
     dec = encoder._decoder
     cols = dec.cols[slice(*dec.entry_bounds[k : k + 2])]
-    # one receiver's columns, so summing their whole support at once is small
-    fixed = c[cols] % p - padded[:, encoder._col_support[cols]].sum(axis=2)
-    out = dec.outputs(fixed, k)[0]
+    fixed = c[cols] % p - encoder._column_sums(x)[:, cols]
+    out = dec.outputs(fixed, p, k)[0]
     if out[b:].any():
         raise ArithmeticError(
             "codeword is not a combination of the unknown rows; "
@@ -809,10 +832,12 @@ def simulate(
     codeword fails its parity check, recorded per (trial, receiver). The
     first call on an encoder, like the first ``decodable`` or ``decode``,
     peels every receiver and builds the batch decoder; pass a prebuilt
-    ``encoder`` to reuse it. Each entry's corrected symbol is its
-    column's codeword symbol less the column's total over the batch, plus
-    the column's rows in its receiver's window. Raises ``ValueError``
-    before allocating a message batch of more than ``MAX_CELLS`` cells.
+    ``encoder`` to reuse it. It checks each receiver's decoder on its
+    window's rows: an entry's corrected symbol, the codeword less the
+    side information's share, is the sum of its column's rows inside its
+    receiver's window, so no codeword is formed; ``encode`` and
+    ``decode`` cover the broadcast. Raises ``ValueError`` before
+    allocating a message batch of more than ``MAX_CELLS`` cells.
     """
     trials, seed = operator.index(trials), operator.index(seed)
     if trials < 0:
@@ -836,18 +861,17 @@ def simulate(
     rng = np.random.default_rng(seed)
     padded = _pad(rng.integers(0, enc.p, size=(trials, K * b), dtype=np.int64))
     dec = enc._decoder
+    enc._ranks  # raises if a receiver whose peel stalls is decodable at p
     # every decodable receiver owns at least its b outputs
     receivers = np.flatnonzero(np.diff(dec.output_bounds))
     failed = np.ones((trials, K), dtype=bool)
-    # a slice of the trials at a time, so no temporary exceeds _DECODE_CELLS
-    step = max(1, _DECODE_CELLS // max(dec.cols.size, enc._cells.col_rows.size))
+    # a slice of the trials at a time, so no trials x entries array
+    # exceeds _DECODE_CELLS
+    step = max(1, _DECODE_CELLS // max(1, dec.cols.size))
     for lo in range(0, trials, step):
         rows = slice(lo, lo + step)
-        total = enc._column_sums(padded[rows])
-        # the broadcast codeword less each column's total, at the entries'
-        # columns, plus the share of each entry's window rows
-        fixed = (total % enc.p - total)[:, dec.cols] + _gather_sum(padded[rows], dec.window_rows)
-        wrong = dec.outputs(fixed) != padded[rows, dec.targets]
+        fixed = _gather_sum(padded[rows], dec.window_rows)
+        wrong = dec.outputs(fixed, enc.p) != padded[rows, dec.targets]
         firsts = dec.output_bounds[receivers]
         failed[rows, receivers] = np.logical_or.reduceat(wrong, firsts, axis=1)
     # row-major order is (trial, receiver) order

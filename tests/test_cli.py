@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from airindex import codec
 from airindex.air import MAX_CELLS
 from airindex.cli import main
 
@@ -181,6 +182,24 @@ class TestVerifyCode:
     def test_boundary_instance_accepted(self, runner):
         # D + U = K - 1 is a valid instance
         assert invoke(runner, "verify-code", "5", "2", "2", "--p", "2").exit_code == 0
+
+    def test_one_peel_for_every_prime(self, runner, monkeypatch):
+        # the peel reads no p, so one encoder's peel serves all four primes
+        calls = []
+        build = codec._build_decoder
+
+        def spy(encoder):
+            calls.append(encoder.p)
+            return build(encoder)
+
+        monkeypatch.setattr(codec, "_build_decoder", spy)
+        result = invoke(runner, "verify-code", "60", "20", "10", "--p", "2,3,5,65521")
+        assert result.exit_code == 0
+        assert [line.split(":")[0] for line in result.output.splitlines()[1:]] == [
+            "p=2", "p=3", "p=5", "p=65521"
+        ]
+        assert "60/60 receivers decodable" in result.output
+        assert calls == [2]
 
     def test_prime_over_int64_envelope_exits_2(self, runner):
         result = invoke(runner, "verify-code", "17", "5", "1", "--p", "2,2147483647")

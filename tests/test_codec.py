@@ -389,8 +389,10 @@ class TestDecodeMaps:
             # wanted outputs target the receiver's own message rows, parity
             # outputs the padding index, whose message symbol is zero
             assert targets.tolist() == list(range(k * b, (k + 1) * b)) + [enc.rows] * len(free), k
-            # only nonzero cells are kept, one entry each
-            assert ((0 < coef) & (coef < p)).all(), k
+            # only nonzero cells are kept, one entry each; the coefficients
+            # are integers that every prime shares, here each +1 or -1, so
+            # no cell vanishes at any prime
+            assert np.isin(coef, (1, -1)).all(), k
             assert np.count_nonzero(dense_M) == cols.size, k
             # each entry names exactly its column's unknown rows, padded
             # with enc.rows, in a table no wider than the window
@@ -400,7 +402,7 @@ class TestDecodeMaps:
                 assert sorted(slots[slots < enc.rows].tolist()) == sorted(want.tolist()), k
                 assert (slots[len(want) :] == enc.rows).all(), k
             # column total minus window share is the known rows' share
-            total = _gather_sum(_pad(X), enc._col_support)[:, cols]
+            total = enc._column_sums(X)[:, cols]
             share = (total - _gather_sum(_pad(X), window_rows)) % p
             dense = X[:, known_rows] @ L[known_rows] % p
             assert np.array_equal(share, dense[:, cols]), k
@@ -716,8 +718,8 @@ class TestPeel:
     @given(K=st.integers(3, 12), data=st.data(), p=st.sampled_from([2, 3, 5, 65521]))
     def test_batched_peel_matches_reference(self, K, data, p):
         # the minimal pair, or a feasible or infeasible one with a, b <= 3:
-        # every receiver's verdict, ranks and decoder entries, reduced mod p
-        # and compared as a set per output, are the per-receiver peel's,
+        # every receiver's verdict, ranks and decoder entries, compared over
+        # the integers as a set per output, are the per-receiver peel's,
         # and each entry's window rows are its column's unknown rows
         enc = _drawn_encoder(K, data, p)
         b, m = enc.b, enc.rows
@@ -732,7 +734,7 @@ class TestPeel:
             assert targets.tolist() == list(range(k * b, (k + 1) * b)) + [m] * (len(outputs) - b)
             for o, expr in enumerate(outputs):
                 got = set(zip(cols[outs == o].tolist(), coef[outs == o].tolist()))
-                assert got == {(c, v % p) for c, v in expr.items() if v % p}, (k, o)
+                assert got == {(c, v) for c, v in expr.items() if v}, (k, o)
             for c, rows in zip(cols.tolist(), window_rows):
                 assert sorted(rows[rows < m].tolist()) == cut[c], (k, c)
 
@@ -765,20 +767,26 @@ class TestPeel:
 
     def test_stall_called_decodable_raises(self, monkeypatch):
         # ranks that find a stalled receiver decodable would need a decoder
-        # the peel did not give, so the build refuses to finish: the first
-        # call on the encoder raises, whichever receiver it asks about
+        # the peel did not give, so the ranks refuse to finish: the first
+        # call on the encoder raises, whichever receiver it asks about, and
+        # so does simulate, which would otherwise report that receiver failed
         monkeypatch.setattr(
             "airindex.codec._stacked_ranks_mod_p",
             lambda top, bottom, p: (len(top), len(top) + len(bottom)),
         )
         enc = _encoder(17, 11, 1, 1, 6, 2, allow_infeasible=True)
-        for _ in range(2):
+        calls = [
+            lambda: decodable(enc, 13),
+            lambda: decodable(enc, 13),
+            lambda: simulate(enc.problem, enc.solution, 2, trials=1, encoder=enc),
+        ]
+        for call in calls:
             with pytest.raises(
                 AssertionError,
                 match=r"receiver 14 of ProblemInstance\(K=17, D=11, U=1\) at \(a=1, b=6\) over GF\(2\)",
             ):
-                decodable(enc, 13)
-        assert "_decoder" not in vars(enc)
+                call()
+        assert "_ranks" not in vars(enc)
 
     def test_residual_that_does_not_clear_is_a_stall(self, monkeypatch):
         # a 4x3 encoder for (4,2,0) at (0, 1) whose cells are not AIR's:
@@ -793,6 +801,54 @@ class TestPeel:
         enc = Encoder(problem, solution_for_pair(problem, 0, 1), AirMatrix(4, 3, entries), 3)
         with pytest.raises(AssertionError, match=r"receiver 0 of .*: the peel stalled"):
             decodable(enc, 1)
+
+    @staticmethod
+    def _growing(n, p, monkeypatch):
+        """A hand-built n x n encoder for (n, n-1, 0) at (0, 1) whose column c
+        holds rows c, c+1 and c+3, and row 0's coefficients over Z.
+
+        Each receiver's window holds every row. The peel solves row c from
+        column c, last row first, so x_c = c'_c - x_{c+1} - x_{c+3}: row 0's
+        coefficient at column j is f(j), with f(0) = 1 and
+        f(j) = -f(j-1) - f(j-3), which grows about 1.47-fold per column.
+        """
+        r, c = np.indices((n, n))
+        entries = np.isin(r - c, (0, 1, 3)).astype(np.int64)
+        monkeypatch.setattr("airindex.codec._block_cells", lambda m, n: [np.nonzero(entries)])
+        problem = ProblemInstance(n, n - 1, 0)
+        f = [1]
+        for j in range(1, n):
+            f.append(-f[j - 1] - (f[j - 3] if j >= 3 else 0))
+        enc = Encoder(problem, solution_for_pair(problem, 0, 1), AirMatrix(n, n, entries), p)
+        return enc, f
+
+    @pytest.mark.parametrize("p", [2, 3, 65521])
+    def test_integer_coefficients_reduce_at_each_prime(self, p, monkeypatch):
+        # coefficients past +-1, some 0 mod p and some past p itself, are
+        # kept over Z and reduced only when decoding; every receiver still
+        # decodes, the decoder equals the reference peel's, and other
+        # primes share it
+        enc, f = self._growing(40, p, monkeypatch)
+        assert abs(f[39]) > 65521 and any(v % 2 == 0 for v in f)
+        cols, _, coef, outs, _ = _receiver_slice(enc, 0)
+        assert dict(zip(cols.tolist(), coef.tolist())) == dict(enumerate(f))
+        assert outs.tolist() == [0] * 40
+        for k in (0, 17, 39):
+            _, outputs, _ = reference_peel(enc, k)
+            got = _receiver_slice(enc, k)
+            assert dict(zip(got[0].tolist(), got[2].tolist())) == outputs[0], k
+        for q in {p, 5}:
+            shared = enc.over(q)
+            assert shared._decoder is enc._decoder
+            _check_decode_paths(shared, trials=2, seed=q)
+
+    def test_coefficient_past_int64_headroom_raises(self, monkeypatch):
+        # at n = 64 the coefficients pass 2**31, where a later merge could
+        # wrap int64, so the build refuses instead of decoding wrongly
+        enc, f = self._growing(64, 2, monkeypatch)
+        assert abs(f[63]) > 2**31
+        with pytest.raises(OverflowError, match=r"coefficient of .*K=64.* exceeds 2\*\*31"):
+            decodable(enc, 0)
 
     @pytest.mark.parametrize(
         "K,D,U,a,b,allow", [(17, 5, 1, 3, 8, False), (17, 11, 1, 1, 6, True)]
@@ -834,7 +890,7 @@ class TestPeel:
 
         monkeypatch.setattr("airindex.codec._cut", spy)
         enc = _encoder(200, 1, 0, 0, 1, 2)
-        assert enc._col_support.shape[1] == 100
+        assert (enc.matrix.entries.sum(axis=0) == 100).all()
         assert all(decodable(enc, k) for k in range(200))
         assert seen[-1].size >= 200 and max(cut.max(initial=0) for cut in seen) <= 2
 
@@ -851,6 +907,100 @@ class TestPeel:
                         assert _peeled(enc, k) is not None, (K, D, U, k)
                     receivers += K
         assert receivers == 9240
+
+
+def _assert_same_encoder(shared, fresh, seed):
+    """``shared`` (from ``Encoder.over``) behaves as the fresh build ``fresh``
+    over the same prime: same decoder, ranks, decodes and simulate report."""
+    K, b, q = fresh.problem.K, fresh.b, fresh.p
+    assert shared.p == q
+    dec, want = shared._decoder, fresh._decoder
+    assert dec.ranks == want.ranks
+    fields = ("cols", "window_rows", "coef", "starts", "targets", "entry_bounds", "output_bounds")
+    for name in fields:
+        assert np.array_equal(getattr(dec, name), getattr(want, name)), name
+    assert [receiver_ranks(shared, k) for k in range(K)] == [
+        receiver_ranks(fresh, k) for k in range(K)
+    ]
+    x = np.random.default_rng([seed, q]).integers(0, q, size=fresh.rows)
+    c = encode(fresh, x)
+    assert np.array_equal(encode(shared, x), c)
+    side = {j: x[j * b : (j + 1) * b] for j in range(K)}
+    for k in range(K):
+        if decodable(fresh, k):
+            assert np.array_equal(decode(shared, k, c, side), decode(fresh, k, c, side)), k
+        else:
+            assert not decodable(shared, k), k
+            with pytest.raises(ValueError, match="cannot decode"):
+                decode(shared, k, c, side)
+    reports = [
+        simulate(e.problem, e.solution, q, trials=3, seed=seed, encoder=e).to_json()
+        for e in (shared, fresh)
+    ]
+    for report in reports:
+        report.pop("elapsed_ms")
+    assert reports[0] == reports[1]
+
+
+class TestOver:
+    # the peel reads no p, so one encoder's cells and peel serve every
+    # prime: an encoder built over GF(2) and moved to GF(q) by ``over``
+    # must be indistinguishable from one built over GF(q)
+    @settings(max_examples=30, deadline=None)
+    @given(K=st.integers(3, 12), data=st.data(), seed=st.integers(0, 2**16))
+    def test_over_equals_fresh_build(self, K, data, seed):
+        base = _drawn_encoder(K, data, 2)
+        for q in (2, 3, 5, 65521):
+            shared = base.over(q)
+            assert shared._cells is base._cells and shared._decoder is base._decoder
+            fresh = build_encoder(base.problem, base.solution, q, allow_infeasible=True)
+            _assert_same_encoder(shared, fresh, seed)
+
+    @pytest.mark.parametrize("q", [2, 3, 5, 65521])
+    def test_stalled_receivers_over_each_prime(self, q, monkeypatch):
+        # (17,11,1) at (1, 6): receiver 14's peel stalls, so only its ranks
+        # are computed again, by one elimination at q
+        base = _encoder(17, 11, 1, 1, 6, 2, allow_infeasible=True)
+        assert not decodable(base, 14)
+        calls = []
+
+        def spy(top, bottom, p):
+            calls.append(p)
+            return _stacked_ranks_mod_p(top, bottom, p)
+
+        monkeypatch.setattr("airindex.codec._stacked_ranks_mod_p", spy)
+        shared = base.over(q)
+        fresh = _encoder(17, 11, 1, 1, 6, q, allow_infeasible=True)
+        _assert_same_encoder(shared, fresh, q)
+        assert calls == [q, q]  # receiver 14, once per encoder over GF(q)
+
+    def test_one_build_for_every_prime(self, monkeypatch):
+        # ``over`` on a fresh encoder peels it first, once, and no later
+        # call on any of the encoders peels again
+        calls = []
+
+        def spy(encoder):
+            calls.append(encoder)
+            return _build_decoder(encoder)
+
+        monkeypatch.setattr("airindex.codec._build_decoder", spy)
+        base = _encoder(17, 5, 1, 3, 8, 2)
+        encoders = [base.over(q) for q in (2, 3, 5, 65521)]
+        assert calls == [base]
+        for enc in encoders:
+            assert all(decodable(enc, k) for k in range(17))
+            assert simulate(enc.problem, enc.solution, enc.p, trials=2, encoder=enc).passed
+        assert calls == [base]
+
+    def test_refuses_primes_build_encoder_refuses(self):
+        # the same check as build_encoder's, with K*b terms
+        base = _encoder(17, 5, 1, 3, 8, 2)
+        p, q = _envelope_primes(17 * 8)
+        assert base.over(p).p == p
+        with pytest.raises(ValueError, match="2\\*\\*63"):
+            base.over(q)
+        with pytest.raises(ValueError, match="prime"):
+            base.over(4)
 
 
 class TestBatchDecoder:
@@ -874,16 +1024,16 @@ class TestBatchDecoder:
             known[:, unknown] = 0
             lo, hi = dec.entry_bounds[k : k + 2]
             cols = dec.cols[lo:hi]
-            # as simulate forms the corrected codeword, from every row with
-            # the window rows added back, and as decode does, from the
-            # known rows alone
-            total = _gather_sum(padded, enc._col_support)[:, cols]
+            # as simulate forms the corrected codeword, from the window rows
+            # alone, and as decode does, the codeword less the known rows'
+            # encoding; the two agree mod p
             fixes = [
-                C[:, cols] - total + _gather_sum(padded, dec.window_rows[lo:hi]),
-                C[:, cols] - _gather_sum(known, enc._col_support[cols]),
+                _gather_sum(padded, dec.window_rows[lo:hi]),
+                C[:, cols] - enc._column_sums(known)[:, cols],
             ]
+            assert not ((fixes[0] - fixes[1]) % p).any(), k
             for fixed in fixes:
-                out = dec.outputs(fixed, k)
+                out = dec.outputs(fixed, p, k)
                 got, inconsistent = out[:, :b], out[:, b:].any(axis=1)
                 assert not inconsistent.any(), k
                 assert np.array_equal(got, X[:, k * b : (k + 1) * b]), k
@@ -896,7 +1046,7 @@ class TestBatchDecoder:
                 for step in {1, p - 1}:
                     for fixed in fixes:
                         bad = fixed + step * (cols == f)
-                        assert dec.outputs(bad, k)[:, b:].any(axis=1).all(), (k, f, step)
+                        assert dec.outputs(bad, p, k)[:, b:].any(axis=1).all(), (k, f, step)
                     bad = C[0].copy()
                     bad[f] = (bad[f] + step) % p
                     with pytest.raises(ArithmeticError, match="not produced by this encoder"):
@@ -909,8 +1059,8 @@ class TestBatchDecoder:
         # at (2, 1) has one parity output, (5,1,1) at (1, 2) none
         outputs = _BatchDecoder.outputs
 
-        def first_row_inconsistent(dec, fixed, k=None):
-            out = outputs(dec, fixed, k)
+        def first_row_inconsistent(dec, fixed, p, k=None):
+            out = outputs(dec, fixed, p, k)
             if fixed.shape[0]:
                 out[0, dec.targets == 5] = 1  # the padding index of a 5-row encoder
             return out
@@ -933,7 +1083,7 @@ class TestDecodeGuards:
         c = encode(enc, x)
         side = {j: x[j * 30 : (j + 1) * 30] for j in range(71)}
         # encoder-wide tables, built outside the measurement
-        enc._cells, enc._col_support
+        enc._cells
         tracemalloc.start()
         try:
             decoded = [decode(enc, k, c, side) for k in range(71)]
@@ -981,7 +1131,7 @@ class TestDecodeGuards:
         problem = ProblemInstance(2000, 1, 0)
         sol = solution_for_pair(problem, 0, 1)
         enc = build_encoder(problem, sol, 2)
-        enc._cells, enc._col_support  # built outside the measurement
+        enc._cells  # built outside the measurement
         tracemalloc.start()
         try:
             report = simulate(problem, sol, 2, trials=1, encoder=enc)
@@ -1078,7 +1228,7 @@ class TestIntegerInputs:
         enc = build_encoder(problem, sol, 2, allow_infeasible=True)
         report = simulate(problem, sol, 2, trials=2, seed=0, encoder=enc)
         assert report.failures and not decodable(enc, 14)
-        assert all(type(r) is int for ranks in enc._decoder.ranks for r in ranks)
+        assert all(type(r) is int for ranks in enc._ranks for r in ranks)
         assert json.loads(report.to_json_str())["a"] == 1
 
     def test_interference_set(self):
@@ -1103,10 +1253,10 @@ class TestSimulate:
 
     def test_batch_codewords_bounded_working_set(self):
         # (21,10,0) at (a, b) = (0, 1): columns of weight up to 11 on a
-        # 21x11 encoder; the gather adds one support slot at a time
+        # 21x11 encoder; one gather of the nonzero rows in column order
         enc = _encoder(21, 10, 0, a=0, b=1, p=3)
         X = np.random.default_rng(21).integers(0, 3, size=(4000, enc.rows), dtype=np.int64)
-        enc._col_support  # build the cached table outside the measurement
+        enc._cells  # build the cached table outside the measurement
         tracemalloc.start()
         try:
             got = enc._broadcast(X)
