@@ -2,12 +2,14 @@
 
 The encoder for a (K, D, U) instance with a feasible pair (a, b) over
 GF(p) is the K*b x (b*(D+1)+a) AIR matrix; its 0/1 entries make the
-construction field-agnostic. Message k owns the b consecutive encoder
-rows starting at k*b, so receiver k's unknowns are the (D+U+1)*b rows of
-the cyclic message window k-U .. k+D and its side information covers the
-rest. A broadcast is c = x @ L; receiver k subtracts the known message
-contributions and solves the remaining system, whose wanted coordinates
-are unique exactly when
+construction field-agnostic. An encoder holds only the matrix's nonzero
+cells, read from the AIR block layout; ``Encoder.matrix`` builds the
+dense matrix from them on demand, and the codec never reads it. Message
+k owns the b consecutive encoder rows starting at k*b, so receiver k's
+unknowns are the (D+U+1)*b rows of the cyclic message window k-U .. k+D
+and its side information covers the rest. A broadcast is c = x @ L;
+receiver k subtracts the known message contributions and solves the
+remaining system, whose wanted coordinates are unique exactly when
 
     rank([interference rows; wanted rows]) == rank(interference rows) + b
 
@@ -22,27 +24,26 @@ wanted rows all peel, and whose leftover rows pass a second peel, is
 decodable over every field: the peel gives its ranks and its decoder
 with integer coefficients, with no field arithmetic. Only a receiver
 whose peel stalls gets its ranks from one GF(p) elimination of its
-window's rows, once per prime and only when ranks are asked for; every
-stalled receiver seen so far is undecodable at every prime. That every
-receiver of every feasible pair peels is a checked conjecture, not a
-theorem. The tests check it for every minimal-rate encoder with
-K <= 20 and for drawn pairs with a, b <= 3, and it has held for every
-minimal-rate encoder with K <= 30 and for (71,25,1), (53,6,2),
-(60,20,10), (100,10,3) and (37,8,8).
+window's rows, built dense from the cells, once per prime and only when
+ranks are asked for; every stalled receiver seen so far is undecodable
+at every prime. That every receiver of every feasible pair peels is a
+checked conjecture, not a theorem. The tests check it for every
+minimal-rate encoder with K <= 20 and for drawn pairs with a, b <= 3,
+and it has held for every minimal-rate encoder with K <= 30 and for
+(71,25,1), (53,6,2), (60,20,10), (100,10,3) and (37,8,8).
 
-The peel runs on integer arrays, every receiver in step. The encoder's
-nonzero cells are read from the AIR block layout, never from a scan of
-the dense matrix. Each receiver's count and sum of unknown rows per
-column come from one cumulative sum over the receivers, as consecutive
-windows differ by one message at each end. Then, round by round, every
-column left with one unsolved row solves it; where several columns hold
-the same row, the first in column order wins, as in the first round of
-a peel that takes one column at a time. The first peel took at most
-three rounds on every minimal-rate encoder tried, and the number of
-array operations grows with the rounds and with the runs of receivers
-that the build's memory cap allows, not with K itself. The same
-build keeps each receiver's two ranks and adds its decoder, with integer
-coefficients, to the encoder's batch decoder, so even a single
+The peel runs on integer arrays, every receiver in step, over the
+encoder's nonzero cells. Each receiver's count and sum of unknown rows
+per column come from one cumulative sum over the receivers, as
+consecutive windows differ by one message at each end. Then, round by
+round, every column left with one unsolved row solves it; where several
+columns hold the same row, the first in column order wins, as in the
+first round of a peel that takes one column at a time. The first peel
+took at most three rounds on every minimal-rate encoder tried, and the
+number of array operations grows with the rounds and with the runs of
+receivers that the build's memory cap allows, not with K itself. The
+same build keeps each receiver's two ranks and adds its decoder, with
+integer coefficients, to the encoder's batch decoder, so even a single
 ``decodable`` on a fresh encoder builds the decoders of all its
 receivers.
 
@@ -88,15 +89,19 @@ Message vectors, codewords and side information must hold integers
 Supported sizes. All arithmetic is exact in int64: each output sums at
 most K*b products of two factors reduced into [0, p), so
 ``build_encoder`` and ``Encoder.over`` pass p to
-:func:`airindex.linalg.require_prime` with K*b terms. Before allocating
-anything it also refuses an encoder shape that ``build_air`` would
-refuse, and ``simulate`` refuses a run whose message batch (trials*K*b
-symbols) exceeds the same ``MAX_CELLS`` cap. The batch decoder holds
-entries x window rows cells: one row per entry, as wide as the most rows
-one column holds inside one window (5 on (71,25,1), at most 2 on D = 1
-for K <= 40), so at a fixed window it grows linearly in K. Its build
-takes the receivers a run at a time, so that none of its receivers x
-columns or receivers x window rows arrays exceeds ``_PEEL_CELLS`` cells.
+:func:`airindex.linalg.require_prime` with K*b terms. An encoder holds
+its nonzero cells, not its dense matrix, yet ``build_encoder`` still
+refuses, before allocating anything, a shape that ``build_air`` would
+refuse (rows*cols over ``MAX_CELLS``); that cap stays until caps on what
+the build allocates replace it. A stalled receiver's window rows, w x n
+dense, are refused past the same cap, and ``simulate`` refuses a run
+whose message batch (trials*K*b symbols) exceeds it. The batch decoder
+holds entries x window rows cells: one row per entry, as wide as the
+most rows one column holds inside one window (5 on (71,25,1), at most 2
+on D = 1 for K <= 40), so at a fixed window it grows linearly in K. Its
+build takes the receivers a run at a time, so that none of its receivers
+x columns or receivers x window rows arrays exceeds ``_PEEL_CELLS``
+cells.
 """
 
 from __future__ import annotations
@@ -111,7 +116,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .air import MAX_CELLS, AirMatrix, _block_cells, _require_shape, build_air
+from .air import MAX_CELLS, AirMatrix, _block_cells, _require_shape
 from .linalg import _stacked_ranks_mod_p, as_int_array, require_prime
 from .rates import ProblemInstance, RateSolution, is_feasible
 
@@ -159,21 +164,23 @@ def _window(problem: ProblemInstance, k: int) -> list[int]:
 class Encoder:
     """An instance bound to its AIR encoding matrix over GF(p).
 
-    Immutable after construction. Cached internally and shared by
-    decodability checks, decoding and simulation: the nonzero cells
-    (``_cells``), read from the AIR block layout, which the peel and the
-    column sums read; the batch decoder (``_decoder``), which holds the
-    peel's ranks and the decoder of every decodable receiver, built by
-    one batched peel of all receivers on first use; and every receiver's
-    ranks over GF(p) (``_ranks``). The cells and the decoder read no p,
-    so ``over`` shares them with the same encoder over another prime.
-    Decoding corrects codewords by the side information's share through
-    the same column sums that encode them.
+    Holds the problem, the pair and p; ``rows`` is K*b and ``cols`` is
+    b*(D+1)+a. It keeps only the matrix's nonzero cells, never the dense
+    matrix, which ``matrix`` builds on each access. Immutable after
+    construction. Cached internally and shared by decodability checks,
+    decoding and simulation: the nonzero cells (``_cells``), read from
+    the AIR block layout, which the peel, the column sums and a stalled
+    receiver's ranks read; the batch decoder (``_decoder``), which holds
+    the peel's ranks and the decoder of every decodable receiver, built
+    by one batched peel of all receivers on first use; and every
+    receiver's ranks over GF(p) (``_ranks``). The cells and the decoder
+    read no p, so ``over`` shares them with the same encoder over another
+    prime. Decoding corrects codewords by the side information's share
+    through the same column sums that encode them.
     """
 
     problem: ProblemInstance
     solution: RateSolution
-    matrix: AirMatrix
     p: int
 
     @property
@@ -186,11 +193,24 @@ class Encoder:
 
     @property
     def rows(self) -> int:
-        return self.matrix.m
+        return self.problem.K * self.b
 
     @property
     def cols(self) -> int:
-        return self.matrix.n
+        return self.b * (self.problem.D + 1) + self.a
+
+    @property
+    def matrix(self) -> AirMatrix:
+        """The dense rows x cols 0/1 matrix, write-protected int64 entries.
+
+        Built from ``_cells`` on each access and never cached, so an
+        encoder holds only its cells; the codec itself never reads it.
+        A shape that ``build_air`` refuses is refused before allocating.
+        """
+        m, n = _require_shape(self.rows, self.cols)
+        entries = self._cells.dense(np.arange(m))
+        entries.setflags(write=False)
+        return AirMatrix(m, n, entries)
 
     @cached_property
     def _cells(self) -> _Cells:
@@ -210,6 +230,7 @@ class Encoder:
             row_ptr=row_ptr,
             row_cols=np.concatenate([cols, cols]),
             cell_rows=np.concatenate([rows, rows]),
+            row_col_sums=np.add.reduceat(cols, row_ptr[:m]),
             col_keys=np.sort(np.concatenate([keys, keys + m]), kind="stable"),
             col_rows=keys % (2 * m),
             col_starts=keys.searchsorted(np.arange(n) * (2 * m)),
@@ -226,20 +247,28 @@ class Encoder:
 
         A receiver the peel certifies has the peel's ranks, which hold in
         every field. One whose peel stalls gets its ranks from one
-        elimination of its window's rows, interference rows first and
-        wanted rows last. Every stalled receiver seen so far is
-        undecodable at every prime. One that these ranks call decodable
-        would need a decoder the peel did not give, so this raises
-        instead, whichever receiver was asked about.
+        elimination of its window's w x n rows, built dense from the
+        cells, interference rows first and wanted rows last; a block over
+        ``MAX_CELLS`` cells raises ``ValueError`` before any is built.
+        Every stalled receiver seen so far is undecodable at every prime.
+        One that these ranks call decodable would need a decoder the peel
+        did not give, so this raises instead, whichever receiver was asked
+        about.
         """
-        problem, b, p = self.problem, self.b, self.p
+        problem, b, p, n = self.problem, self.b, self.p, self.cols
         ranks = list(self._decoder.ranks)
-        for k in [k for k, rank in enumerate(ranks) if rank is None]:
+        stalled = [k for k, rank in enumerate(ranks) if rank is None]
+        w = (problem.D + problem.U + 1) * b
+        if stalled and w * n > MAX_CELLS:
+            raise ValueError(
+                f"receiver {stalled[0]} of {problem} at (a={self.a}, b={b}): its peel "
+                f"stalled, and its {w}x{n} = {w * n} window rows are over the limit of {MAX_CELLS}"
+            )
+        for k in stalled:
             window = _window(problem, k)
             interference = [r for j in window if j != k for r in range(j * b, (j + 1) * b)]
-            rank_interference, rank_all = _stacked_ranks_mod_p(
-                self.matrix.entries[interference], self.matrix.entries[k * b : (k + 1) * b], p
-            )
+            block = self._cells.dense(interference + list(range(k * b, (k + 1) * b)))
+            rank_interference, rank_all = _stacked_ranks_mod_p(block[:-b], block[-b:], p)
             if rank_all == rank_interference + b:
                 raise AssertionError(
                     f"receiver {k} of {problem} at (a={self.a}, b={b}) over GF({p}): "
@@ -254,7 +283,7 @@ class Encoder:
         Peels this encoder first if it has not been peeled yet. Only the
         ranks of receivers whose peel stalls are computed again, at p.
         """
-        enc = Encoder(self.problem, self.solution, self.matrix, require_prime(p, terms=self.rows))
+        enc = Encoder(self.problem, self.solution, require_prime(p, terms=self.rows))
         # a cached_property reads the instance's dict first
         vars(enc).update(_cells=self._cells, _decoder=self._decoder)
         return enc
@@ -295,14 +324,25 @@ class _Cells(NamedTuple):
     column's rows inside a run are one range of it. ``col_rows`` lists
     the rows of the (undoubled) cells column by column, column c's from
     ``col_starts[c]`` on; every AIR column holds a one.
+    ``row_col_sums[r]`` is the sum of row r's columns, for r < m, which
+    the peel's second pass starts from.
     """
 
     row_ptr: np.ndarray
     row_cols: np.ndarray
     cell_rows: np.ndarray
+    row_col_sums: np.ndarray
     col_keys: np.ndarray
     col_rows: np.ndarray
     col_starts: np.ndarray
+
+    def dense(self, rows) -> np.ndarray:
+        """The given rows (each < m) as a dense len(rows) x n int64 0/1 array."""
+        rows = np.asarray(rows, dtype=np.int64)
+        q, idx = _ranges(self.row_ptr[rows], self.row_ptr[rows + 1])
+        out = np.zeros((rows.size, self.col_starts.size), dtype=np.int64)
+        out[q, self.row_cols[idx]] = 1
+        return out
 
 
 def _pad(X: np.ndarray) -> np.ndarray:
@@ -355,8 +395,7 @@ def build_encoder(
             f"its {rows}x{cols} encoder would be wider than tall"
         )
     _require_shape(rows, cols)
-    p = require_prime(p, terms=rows)
-    return Encoder(problem=problem, solution=solution, matrix=build_air(rows, cols), p=p)
+    return Encoder(problem=problem, solution=solution, p=require_prime(p, terms=rows))
 
 
 def encode(encoder: Encoder, x) -> np.ndarray:
@@ -596,12 +635,11 @@ def _peel(encoder: Encoder, lo: np.ndarray) -> tuple[np.ndarray, ...]:
     check = ok & (live > 0)
     if check.any():
         # second peel, over each window row's count and sum of live columns
-        row_ptr = cells.row_ptr[: m + 1]
         rows = (lo[:, None] + np.arange(w)) % m
-        deg = (row_ptr[1:] - row_ptr[:-1])[rows]
+        deg = np.diff(cells.row_ptr[: m + 1])[rows]
         deg[(who.reshape(C, w) >= 0) | ~check[:, None]] = 0
         deg = deg.ravel()
-        csum = np.add.reduceat(cells.row_cols[: row_ptr[-1]], row_ptr[:-1])[rows].ravel()
+        csum = cells.row_col_sums[rows].ravel()
         cleared = np.zeros(C, dtype=np.int64)
         cand = (deg == 1).nonzero()[0]
         while cand.size:

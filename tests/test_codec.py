@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from _reference import rank_mod_p as reference_rank
 from _reference import reference_peel, rref_mod_p, solve_left
-from airindex.air import AirMatrix
+from airindex.air import build_air
 from airindex.codec import (
     MAX_CELLS,
     Encoder,
@@ -150,14 +150,41 @@ class TestBuildEncoder:
             simulate(problem, sol, 2, trials=1)
 
     def test_refuses_oversized_encoder_without_allocating(self, monkeypatch):
-        # (1009, 500, 1) needs a 436897x216935 encoder, about 706 GiB dense
-        def no_allocation(m, n):
-            raise AssertionError(f"build_air({m}, {n}) was called")
+        # (1009, 500, 1) needs a 436897x216935 encoder, about 706 GiB dense;
+        # it is refused before its cells are read or any array is allocated,
+        # and so is the dense matrix of one built without the checks
+        def no_cells(m, n):
+            raise AssertionError(f"_block_cells({m}, {n}) was called")
 
-        monkeypatch.setattr("airindex.codec.build_air", no_allocation)
+        monkeypatch.setattr("airindex.codec._block_cells", no_cells)
         problem = ProblemInstance(1009, 500, 1)
-        with pytest.raises(ValueError, match="over the limit"):
-            build_encoder(problem, find_min_rate(problem), 2)
+        sol = find_min_rate(problem)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="over the limit"):
+                build_encoder(problem, sol, 2)
+            with pytest.raises(ValueError, match="over the limit"):
+                Encoder(problem, sol, 2).matrix
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16
+
+    @settings(max_examples=30, deadline=None)
+    @given(K=st.integers(3, 12), data=st.data(), q=st.sampled_from([2, 3, 5, 65521]))
+    def test_matrix_is_built_from_the_cells(self, K, data, q):
+        # the encoder holds only its cells; ``matrix`` is built from them on
+        # each access, so it shows the cells the codec peels, and it must
+        # equal build_air's matrix in values, dtype and write protection
+        base = _drawn_encoder(K, data, 2)
+        air = build_air(base.rows, base.cols)
+        for enc in (base, base.over(q)):
+            L = enc.matrix.entries
+            assert (enc.matrix.m, enc.matrix.n) == (enc.rows, enc.cols)
+            assert L.dtype == air.entries.dtype == np.int64
+            assert not L.flags.writeable and not air.entries.flags.writeable
+            assert np.array_equal(L, air.entries)
+            assert enc.matrix.entries is not L and "matrix" not in vars(enc)
 
     @pytest.mark.parametrize("K,D,U,a,b", [(5, 1, 1, 1, 2), (17, 5, 1, 3, 8)])
     def test_int64_envelope_edge(self, K, D, U, a, b):
@@ -788,6 +815,26 @@ class TestPeel:
                 call()
         assert "_ranks" not in vars(enc)
 
+    @pytest.mark.parametrize("over", [False, True])
+    def test_stalled_window_over_the_cap_is_refused(self, over, monkeypatch):
+        # receiver 14 of (17,11,1) at (1, 6) stalls; its ranks need its
+        # 78x73 window rows dense, which are refused before any elimination
+        # once they pass the cap, and built at the cap itself
+        monkeypatch.setattr("airindex.codec._stacked_ranks_mod_p", _no_elimination)
+        monkeypatch.setattr("airindex.codec.MAX_CELLS", 78 * 73 - over)
+        enc = _encoder(17, 11, 1, 1, 6, 2, allow_infeasible=True)
+        if over:
+            with pytest.raises(
+                ValueError,
+                match=r"receiver 14 of .*: its peel stalled, and its 78x73 = 5694 window rows "
+                r"are over the limit of 5693",
+            ):
+                decodable(enc, 0)
+            assert "_ranks" not in vars(enc)
+        else:
+            with pytest.raises(AssertionError, match="a stalled receiver's elimination ran"):
+                decodable(enc, 0)
+
     def test_residual_that_does_not_clear_is_a_stall(self, monkeypatch):
         # a 4x3 encoder for (4,2,0) at (0, 1) whose cells are not AIR's:
         # receiver 0's wanted row 0 peels from column 0, but its rows 1 and 2
@@ -798,7 +845,7 @@ class TestPeel:
         entries = np.array([[1, 0, 0], [0, 1, 1], [0, 1, 1], [1, 1, 0]])
         monkeypatch.setattr("airindex.codec._block_cells", lambda m, n: [np.nonzero(entries)])
         problem = ProblemInstance(4, 2, 0)
-        enc = Encoder(problem, solution_for_pair(problem, 0, 1), AirMatrix(4, 3, entries), 3)
+        enc = Encoder(problem, solution_for_pair(problem, 0, 1), 3)
         with pytest.raises(AssertionError, match=r"receiver 0 of .*: the peel stalled"):
             decodable(enc, 1)
 
@@ -819,7 +866,7 @@ class TestPeel:
         f = [1]
         for j in range(1, n):
             f.append(-f[j - 1] - (f[j - 3] if j >= 3 else 0))
-        enc = Encoder(problem, solution_for_pair(problem, 0, 1), AirMatrix(n, n, entries), p)
+        enc = Encoder(problem, solution_for_pair(problem, 0, 1), p)
         return enc, f
 
     @pytest.mark.parametrize("p", [2, 3, 65521])
@@ -1093,6 +1140,23 @@ class TestDecodeGuards:
         assert all(np.array_equal(decoded[k], x[k * 30 : (k + 1) * 30]) for k in range(71))
         assert "_decoder" in vars(enc)
         assert held < 5 * 2**20
+
+    def test_large_encoder_holds_no_dense_matrix(self):
+        # (71,25,1): its build, its decodability sweep and a 100-trial
+        # simulate, measured together; the encoder holds only its cells,
+        # where a dense 2130x781 int64 matrix alone would take 12.7 MB
+        problem = ProblemInstance(71, 25, 1)
+        sol = find_min_rate(problem)
+        tracemalloc.start()
+        try:
+            enc = build_encoder(problem, sol, 2)
+            assert all(decodable(enc, k) for k in range(71))
+            report = simulate(problem, sol, 2, trials=100, seed=0, encoder=enc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.passed
+        assert peak < 6 * 2**20
 
     def test_rank_sweep_memory_linear_in_K(self):
         # (2000,1,0) at (0, 1): a decodability sweep keeps two ranks and
