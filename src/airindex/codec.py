@@ -69,28 +69,40 @@ rows inside its receiver's window, and a nonzero integer coefficient.
 The entries are sorted into one contiguous segment per output (a wanted
 symbol or a parity check), and each receiver owns one contiguous range
 of entries and of outputs. Decoding a batch of codewords takes three
-steps: correct each entry's codeword symbol by the side information's
-share, form c'[col] % p * (coef % p), and sum every segment with
-``np.add.reduceat``. ``encode`` and ``decode`` sum codeword columns one
-way, with one ``np.add.reduceat`` over the nonzero rows in column order:
-``encode`` over the whole message, ``decode`` over a message that holds
-only its receiver's known messages, its unknown ones zero, whose
-encoding it subtracts from the codeword. ``simulate`` checks each
-receiver's decoder on its window's rows instead: each entry's corrected
-symbol is the sum of its column's rows inside its receiver's window, so
-it forms no codeword, and ``encode``/``decode`` cover the broadcast. It
-runs every receiver at once, where ``decode`` runs one receiver's
-range.
+steps, all in ``_BatchDecoder.outputs`` but the first: correct each
+entry's codeword symbol by the side information's share, multiply it by
+the entry's integer coefficient, and sum every segment with one
+``np.add.reduceat``, reducing each output once mod p. The batch is
+entry-major: one row per entry, one column per codeword. ``encode`` and
+``decode`` sum codeword columns one way, with one ``np.add.reduceat``
+over the nonzero rows in column order: ``encode`` over the whole
+message, ``decode`` over a message that holds only its receiver's known
+messages, its unknown ones zero, whose encoding it subtracts from the
+codeword. ``simulate`` checks each receiver's decoder on its window's
+rows instead: each entry's corrected symbol is the sum of its column's
+rows inside its receiver's window, each row gathered whole across the
+trials, so it forms no codeword, and ``encode``/``decode`` cover the
+broadcast. It runs every receiver at once, where ``decode`` runs one
+receiver's range.
 
 Message vectors, codewords and side information must hold integers
 (:func:`airindex.linalg.as_int_array`); receiver indices go through
 ``operator.index``. Neither is ever truncated.
 
-Supported sizes. All arithmetic is exact in int64: each output sums at
-most K*b products of two factors reduced into [0, p), so
-``build_encoder`` and ``Encoder.over`` pass p to
-:func:`airindex.linalg.require_prime` with K*b terms. An encoder holds
-its nonzero cells, not its dense matrix, yet ``build_encoder`` still
+Supported sizes. All arithmetic is exact in int64. ``build_encoder``
+and ``Encoder.over`` pass p to :func:`airindex.linalg.require_prime`
+with K*b terms, the envelope of K*b products of two factors in [0, p);
+that envelope is unchanged, though nothing the codec sums now reaches
+it. A column sum of ``encode`` adds at most K*b symbols below p. A
+decoder output is one sum of corrected symbols times integer
+coefficients: a corrected symbol is at most p-1 times its column's
+weight in magnitude, so an output is at most (p-1)*``load`` (see
+``_BatchDecoder``), and ``decode`` and ``simulate`` raise
+``OverflowError`` before summing at any p where that could reach 2**63.
+With +-1 coefficients ``load`` is at most the encoder's nonzero count,
+below ``MAX_CELLS``, so inside ``require_prime``'s envelope the guard
+never fires. An encoder holds its nonzero cells, not its dense matrix,
+yet ``build_encoder`` still
 refuses, before allocating anything, a shape that ``build_air`` would
 refuse (rows*cols over ``MAX_CELLS``); that cap stays until caps on what
 the build allocates replace it. A stalled receiver's window rows, w x n
@@ -346,21 +358,24 @@ class _Cells(NamedTuple):
 
 
 def _pad(X: np.ndarray) -> np.ndarray:
-    """X with a zero column at the support tables' padding index appended."""
-    padded = np.zeros((X.shape[0], X.shape[1] + 1), dtype=np.int64)
-    padded[:, :-1] = X
+    """The trials x symbols batch X entry-major: one contiguous row per
+    message symbol, one column per trial, and a zero row appended at the
+    padding index of the decoder's tables."""
+    padded = np.empty((X.shape[1] + 1, X.shape[0]), dtype=np.int64)
+    padded[:-1] = X.T
+    padded[-1] = 0
     return padded
 
 
 def _gather_sum(padded: np.ndarray, support: np.ndarray) -> np.ndarray:
-    """``out[:, j]`` = the sum of ``padded[:, i]`` over the i in ``support[j]``.
+    """``out[j]`` = the sum of the rows ``padded[i]`` over the i in ``support[j]``.
 
-    Adding one slot of the table at a time keeps every temporary to the
-    size of ``out``.
+    Each slot of the table gathers whole rows, and adding one slot at a
+    time keeps every temporary to the size of ``out``.
     """
-    out = np.zeros((padded.shape[0], support.shape[0]), dtype=np.int64)
+    out = np.zeros((support.shape[0], padded.shape[1]), dtype=np.int64)
     for slot in support.T:
-        out += padded[:, slot]
+        out += np.take(padded, slot, axis=0)
     return out
 
 
@@ -427,6 +442,12 @@ class _BatchDecoder(NamedTuple):
     ``output_bounds[k] : output_bounds[k + 1]``: its b wanted symbols,
     then one parity check per parity column, ascending. An undecodable
     receiver owns none.
+
+    ``load`` is the largest, over all outputs, of the sum over its
+    entries e of |coef[e]| times the weight of column ``cols[e]`` (its
+    count of nonzero rows): 18 on (71,25,1), at most 28 on the
+    minimal-rate encoders with K <= 20, and K/2 on D = 1. It bounds what
+    an output sums before its one reduction; see ``require_exact``.
     """
 
     ranks: list[tuple[int, int] | None]
@@ -437,25 +458,46 @@ class _BatchDecoder(NamedTuple):
     targets: np.ndarray
     entry_bounds: np.ndarray
     output_bounds: np.ndarray
+    load: int
+
+    def require_exact(self, p: int) -> None:
+        """Raise ``OverflowError`` unless every output's sum is exact in int64 at p.
+
+        An entry's corrected symbol is either the codeword symbol reduced
+        into [0, p) less its column's known rows, each reduced into
+        [0, p) (``decode``), or the sum of its column's rows inside its
+        receiver's window, each in [0, p) (``simulate``). Either way its
+        magnitude is at most (p-1) times its column's weight, so every
+        product, and every partial sum of an output, is at most
+        (p-1)*``load`` in magnitude. ``decode`` and ``simulate`` call this
+        before they sum anything.
+        """
+        if (p - 1) * self.load >= 2**63:
+            raise OverflowError(
+                f"decoder outputs over GF({p}) sum up to (p-1)*{self.load} = "
+                f"{(p - 1) * self.load}, not below 2**63"
+            )
 
     def outputs(self, fixed: np.ndarray, p: int, k: int | None = None) -> np.ndarray:
-        """Receiver k's outputs over GF(p), or every receiver's, for each row of ``fixed``.
+        """Receiver k's outputs over GF(p), or every receiver's, for each column of ``fixed``.
 
-        ``fixed`` holds one value per entry of that range: the entry's
-        column of its receiver's corrected codeword, the codeword less the
-        side information's share. A genuine codeword gives the sent
-        symbols and zero parity. Both factors of each product are reduced
-        into [0, p) first, so every sum stays in ``require_prime``'s
-        envelope of K*b terms.
+        ``fixed`` is entry-major: one row per entry of that range, holding
+        the entry's column of its receiver's corrected codeword (the
+        codeword less the side information's share), and one column per
+        codeword of the batch. The result has one row per output. A
+        genuine codeword gives the sent symbols and zero parity. Each
+        output is one sum of the integer products ``fixed[e] * coef[e]``,
+        reduced once into [0, p); ``require_exact(p)`` states when that sum
+        is exact, which the caller checks first.
         """
-        lo, hi = (0, len(self.cols)) if k is None else self.entry_bounds[k : k + 2]
-        outs = slice(None) if k is None else slice(*self.output_bounds[k : k + 2])
-        out = fixed % p
-        out *= self.coef[lo:hi] % p
-        return np.add.reduceat(out, self.starts[outs] - lo, axis=1) % p
+        lo, hi = (0, self.cols.size) if k is None else self.entry_bounds[k : k + 2].tolist()
+        outs = slice(None) if k is None else slice(*self.output_bounds[k : k + 2].tolist())
+        out = np.add.reduceat(fixed * self.coef[lo:hi, None], self.starts[outs] - lo, axis=0)
+        out %= p
+        return out
 
 
-# bound on the cells of each trials x entries array in one decode step
+# bound on the cells of each entries x trials array in one decode step
 # of ``simulate``, so that its working set stays near the message batch's
 _DECODE_CELLS = 1 << 16
 
@@ -706,7 +748,8 @@ def _build_decoder(encoder: Encoder) -> _BatchDecoder:
     gets no ranks and no entries; ``Encoder._ranks`` eliminates its
     window's rows at each prime. Each entry's window rows are its
     column's rows inside its receiver's window, cut from the encoder's
-    cells. Nothing here reads p.
+    cells, and ``load`` comes from the coefficients and the column
+    weights. Nothing here reads p.
     """
     problem, b, m, n = encoder.problem, encoder.b, encoder.rows, encoder.cols
     K, w = problem.K, (problem.D + problem.U + 1) * b
@@ -733,15 +776,19 @@ def _build_decoder(encoder: Encoder) -> _BatchDecoder:
     # row-major, so each entry's rows fill the front of its row
     window_rows[np.arange(window_rows.shape[1]) < sizes[:, None]] = (entry_lo[q] + off) % m
     starts = _segment_starts(outs, recv.size)
+    coef = np.concatenate(coef)
+    weight = np.diff(np.append(encoder._cells.col_starts, encoder._cells.col_rows.size))
+    load = np.add.reduceat(np.abs(coef) * weight[cols], starts).max(initial=0)
     return _BatchDecoder(
         ranks=ranks,
         cols=cols,
         window_rows=window_rows,
-        coef=np.concatenate(coef),
+        coef=coef,
         starts=starts,
         targets=targets,
         entry_bounds=np.append(starts, cols.size)[output_bounds],
         output_bounds=output_bounds,
+        load=int(load),
     )
 
 
@@ -761,6 +808,35 @@ def decodable(encoder: Encoder, k: int) -> bool:
 def receiver_ranks(encoder: Encoder, k: int) -> tuple[int, int]:
     """(rank of interference rows, rank with wanted rows stacked on)."""
     return encoder._ranks[_receiver(encoder.problem, k)]
+
+
+def _known_symbols(side_info, messages: list[int], b: int) -> np.ndarray:
+    """The b symbols of each of ``messages`` from ``side_info``, in order,
+    concatenated and as int64.
+
+    One lookup per message and one conversion of the stacked values.
+    Values that do not stack into an integer len(messages) x b array (a
+    message missing, of the wrong length or not integer, or floats, which
+    could round a stacked int64 past 2**53) are read one message at a
+    time instead, so that an error names its message.
+    """
+    try:
+        known = np.asarray([side_info[j] for j in messages])
+    except (KeyError, TypeError, IndexError, ValueError):
+        known = None
+    if known is not None and known.dtype.kind in "bi" and known.shape == (len(messages), b):
+        return as_int_array(known).ravel()
+    known = []
+    for j in messages:
+        try:
+            v = side_info[j]
+        except (KeyError, TypeError, IndexError):
+            raise ValueError(f"side information for message {j} is missing") from None
+        v = as_int_array(v)
+        if v.shape != (b,):
+            raise ValueError(f"side information for message {j} must have length {b}")
+        known.append(v)
+    return np.array(known, dtype=np.int64).ravel()
 
 
 def decode(encoder: Encoder, k: int, codeword, side_info) -> np.ndarray:
@@ -785,26 +861,22 @@ def decode(encoder: Encoder, k: int, codeword, side_info) -> np.ndarray:
     c = as_int_array(codeword)
     if c.ndim != 1 or c.shape[0] != encoder.cols:
         raise ValueError(f"codeword must have length {encoder.cols}, got shape {c.shape}")
-    # the known messages are the cyclic run after the window's last, k+D
-    known = []
-    for j in ((k + i) % problem.K for i in range(problem.D + 1, problem.K - problem.U)):
-        try:
-            v = side_info[j]
-        except (KeyError, TypeError, IndexError):
-            raise ValueError(f"side information for message {j} is missing") from None
-        v = as_int_array(v)
-        if v.shape != (b,):
-            raise ValueError(f"side information for message {j} must have length {b}")
-        known.append(v)
-    x = np.zeros((1, encoder.rows), dtype=np.int64)
-    if known:  # their rows are one cyclic run too
-        first = (k + problem.D + 1) % problem.K * b
-        rows = np.arange(first, first + len(known) * b) % encoder.rows
-        x[0, rows] = np.concatenate(known) % p
+    # the known messages are the cyclic run of K-D-U-1 after the window's
+    # last, k+D, and so are their rows
+    K, first = problem.K, (k + problem.D + 1) % problem.K
+    last = first + K - problem.D - problem.U - 1
+    messages = [*range(first, min(last, K)), *range(last - K)]
+    known = _known_symbols(side_info, messages, b) % p
     dec = encoder._decoder
-    cols = dec.cols[slice(*dec.entry_bounds[k : k + 2])]
-    fixed = c[cols] % p - encoder._column_sums(x)[:, cols]
-    out = dec.outputs(fixed, p, k)[0]
+    dec.require_exact(p)
+    x = np.zeros((1, encoder.rows), dtype=np.int64)
+    head = min(known.size, encoder.rows - first * b)
+    x[0, first * b : first * b + head] = known[:head]
+    x[0, : known.size - head] = known[head:]
+    lo, hi = dec.entry_bounds[k : k + 2].tolist()
+    cols = dec.cols[lo:hi]
+    fixed = c[cols] % p - encoder._column_sums(x)[0, cols]
+    out = dec.outputs(fixed[:, None], p, k)[:, 0]
     if out[b:].any():
         raise ArithmeticError(
             "codeword is not a combination of the unknown rows; "
@@ -896,22 +968,23 @@ def simulate(
     ):
         raise ValueError("supplied encoder does not match the requested simulation")
     K, b = problem.K, enc.b
-    rng = np.random.default_rng(seed)
-    padded = _pad(rng.integers(0, enc.p, size=(trials, K * b), dtype=np.int64))
     dec = enc._decoder
     enc._ranks  # raises if a receiver whose peel stalls is decodable at p
+    dec.require_exact(enc.p)
+    rng = np.random.default_rng(seed)
+    X = rng.integers(0, enc.p, size=(trials, K * b), dtype=np.int64)
     # every decodable receiver owns at least its b outputs
     receivers = np.flatnonzero(np.diff(dec.output_bounds))
+    firsts = dec.output_bounds[receivers]
     failed = np.ones((trials, K), dtype=bool)
-    # a slice of the trials at a time, so no trials x entries array
+    # a slice of the trials at a time, so no entries x trials array
     # exceeds _DECODE_CELLS
     step = max(1, _DECODE_CELLS // max(1, dec.cols.size))
     for lo in range(0, trials, step):
-        rows = slice(lo, lo + step)
-        fixed = _gather_sum(padded[rows], dec.window_rows)
-        wrong = dec.outputs(fixed, enc.p) != padded[rows, dec.targets]
-        firsts = dec.output_bounds[receivers]
-        failed[rows, receivers] = np.logical_or.reduceat(wrong, firsts, axis=1)
+        chunk = _pad(X[lo : lo + step])
+        fixed = _gather_sum(chunk, dec.window_rows)
+        wrong = dec.outputs(fixed, enc.p) != np.take(chunk, dec.targets, axis=0)
+        failed[lo : lo + step, receivers] = np.logical_or.reduceat(wrong, firsts, axis=0).T
     # row-major order is (trial, receiver) order
     failures = tuple(zip(*(i.tolist() for i in np.nonzero(failed))))
     elapsed_ms = (time.perf_counter() - start) * 1000.0

@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import json
 import math
+import re
 import tracemalloc
 import warnings
 import weakref
@@ -34,7 +35,7 @@ from airindex.codec import (
     receiver_ranks,
     simulate,
 )
-from airindex.linalg import _stacked_ranks_mod_p, is_prime
+from airindex.linalg import _stacked_ranks_mod_p, as_int_array, is_prime
 from airindex.rates import (
     ProblemInstance,
     find_min_rate,
@@ -188,7 +189,10 @@ class TestBuildEncoder:
 
     @pytest.mark.parametrize("K,D,U,a,b", [(5, 1, 1, 1, 2), (17, 5, 1, 3, 8)])
     def test_int64_envelope_edge(self, K, D, U, a, b):
-        # every product the codec forms has at most K*b terms below p**2
+        # require_prime's envelope of K*b products below p**2 is unchanged
+        # at its edge, though each decoder output now sums at most
+        # (p-1)*load in magnitude and encode's column sums at most
+        # (p-1)*K*b, both far inside it
         p, q = _envelope_primes(K * b)
         problem = ProblemInstance(K, D, U)
         assert simulate(problem, solution_for_pair(problem, a, b), p, trials=20, seed=5).passed
@@ -385,6 +389,109 @@ class TestDecode:
             decode(enc, 0, np.eye(5, dtype=int)[3], side)
 
 
+class TestSideInformation:
+    # decode reads the known messages with one lookup each and one
+    # conversion of the stacked values; only values that do not stack into
+    # an integer array are read one message at a time, so every error names
+    # its message, the first in the run that fails, with the same text as
+    # a message-by-message read. Receiver 5 of (17,5,1) at (3, 8) knows
+    # messages 11..16 and 0..3, a run that wraps past message 16
+    K, b, k = 17, 8, 5
+
+    def _case(self):
+        enc = _encoder(self.K, 5, 1, 3, self.b, 3)
+        x = np.random.default_rng(17).integers(0, 3, size=enc.rows)
+        return enc, x.reshape(self.K, self.b), encode(enc, x)
+
+    def _raises(self, enc, c, side, text):
+        with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+            decode(enc, self.k, c, side)
+
+    def test_stacked_read(self, monkeypatch):
+        enc, rows, c = self._case()
+        want = rows[self.k]
+        looked, converted = [], []
+
+        class Side(dict):
+            def __getitem__(self, j):
+                looked.append(j)
+                return dict.__getitem__(self, j)
+
+        def spy(values):
+            converted.append(np.shape(values))
+            return as_int_array(values)
+
+        monkeypatch.setattr("airindex.codec.as_int_array", spy)
+        for side in (Side(enumerate(rows)), list(rows), rows):
+            assert np.array_equal(decode(enc, self.k, c, side), want)
+        assert looked == [11, 12, 13, 14, 15, 16, 0, 1, 2, 3]
+        # the codeword, then the stacked known messages, per decode
+        assert converted == [(enc.cols,), (10, self.b)] * 3
+
+    def test_missing_message(self):
+        enc, rows, c = self._case()
+        missing = "side information for message {} is missing"
+        side = dict(enumerate(rows))
+        # the run starts at message 11, so 13 fails before 0
+        for gone, j in (((0, 13), 13), ((3,), 3)):
+            kept = {i: v for i, v in side.items() if i not in gone}
+            self._raises(enc, c, kept, missing.format(j))
+        # a list or array of 14 messages misses 14, 15 and 16
+        self._raises(enc, c, list(rows[:14]), missing.format(14))
+        self._raises(enc, c, rows[:14], missing.format(14))
+        self._raises(enc, c, None, missing.format(11))
+
+    def test_wrong_length(self):
+        enc, rows, c = self._case()
+        length = f"side information for message {{}} must have length {self.b}"
+        side = dict(enumerate(rows))
+        self._raises(enc, c, {**side, 2: rows[2][:7]}, length.format(2))
+        long = np.append(rows[16], 0)
+        self._raises(enc, c, {**side, 16: long, 2: rows[2][:7]}, length.format(16))
+        self._raises(enc, c, {**side, 0: int(rows[0][0])}, length.format(0))
+        # every message one short stacks, but into the wrong shape
+        self._raises(enc, c, rows[:, :7], length.format(11))
+        self._raises(enc, c, [list(r[:7]) for r in rows], length.format(11))
+
+    def test_non_integer_value(self):
+        enc, rows, c = self._case()
+        side = dict(enumerate(rows))
+        floats = "expected integer entries that fit in int64, got other float64 values"
+        self._raises(enc, c, {**side, 1: rows[1] + 0.5}, floats)
+        self._raises(enc, c, rows + 0.5, floats)
+        # the first failing message in the run decides the error
+        self._raises(
+            enc, c, {**side, 12: rows[12][:7], 14: rows[14] + 0.5},
+            f"side information for message 12 must have length {self.b}",
+        )
+        self._raises(
+            enc, c, {**side, 13: list("abcdefgh")},
+            "expected integer entries that fit in int64, got other <U1 values",
+        )
+
+    def test_integral_floats_accepted(self):
+        enc, rows, c = self._case()
+        want = rows[self.k]
+        side = dict(enumerate(rows))
+        floats = [*rows[:16], [*map(float, rows[16])]]
+        for mixed in ({**side, 13: rows[13].astype(float)}, rows.astype(float), floats):
+            assert np.array_equal(decode(enc, self.k, c, mixed), want)
+        # an int64 past 2**53 beside a float array keeps every digit, where
+        # a stacked float array would round 3*2**58 + 1 or + 2 to 3*2**58
+        big = {**side, 15: rows[15] + 3 * 2**58, 16: rows[16].astype(float)}
+        assert np.array_equal(decode(enc, self.k, c, big), want)
+
+    def test_empty_known_set(self):
+        # (3,1,1) at (1, 1): every receiver's window holds all three
+        # messages, so the stack has no rows and any side information,
+        # even none, decodes
+        enc = _encoder(3, 1, 1, 1, 1, 5)
+        x = np.array([4, 0, 3])
+        c = encode(enc, x)
+        for side in ({}, [], np.zeros((0, 1), dtype=np.int64), None, {0: [9.5]}):
+            assert [decode(enc, k, c, side).tolist() for k in range(3)] == [[4], [0], [3]]
+
+
 class TestDecodeMaps:
     # (37,8,8) is the wide window; (5,3,1) has K = D+U+1, so every message
     # is unknown and each entry's window rows are its whole column; each
@@ -428,9 +535,10 @@ class TestDecodeMaps:
                 want = unknown[L[unknown, col] != 0]
                 assert sorted(slots[slots < enc.rows].tolist()) == sorted(want.tolist()), k
                 assert (slots[len(want) :] == enc.rows).all(), k
-            # column total minus window share is the known rows' share
+            # column total minus window share is the known rows' share;
+            # the window share is entry-major, one row per entry
             total = enc._column_sums(X)[:, cols]
-            share = (total - _gather_sum(_pad(X), window_rows)) % p
+            share = (total - _gather_sum(_pad(X), window_rows).T) % p
             dense = X[:, known_rows] @ L[known_rows] % p
             assert np.array_equal(share, dense[:, cols]), k
             if K == D + U + 1:
@@ -944,7 +1052,7 @@ class TestPeel:
     def test_minimal_rate_catalogue_peels(self):
         # every receiver of every minimal-rate encoder with K <= 20,
         # D <= 10 and D <= K-2: the peel is field-free, so one prime serves
-        receivers = 0
+        receivers = load = 0
         for K in range(3, 21):
             for D in range(1, min(10, K - 2) + 1):
                 for U in range(0, min(D, K - 1 - D) + 1):
@@ -953,7 +1061,10 @@ class TestPeel:
                     for k in range(K):
                         assert _peeled(enc, k) is not None, (K, D, U, k)
                     receivers += K
+                    load = max(load, enc._decoder.load)
         assert receivers == 9240
+        # each output's sum stays within 28*(p-1) in magnitude
+        assert load <= 28
 
 
 def _assert_same_encoder(shared, fresh, seed):
@@ -966,6 +1077,7 @@ def _assert_same_encoder(shared, fresh, seed):
     fields = ("cols", "window_rows", "coef", "starts", "targets", "entry_bounds", "output_bounds")
     for name in fields:
         assert np.array_equal(getattr(dec, name), getattr(want, name)), name
+    assert dec.load == want.load
     assert [receiver_ranks(shared, k) for k in range(K)] == [
         receiver_ranks(fresh, k) for k in range(K)
     ]
@@ -1067,21 +1179,24 @@ class TestBatchDecoder:
         reaches = 0
         for k in range(K):
             _, unknown = _unknown_rows(enc, k)
-            known = padded.copy()
+            known = X.copy()
             known[:, unknown] = 0
             lo, hi = dec.entry_bounds[k : k + 2]
             cols = dec.cols[lo:hi]
             # as simulate forms the corrected codeword, from the window rows
             # alone, and as decode does, the codeword less the known rows'
-            # encoding; the two agree mod p
+            # encoding; the two agree mod p. Both are entry-major: one row
+            # per entry, one column per trial
             fixes = [
                 _gather_sum(padded, dec.window_rows[lo:hi]),
-                C[:, cols] - enc._column_sums(known)[:, cols],
+                (C[:, cols] - enc._column_sums(known)[:, cols]).T,
             ]
             assert not ((fixes[0] - fixes[1]) % p).any(), k
             for fixed in fixes:
+                # the magnitude that require_exact's bound assumes
+                assert (np.abs(fixed) <= (p - 1) * L.sum(axis=0)[cols, None]).all(), k
                 out = dec.outputs(fixed, p, k)
-                got, inconsistent = out[:, :b], out[:, b:].any(axis=1)
+                got, inconsistent = out[:b].T, out[b:].any(axis=0)
                 assert not inconsistent.any(), k
                 assert np.array_equal(got, X[:, k * b : (k + 1) * b]), k
             free = sorted(set(range(enc.cols)) - set(rref_mod_p(L[unknown], p)[1]))
@@ -1092,8 +1207,8 @@ class TestBatchDecoder:
             for f in free:
                 for step in {1, p - 1}:
                     for fixed in fixes:
-                        bad = fixed + step * (cols == f)
-                        assert dec.outputs(bad, p, k)[:, b:].any(axis=1).all(), (k, f, step)
+                        bad = fixed + step * (cols == f)[:, None]
+                        assert dec.outputs(bad, p, k)[b:].any(axis=0).all(), (k, f, step)
                     bad = C[0].copy()
                     bad[f] = (bad[f] + step) % p
                     with pytest.raises(ArithmeticError, match="not produced by this encoder"):
@@ -1107,9 +1222,10 @@ class TestBatchDecoder:
         outputs = _BatchDecoder.outputs
 
         def first_row_inconsistent(dec, fixed, p, k=None):
+            # entry-major: trial 0 is column 0 of the first chunk
             out = outputs(dec, fixed, p, k)
-            if fixed.shape[0]:
-                out[0, dec.targets == 5] = 1  # the padding index of a 5-row encoder
+            if fixed.shape[1]:
+                out[dec.targets == 5, 0] = 1  # the padding index of a 5-row encoder
             return out
 
         monkeypatch.setattr(_BatchDecoder, "outputs", first_row_inconsistent)
@@ -1118,6 +1234,63 @@ class TestBatchDecoder:
         assert (sol.a_min, sol.b_min) == (2, 1)
         report = simulate(problem, sol, 3, trials=3, seed=2)
         assert report.failures == tuple((0, k) for k in range(5))
+
+
+class TestLoadGuard:
+    # each output is one sum of integer products, reduced once mod p; the
+    # decoder's load bounds that sum by (p-1)*load, and decode and simulate
+    # refuse a prime at which it could reach 2**63 before they sum anything
+    @pytest.mark.parametrize("p", [3, 65521])
+    def test_refused_at_the_edge_before_any_sum(self, p, monkeypatch):
+        edge = -(-(2**63) // (p - 1))  # the least load with (p-1)*load >= 2**63
+        assert (p - 1) * (edge - 1) < 2**63 <= (p - 1) * edge
+        base = _encoder(17, 5, 1, 3, 8, p)
+        x = np.random.default_rng(p).integers(0, p, size=base.rows)
+        c = encode(base, x)
+        side = {j: x[j * 8 : (j + 1) * 8] for j in range(17)}
+        sums = []
+
+        def spy(name, real):
+            def wrapped(*args, **kwargs):
+                sums.append(name)
+                return real(*args, **kwargs)
+
+            return wrapped
+
+        monkeypatch.setattr(Encoder, "_column_sums", spy("column", Encoder._column_sums))
+        monkeypatch.setattr("airindex.codec._gather_sum", spy("window", _gather_sum))
+        monkeypatch.setattr(_BatchDecoder, "outputs", spy("outputs", _BatchDecoder.outputs))
+        for load in (edge - 1, edge):
+            enc = Encoder(base.problem, base.solution, p)
+            vars(enc)["_decoder"] = base._decoder._replace(load=load)
+            sums.clear()
+            if load < edge:
+                assert np.array_equal(decode(enc, 4, c, side), x[32:40])
+                assert simulate(enc.problem, enc.solution, p, trials=3, seed=1, encoder=enc).passed
+                assert sums == ["column", "outputs", "window", "outputs"]
+                continue
+            with pytest.raises(OverflowError, match=rf"over GF\({p}\) .* not below 2\*\*63"):
+                decode(enc, 4, c, side)
+            with pytest.raises(OverflowError, match=r"not below 2\*\*63"):
+                simulate(enc.problem, enc.solution, p, trials=3, seed=1, encoder=enc)
+            assert sums == []
+
+    def test_load_is_the_largest_weighted_output(self):
+        # the sum over an output's entries of |coef| times its column's
+        # weight, read from the dense matrix, at its largest over outputs
+        cases = [(5, 1, 1, 1, 2), (17, 5, 1, 3, 8), (37, 8, 8, 1, 4), (12, 1, 1, 0, 1)]
+        for K, D, U, a, b in cases:
+            enc = _encoder(K, D, U, a, b, 2)
+            weight = enc.matrix.entries.sum(axis=0)
+            load = 0
+            for k in range(K):
+                cols, _, coef, outs, _ = _receiver_slice(enc, k)
+                load = max(load, np.bincount(outs, np.abs(coef) * weight[cols]).max())
+            assert enc._decoder.load == load and type(enc._decoder.load) is int, (K, D, U)
+
+    def test_north_star_load(self):
+        # 18 on (71,25,1): any prime require_prime admits is far inside it
+        assert _encoder(71, 25, 1, 1, 30, 2)._decoder.load == 18
 
 
 class TestDecodeGuards:
