@@ -47,7 +47,7 @@ def _prime_list(spec: str | None, default: str) -> tuple[int, ...]:
     """
     raw = default if spec is None else spec
     try:
-        # both verify commands compute ranks, so the rank's prime range applies
+        # ranks and the codec share one prime range, checked here once
         primes = tuple(require_prime(int(tok)) for tok in raw.split(","))
     except ValueError as exc:
         _fail_usage(f"bad primes list {raw!r}: {exc}")
@@ -150,9 +150,10 @@ def verify_code(k: int, d: int, u: int, primes: str | None, as_json: bool) -> No
     sol = find_min_rate(problem)
     try:
         enc = build_encoder(problem, sol, plist[0])
-        encoders = [enc.over(p) for p in plist]
     except ValueError as exc:
         _fail_usage(str(exc))
+    # each prime passed require_prime, the gate `over` applies, in _prime_list
+    encoders = [enc.over(p) for p in plist]
     results = {e.p: [recv for recv in range(problem.K) if not decodable(e, recv)] for e in encoders}
     all_ok = not any(results.values())
     if as_json:
@@ -195,8 +196,8 @@ def simulate_cmd(k: int, d: int, u: int, p: int, trials: int, seed: int) -> None
     try:
         report = simulate(problem, sol, p, trials=trials, seed=seed)
     except ValueError as exc:
-        # negative trials, p not a prime in the codec's range, or an
-        # encoder or message batch over the codec's limits
+        # negative trials, p not a prime in the one range of every GF(p)
+        # entry point, or an encoder or message batch over the codec's limits
         _fail_usage(str(exc))
     click.echo(report.to_json_str())
     sys.exit(0 if report.passed else 1)

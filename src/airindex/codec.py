@@ -75,37 +75,42 @@ the entry's integer coefficient, and sum every segment with one
 ``np.add.reduceat``, reducing each output once mod p. The batch is
 entry-major: one row per entry, one column per codeword. ``encode`` and
 ``decode`` sum codeword columns one way, with one ``np.add.reduceat``
-over the nonzero rows in column order: ``encode`` over the whole
-message, ``decode`` over a message that holds only its receiver's known
-messages, its unknown ones zero, whose encoding it subtracts from the
-codeword. ``simulate`` checks each receiver's decoder on its window's
-rows instead: each entry's corrected symbol is the sum of its column's
-rows inside its receiver's window, each row gathered whole across the
-trials, so it forms no codeword, and ``encode``/``decode`` cover the
-broadcast. It runs every receiver at once, where ``decode`` runs one
-receiver's range.
+over the nonzero rows in column order: ``encode`` every column of the
+whole message, ``decode`` only its receiver's columns of a message that
+holds only its receiver's known messages, its unknown ones zero, which
+it subtracts from the codeword. ``simulate`` checks each receiver's
+decoder on its window's rows instead: each entry's corrected symbol is
+the sum of its column's rows inside its receiver's window, each row
+gathered whole across the trials, so it forms no codeword, and
+``encode``/``decode`` cover the broadcast. It runs every receiver at
+once, where ``decode`` runs one receiver's range.
 
 Message vectors, codewords and side information must hold integers
 (:func:`airindex.linalg.as_int_array`); receiver indices go through
 ``operator.index``. Neither is ever truncated.
 
 Supported sizes. All arithmetic is exact in int64. ``build_encoder``
-and ``Encoder.over`` pass p to :func:`airindex.linalg.require_prime`
-with K*b terms, the envelope of K*b products of two factors in [0, p);
-that envelope is unchanged, though nothing the codec sums now reaches
-it. A column sum of ``encode`` adds at most K*b symbols below p. A
+and ``Encoder.over`` take every prime that
+:func:`airindex.linalg.require_prime` accepts, the one range of every
+GF(p) entry point: (p-1)**2 < 2**63, so p-1 < 2**31.5. The codec adds
+one bound of its own, on the decoder, checked once when it is built. A
 decoder output is one sum of corrected symbols times integer
-coefficients: a corrected symbol is at most p-1 times its column's
-weight in magnitude, so an output is at most (p-1)*``load`` (see
-``_BatchDecoder``), and ``decode`` and ``simulate`` raise
-``OverflowError`` before summing at any p where that could reach 2**63.
-With +-1 coefficients ``load`` is at most the encoder's nonzero count,
-below ``MAX_CELLS``, so inside ``require_prime``'s envelope the guard
-never fires. An encoder holds its nonzero cells, not its dense matrix,
-yet ``build_encoder`` still
-refuses, before allocating anything, a shape that ``build_air`` would
-refuse (rows*cols over ``MAX_CELLS``); that cap stays until caps on what
-the build allocates replace it. A stalled receiver's window rows, w x n
+coefficients. A corrected symbol is at most p-1 times its column's
+weight in magnitude, so every product and partial sum of an output is
+at most (p-1)*``load``, where ``load`` is the largest sum, over an
+output's entries, of |coefficient| times column weight (see
+``_build_decoder``). The build raises ``OverflowError`` when ``load``
+exceeds 2**31, so the first ``decodable``, ``receiver_ranks``,
+``decode`` or ``simulate`` on such an encoder raises before anything is
+summed, and within it no output exceeds (p-1)*2**31 < 2**62.5 at any
+accepted prime. No AIR encoder comes near the bound: ``load`` is 18 on
+(71,25,1), at most 28 on the minimal-rate encoders with K <= 20, and
+K/2 on D = 1. A column sum of ``encode`` adds at most rows symbols below
+p, and rows <= ``MAX_CELLS`` = 2**26, so it stays below 2**58. An
+encoder holds its nonzero cells, not its dense matrix, yet
+``build_encoder`` still refuses, before allocating anything, a shape
+that ``build_air`` would refuse (rows*cols over ``MAX_CELLS``); that cap
+stays until caps on what the build allocates replace it. A stalled receiver's window rows, w x n
 dense, are refused past the same cap, and ``simulate`` refuses a run
 whose message batch (trials*K*b symbols) exceeds it. The batch decoder
 holds entries x window rows cells: one row per entry, as wide as the
@@ -238,14 +243,16 @@ class Encoder:
         np.cumsum(np.concatenate([counts, counts]), out=row_ptr[1:])
         keys = cols * (2 * m) + rows
         keys.sort(kind="stable")
+        # each column's (start, end) in the column-ordered rows
+        bounds = keys.searchsorted(np.arange(n + 1) * (2 * m)).repeat(2)[1:-1]
         return _Cells(
             row_ptr=row_ptr,
             row_cols=np.concatenate([cols, cols]),
             cell_rows=np.concatenate([rows, rows]),
             row_col_sums=np.add.reduceat(cols, row_ptr[:m]),
             col_keys=np.sort(np.concatenate([keys, keys + m]), kind="stable"),
-            col_rows=keys % (2 * m),
-            col_starts=keys.searchsorted(np.arange(n) * (2 * m)),
+            col_rows=np.concatenate([keys, [0]]) % (2 * m),
+            col_bounds=bounds.reshape(n, 2),
         )
 
     @cached_property
@@ -295,21 +302,25 @@ class Encoder:
         Peels this encoder first if it has not been peeled yet. Only the
         ranks of receivers whose peel stalls are computed again, at p.
         """
-        enc = Encoder(self.problem, self.solution, require_prime(p, terms=self.rows))
+        enc = Encoder(self.problem, self.solution, require_prime(p))
         # a cached_property reads the instance's dict first
         vars(enc).update(_cells=self._cells, _decoder=self._decoder)
         return enc
 
-    def _column_sums(self, X: np.ndarray) -> np.ndarray:
-        """``out[:, c]`` = the sum of ``X[:, r]`` over column c's nonzero rows r.
+    def _column_sums(self, X: np.ndarray, cols=slice(None)) -> np.ndarray:
+        """``out[:, j]`` = the sum of ``X[:, r]`` over the nonzero rows r of
+        column ``cols[j]``, of every column by default.
 
         X is a 2-D batch with at least the encoder's rows as columns. One
         gather of the nonzero rows in column order and one
-        ``np.add.reduceat`` over the columns' runs, which are nonempty
-        as every AIR column holds a one.
+        ``np.add.reduceat`` at each asked column's start and end, whose
+        even segments are the columns' runs, nonempty as every AIR column
+        holds a one; the odd ones, between runs, are dropped. So ``decode``
+        sums only its receiver's columns.
         """
         cells = self._cells
-        return np.add.reduceat(X[:, cells.col_rows], cells.col_starts, axis=1)
+        sums = np.add.reduceat(X[:, cells.col_rows], cells.col_bounds[cols].ravel(), axis=1)
+        return sums[:, ::2]
 
     def _broadcast(self, X: np.ndarray) -> np.ndarray:
         """``X @ L % p`` for a 2-D batch X of message vectors with entries < p.
@@ -319,9 +330,7 @@ class Encoder:
         symbols per column reads X once, where the dense product streams
         all of L once per message vector.
         """
-        out = self._column_sums(X)
-        out %= self.p
-        return out
+        return self._column_sums(X) % self.p
 
 
 class _Cells(NamedTuple):
@@ -334,8 +343,11 @@ class _Cells(NamedTuple):
     in ``row_cols`` and their row mod m in ``cell_rows``. ``col_keys``
     holds c * 2m + r for every doubled cell (r, c), sorted, so a
     column's rows inside a run are one range of it. ``col_rows`` lists
-    the rows of the (undoubled) cells column by column, column c's from
-    ``col_starts[c]`` on; every AIR column holds a one.
+    the rows of the (undoubled) cells column by column, then row 0 as
+    padding, so that every column's end, the last one's too, indexes it
+    (see ``Encoder._column_sums``); column c's rows are
+    ``col_rows[start:end]`` for (start, end) = ``col_bounds[c]``, and
+    every AIR column holds a one.
     ``row_col_sums[r]`` is the sum of row r's columns, for r < m, which
     the peel's second pass starts from.
     """
@@ -346,13 +358,13 @@ class _Cells(NamedTuple):
     row_col_sums: np.ndarray
     col_keys: np.ndarray
     col_rows: np.ndarray
-    col_starts: np.ndarray
+    col_bounds: np.ndarray
 
     def dense(self, rows) -> np.ndarray:
         """The given rows (each < m) as a dense len(rows) x n int64 0/1 array."""
         rows = np.asarray(rows, dtype=np.int64)
         q, idx = _ranges(self.row_ptr[rows], self.row_ptr[rows + 1])
-        out = np.zeros((rows.size, self.col_starts.size), dtype=np.int64)
+        out = np.zeros((rows.size, self.col_bounds.shape[0]), dtype=np.int64)
         out[q, self.row_cols[idx]] = 1
         return out
 
@@ -410,7 +422,7 @@ def build_encoder(
             f"its {rows}x{cols} encoder would be wider than tall"
         )
     _require_shape(rows, cols)
-    return Encoder(problem=problem, solution=solution, p=require_prime(p, terms=rows))
+    return Encoder(problem=problem, solution=solution, p=require_prime(p))
 
 
 def encode(encoder: Encoder, x) -> np.ndarray:
@@ -441,13 +453,8 @@ class _BatchDecoder(NamedTuple):
     ``entry_bounds[k] : entry_bounds[k + 1]`` and outputs
     ``output_bounds[k] : output_bounds[k + 1]``: its b wanted symbols,
     then one parity check per parity column, ascending. An undecodable
-    receiver owns none.
-
-    ``load`` is the largest, over all outputs, of the sum over its
-    entries e of |coef[e]| times the weight of column ``cols[e]`` (its
-    count of nonzero rows): 18 on (71,25,1), at most 28 on the
-    minimal-rate encoders with K <= 20, and K/2 on D = 1. It bounds what
-    an output sums before its one reduction; see ``require_exact``.
+    receiver owns none. The build bounds every output's sum, at every
+    prime ``require_prime`` accepts, inside int64; see ``_build_decoder``.
     """
 
     ranks: list[tuple[int, int] | None]
@@ -458,25 +465,6 @@ class _BatchDecoder(NamedTuple):
     targets: np.ndarray
     entry_bounds: np.ndarray
     output_bounds: np.ndarray
-    load: int
-
-    def require_exact(self, p: int) -> None:
-        """Raise ``OverflowError`` unless every output's sum is exact in int64 at p.
-
-        An entry's corrected symbol is either the codeword symbol reduced
-        into [0, p) less its column's known rows, each reduced into
-        [0, p) (``decode``), or the sum of its column's rows inside its
-        receiver's window, each in [0, p) (``simulate``). Either way its
-        magnitude is at most (p-1) times its column's weight, so every
-        product, and every partial sum of an output, is at most
-        (p-1)*``load`` in magnitude. ``decode`` and ``simulate`` call this
-        before they sum anything.
-        """
-        if (p - 1) * self.load >= 2**63:
-            raise OverflowError(
-                f"decoder outputs over GF({p}) sum up to (p-1)*{self.load} = "
-                f"{(p - 1) * self.load}, not below 2**63"
-            )
 
     def outputs(self, fixed: np.ndarray, p: int, k: int | None = None) -> np.ndarray:
         """Receiver k's outputs over GF(p), or every receiver's, for each column of ``fixed``.
@@ -487,8 +475,12 @@ class _BatchDecoder(NamedTuple):
         codeword of the batch. The result has one row per output. A
         genuine codeword gives the sent symbols and zero parity. Each
         output is one sum of the integer products ``fixed[e] * coef[e]``,
-        reduced once into [0, p); ``require_exact(p)`` states when that sum
-        is exact, which the caller checks first.
+        reduced once into [0, p). An entry's corrected symbol is either the
+        codeword symbol reduced into [0, p) less its column's known rows,
+        each in [0, p) (``decode``), or the sum of its column's rows inside
+        its receiver's window, each in [0, p) (``simulate``), so it is at
+        most p-1 times its column's weight in magnitude, and the sum is
+        exact by the build's bound on ``load``.
         """
         lo, hi = (0, self.cols.size) if k is None else self.entry_bounds[k : k + 2].tolist()
         outs = slice(None) if k is None else slice(*self.output_bounds[k : k + 2].tolist())
@@ -505,6 +497,10 @@ _DECODE_CELLS = 1 << 16
 # rows array of the decoder build, which holds up to about twenty of them
 # at once
 _PEEL_CELLS = 1 << 14
+
+# bound on every merged coefficient of ``_peel`` and on a decoder's load;
+# below it every sum either makes stays inside int64 (see ``_build_decoder``)
+_MAX_TERM = 2**31
 
 
 def _segment_starts(outs: np.ndarray, n: int) -> np.ndarray:
@@ -636,8 +632,10 @@ def _peel(encoder: Encoder, lo: np.ndarray) -> tuple[np.ndarray, ...]:
     expanded through the winners round by round, with the repeats of a
     winner in an output merged. No step reads p: coefficients are summed
     over the integers, and a term is dropped only when its sum is 0. Each
-    has been +1 or -1 on every AIR encoder tried; a term past 2**31 raises
-    ``OverflowError`` before any sum can leave int64.
+    has been +1 or -1 on every AIR encoder tried. A merged term past
+    ``_MAX_TERM`` raises ``OverflowError`` before a later merge could
+    leave int64; the final coefficients are bounded by ``_build_decoder``,
+    through the decoder's load, not here.
     """
     cells, b, m, n = encoder._cells, encoder.b, encoder.rows, encoder.cols
     w = (encoder.problem.D + encoder.problem.U + 1) * b
@@ -728,8 +726,8 @@ def _peel(encoder: Encoder, lo: np.ndarray) -> tuple[np.ndarray, ...]:
         # grow with the winners reached, not with the paths to them
         keys, sign = _sum_cells(o[q][other] * win_c.size + held[other], -sign[q][other])
         # a merge adds at most w terms and the outputs at most one per
-        # round, so terms below 2**31 keep every sum inside int64
-        if np.abs(sign).max(initial=0) > 2**31:
+        # round, so terms within _MAX_TERM keep every sum inside int64
+        if np.abs(sign).max(initial=0) > _MAX_TERM:
             raise OverflowError(f"a decoder coefficient of {encoder.problem} exceeds 2**31")
         o, u = keys // win_c.size, keys % win_c.size
     o, c, v = (np.concatenate(part) for part in zip(*terms))
@@ -748,8 +746,19 @@ def _build_decoder(encoder: Encoder) -> _BatchDecoder:
     gets no ranks and no entries; ``Encoder._ranks`` eliminates its
     window's rows at each prime. Each entry's window rows are its
     column's rows inside its receiver's window, cut from the encoder's
-    cells, and ``load`` comes from the coefficients and the column
-    weights. Nothing here reads p.
+    cells. Nothing here reads p.
+
+    The decoder's ``load`` is the largest, over its outputs, of the sum
+    over the output's entries e of |coef[e]| times the weight of column
+    ``cols[e]`` (its count of nonzero rows). An output sums corrected
+    symbols of at most p-1 times their column's weight in magnitude, so
+    each of its products and partial sums is at most (p-1)*load. Every
+    prime ``require_prime`` accepts has p-1 < 2**31.5, so a load within
+    ``_MAX_TERM`` = 2**31 keeps every output's sum below 2**63 at every
+    such prime, and since the load is at least every |coef|, it bounds
+    the final coefficients too. A larger load raises ``OverflowError``
+    here, before any window rows are cut and before any caller sums
+    anything; no AIR encoder comes near it.
     """
     problem, b, m, n = encoder.problem, encoder.b, encoder.rows, encoder.cols
     K, w = problem.K, (problem.D + problem.U + 1) * b
@@ -768,17 +777,22 @@ def _build_decoder(encoder: Encoder) -> _BatchDecoder:
     recv = np.repeat(np.arange(K), outputs)
     slot = np.arange(recv.size) - output_bounds[recv]
     targets = np.where(slot < b, recv * b + slot, m)
-    cols = np.concatenate(cols)
+    cols, coef = np.concatenate(cols), np.concatenate(coef)
+    starts = _segment_starts(outs, recv.size)
+    bounds = encoder._cells.col_bounds
+    weight = bounds[:, 1] - bounds[:, 0]
+    load = np.add.reduceat(np.abs(coef) * weight[cols], starts).max(initial=0)
+    if load > _MAX_TERM:
+        raise OverflowError(
+            f"the decoder of {problem} at (a={encoder.a}, b={b}) has load {load}, "
+            f"over {_MAX_TERM}: its output sums could leave int64"
+        )
     entry_lo = lo[recv[outs]]
     q, off = _cut(encoder._cells, cols, entry_lo, w)
     sizes = np.bincount(q, minlength=cols.size)
     window_rows = np.full((cols.size, sizes.max(initial=0)), m, dtype=np.int64)
     # row-major, so each entry's rows fill the front of its row
     window_rows[np.arange(window_rows.shape[1]) < sizes[:, None]] = (entry_lo[q] + off) % m
-    starts = _segment_starts(outs, recv.size)
-    coef = np.concatenate(coef)
-    weight = np.diff(np.append(encoder._cells.col_starts, encoder._cells.col_rows.size))
-    load = np.add.reduceat(np.abs(coef) * weight[cols], starts).max(initial=0)
     return _BatchDecoder(
         ranks=ranks,
         cols=cols,
@@ -788,7 +802,6 @@ def _build_decoder(encoder: Encoder) -> _BatchDecoder:
         targets=targets,
         entry_bounds=np.append(starts, cols.size)[output_bounds],
         output_bounds=output_bounds,
-        load=int(load),
     )
 
 
@@ -846,13 +859,14 @@ def decode(encoder: Encoder, k: int, codeword, side_info) -> np.ndarray:
     receiver knows (anything outside the interference window and k
     itself); extra entries are ignored. Runs the receiver's range of the
     encoder's batch decoder on a batch of one: the side information goes
-    into a message row whose unknown messages stay zero, so the codeword
-    less that row's encoding, by the column sums that ``encode`` uses, is
-    the corrected codeword. The first call on an encoder, like the first
-    ``decodable``, peels every receiver and builds the decoders of all of
-    them. Raises if the receiver is not decodable or
-    the codeword fails the receiver's parity check, as no genuine
-    codeword can.
+    into a message row whose unknown messages stay zero, and the codeword
+    less that row's encoding at the receiver's columns, by the column sums
+    that ``encode`` uses, is its corrected codeword. The first call on an
+    encoder, like the first ``decodable``, peels every receiver and builds
+    the decoders of all of them, and raises ``OverflowError`` if the
+    decoder's load is past the build's bound, before anything is summed.
+    Raises if the receiver is not decodable or the codeword fails the
+    receiver's parity check, as no genuine codeword can.
     """
     problem, p, b = encoder.problem, encoder.p, encoder.b
     k = _receiver(problem, k)
@@ -868,14 +882,13 @@ def decode(encoder: Encoder, k: int, codeword, side_info) -> np.ndarray:
     messages = [*range(first, min(last, K)), *range(last - K)]
     known = _known_symbols(side_info, messages, b) % p
     dec = encoder._decoder
-    dec.require_exact(p)
     x = np.zeros((1, encoder.rows), dtype=np.int64)
     head = min(known.size, encoder.rows - first * b)
     x[0, first * b : first * b + head] = known[:head]
     x[0, : known.size - head] = known[head:]
     lo, hi = dec.entry_bounds[k : k + 2].tolist()
     cols = dec.cols[lo:hi]
-    fixed = c[cols] % p - encoder._column_sums(x)[0, cols]
+    fixed = c[cols] % p - encoder._column_sums(x, cols)[0]
     out = dec.outputs(fixed[:, None], p, k)[:, 0]
     if out[b:].any():
         raise ArithmeticError(
@@ -947,7 +960,9 @@ def simulate(
     side information's share, is the sum of its column's rows inside its
     receiver's window, so no codeword is formed; ``encode`` and
     ``decode`` cover the broadcast. Raises ``ValueError`` before
-    allocating a message batch of more than ``MAX_CELLS`` cells.
+    allocating a message batch of more than ``MAX_CELLS`` cells, and
+    ``OverflowError``, from the decoder's build, before drawing one for an
+    encoder whose decoder's load is past the build's bound.
     """
     trials, seed = operator.index(trials), operator.index(seed)
     if trials < 0:
@@ -970,7 +985,6 @@ def simulate(
     K, b = problem.K, enc.b
     dec = enc._decoder
     enc._ranks  # raises if a receiver whose peel stalls is decodable at p
-    dec.require_exact(enc.p)
     rng = np.random.default_rng(seed)
     X = rng.integers(0, enc.p, size=(trials, K * b), dtype=np.int64)
     # every decodable receiver owns at least its b outputs

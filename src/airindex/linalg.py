@@ -55,21 +55,22 @@ def is_prime(p: int) -> bool:
     return True
 
 
-def require_prime(p, terms: int = 1) -> int:
+def require_prime(p) -> int:
     """The modulus as a plain int, refused unless a prime in range.
 
-    Every GF(p) entry point funnels through this. ``terms`` is the number
-    of residue products the caller's arithmetic sums: 1 for ranks, K*b
-    for the codec. p is supported while ``terms*(p-1)**2 < 2**63``, so
-    each such sum is exact in int64 (the echelon works on Python ints
-    above GF(3), so for ranks the bound is a chosen envelope). Checks run
-    cheapest first: a non-integer raises ``TypeError`` rather than being
-    truncated, and the range is checked before trial-division primality.
+    Every GF(p) entry point, ranks and the codec alike, funnels through
+    this and shares its one range: p is supported while
+    ``(p-1)**2 < 2**63``, so 3037000493 is the largest prime accepted.
+    The elimination works on Python ints above GF(3), so for ranks the
+    bound is a chosen envelope; the codec's int64 sums are exact at every
+    such prime (see :mod:`airindex.codec`). Checks run cheapest first: a
+    non-integer raises ``TypeError`` rather than being truncated, and the
+    range is checked before trial-division primality.
     """
     p = operator.index(p)
-    if p > 1 and terms * (p - 1) ** 2 >= 2**63:
+    if p > 1 and (p - 1) ** 2 >= 2**63:
         raise ValueError(
-            f"p={p} is too large: {terms}*(p-1)**2 must stay below 2**63 "
+            f"p={p} is too large: (p-1)**2 must stay below 2**63 "
             "for exact int64 arithmetic"
         )
     if not is_prime(p):

@@ -202,9 +202,14 @@ class TestVerifyCode:
         assert calls == [2]
 
     def test_prime_over_int64_envelope_exits_2(self, runner):
-        result = invoke(runner, "verify-code", "17", "5", "1", "--p", "2,2147483647")
+        # the codec has the one prime range of the ranks, whatever K*b:
+        # 3037000493 passes, and the next prime exits 2
+        result = invoke(runner, "verify-code", "17", "5", "1", "--p", "2,3037000493")
+        assert result.exit_code == 0
+        assert "p=3037000493: 17/17 receivers decodable" in result.output
+        result = invoke(runner, "verify-code", "17", "5", "1", "--p", "2,3037000507")
         assert result.exit_code == 2
-        assert "too large" in result.output
+        assert "p=3037000507 is too large: (p-1)**2 must stay below 2**63" in result.output
 
 
 class TestSimulate:
@@ -230,11 +235,19 @@ class TestSimulate:
         assert result.exit_code == 2
         assert "trials must be nonnegative" in result.output
 
-    @pytest.mark.parametrize("p", ["2147483647", "4294967311"])
+    @pytest.mark.parametrize("p", ["3037000507", "4294967311"])
     def test_prime_over_int64_envelope_exits_2(self, runner, p):
         result = invoke(runner, "simulate", "17", "5", "1", "--p", p, "--trials", "20")
         assert result.exit_code == 2
-        assert "too large" in result.output
+        assert f"p={p} is too large: (p-1)**2 must stay below 2**63" in result.output
+
+    @pytest.mark.parametrize("k,d,u", [("17", "5", "1"), ("71", "25", "1")])
+    def test_largest_prime_passes(self, runner, k, d, u):
+        # 3037000493, the largest prime with (p-1)**2 < 2**63, for every K*b
+        result = invoke(runner, "simulate", k, d, u, "--p", "3037000493", "--trials", "5")
+        assert result.exit_code == 0
+        payload = json.loads(result.output)
+        assert payload["p"] == 3037000493 and payload["failures"] == []
 
     def test_oversized_encoder_exits_2(self, runner):
         # a 436897x216935 encoder; refused before anything is allocated

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import gc
 import json
-import math
 import re
 import tracemalloc
 import warnings
@@ -35,7 +34,7 @@ from airindex.codec import (
     receiver_ranks,
     simulate,
 )
-from airindex.linalg import _stacked_ranks_mod_p, as_int_array, is_prime
+from airindex.linalg import _stacked_ranks_mod_p, as_int_array
 from airindex.rates import (
     ProblemInstance,
     find_min_rate,
@@ -77,15 +76,11 @@ def _dense_decoder(enc, k):
     return dense
 
 
-def _envelope_primes(kb):
-    """(largest prime p with kb*(p-1)**2 < 2**63, the next prime)."""
-    p = math.isqrt((2**63 - 1) // kb) + 1
-    while not (is_prime(p) and kb * (p - 1) ** 2 < 2**63):
-        p -= 1
-    q = p + 1
-    while not is_prime(q):
-        q += 1
-    return p, q
+# the largest prime with (p-1)**2 < 2**63, which every GF(p) entry point
+# accepts, and the next prime, which every one refuses
+LARGEST_PRIME = 3037000493
+FIRST_REFUSED_PRIME = 3037000507
+TOO_LARGE = r"p=3037000507 is too large: \(p-1\)\*\*2 must stay below 2\*\*63"
 
 
 class TestInterferenceSet:
@@ -189,21 +184,37 @@ class TestBuildEncoder:
 
     @pytest.mark.parametrize("K,D,U,a,b", [(5, 1, 1, 1, 2), (17, 5, 1, 3, 8)])
     def test_int64_envelope_edge(self, K, D, U, a, b):
-        # require_prime's envelope of K*b products below p**2 is unchanged
-        # at its edge, though each decoder output now sums at most
-        # (p-1)*load in magnitude and encode's column sums at most
-        # (p-1)*K*b, both far inside it
-        p, q = _envelope_primes(K * b)
+        # the codec has the one prime range of every GF(p) entry point,
+        # whatever K*b: its largest prime builds and simulates, and the
+        # next prime is refused, by simulate too, with the range's message
         problem = ProblemInstance(K, D, U)
-        assert simulate(problem, solution_for_pair(problem, a, b), p, trials=20, seed=5).passed
-        enc = _encoder(K, D, U, a, b, p)
-        x = np.random.default_rng(p).integers(0, p, size=enc.rows)
-        c = encode(enc, x)
-        side = {j: x[j * b : (j + 1) * b] for j in range(K)}
-        for k in range(K):
-            assert np.array_equal(decode(enc, k, c, side), x[k * b : (k + 1) * b])
-        with pytest.raises(ValueError, match="2\\*\\*63"):
-            _encoder(K, D, U, a, b, q)
+        sol = solution_for_pair(problem, a, b)
+        assert _encoder(K, D, U, a, b, LARGEST_PRIME).p == LARGEST_PRIME
+        assert simulate(problem, sol, LARGEST_PRIME, trials=20, seed=5).passed
+        with pytest.raises(ValueError, match=TOO_LARGE):
+            _encoder(K, D, U, a, b, FIRST_REFUSED_PRIME)
+        with pytest.raises(ValueError, match=TOO_LARGE):
+            simulate(problem, sol, FIRST_REFUSED_PRIME, trials=1)
+
+    @pytest.mark.parametrize("K,D,U", [(5, 1, 1), (17, 5, 1), (71, 25, 1)])
+    def test_largest_prime_round_trips(self, K, D, U):
+        # at the largest accepted prime every sum the codec makes stays
+        # exact: encode equals the dense product over Python ints, every
+        # receiver decodes, and simulate passes; the all-(p-1) message
+        # makes every column sum as large as it can be
+        problem = ProblemInstance(K, D, U)
+        sol = find_min_rate(problem)
+        p, b = LARGEST_PRIME, sol.b_min
+        enc = build_encoder(problem, sol, p)
+        L = enc.matrix.entries.astype(object)
+        rng = np.random.default_rng(K)
+        for x in (rng.integers(0, p, size=enc.rows), np.full(enc.rows, p - 1)):
+            c = encode(enc, x)
+            assert c.tolist() == [int(v) % p for v in x.astype(object) @ L]
+            side = {j: x[j * b : (j + 1) * b] for j in range(K)}
+            for k in range(K):
+                assert np.array_equal(decode(enc, k, c, side), x[k * b : (k + 1) * b]), k
+        assert simulate(problem, sol, p, trials=5, seed=K, encoder=enc).passed
 
 
 class TestEncode:
@@ -538,6 +549,8 @@ class TestDecodeMaps:
             # column total minus window share is the known rows' share;
             # the window share is entry-major, one row per entry
             total = enc._column_sums(X)[:, cols]
+            # decode's sums over only the receiver's columns
+            assert np.array_equal(enc._column_sums(X, cols), total), k
             share = (total - _gather_sum(_pad(X), window_rows).T) % p
             dense = X[:, known_rows] @ L[known_rows] % p
             assert np.array_equal(share, dense[:, cols]), k
@@ -1049,10 +1062,13 @@ class TestPeel:
         assert all(decodable(enc, k) for k in range(200))
         assert seen[-1].size >= 200 and max(cut.max(initial=0) for cut in seen) <= 2
 
-    def test_minimal_rate_catalogue_peels(self):
+    def test_minimal_rate_catalogue_peels(self, monkeypatch):
         # every receiver of every minimal-rate encoder with K <= 20,
         # D <= 10 and D <= K-2: the peel is field-free, so one prime serves
-        receivers = load = 0
+        # each output's sum stays within 28*(p-1) in magnitude: every
+        # decoder builds with the load bound at 28
+        monkeypatch.setattr("airindex.codec._MAX_TERM", 28)
+        receivers = 0
         for K in range(3, 21):
             for D in range(1, min(10, K - 2) + 1):
                 for U in range(0, min(D, K - 1 - D) + 1):
@@ -1061,10 +1077,7 @@ class TestPeel:
                     for k in range(K):
                         assert _peeled(enc, k) is not None, (K, D, U, k)
                     receivers += K
-                    load = max(load, enc._decoder.load)
         assert receivers == 9240
-        # each output's sum stays within 28*(p-1) in magnitude
-        assert load <= 28
 
 
 def _assert_same_encoder(shared, fresh, seed):
@@ -1077,7 +1090,6 @@ def _assert_same_encoder(shared, fresh, seed):
     fields = ("cols", "window_rows", "coef", "starts", "targets", "entry_bounds", "output_bounds")
     for name in fields:
         assert np.array_equal(getattr(dec, name), getattr(want, name)), name
-    assert dec.load == want.load
     assert [receiver_ranks(shared, k) for k in range(K)] == [
         receiver_ranks(fresh, k) for k in range(K)
     ]
@@ -1152,12 +1164,14 @@ class TestOver:
         assert calls == [base]
 
     def test_refuses_primes_build_encoder_refuses(self):
-        # the same check as build_encoder's, with K*b terms
+        # the same one range as build_encoder's, whatever K*b: the largest
+        # prime in it moves the shared decoder there, and the next is refused
         base = _encoder(17, 5, 1, 3, 8, 2)
-        p, q = _envelope_primes(17 * 8)
-        assert base.over(p).p == p
-        with pytest.raises(ValueError, match="2\\*\\*63"):
-            base.over(q)
+        top = base.over(LARGEST_PRIME)
+        assert top.p == LARGEST_PRIME and top._decoder is base._decoder
+        assert simulate(top.problem, top.solution, LARGEST_PRIME, trials=3, encoder=top).passed
+        with pytest.raises(ValueError, match=TOO_LARGE):
+            base.over(FIRST_REFUSED_PRIME)
         with pytest.raises(ValueError, match="prime"):
             base.over(4)
 
@@ -1193,7 +1207,7 @@ class TestBatchDecoder:
             ]
             assert not ((fixes[0] - fixes[1]) % p).any(), k
             for fixed in fixes:
-                # the magnitude that require_exact's bound assumes
+                # the magnitude that the build's bound on the load assumes
                 assert (np.abs(fixed) <= (p - 1) * L.sum(axis=0)[cols, None]).all(), k
                 out = dec.outputs(fixed, p, k)
                 got, inconsistent = out[:b].T, out[b:].any(axis=0)
@@ -1236,18 +1250,40 @@ class TestBatchDecoder:
         assert report.failures == tuple((0, k) for k in range(5))
 
 
+def _dense_load(enc):
+    """The largest, over the decoder's outputs, of the sum over the output's
+    entries of |coef| times its column's weight, read from the dense matrix."""
+    weight = enc.matrix.entries.sum(axis=0)
+    load = 0
+    for k in range(enc.problem.K):
+        cols, _, coef, outs, _ = _receiver_slice(enc, k)
+        load = max(load, int(np.bincount(outs, np.abs(coef) * weight[cols]).max(initial=0)))
+    return load
+
+
+def _assert_load_bound(enc, load, monkeypatch):
+    """The decoder of ``enc`` builds with its bound set to ``load`` and is
+    refused with the bound one below it."""
+    monkeypatch.setattr("airindex.codec._MAX_TERM", load - 1)
+    with pytest.raises(OverflowError, match=rf"has load {load}, over {load - 1}:"):
+        _build_decoder(enc)
+    monkeypatch.setattr("airindex.codec._MAX_TERM", load)
+    assert _build_decoder(enc).ranks == enc._decoder.ranks
+
+
 class TestLoadGuard:
     # each output is one sum of integer products, reduced once mod p; the
-    # decoder's load bounds that sum by (p-1)*load, and decode and simulate
-    # refuse a prime at which it could reach 2**63 before they sum anything
-    @pytest.mark.parametrize("p", [3, 65521])
-    def test_refused_at_the_edge_before_any_sum(self, p, monkeypatch):
-        edge = -(-(2**63) // (p - 1))  # the least load with (p-1)*load >= 2**63
-        assert (p - 1) * (edge - 1) < 2**63 <= (p - 1) * edge
-        base = _encoder(17, 5, 1, 3, 8, p)
-        x = np.random.default_rng(p).integers(0, p, size=base.rows)
-        c = encode(base, x)
-        side = {j: x[j * 8 : (j + 1) * 8] for j in range(17)}
+    # decoder's load bounds that sum by (p-1)*load, and the build refuses a
+    # load past 2**31, so that no sum reaches 2**63 at any accepted prime,
+    # before decodable, receiver_ranks, decode or simulate sums anything
+    @staticmethod
+    def _refused_before_any_sum(enc, match):
+        """Each call that builds the decoder of ``enc`` raises ``OverflowError``
+        matching ``match``, and none sums a column, a window or an output."""
+        K, b = enc.problem.K, enc.b
+        x = np.random.default_rng(K).integers(0, enc.p, size=enc.rows)
+        c = encode(enc, x)
+        side = {j: x[j * b : (j + 1) * b] for j in range(K)}
         sums = []
 
         def spy(name, real):
@@ -1257,40 +1293,64 @@ class TestLoadGuard:
 
             return wrapped
 
-        monkeypatch.setattr(Encoder, "_column_sums", spy("column", Encoder._column_sums))
-        monkeypatch.setattr("airindex.codec._gather_sum", spy("window", _gather_sum))
-        monkeypatch.setattr(_BatchDecoder, "outputs", spy("outputs", _BatchDecoder.outputs))
-        for load in (edge - 1, edge):
-            enc = Encoder(base.problem, base.solution, p)
-            vars(enc)["_decoder"] = base._decoder._replace(load=load)
-            sums.clear()
-            if load < edge:
-                assert np.array_equal(decode(enc, 4, c, side), x[32:40])
-                assert simulate(enc.problem, enc.solution, p, trials=3, seed=1, encoder=enc).passed
-                assert sums == ["column", "outputs", "window", "outputs"]
-                continue
-            with pytest.raises(OverflowError, match=rf"over GF\({p}\) .* not below 2\*\*63"):
-                decode(enc, 4, c, side)
-            with pytest.raises(OverflowError, match=r"not below 2\*\*63"):
-                simulate(enc.problem, enc.solution, p, trials=3, seed=1, encoder=enc)
-            assert sums == []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(Encoder, "_column_sums", spy("column", Encoder._column_sums))
+            mp.setattr("airindex.codec._gather_sum", spy("window", _gather_sum))
+            mp.setattr(_BatchDecoder, "outputs", spy("outputs", _BatchDecoder.outputs))
+            for call in (
+                lambda: decodable(enc, 0),
+                lambda: receiver_ranks(enc, K - 1),
+                lambda: decode(enc, 1, c, side),
+                lambda: simulate(enc.problem, enc.solution, enc.p, trials=3, encoder=enc),
+            ):
+                with pytest.raises(OverflowError, match=match):
+                    call()
+        assert sums == []
 
-    def test_load_is_the_largest_weighted_output(self):
+    @pytest.mark.parametrize("p", [3, 65521])
+    def test_refused_at_the_edge_before_any_sum(self, p, monkeypatch):
+        # an AIR encoder with the bound set to its dense-computed load
+        # builds its decoder there and decodes; one below, it is refused
+        base = _encoder(17, 5, 1, 3, 8, p)
+        load = _dense_load(base)
+        monkeypatch.setattr("airindex.codec._MAX_TERM", load)
+        enc = Encoder(base.problem, base.solution, p)
+        assert simulate(enc.problem, enc.solution, p, trials=3, seed=1, encoder=enc).passed
+        monkeypatch.setattr("airindex.codec._MAX_TERM", load - 1)
+        enc = Encoder(base.problem, base.solution, p)
+        self._refused_before_any_sum(enc, rf"has load {load}, over {load - 1}:")
+        monkeypatch.undo()
+        # the hand-built encoders of TestPeel: at n = 50 the load is below
+        # 2**31 and every receiver decodes; at n = 55 it passes 2**31 while
+        # every coefficient stays below it, and at n = 60 the last
+        # coefficient passes 2**31 though no merged term in the peel does;
+        # the build refuses both
+        enc, f = TestPeel._growing(50, p, monkeypatch)
+        assert max(map(abs, f)) < _dense_load(enc) <= 2**31
+        _check_decode_paths(enc, trials=2, seed=p)
+        for n in (55, 60):
+            enc, f = TestPeel._growing(n, p, monkeypatch)
+            with pytest.MonkeyPatch.context() as mp:
+                # the load, from a twin built past the bound
+                mp.setattr("airindex.codec._MAX_TERM", 2**40)
+                load = _dense_load(Encoder(enc.problem, enc.solution, p))
+            # |f| grows, so f[-1] is the largest coefficient
+            assert load > 2**31 and (abs(f[-1]) > 2**31) == (n == 60)
+            self._refused_before_any_sum(enc, rf"has load {load}, over 2147483648:")
+
+    def test_load_is_the_largest_weighted_output(self, monkeypatch):
         # the sum over an output's entries of |coef| times its column's
-        # weight, read from the dense matrix, at its largest over outputs
+        # weight, read from the dense matrix, at its largest over outputs:
+        # the decoder builds with the bound there and not one below
         cases = [(5, 1, 1, 1, 2), (17, 5, 1, 3, 8), (37, 8, 8, 1, 4), (12, 1, 1, 0, 1)]
         for K, D, U, a, b in cases:
             enc = _encoder(K, D, U, a, b, 2)
-            weight = enc.matrix.entries.sum(axis=0)
-            load = 0
-            for k in range(K):
-                cols, _, coef, outs, _ = _receiver_slice(enc, k)
-                load = max(load, np.bincount(outs, np.abs(coef) * weight[cols]).max())
-            assert enc._decoder.load == load and type(enc._decoder.load) is int, (K, D, U)
+            _assert_load_bound(enc, _dense_load(enc), monkeypatch)
+            monkeypatch.undo()
 
-    def test_north_star_load(self):
-        # 18 on (71,25,1): any prime require_prime admits is far inside it
-        assert _encoder(71, 25, 1, 1, 30, 2)._decoder.load == 18
+    def test_north_star_load(self, monkeypatch):
+        # 18 on (71,25,1), far inside the bound
+        _assert_load_bound(_encoder(71, 25, 1, 1, 30, 2), 18, monkeypatch)
 
 
 class TestDecodeGuards:

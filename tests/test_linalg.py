@@ -81,8 +81,12 @@ class TestFieldGate:
     def test_require_prime(self):
         with pytest.raises(ValueError, match="2\\*\\*63"):
             require_prime(self.MERSENNE_127)
-        with pytest.raises(ValueError, match="too large"):
-            require_prime(self.MERSENNE_61, terms=136)
+        # one range for every entry point: the largest prime in it passes,
+        # and the next is refused with the range's own message
+        assert require_prime(LARGEST_RANK_PRIME) == LARGEST_RANK_PRIME
+        message = r"^p=3037000507 is too large: \(p-1\)\*\*2 must stay below 2\*\*63 "
+        with pytest.raises(ValueError, match=message):
+            require_prime(FIRST_REFUSED_PRIME)
 
     def test_rank(self):
         with pytest.raises(ValueError, match="2\\*\\*63"):
