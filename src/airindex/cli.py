@@ -196,7 +196,7 @@ def simulate_cmd(k: int, d: int, u: int, p: int, trials: int, seed: int) -> None
     try:
         report = simulate(problem, sol, p, trials=trials, seed=seed)
     except ValueError as exc:
-        # negative trials, p not a prime in the one range of every GF(p)
+        # negative trials or seed, p not a prime in the one range of every GF(p)
         # entry point, or an encoder or message batch over the codec's limits
         _fail_usage(str(exc))
     click.echo(report.to_json_str())

@@ -188,9 +188,9 @@ class TestVerifyCode:
         calls = []
         build = codec._build_decoder
 
-        def spy(encoder):
-            calls.append(encoder.p)
-            return build(encoder)
+        def spy(*args):
+            calls.append(args)
+            return build(*args)
 
         monkeypatch.setattr(codec, "_build_decoder", spy)
         result = invoke(runner, "verify-code", "60", "20", "10", "--p", "2,3,5,65521")
@@ -199,7 +199,7 @@ class TestVerifyCode:
             "p=2", "p=3", "p=5", "p=65521"
         ]
         assert "60/60 receivers decodable" in result.output
-        assert calls == [2]
+        assert len(calls) == 1
 
     def test_prime_over_int64_envelope_exits_2(self, runner):
         # the codec has the one prime range of the ranks, whatever K*b:
@@ -234,6 +234,12 @@ class TestSimulate:
         result = invoke(runner, "simulate", "5", "1", "1", "--trials", "-1")
         assert result.exit_code == 2
         assert "trials must be nonnegative" in result.output
+
+    def test_negative_seed_exits_2(self, runner):
+        result = invoke(runner, "simulate", "5", "1", "1", "--seed", "-1")
+        assert result.exit_code == 2
+        assert result.stderr == "error: seed must be nonnegative, got -1\n"
+        assert result.stdout == ""
 
     @pytest.mark.parametrize("p", ["3037000507", "4294967311"])
     def test_prime_over_int64_envelope_exits_2(self, runner, p):

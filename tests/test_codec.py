@@ -16,16 +16,13 @@ from hypothesis import strategies as st
 
 from _reference import rank_mod_p as reference_rank
 from _reference import reference_peel, rref_mod_p, solve_left
+from airindex._peel import _BatchDecoder, _build_decoder, _cut, _segment_starts
 from airindex.air import build_air
 from airindex.codec import (
     MAX_CELLS,
     Encoder,
-    _BatchDecoder,
-    _build_decoder,
-    _cut,
     _gather_sum,
     _pad,
-    _segment_starts,
     build_encoder,
     decodable,
     decode,
@@ -1027,22 +1024,22 @@ class TestPeel:
         # ask about, reuse it
         calls = []
 
-        def spy(encoder):
-            calls.append(encoder)
-            return _build_decoder(encoder)
+        def spy(cells, *shape):
+            calls.append(cells)
+            return _build_decoder(cells, *shape)
 
         monkeypatch.setattr("airindex.codec._build_decoder", spy)
         enc = _encoder(K, D, U, a, b, 3, allow_infeasible=allow)
         x = np.random.default_rng(K).integers(0, 3, size=enc.rows)
         c = encode(enc, x)
         side = {j: x[j * b : (j + 1) * b] for j in range(K)}
-        assert decodable(enc, 4) and calls == [enc]
+        assert decodable(enc, 4) and len(calls) == 1 and calls[0] is enc._cells
         assert "_decoder" in vars(enc)
         receiver_ranks(enc, 7)
         assert np.array_equal(decode(enc, 5, c, side), x[5 * b : 6 * b])
         report = simulate(enc.problem, enc.solution, 3, trials=2, seed=1, encoder=enc)
         assert report.passed != allow
-        assert calls == [enc]
+        assert len(calls) == 1
 
     def test_peel_reads_only_its_window_rows(self, monkeypatch):
         # each column of (200,1,0) at (0, 1) holds 100 encoder rows, but at
@@ -1056,7 +1053,7 @@ class TestPeel:
             seen.append(np.bincount(q, minlength=cols.size))
             return q, off
 
-        monkeypatch.setattr("airindex.codec._cut", spy)
+        monkeypatch.setattr("airindex._peel._cut", spy)
         enc = _encoder(200, 1, 0, 0, 1, 2)
         assert (enc.matrix.entries.sum(axis=0) == 100).all()
         assert all(decodable(enc, k) for k in range(200))
@@ -1067,7 +1064,7 @@ class TestPeel:
         # D <= 10 and D <= K-2: the peel is field-free, so one prime serves
         # each output's sum stays within 28*(p-1) in magnitude: every
         # decoder builds with the load bound at 28
-        monkeypatch.setattr("airindex.codec._MAX_TERM", 28)
+        monkeypatch.setattr("airindex._peel._MAX_TERM", 28)
         receivers = 0
         for K in range(3, 21):
             for D in range(1, min(10, K - 2) + 1):
@@ -1150,18 +1147,18 @@ class TestOver:
         # call on any of the encoders peels again
         calls = []
 
-        def spy(encoder):
-            calls.append(encoder)
-            return _build_decoder(encoder)
+        def spy(cells, *shape):
+            calls.append(cells)
+            return _build_decoder(cells, *shape)
 
         monkeypatch.setattr("airindex.codec._build_decoder", spy)
         base = _encoder(17, 5, 1, 3, 8, 2)
         encoders = [base.over(q) for q in (2, 3, 5, 65521)]
-        assert calls == [base]
+        assert len(calls) == 1 and calls[0] is base._cells
         for enc in encoders:
             assert all(decodable(enc, k) for k in range(17))
             assert simulate(enc.problem, enc.solution, enc.p, trials=2, encoder=enc).passed
-        assert calls == [base]
+        assert len(calls) == 1
 
     def test_refuses_primes_build_encoder_refuses(self):
         # the same one range as build_encoder's, whatever K*b: the largest
@@ -1261,14 +1258,19 @@ def _dense_load(enc):
     return load
 
 
+def _rebuild_decoder(enc):
+    """A fresh build of the decoder of ``enc`` from its cells, past its cache."""
+    return Encoder._decoder.func(enc)
+
+
 def _assert_load_bound(enc, load, monkeypatch):
     """The decoder of ``enc`` builds with its bound set to ``load`` and is
     refused with the bound one below it."""
-    monkeypatch.setattr("airindex.codec._MAX_TERM", load - 1)
+    monkeypatch.setattr("airindex._peel._MAX_TERM", load - 1)
     with pytest.raises(OverflowError, match=rf"has load {load}, over {load - 1}:"):
-        _build_decoder(enc)
-    monkeypatch.setattr("airindex.codec._MAX_TERM", load)
-    assert _build_decoder(enc).ranks == enc._decoder.ranks
+        _rebuild_decoder(enc)
+    monkeypatch.setattr("airindex._peel._MAX_TERM", load)
+    assert _rebuild_decoder(enc).ranks == enc._decoder.ranks
 
 
 class TestLoadGuard:
@@ -1313,10 +1315,10 @@ class TestLoadGuard:
         # builds its decoder there and decodes; one below, it is refused
         base = _encoder(17, 5, 1, 3, 8, p)
         load = _dense_load(base)
-        monkeypatch.setattr("airindex.codec._MAX_TERM", load)
+        monkeypatch.setattr("airindex._peel._MAX_TERM", load)
         enc = Encoder(base.problem, base.solution, p)
         assert simulate(enc.problem, enc.solution, p, trials=3, seed=1, encoder=enc).passed
-        monkeypatch.setattr("airindex.codec._MAX_TERM", load - 1)
+        monkeypatch.setattr("airindex._peel._MAX_TERM", load - 1)
         enc = Encoder(base.problem, base.solution, p)
         self._refused_before_any_sum(enc, rf"has load {load}, over {load - 1}:")
         monkeypatch.undo()
@@ -1332,7 +1334,7 @@ class TestLoadGuard:
             enc, f = TestPeel._growing(n, p, monkeypatch)
             with pytest.MonkeyPatch.context() as mp:
                 # the load, from a twin built past the bound
-                mp.setattr("airindex.codec._MAX_TERM", 2**40)
+                mp.setattr("airindex._peel._MAX_TERM", 2**40)
                 load = _dense_load(Encoder(enc.problem, enc.solution, p))
             # |f| grows, so f[-1] is the largest coefficient
             assert load > 2**31 and (abs(f[-1]) > 2**31) == (n == 60)
@@ -1694,6 +1696,21 @@ class TestSimulate:
         problem = ProblemInstance(5, 1, 1)
         with pytest.raises(ValueError, match="trials"):
             simulate(problem, find_min_rate(problem), 2, trials=-1, seed=0)
+
+    def test_rejects_negative_seed_before_any_build(self, monkeypatch):
+        # refused next to the trials check, before the encoder is built or
+        # peeled, not by numpy's generator after the whole build
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return _build_decoder(*args)
+
+        monkeypatch.setattr("airindex.codec._build_decoder", spy)
+        problem = ProblemInstance(5, 1, 1)
+        with pytest.raises(ValueError, match=r"^seed must be nonnegative, got -1$"):
+            simulate(problem, find_min_rate(problem), 2, trials=1, seed=-1)
+        assert calls == []
 
 
 class TestRateAccounting:
