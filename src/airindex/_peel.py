@@ -24,11 +24,11 @@ with K <= 30 and for (71,25,1), (53,6,2), (60,20,10), (100,10,3) and
 
 The peel runs on integer arrays, every receiver in step, over the
 nonzero cells. Each receiver's count and sum of unknown rows per column
-come from one cumulative sum over the receivers, as consecutive windows
-differ by b rows at each end. Then, round by round, every column left
-with one unsolved row solves it; where several columns hold the same
-row, the first in column order wins, as in the first round of a peel
-that takes one column at a time. The first peel took at most three
+come from its window's cells, gathered once and counted by
+``np.bincount``. Then, round by round, every column left with one
+unsolved row solves it; where several columns hold the same row, the
+first in column order wins, as in the first round of a peel that takes
+one column at a time. The first peel took at most three
 rounds on every minimal-rate encoder tried, and the number of array
 operations grows with the rounds and with the runs of receivers that
 the build's memory cap allows, not with K itself. The same build keeps
@@ -60,20 +60,10 @@ output (a wanted symbol or a parity check), and each receiver owns one
 contiguous range of entries and of outputs. The batch is entry-major:
 one row per entry, one column per codeword.
 
-The load bound. A decoder output is one sum of corrected symbols times
-integer coefficients. A corrected symbol is at most p-1 times its
-column's weight in magnitude, so every product and partial sum of an
-output is at most (p-1)*``load``, where ``load`` is the largest sum,
-over an output's entries, of |coefficient| times column weight (see
-``_build_decoder``). The build raises ``OverflowError`` when ``load``
-exceeds 2**31, so the first ``decodable``, ``receiver_ranks``,
-``decode`` or ``simulate`` on such an encoder raises before anything is
-summed, and within it no output exceeds (p-1)*2**31 < 2**62.5 at any
-prime :func:`airindex.linalg.require_prime` accepts, as each has
-p-1 < 2**31.5. No AIR encoder comes near the bound: ``load`` is 18 on
-(71,25,1), at most 28 on the minimal-rate encoders with K <= 20, and
-K/2 on D = 1. The batch decoder holds entries x window rows cells: one
-row per entry, as wide as the most rows one column holds inside one
+Every decoder output's sum stays inside int64 at every accepted prime
+by the build's bound on the decoder's load, argued once at its check in
+``_build_decoder``. The batch decoder holds entries x window rows cells:
+one row per entry, as wide as the most rows one column holds inside one
 window (5 on (71,25,1), at most 2 on D = 1 for K <= 40), so at a fixed
 window it grows linearly in K. Its build takes the receivers a run at a
 time, so that none of its receivers x columns or receivers x window rows
@@ -88,7 +78,9 @@ import numpy as np
 
 # bound on the cells of each receivers x columns and receivers x window
 # rows array of the decoder build, which holds up to about twenty of them
-# at once
+# at once; a window of w rows of an AIR matrix holds at most w + n - 1
+# cells (the tests check every m <= 60, and it holds for every m < 120),
+# so each run's gathered window cells stay under 2 * _PEEL_CELLS too
 _PEEL_CELLS = 1 << 14
 
 # bound on every merged coefficient of ``_peel`` and on a decoder's load;
@@ -106,11 +98,10 @@ class _Cells(NamedTuple):
     in ``row_cols`` and their row mod m in ``cell_rows``. ``col_keys``
     holds c * 2m + r for every doubled cell (r, c), sorted, so a
     column's rows inside a run are one range of it. ``col_rows`` lists
-    the rows of the (undoubled) cells column by column, then row 0 as
-    padding, so that every column's end, the last one's too, indexes it
-    (see ``Encoder._column_sums``); column c's rows are
-    ``col_rows[start:end]`` for (start, end) = ``col_bounds[c]``, and
-    every AIR column holds a one.
+    the rows of the (undoubled) cells column by column, and column c's
+    rows are ``col_rows[col_starts[c]:col_starts[c + 1]]``, so n is
+    ``col_starts.size - 1``; every AIR column holds a one, so no run is
+    empty (see ``Encoder._column_sums``).
     ``row_col_sums[r]`` is the sum of row r's columns, for r < m, which
     the peel's second pass starts from.
     """
@@ -121,7 +112,7 @@ class _Cells(NamedTuple):
     row_col_sums: np.ndarray
     col_keys: np.ndarray
     col_rows: np.ndarray
-    col_bounds: np.ndarray
+    col_starts: np.ndarray
 
     @classmethod
     def from_nonzero(cls, rows: np.ndarray, cols: np.ndarray, m: int, n: int) -> _Cells:
@@ -138,23 +129,21 @@ class _Cells(NamedTuple):
         np.cumsum(np.concatenate([counts, counts]), out=row_ptr[1:])
         keys = cols * (2 * m) + rows
         keys.sort(kind="stable")
-        # each column's (start, end) in the column-ordered rows
-        bounds = keys.searchsorted(np.arange(n + 1) * (2 * m)).repeat(2)[1:-1]
         return cls(
             row_ptr=row_ptr,
             row_cols=np.concatenate([cols, cols]),
             cell_rows=np.concatenate([rows, rows]),
             row_col_sums=np.add.reduceat(cols, row_ptr[:m]),
             col_keys=np.sort(np.concatenate([keys, keys + m]), kind="stable"),
-            col_rows=np.concatenate([keys, [0]]) % (2 * m),
-            col_bounds=bounds.reshape(n, 2),
+            col_rows=keys % (2 * m),
+            col_starts=keys.searchsorted(np.arange(n + 1) * (2 * m)),
         )
 
     def dense(self, rows) -> np.ndarray:
         """The given rows (each < m) as a dense len(rows) x n int64 0/1 array."""
         rows = np.asarray(rows, dtype=np.int64)
         q, idx = _ranges(self.row_ptr[rows], self.row_ptr[rows + 1])
-        out = np.zeros((rows.size, self.col_bounds.shape[0]), dtype=np.int64)
+        out = np.zeros((rows.size, self.col_starts.size - 1), dtype=np.int64)
         out[q, self.row_cols[idx]] = 1
         return out
 
@@ -199,12 +188,8 @@ class _BatchDecoder(NamedTuple):
         codeword of the batch. The result has one row per output. A
         genuine codeword gives the sent symbols and zero parity. Each
         output is one sum of the integer products ``fixed[e] * coef[e]``,
-        reduced once into [0, p). An entry's corrected symbol is either the
-        codeword symbol reduced into [0, p) less its column's known rows,
-        each in [0, p) (``decode``), or the sum of its column's rows inside
-        its receiver's window, each in [0, p) (``simulate``), so it is at
-        most p-1 times its column's weight in magnitude, and the sum is
-        exact by the build's bound on ``load``.
+        reduced once into [0, p), and exact by the build's load bound (see
+        ``_build_decoder``).
         """
         lo, hi = (0, self.cols.size) if k is None else self.entry_bounds[k : k + 2].tolist()
         outs = slice(None) if k is None else slice(*self.output_bounds[k : k + 2].tolist())
@@ -263,32 +248,22 @@ def _cut(cells: _Cells, cols: np.ndarray, lo: np.ndarray, w: int) -> tuple[np.nd
     return q, keys[idx] - base[q]
 
 
-def _window_counts(cells: _Cells, lo: np.ndarray, w: int, b: int) -> tuple[np.ndarray, np.ndarray]:
+def _window_counts(cells: _Cells, lo: np.ndarray, w: int) -> tuple[np.ndarray, np.ndarray]:
     """For each window i of w rows from ``lo[i]`` and each column c: the
     number and the sum of the window's rows in column c, flattened i-major.
 
-    The windows are consecutive receivers', so each starts b rows past
-    the one before. Window i's counts are window i-1's plus the b rows
-    that enter it and less the b rows that leave, so one cumulative sum
-    over those changes gives them all.
+    Each window's cells are one run of the doubled rows, gathered once
+    and counted by two ``np.bincount``, so the starts may come in any
+    order. On an AIR matrix each window holds at most w + n - 1 cells.
     """
-    C, n = lo.size, cells.col_bounds.shape[0]
-    # the first window whole, then the rows entering windows 1.., then
-    # the rows leaving them
-    first = np.concatenate([lo[:1], lo[:-1] + w, lo[:-1]])
-    size = np.full(first.size, b)
-    size[0] = w
-    q, idx = _ranges(cells.row_ptr[first], cells.row_ptr[first + size])
-    leaving = q >= C
-    at = (q - leaving * (C - 1)) * n + cells.row_cols[idx]
-    sign = 1 - 2 * leaving.astype(np.int64)
-    count = np.zeros((C, n), dtype=np.int64)
-    total = np.zeros((C, n), dtype=np.int64)
-    np.add.at(count.ravel(), at, sign)
-    np.add.at(total.ravel(), at, sign * cells.cell_rows[idx])
-    np.cumsum(count, axis=0, out=count)
-    np.cumsum(total, axis=0, out=total)
-    return count.ravel(), total.ravel()
+    n = cells.col_starts.size - 1
+    q, idx = _ranges(cells.row_ptr[lo], cells.row_ptr[lo + w])
+    at = q * n + cells.row_cols[idx]
+    count = np.bincount(at, minlength=lo.size * n)
+    # float64 sums are exact: each is at most w*m < 2**52, as every encoder
+    # has m <= 2**26 rows
+    total = np.bincount(at, weights=cells.cell_rows[idx], minlength=lo.size * n)
+    return count, total.astype(np.int64)
 
 
 def _sum_cells(keys: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -305,18 +280,19 @@ def _sum_cells(keys: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 
 def _peel(cells: _Cells, lo: np.ndarray, w: int, b: int, at: int, name) -> tuple[np.ndarray, ...]:
-    """Peel the consecutive receivers whose windows of w rows start at rows ``lo``.
+    """Peel the receivers whose windows of w rows start at rows ``lo``.
 
     The wanted b rows start ``at`` rows into each window. Once the side
     information's share is subtracted, codeword column j is the plain
     sum of its unknown rows, as the matrix is 0/1, so a column with one
     unsolved unknown row r solves it: x_r = c'_j minus the other rows of
     j, all solved before. Every receiver peels at once, in rounds: in
-    each, every column left with one unsolved row solves it, and of the
-    columns that hold the same row the first in column order wins; the
-    losers become parity columns. The rows a peel solves, and so the
-    verdicts and ranks, do not depend on that choice, and every choice
-    gives a valid decoder. A receiver stalls unless its b wanted rows
+    each, every column left with one unsolved row solves it, found by one
+    scan of the counts, and of the columns that hold the same row the
+    first in column order wins; the losers, which hold the solved row,
+    drop to no unsolved row and become parity columns. The rows a peel
+    solves, and so the verdicts and ranks, do not depend on that choice,
+    and every choice gives a valid decoder. A receiver stalls unless its b wanted rows
     are solved.
 
     The unsolved rows meet only the columns left with two or more of
@@ -345,9 +321,9 @@ def _peel(cells: _Cells, lo: np.ndarray, w: int, b: int, at: int, name) -> tuple
     before a later merge could leave int64; the final coefficients are
     bounded by ``_build_decoder``, through the decoder's load, not here.
     """
-    m, n = (cells.row_ptr.size - 1) // 2, cells.col_bounds.shape[0]
+    m, n = (cells.row_ptr.size - 1) // 2, cells.col_starts.size - 1
     C = lo.size
-    count, total = _window_counts(cells, lo, w, b)
+    count, total = _window_counts(cells, lo, w)
     # first peel: each round's winners as receiver * n + column, and
     # who[i * w + offset], the winner that solved that row of window i, or -1
     empty = np.zeros(0, dtype=np.int64)
@@ -367,9 +343,7 @@ def _peel(cells: _Cells, lo: np.ndarray, w: int, b: int, at: int, name) -> tuple
         np.add.at(count, touched, -1)
         np.add.at(total, touched, -rows[q])
         count[cand] = -1
-        touched.sort(kind="stable")
-        touched = touched[_run_starts(touched)]
-        cand = touched[count[touched] == 1]
+        cand = (count == 1).nonzero()[0]
     win = np.concatenate(wins)
     win_i, win_c = win // n, win % n
     del total, wins, win  # each as large as a receivers x columns array
@@ -455,21 +429,11 @@ def _build_decoder(cells: _Cells, K: int, w: int, b: int, at: int, name, a: int)
     gets no ranks and no entries; ``Encoder._ranks`` eliminates its
     window's rows at each prime. Each entry's window rows are its
     column's rows inside its receiver's window, cut from the cells.
-    Nothing here reads p.
-
-    The decoder's ``load`` is the largest, over its outputs, of the sum
-    over the output's entries e of |coef[e]| times the weight of column
-    ``cols[e]`` (its count of nonzero rows). An output sums corrected
-    symbols of at most p-1 times their column's weight in magnitude, so
-    each of its products and partial sums is at most (p-1)*load. Every
-    prime ``require_prime`` accepts has p-1 < 2**31.5, so a load within
-    ``_MAX_TERM`` = 2**31 keeps every output's sum below 2**63 at every
-    such prime, and since the load is at least every |coef|, it bounds
-    the final coefficients too. A larger load raises ``OverflowError``
-    here, before any window rows are cut and before any caller sums
-    anything; no AIR encoder comes near it.
+    Nothing here reads p. The decoder's ``load`` keeps every output's
+    sum inside int64; the argument is at its check, which raises
+    ``OverflowError`` past the bound, before any window rows are cut.
     """
-    m, n = (cells.row_ptr.size - 1) // 2, cells.col_bounds.shape[0]
+    m, n = (cells.row_ptr.size - 1) // 2, cells.col_starts.size - 1
     lo = (np.arange(K) * b - at) % m
     step = max(1, _PEEL_CELLS // max(n, w))
     firsts = range(0, K, step)
@@ -488,7 +452,22 @@ def _build_decoder(cells: _Cells, K: int, w: int, b: int, at: int, name, a: int)
     targets = np.where(slot < b, recv * b + slot, m)
     cols, coef = np.concatenate(cols), np.concatenate(coef)
     starts = _segment_starts(outs, recv.size)
-    weight = cells.col_bounds[:, 1] - cells.col_bounds[:, 0]
+    # The load bound. ``load`` is the largest, over the outputs, of the sum
+    # over an output's entries e of |coef[e]| times the weight (count of
+    # nonzero rows) of column cols[e]. An entry's corrected symbol is the
+    # codeword symbol reduced into [0, p) less its column's known rows,
+    # each in [0, p) (``decode``), or the sum of its column's rows inside
+    # its receiver's window, each in [0, p) (``simulate``), so it is at
+    # most p-1 times its column's weight in magnitude, and each product
+    # and partial sum of an output is at most (p-1)*load. Every prime that
+    # ``require_prime`` accepts has p-1 < 2**31.5, so a load within
+    # _MAX_TERM = 2**31 keeps each below 2**62.5; as the load is at least
+    # every |coef|, it bounds the coefficients too. A larger load raises
+    # here, so the first ``decodable``, ``receiver_ranks``, ``decode`` or
+    # ``simulate`` on such an encoder raises before anything is summed. No
+    # AIR encoder comes near it: the load is 18 on (71,25,1), at most 28
+    # on the minimal-rate encoders with K <= 20, and K/2 on D = 1.
+    weight = np.diff(cells.col_starts)
     load = np.add.reduceat(np.abs(coef) * weight[cols], starts).max(initial=0)
     if load > _MAX_TERM:
         raise OverflowError(

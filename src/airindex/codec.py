@@ -29,11 +29,11 @@ Decoding a batch of codewords takes three steps, all in
 ``_BatchDecoder.outputs`` but the first: correct each entry's codeword
 symbol by the side information's share, multiply it by the entry's
 integer coefficient, and sum every segment with one ``np.add.reduceat``,
-reducing each output once mod p. ``encode`` and ``decode`` sum codeword
-columns one way, with one ``np.add.reduceat`` over the nonzero rows in
-column order: ``encode`` every column of the whole message, ``decode``
-only its receiver's columns of a message that holds only its receiver's
-known messages, its unknown ones zero, which it subtracts from the
+reducing each output once mod p. ``encode`` and ``decode`` sum every
+codeword column one way, with one ``np.add.reduceat`` over the nonzero
+rows in column order: ``encode`` of the whole message, ``decode`` of a
+message that holds only its receiver's known messages, its unknown ones
+zero, whose sums at its receiver's columns it subtracts from the
 codeword. ``simulate`` checks each receiver's decoder on its window's
 rows instead: each entry's corrected symbol is the sum of its column's
 rows inside its receiver's window, each row gathered whole across the
@@ -49,11 +49,9 @@ Supported sizes. All arithmetic is exact in int64. ``build_encoder``
 and ``Encoder.over`` take every prime that
 :func:`airindex.linalg.require_prime` accepts, the one range of every
 GF(p) entry point: (p-1)**2 < 2**63, so p-1 < 2**31.5. The codec adds
-one bound of its own, on the decoder's ``load``, checked once when the
-decoder is built (see :mod:`airindex._peel`): the first ``decodable``,
-``receiver_ranks``, ``decode`` or ``simulate`` on an encoder past it
-raises ``OverflowError`` before anything is summed, and below it no
-decoder output leaves int64 at any accepted prime. A column sum of
+one bound of its own, on the decoder's ``load``, which keeps every
+decoder output inside int64 and is argued and checked once in
+``airindex._peel._build_decoder``. A column sum of
 ``encode`` adds at most rows symbols below p, and rows <= ``MAX_CELLS``
 = 2**26, so it stays below 2**58. An encoder holds its nonzero cells,
 not its dense matrix, yet ``build_encoder`` still refuses, before
@@ -233,20 +231,16 @@ class Encoder:
         vars(enc).update(_cells=self._cells, _decoder=self._decoder)
         return enc
 
-    def _column_sums(self, X: np.ndarray, cols=slice(None)) -> np.ndarray:
-        """``out[:, j]`` = the sum of ``X[:, r]`` over the nonzero rows r of
-        column ``cols[j]``, of every column by default.
+    def _column_sums(self, X: np.ndarray) -> np.ndarray:
+        """``out[:, c]`` = the sum of ``X[:, r]`` over the nonzero rows r of column c.
 
         X is a 2-D batch with at least the encoder's rows as columns. One
         gather of the nonzero rows in column order and one
-        ``np.add.reduceat`` at each asked column's start and end, whose
-        even segments are the columns' runs, nonempty as every AIR column
-        holds a one; the odd ones, between runs, are dropped. So ``decode``
-        sums only its receiver's columns.
+        ``np.add.reduceat`` at every column's start; no run is empty, as
+        every AIR column holds a one.
         """
         cells = self._cells
-        sums = np.add.reduceat(X[:, cells.col_rows], cells.col_bounds[cols].ravel(), axis=1)
-        return sums[:, ::2]
+        return np.add.reduceat(X[:, cells.col_rows], cells.col_starts[:-1], axis=1)
 
     def _broadcast(self, X: np.ndarray) -> np.ndarray:
         """``X @ L % p`` for a 2-D batch X of message vectors with entries < p.
@@ -413,7 +407,7 @@ def decode(encoder: Encoder, k: int, codeword, side_info) -> np.ndarray:
     x[0, : known.size - head] = known[head:]
     lo, hi = dec.entry_bounds[k : k + 2].tolist()
     cols = dec.cols[lo:hi]
-    fixed = c[cols] % p - encoder._column_sums(x, cols)[0]
+    fixed = c[cols] % p - encoder._column_sums(x)[0, cols]
     out = dec.outputs(fixed[:, None], p, k)[:, 0]
     if out[b:].any():
         raise ArithmeticError(

@@ -272,6 +272,21 @@ class TestAdjacentIndependence:
         report = verify_adjacent_independence(fake, primes=primes, wrap=wrap)
         assert report.failures == tuple(expected)
 
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_per_prime_ranks_never_change_a_report(self, data):
+        # a window passes only with determinant +-1, and such a window has
+        # full rank at every prime, so the per-prime eliminations add no
+        # failure to what the exact determinant finds
+        m = data.draw(st.integers(1, 7))
+        n = data.draw(st.integers(1, m))
+        cells = data.draw(st.lists(st.integers(-2, 2), min_size=m * n, max_size=m * n))
+        wrap = data.draw(st.booleans())
+        fake = AirMatrix(m=m, n=n, entries=np.array(cells, dtype=np.int64).reshape(m, n))
+        ranked = verify_adjacent_independence(fake, primes=(2, 3, 5, 7), wrap=wrap)
+        unranked = verify_adjacent_independence(fake, primes=(), wrap=wrap)
+        assert ranked.failures == unranked.failures
+
     def test_entries_past_one_are_not_certified_mod_3(self):
         # window 1 is [[1, 3], [0, -2]]: identity mod 3 with no wrap, full rank
         # mod 3 and mod 5, yet its determinant is -2; window 0 has det -1

@@ -51,6 +51,18 @@ class TestPrimality:
     def test_small_values(self):
         assert [p for p in range(20) if is_prime(p)] == [2, 3, 5, 7, 11, 13, 17, 19]
 
+    def test_matches_a_sieve(self):
+        # squares and products of two primes near each other test the loop's
+        # bound and both divisors 6k-1 and 6k+1
+        n = 20000
+        sieve = np.ones(n, dtype=bool)
+        sieve[:2] = False
+        for f in range(2, 142):
+            sieve[f * f :: f] = False
+        assert [is_prime(p) for p in range(n)] == sieve.tolist()
+        assert is_prime(3037000493) and not is_prime(3037000493 * 3)
+        assert not is_prime(65521 * 65537) and not is_prime(46337**2)
+
     def test_require_prime_rejects_composites(self):
         with pytest.raises(ValueError, match="prime"):
             require_prime(4)

@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 
 from airindex import _peel
-from airindex._peel import _Cells, _cut
+from airindex._peel import _Cells, _cut, _window_counts
+from airindex.air import _block_cells
 
 
 def test_imports_nothing_from_the_package():
@@ -40,9 +41,8 @@ class TestCells:
         m, n = self.M.shape
         assert np.array_equal(cells.dense(np.arange(m)), self.M)
         assert np.array_equal(cells.dense([4, 0, 4]), self.M[[4, 0, 4]])
-        bounds = cells.col_bounds
-        assert bounds.shape == (n, 2)
-        assert (bounds[:, 1] - bounds[:, 0]).tolist() == self.M.sum(axis=0).tolist()
+        assert cells.col_starts.shape == (n + 1,)
+        assert np.diff(cells.col_starts).tolist() == self.M.sum(axis=0).tolist()
 
     def test_cells_in_any_order(self):
         cells, shuffled = self._cells(), self._cells(np.random.default_rng(5).permutation(10))
@@ -66,3 +66,31 @@ class TestCells:
                     got = ((lo + off[q == c]) % m).tolist()
                     assert got == [r for r in run if self.M[r, c]], (w, lo, c)
         assert wrapped == 10
+
+    def test_window_counts_read_from_the_dense_rows(self):
+        # starts out of order, repeated and wrapping past the last row, so
+        # nothing ties one window to the one before
+        cells = self._cells()
+        m, n = self.M.shape
+        lo = np.array([3, 0, 4, 4, 1, 2])
+        for w in range(1, m + 1):
+            count, total = _window_counts(cells, lo, w)
+            assert count.shape == total.shape == (lo.size * n,)
+            for i, start in enumerate(lo):
+                run = (start + np.arange(w)) % m
+                got = slice(i * n, (i + 1) * n)
+                assert count[got].tolist() == self.M[run].sum(axis=0).tolist(), (w, start)
+                assert total[got].tolist() == (run @ self.M[run]).tolist(), (w, start)
+
+
+def test_air_windows_hold_at_most_w_plus_n_minus_1_cells():
+    # the bound that keeps each run's gathered window cells under twice
+    # _PEEL_CELLS, for every window of every AIR matrix with m <= 60
+    for m in range(1, 61):
+        for n in range(1, m + 1):
+            rows, cols = (np.concatenate(part) for part in zip(*_block_cells(m, n)))
+            row_ptr = _Cells.from_nonzero(rows, cols, m, n).row_ptr
+            w = np.arange(1, m + 1)[:, None]
+            lo = np.arange(m)
+            held = row_ptr[lo + w] - row_ptr[lo]
+            assert (held <= w + n - 1).all(), (m, n)
