@@ -25,20 +25,9 @@ ops. Other primes keep a row's nonzero entries in a dict and do
 arithmetic on Python ints, which is exact for any p. All of them give
 identical results.
 
-The GF(3) engine also certifies integer determinants. Read GF(3) in
-balanced form {-1, 0, 1}: clearing a pivot column is ``row - pivot`` or
-``row + pivot``, and the plane swap that makes a pivot entry 1 is a
-negation. These are integer row operations, exact over Z unless a cell
-wraps (1 + 1 or (-1) + (-1)). The engine keeps a sticky mask of every
-cell that wrapped and a count of the negations. If the rows that raised
-the rank had entries in {-1, 0, 1}, fill every column and no cell ever
-wrapped, the pivot rows are those rows times a unit lower triangular
-matrix and a diagonal of signs, and sorted by pivot column they are unit
-upper triangular. Their determinant is therefore ``(-1)**negations``
-times the sign of the permutation from insertion order to pivot column;
-``unimodular_det()`` returns it, or ``None``. The mask covers every
-reduction, so a stray wrap can only withdraw a certificate, never grant
-one.
+The elimination computes ranks only. The package's one nonsingularity
+certificate is the field-free peel of :mod:`airindex._peel`; an
+integer determinant is :func:`airindex.linalg.det_exact`.
 
 This is the package's one GF(p) elimination.
 :func:`airindex.linalg.rank_mod_p` and the window verifier insert rows
@@ -141,8 +130,6 @@ class _EchelonGF3(_Echelon):
     def __init__(self, cols: int):
         super().__init__(cols)
         self._mask = (1 << cols) - 1
-        self._wrapped = 0  # every cell where a reduction added 1+1 or 2+2
-        self._negations = 0  # pivot rows scaled by 2 on insertion
 
     def pack(self, rows) -> list[tuple[int, int]]:
         v = _rows(rows, 3)
@@ -151,7 +138,6 @@ class _EchelonGF3(_Echelon):
     def _reduce(self, row: tuple[int, int], mask: int) -> tuple[int, int]:
         lo, hi = row
         pivots, full = self._pivots, self._mask
-        wrapped = 0
         hit = (lo | hi) & mask
         while hit:
             low = hit & -hit
@@ -165,9 +151,7 @@ class _EchelonGF3(_Echelon):
             twos = lo & plo
             ones = hi & phi
             lo, hi = (lo & zb) | (za & plo) | ones, (hi & zb) | (za & phi) | twos
-            wrapped |= twos | ones
             hit = (lo | hi) & mask
-        self._wrapped |= wrapped
         return lo, hi
 
     def _lead(self, row: tuple[int, int]) -> int:
@@ -176,29 +160,8 @@ class _EchelonGF3(_Echelon):
     def _unit(self, row: tuple[int, int], c: int) -> tuple[int, int]:
         lo, hi = row
         if hi >> c & 1:
-            self._negations += 1
             return hi, lo  # scale by 2 so the pivot entry is 1
         return row
-
-    def unimodular_det(self) -> int | None:
-        """Integer determinant of the rows that raised the rank, when proven.
-
-        Valid for rows inserted with entries in {-1, 0, 1}, read as
-        integers in insertion order. Returns +-1 when they fill every
-        column and no cell wrapped (see the module docstring); ``None``
-        when the run proves nothing.
-        """
-        if self.rank != self.cols or self._wrapped:
-            return None
-        sign = -1 if self._negations % 2 else 1
-        # sort insertion order into pivot-column order; each swap flips the sign
-        cols = list(self._pivots)
-        for i in range(len(cols)):
-            while cols[i] != i:
-                j = cols[i]
-                cols[i], cols[j] = cols[j], j
-                sign = -sign
-        return sign
 
 
 class _EchelonGeneric(_Echelon):

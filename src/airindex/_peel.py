@@ -1,11 +1,25 @@
 """The field-free peel: every receiver's ranks and decoder from the AIR cells.
 
-The codec's decoder build. It imports only numpy, never another module
-of this package, so any of them can use it; it reads a 0/1 matrix's
-nonzero cells (``_Cells``) and the shape numbers of its receivers, never
-a prime. A receiver's unknowns are a cyclic window of w consecutive
-rows, the windows of consecutive receivers start b rows apart, and its
-b wanted rows start ``at`` rows into its window.
+The codec's decoder build, and the package's one nonsingularity
+certificate. It imports only numpy, never another module of this
+package, so any of them can use it; it reads a 0/1 matrix's nonzero
+cells (``_Cells``) and the shape numbers of its windows, never a prime.
+A receiver's unknowns are a cyclic window of w consecutive rows, the
+windows of consecutive receivers start b rows apart, and its b wanted
+rows start ``at`` rows into its window.
+
+The certificate. The first peel (``_first_peel``) solves, round by
+round, each row that is the one unsolved row of some column of its
+window, and that column wins it. If it solves every row of a square
+window, its n winners are all n columns. List the rows in solve order
+and each row's winner in the same order: a winner holds its own row
+with entry 1 and none of the other rows unsolved when it won, so none
+listed after its own, and the window is a permutation of a unit
+triangular matrix. Its determinant is therefore +-1, and it has full
+rank in every field. ``_window_peels`` gives this verdict for every
+window of a matrix at once, and
+:func:`airindex.air.verify_adjacent_independence` reads it for every
+AIR window.
 
 Once the side information's share is subtracted, a codeword column is
 the plain sum of its unknown rows, as the matrix is 0/1, so a column
@@ -279,6 +293,52 @@ def _sum_cells(keys: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return keys[first[keep]], sums[keep]
 
 
+def _first_peel(cells: _Cells, lo: np.ndarray, w: int) -> tuple[np.ndarray, np.ndarray, list[int], np.ndarray]:
+    """The first peel's rounds over the windows of w rows that start at rows ``lo``.
+
+    In each round every column left with one unsolved row of its window
+    solves it, and of the columns that hold the same row the first in
+    column order wins. Returns ``who``, where ``who[i * w + offset]`` is
+    the winner that solved that row of window i, or -1; the winners
+    ``win``, as window * n + column in solve order; ``bounds``, 0 and
+    then the offset in ``win`` at which each round's winners end; and
+    each window's count of unsolved rows per column, i-major, with -1 at
+    every winner.
+    """
+    m, n = (cells.row_ptr.size - 1) // 2, cells.col_starts.size - 1
+    count, total = _window_counts(cells, lo, w)
+    wins, bounds = [np.zeros(0, dtype=np.int64)], [0]
+    who = np.full(lo.size * w, -1)
+    cand = (count == 1).nonzero()[0]
+    while cand.size:
+        rows = total[cand]
+        i = cand // n
+        first = _firsts(i * m + rows)
+        cand, rows, i = cand[first], rows[first], i[first]
+        who[i * w + (rows - lo[i]) % m] = np.arange(bounds[-1], bounds[-1] + cand.size)
+        wins.append(cand)
+        bounds.append(bounds[-1] + cand.size)
+        q, idx = _ranges(cells.row_ptr[rows], cells.row_ptr[rows + 1])
+        touched = i[q] * n + cells.row_cols[idx]
+        np.add.at(count, touched, -1)
+        np.add.at(total, touched, -rows[q])
+        count[cand] = -1
+        cand = (count == 1).nonzero()[0]
+    return who, np.concatenate(wins), bounds, count
+
+
+def _window_peels(cells: _Cells, lo: np.ndarray, w: int) -> np.ndarray:
+    """Whether the first peel solves every row of each window of w rows from ``lo``.
+
+    A window that peels is nonsingular in every field (see the module
+    docstring). The windows run in runs, as in ``_build_decoder``, so
+    that no windows x columns array exceeds ``_PEEL_CELLS`` cells.
+    """
+    step = max(1, _PEEL_CELLS // max(cells.col_starts.size - 1, w))
+    runs = (_first_peel(cells, lo[k : k + step], w)[0] for k in range(0, lo.size, step))
+    return np.concatenate([(who.reshape(-1, w) >= 0).all(axis=1) for who in runs])
+
+
 def _peel(cells: _Cells, lo: np.ndarray, w: int, b: int, at: int, name) -> tuple[np.ndarray, ...]:
     """Peel the receivers whose windows of w rows start at rows ``lo``.
 
@@ -323,30 +383,9 @@ def _peel(cells: _Cells, lo: np.ndarray, w: int, b: int, at: int, name) -> tuple
     """
     m, n = (cells.row_ptr.size - 1) // 2, cells.col_starts.size - 1
     C = lo.size
-    count, total = _window_counts(cells, lo, w)
-    # first peel: each round's winners as receiver * n + column, and
-    # who[i * w + offset], the winner that solved that row of window i, or -1
-    empty = np.zeros(0, dtype=np.int64)
-    wins, bounds = [empty], [0]
-    who = np.full(C * w, -1)
-    cand = (count == 1).nonzero()[0]
-    while cand.size:
-        rows = total[cand]
-        i = cand // n
-        first = _firsts(i * m + rows)
-        cand, rows, i = cand[first], rows[first], i[first]
-        who[i * w + (rows - lo[i]) % m] = np.arange(bounds[-1], bounds[-1] + cand.size)
-        wins.append(cand)
-        bounds.append(bounds[-1] + cand.size)
-        q, idx = _ranges(cells.row_ptr[rows], cells.row_ptr[rows + 1])
-        touched = i[q] * n + cells.row_cols[idx]
-        np.add.at(count, touched, -1)
-        np.add.at(total, touched, -rows[q])
-        count[cand] = -1
-        cand = (count == 1).nonzero()[0]
-    win = np.concatenate(wins)
+    who, win, bounds, count = _first_peel(cells, lo, w)
     win_i, win_c = win // n, win % n
-    del total, wins, win  # each as large as a receivers x columns array
+    del win  # as large as a receivers x columns array
     wanted = who.reshape(C, w)[:, at : at + b]
     ok = (wanted >= 0).all(axis=1)
     count = count.reshape(C, n)
@@ -374,6 +413,7 @@ def _peel(cells: _Cells, lo: np.ndarray, w: int, b: int, at: int, name) -> tuple
             cand = (deg == 1).nonzero()[0]
         ok &= ~check | (cleared == live)
     if not ok.any():
+        empty = np.zeros(0, dtype=np.int64)
         return ok, parity, empty, empty, empty
     # outputs: each receiver's b wanted rows, then its parity columns
     outputs = (b + parity) * ok

@@ -13,9 +13,10 @@ h x w rectangle at (top, left) has its ones at
 the one formula ``build_air`` writes. The family is designed so that
 every window of n adjacent rows is nonsingular over every field;
 :func:`verify_adjacent_independence` checks that claim window by window
-with an exact determinant and per-prime ranks. The GF(3) rank is read
-from the elimination that certifies the determinant; every other prime
-is an independent elimination of rows packed once per matrix.
+with the peel certificate of :mod:`airindex._peel` (determinant +-1),
+an exact determinant wherever the peel certifies nothing, and per-prime
+ranks, each prime an independent elimination of rows packed once per
+matrix.
 
 ``build_air`` refuses a shape that is wider than tall or has more than
 ``MAX_CELLS`` entries before allocating it; the codec's encoders and
@@ -32,7 +33,8 @@ from typing import Iterator
 import numpy as np
 
 from ._echelon import stream_echelon
-from .linalg import _det, as_int_matrix, require_prime
+from ._peel import _Cells, _window_peels
+from .linalg import as_int_matrix, det_exact, require_prime
 
 __all__ = [
     "MAX_CELLS",
@@ -207,30 +209,32 @@ def verify_adjacent_independence(
 
     Each window must have exact determinant +-1 (nonsingular over every
     field) and full rank over each requested prime. Window starts are
-    ``0 .. m-n`` without wrap and ``0 .. m-1`` with cyclic wrap. The rows
-    are read once and packed once per field, and each window eliminates
-    its slice of them. Its one GF(3) elimination certifies the
-    determinant (Bareiss runs when it proves nothing) and gives the GF(3)
-    rank; every other prime is an independent elimination. Every prime
+    ``0 .. m-n`` without wrap and ``0 .. m-1`` with cyclic wrap. When the
+    entries are 0/1 and every row and column holds a one, as in every
+    AIR matrix, the peel of :mod:`airindex._peel` runs over every window
+    at once, and a window it solves has determinant +-1; any other
+    window gets ``det_exact``. The rows are packed once per requested
+    prime, and each window eliminates its slice of them. Every prime
     passes ``require_prime`` before any window is checked.
     """
     primes = tuple(require_prime(q) for q in primes)
     m, n = air.m, air.n
-    starts = range(m) if wrap else range(m - n + 1)
+    starts = np.arange(m if wrap else m - n + 1)
     rows = as_int_matrix(air.entries)
+    peeled = [False] * starts.size
+    # the precondition of ``_Cells.from_nonzero``
+    if rows.min() >= 0 and rows.max() <= 1 and rows.any(axis=0).all() and rows.any(axis=1).all():
+        cells = _Cells.from_nonzero(*rows.nonzero(), m, n)
+        peeled = _window_peels(cells, starts, n).tolist()
     if wrap:
         # window s is rows s .. s+n-1 in both modes
         rows = rows[np.arange(m + n - 1) % m]
-    # GF(3) always runs: its elimination certifies the determinant
-    packed = {q: stream_echelon(n, q).pack(rows) for q in (3, *primes)}
+    packed = {q: stream_echelon(n, q).pack(rows) for q in primes}
     failures = []
-    for s in starts:
-        ech = {}
-        for q, field_rows in packed.items():
-            ech[q] = stream_echelon(n, q)
-            ech[q].insert_packed(field_rows[s : s + n])
-        ok = _det(rows[s : s + n], ech[3]) in (-1, 1) and all(
-            ech[q].rank == n for q in primes
+    for s in range(starts.size):
+        ok = (peeled[s] or det_exact(rows[s : s + n]) in (-1, 1)) and all(
+            stream_echelon(n, q).insert_packed(field_rows[s : s + n]) == n
+            for q, field_rows in packed.items()
         )
         if not ok:
             failures.append(s)
@@ -238,7 +242,7 @@ def verify_adjacent_independence(
         m=m,
         n=n,
         wrap=wrap,
-        windows_checked=len(starts),
+        windows_checked=starts.size,
         failures=tuple(failures),
         primes=primes,
     )

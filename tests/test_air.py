@@ -9,10 +9,11 @@ import pytest
 from _reference import det_fraction
 from _reference import rank_mod_p as reference_rank
 from _reference import reference_air, stacked_identity
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import airindex.air as air_module
+from airindex._peel import _Cells, _window_peels
 from airindex.air import (
     AirMatrix,
     _fill_blocks,
@@ -251,12 +252,13 @@ class TestAdjacentIndependence:
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
     def test_matches_per_window_reference_on_any_entries(self, data):
-        # a GF(3) certificate is only valid for entries in {-1, 0, 1}; larger
-        # entries are packed mod 3 and must go through the exact determinant
+        # the peel certifies only 0/1 matrices whose rows and columns each
+        # hold a one; every other window, 0/1 ones with a zero row or column
+        # included, must go through the exact determinant
         m = data.draw(st.integers(1, 6))
         n = data.draw(st.integers(1, m))
-        bound = data.draw(st.sampled_from([1, 3]))
-        cells = data.draw(st.lists(st.integers(-bound, bound), min_size=m * n, max_size=m * n))
+        lo, hi = data.draw(st.sampled_from([(0, 1), (-1, 1), (-3, 3)]))
+        cells = data.draw(st.lists(st.integers(lo, hi), min_size=m * n, max_size=m * n))
         wrap = data.draw(st.booleans())
         primes = tuple(data.draw(st.lists(st.sampled_from([2, 3, 5, 7]), min_size=1, max_size=4)))
         entries = np.array(cells, dtype=np.int64).reshape(m, n)
@@ -287,9 +289,10 @@ class TestAdjacentIndependence:
         unranked = verify_adjacent_independence(fake, primes=(), wrap=wrap)
         assert ranked.failures == unranked.failures
 
-    def test_entries_past_one_are_not_certified_mod_3(self):
-        # window 1 is [[1, 3], [0, -2]]: identity mod 3 with no wrap, full rank
-        # mod 3 and mod 5, yet its determinant is -2; window 0 has det -1
+    def test_entries_past_one_are_never_peel_certified(self):
+        # entries outside {0, 1} send every window to the exact determinant;
+        # window 1 is [[1, 3], [0, -2]]: full rank mod 3 and mod 5, yet its
+        # determinant is -2; window 0 has det -1
         entries = np.array([[0, 1], [1, 3], [0, -2]], dtype=np.int64)
         fake = AirMatrix(m=3, n=2, entries=entries)
         assert det_exact(entries[1:]) == -2
@@ -317,6 +320,66 @@ class TestAdjacentIndependence:
         assert np.array_equal(window, expected)
         with pytest.raises(ValueError):
             air.row_window(3, wrap=False)
+
+
+def _peel_verdicts(air, starts):
+    rows, cols = air.entries.nonzero()
+    return _window_peels(_Cells.from_nonzero(rows, cols, air.m, air.n), starts, air.n)
+
+
+class TestWindowPeel:
+    """The peel certificate of every AIR window, and its fallback."""
+
+    def test_every_air_window_peels(self):
+        # starts 0 .. m-1 are the cyclic windows; the first m-n+1 of them are
+        # the windows without wrap
+        for m in range(3, 41):
+            for n in range(1, m + 1):
+                assert _peel_verdicts(build_air(m, n), np.arange(m)).all(), (m, n)
+
+    @pytest.mark.parametrize("wrap", [False, True])
+    def test_air_windows_never_reach_det_exact(self, monkeypatch, wrap):
+        def no_det(mat):
+            raise AssertionError(f"det_exact ran on\n{mat}")
+
+        monkeypatch.setattr(air_module, "det_exact", no_det)
+        for m in range(1, 21):
+            for n in range(1, m + 1):
+                assert verify_adjacent_independence(build_air(m, n), wrap=wrap).passed
+
+    @pytest.mark.parametrize(
+        "rows, passed",
+        [([[1, 1, 0], [0, 1, 1], [1, 1, 1]], True), ([[1, 1, 0], [0, 1, 1], [1, 0, 1]], False)],
+        ids=["det-1", "det-2"],
+    )
+    def test_stalled_window_reaches_det_exact(self, monkeypatch, rows, passed):
+        # no column holds exactly one row, so the peel stalls at once
+        calls = []
+
+        def spy(mat):
+            calls.append(mat)
+            return det_exact(mat)
+
+        monkeypatch.setattr(air_module, "det_exact", spy)
+        fake = AirMatrix(m=3, n=3, entries=np.array(rows, dtype=np.int64))
+        assert not _peel_verdicts(fake, np.arange(1)).any()
+        assert verify_adjacent_independence(fake).passed is passed
+        assert len(calls) == 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_certified_windows_have_unit_determinant(self, data):
+        m = data.draw(st.integers(1, 7))
+        n = data.draw(st.integers(1, m))
+        cells = data.draw(st.lists(st.integers(0, 1), min_size=m * n, max_size=m * n))
+        entries = np.array(cells, dtype=np.int64).reshape(m, n)
+        # the precondition of ``_Cells.from_nonzero``
+        assume(entries.any(axis=0).all() and entries.any(axis=1).all())
+        starts = np.arange(m if data.draw(st.booleans()) else m - n + 1)
+        fake = AirMatrix(m=m, n=n, entries=entries)
+        for s, peeled in zip(starts, _peel_verdicts(fake, starts)):
+            if peeled:
+                assert det_fraction(entries[(s + np.arange(n)) % m]) in (-1, 1)
 
 
 class TestSerialization:
