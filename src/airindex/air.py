@@ -15,8 +15,9 @@ every window of n adjacent rows is nonsingular over every field;
 :func:`verify_adjacent_independence` checks that claim window by window
 with the peel certificate of :mod:`airindex._peel` (determinant +-1),
 an exact determinant wherever the peel certifies nothing, and per-prime
-ranks, each prime an independent elimination of rows packed once per
-matrix.
+ranks. Every prime runs the same sparse elimination of
+:mod:`airindex._echelon` on rows packed once per matrix and prime; an
+AIR row holds at most 3 ones.
 
 ``build_air`` refuses a shape that is wider than tall or has more than
 ``MAX_CELLS`` entries before allocating it; the codec's encoders and
@@ -32,7 +33,7 @@ from typing import Iterator
 
 import numpy as np
 
-from ._echelon import stream_echelon
+from ._echelon import Echelon
 from ._peel import _Cells, _window_peels
 from .linalg import as_int_matrix, det_exact, require_prime
 
@@ -214,8 +215,10 @@ def verify_adjacent_independence(
     AIR matrix, the peel of :mod:`airindex._peel` runs over every window
     at once, and a window it solves has determinant +-1; any other
     window gets ``det_exact``. The rows are packed once per requested
-    prime, and each window eliminates its slice of them. Every prime
-    passes ``require_prime`` before any window is checked.
+    prime into the sparse form of :class:`airindex._echelon.Echelon`,
+    the one elimination for every prime, and each window eliminates its
+    slice of them. Every prime passes ``require_prime`` before any
+    window is checked.
     """
     primes = tuple(require_prime(q) for q in primes)
     m, n = air.m, air.n
@@ -229,11 +232,11 @@ def verify_adjacent_independence(
     if wrap:
         # window s is rows s .. s+n-1 in both modes
         rows = rows[np.arange(m + n - 1) % m]
-    packed = {q: stream_echelon(n, q).pack(rows) for q in primes}
+    packed = {q: Echelon(n, q).pack(rows) for q in primes}
     failures = []
     for s in range(starts.size):
         ok = (peeled[s] or det_exact(rows[s : s + n]) in (-1, 1)) and all(
-            stream_echelon(n, q).insert_packed(field_rows[s : s + n]) == n
+            Echelon(n, q).insert_packed(field_rows[s : s + n]) == n
             for q, field_rows in packed.items()
         )
         if not ok:

@@ -1,9 +1,10 @@
 """Exact integer and prime-field matrix arithmetic.
 
-Deterministic routines backing the AIR window verification: rank over
-GF(p), computed by the streaming echelon (:mod:`airindex._echelon`) that
-the codec also runs for a receiver its peel does not certify, and exact
-integer determinants by fraction-free (Bareiss) elimination. The window
+Deterministic routines backing the AIR window verification. Rank over
+GF(p) is computed by :mod:`airindex._echelon`, one sparse streaming
+elimination for every prime, which the codec also runs for a receiver
+its peel does not certify. Exact integer determinants come from
+fraction-free (Bareiss) elimination. The window
 verifier calls ``det_exact`` only for a window that the peel of
 :mod:`airindex._peel`, the package's nonsingularity certificate, does
 not certify; no AIR window up to 40 rows needs it.
@@ -21,7 +22,7 @@ import operator
 
 import numpy as np
 
-from ._echelon import stream_echelon
+from ._echelon import Echelon
 
 __all__ = [
     "is_prime",
@@ -61,8 +62,8 @@ def require_prime(p) -> int:
     Every GF(p) entry point, ranks and the codec alike, funnels through
     this and shares its one range: p is supported while
     ``(p-1)**2 < 2**63``, so 3037000493 is the largest prime accepted.
-    The elimination works on Python ints above GF(3), so for ranks the
-    bound is a chosen envelope; the codec's int64 sums are exact at every
+    The elimination works on Python ints at every prime, so for ranks
+    the bound is a chosen envelope; the codec's int64 sums are exact at every
     such prime (see ``airindex._peel._build_decoder``). Checks run
     cheapest first: a non-integer raises ``TypeError`` rather than being
     truncated, and the range is checked before trial-division primality.
@@ -119,7 +120,7 @@ def rank_mod_p(mat, p) -> int:
     """Rank of ``mat`` over GF(p), by streaming elimination of its rows."""
     p = require_prime(p)
     a = as_int_matrix(mat)
-    return stream_echelon(a.shape[1], p).insert(a)
+    return Echelon(a.shape[1], p).insert(a)
 
 
 def _stacked_ranks_mod_p(top, bottom, p) -> tuple[int, int]:
@@ -130,7 +131,7 @@ def _stacked_ranks_mod_p(top, bottom, p) -> tuple[int, int]:
     """
     p = require_prime(p)
     top, bottom = as_int_matrix(top), as_int_matrix(bottom)
-    echelon = stream_echelon(top.shape[1], p)
+    echelon = Echelon(top.shape[1], p)
     rank = echelon.insert(top)
     return rank, rank + echelon.insert(bottom)
 

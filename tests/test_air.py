@@ -218,7 +218,7 @@ class TestAdjacentIndependence:
 
         # reading the rows and building an echelon both come before any window
         monkeypatch.setattr(air_module, "as_int_matrix", no_window)
-        monkeypatch.setattr(air_module, "stream_echelon", no_window)
+        monkeypatch.setattr(air_module, "Echelon", no_window)
         for p in (3037000507, 4294967311):
             with pytest.raises(ValueError, match="2\\*\\*63"):
                 verify_adjacent_independence(air, primes=(2, p))

@@ -9,11 +9,12 @@ Ranks are compared with the dense whole-matrix elimination in
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _reference import rank_mod_p as reference_rank
-from airindex._echelon import stream_echelon
+from airindex._echelon import Echelon
 from airindex.air import build_air
 
 
@@ -21,8 +22,8 @@ class _AllPivotsReference:
     """Plain echelon that walks every pivot in insertion order.
 
     Each insert visits all pivots found so far, whether or not the row
-    has an entry at their column. The engines must produce the
-    same reduced rows while visiting only the pivot columns present.
+    has an entry at their column. The engine must produce the same
+    reduced rows while visiting only the pivot columns present.
     """
 
     def __init__(self, cols: int, p: int):
@@ -46,18 +47,11 @@ class _AllPivotsReference:
         return True
 
 
-def _dense(ech, row) -> np.ndarray:
-    """One packed row of ``ech`` as a dense array of residues."""
+def _dense(ech, pivot) -> np.ndarray:
+    """One pivot row of the engine as a dense array of residues."""
+    row, _ = pivot
     out = np.zeros(ech.cols, dtype=np.int64)
-    if ech.p == 2:
-        out[[j for j in range(ech.cols) if row >> j & 1]] = 1
-    elif ech.p == 3:
-        lo, hi = row
-        for j in range(ech.cols):
-            out[j] = (lo >> j & 1) + 2 * (hi >> j & 1)
-    else:
-        for j, x in row.items():
-            out[j] = x
+    out[list(row)] = list(row.values())
     return out
 
 
@@ -85,7 +79,7 @@ def _air_rows(draw):
 @given(mat=_matrices(), p=st.sampled_from([2, 3, 5, 7, 65521]))
 def test_streaming_rank_matches_reference(mat, p):
     a = np.array(mat, dtype=np.int64)
-    ech = stream_echelon(a.shape[1], p)
+    ech = Echelon(a.shape[1], p)
     for i, row in enumerate(a):
         ech.insert(row)
         assert ech.rank == reference_rank(a[: i + 1], p)
@@ -95,7 +89,7 @@ def test_streaming_rank_matches_reference(mat, p):
 @given(mat=_matrices(), p=st.sampled_from([2, 3, 5]), data=st.data())
 def test_reduce_detects_row_space_membership(mat, p, data):
     a = np.array(mat, dtype=np.int64) % p
-    ech = stream_echelon(a.shape[1], p)
+    ech = Echelon(a.shape[1], p)
     for row in a:
         ech.insert(row)
     coeffs = np.array(
@@ -123,7 +117,7 @@ def test_reduce_detects_row_space_membership(mat, p, data):
 def test_pivot_structure(p, seed):
     rng = np.random.default_rng(seed)
     a = rng.integers(0, p, size=(7, 5))
-    ech = stream_echelon(5, p)
+    ech = Echelon(5, p)
     ech.insert(a)
     assert len(set(ech._pivots)) == ech.rank == reference_rank(a, p)
     # each pivot row holds a 1 at its column, is zero below it and at
@@ -155,15 +149,15 @@ def _assert_same_pivots(ech, ref) -> None:
 def _assert_matches_reference(mat, p, probes):
     a = np.array(mat, dtype=np.int64)
     width = a.shape[1]
-    ech = stream_echelon(width, p)
+    ech = Echelon(width, p)
     ref = _AllPivotsReference(width, p)
     _insert_each(ech, ref, a)
     # inserting all the rows in one call, packed or not, must end in the
     # same state
-    prepacked = stream_echelon(width, p)
+    prepacked = Echelon(width, p)
     assert prepacked.insert_packed(prepacked.pack(a)) == ech.rank
     _assert_same_pivots(prepacked, ref)
-    block = stream_echelon(width, p)
+    block = Echelon(width, p)
     assert block.insert(a) == ech.rank
     _assert_same_pivots(block, ref)
     # probes raise the rank exactly when they leave the row space
@@ -190,3 +184,21 @@ def test_matches_all_pivots_reference_air_rows(rows, p):
     # sums of two inputs stay in the row space, a shifted input may not
     probes = [np.add(rows[0], rows[-1]), np.roll(rows[0], 1)]
     _assert_matches_reference(rows, p, probes)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 65521])
+def test_fill_in_at_a_later_pivot_column_is_cleared(p):
+    # pivots at columns 0 and 2; each probe holds column 0 but not column 2,
+    # and subtracting the column-0 pivot fills in a nonzero at column 2
+    pivots = [[1, 0, 1, 0], [0, 0, 1, 1]]
+    probes = [
+        [1, 0, 0, -1],  # the fill-in clears to zero: the rank stays
+        [1, 1, 0, 0],  # the fill-in clears and leaves a pivot at column 1
+    ]
+    ech = Echelon(4, p)
+    ref = _AllPivotsReference(4, p)
+    _insert_each(ech, ref, pivots + probes)
+    assert list(ech._pivots) == [0, 2, 1]
+    # each pivot's mask holds exactly its row's other columns
+    for c, (row, others) in ech._pivots.items():
+        assert others == sum(1 << j for j in row if j != c)
