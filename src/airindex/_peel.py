@@ -114,8 +114,8 @@ class _Cells(NamedTuple):
     column's rows inside a run are one range of it. ``col_rows`` lists
     the rows of the (undoubled) cells column by column, and column c's
     rows are ``col_rows[col_starts[c]:col_starts[c + 1]]``, so n is
-    ``col_starts.size - 1``; every AIR column holds a one, so no run is
-    empty (see ``Encoder._column_sums``).
+    ``col_starts.size - 1``; a run is empty only for a zero column, which
+    no AIR matrix has (see ``Encoder._column_sums``).
     ``row_col_sums[r]`` is the sum of row r's columns, for r < m, which
     the peel's second pass starts from.
     """
@@ -132,7 +132,9 @@ class _Cells(NamedTuple):
     def from_nonzero(cls, rows: np.ndarray, cols: np.ndarray, m: int, n: int) -> _Cells:
         """The cells (rows[i], cols[i]) of an m x n matrix, each given once, in any order.
 
-        Every row and every column must hold a cell, as in every AIR matrix.
+        Any 0/1 matrix will do: a zero row or column holds no cell, and
+        each row's sum of columns is counted by ``np.bincount``, as in
+        ``_window_counts``, so an empty row sums to 0.
         """
         # every sort in this module is the stable one: ``_firsts`` needs it,
         # and one sort kernel keeps fewer of numpy's code pages resident
@@ -147,7 +149,8 @@ class _Cells(NamedTuple):
             row_ptr=row_ptr,
             row_cols=np.concatenate([cols, cols]),
             cell_rows=np.concatenate([rows, rows]),
-            row_col_sums=np.add.reduceat(cols, row_ptr[:m]),
+            # float64 sums are exact: each is below n**2 <= m*n, far under 2**53
+            row_col_sums=np.bincount(rows, weights=cols, minlength=m).astype(np.int64),
             col_keys=np.sort(np.concatenate([keys, keys + m]), kind="stable"),
             col_rows=keys % (2 * m),
             col_starts=keys.searchsorted(np.arange(n + 1) * (2 * m)),
@@ -285,29 +288,28 @@ def _sum_cells(keys: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarr
     less the keys whose sum is 0."""
     order = keys.argsort(kind="stable")
     keys, vals = keys[order], vals[order]
-    if not keys.size:
-        return keys, vals
     first = _run_starts(keys)
     sums = np.add.reduceat(vals, first)
     keep = sums != 0
     return keys[first[keep]], sums[keep]
 
 
-def _first_peel(cells: _Cells, lo: np.ndarray, w: int) -> tuple[np.ndarray, np.ndarray, list[int], np.ndarray]:
+def _first_peel(cells: _Cells, lo: np.ndarray, w: int) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
     """The first peel's rounds over the windows of w rows that start at rows ``lo``.
 
     In each round every column left with one unsolved row of its window
     solves it, and of the columns that hold the same row the first in
     column order wins. Returns ``who``, where ``who[i * w + offset]`` is
     the winner that solved that row of window i, or -1; the winners
-    ``win``, as window * n + column in solve order; ``bounds``, 0 and
-    then the offset in ``win`` at which each round's winners end; and
-    each window's count of unsolved rows per column, i-major, with -1 at
-    every winner.
+    ``win``, as window * n + column in solve order; the count of the
+    first round's winners, which lead ``win`` (0 when no round runs);
+    and each window's count of unsolved rows per column, i-major, with
+    -1 at every winner.
     """
     m, n = (cells.row_ptr.size - 1) // 2, cells.col_starts.size - 1
     count, total = _window_counts(cells, lo, w)
-    wins, bounds = [np.zeros(0, dtype=np.int64)], [0]
+    wins = [np.zeros(0, dtype=np.int64)]
+    solved = first_round = 0
     who = np.full(lo.size * w, -1)
     cand = (count == 1).nonzero()[0]
     while cand.size:
@@ -315,16 +317,17 @@ def _first_peel(cells: _Cells, lo: np.ndarray, w: int) -> tuple[np.ndarray, np.n
         i = cand // n
         first = _firsts(i * m + rows)
         cand, rows, i = cand[first], rows[first], i[first]
-        who[i * w + (rows - lo[i]) % m] = np.arange(bounds[-1], bounds[-1] + cand.size)
+        who[i * w + (rows - lo[i]) % m] = np.arange(solved, solved + cand.size)
         wins.append(cand)
-        bounds.append(bounds[-1] + cand.size)
+        solved += cand.size
+        first_round = first_round or cand.size
         q, idx = _ranges(cells.row_ptr[rows], cells.row_ptr[rows + 1])
         touched = i[q] * n + cells.row_cols[idx]
         np.add.at(count, touched, -1)
         np.add.at(total, touched, -rows[q])
         count[cand] = -1
         cand = (count == 1).nonzero()[0]
-    return who, np.concatenate(wins), bounds, count
+    return who, np.concatenate(wins), first_round, count
 
 
 def _window_peels(cells: _Cells, lo: np.ndarray, w: int) -> np.ndarray:
@@ -383,7 +386,7 @@ def _peel(cells: _Cells, lo: np.ndarray, w: int, b: int, at: int, name) -> tuple
     """
     m, n = (cells.row_ptr.size - 1) // 2, cells.col_starts.size - 1
     C = lo.size
-    who, win, bounds, count = _first_peel(cells, lo, w)
+    who, win, first_round, count = _first_peel(cells, lo, w)
     win_i, win_c = win // n, win % n
     del win  # as large as a receivers x columns array
     wanted = who.reshape(C, w)[:, at : at + b]
@@ -412,9 +415,6 @@ def _peel(cells: _Cells, lo: np.ndarray, w: int, b: int, at: int, name) -> tuple
             np.add.at(csum, off, -c[q])
             cand = (deg == 1).nonzero()[0]
         ok &= ~check | (cleared == live)
-    if not ok.any():
-        empty = np.zeros(0, dtype=np.int64)
-        return ok, parity, empty, empty, empty
     # outputs: each receiver's b wanted rows, then its parity columns
     outputs = (b + parity) * ok
     base = outputs.cumsum() - outputs
@@ -435,7 +435,7 @@ def _peel(cells: _Cells, lo: np.ndarray, w: int, b: int, at: int, name) -> tuple
     sign = np.where(np.arange(o.size) < o.size - q.size, 1, -1)
     while True:
         terms.append((o, win_c[u], sign))
-        late = u >= bounds[1]
+        late = u >= first_round
         if not late.any():
             break
         o, u, sign = o[late], u[late], sign[late]

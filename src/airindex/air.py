@@ -15,9 +15,9 @@ every window of n adjacent rows is nonsingular over every field;
 :func:`verify_adjacent_independence` checks that claim window by window
 with the peel certificate of :mod:`airindex._peel` (determinant +-1),
 an exact determinant wherever the peel certifies nothing, and per-prime
-ranks. Every prime runs the same sparse elimination of
-:mod:`airindex._echelon` on rows packed once per matrix and prime; an
-AIR row holds at most 3 ones.
+ranks. Every prime runs the same sparse elimination,
+:class:`airindex.linalg.Echelon`, on rows packed once per matrix and
+prime; an AIR row holds at most 3 ones.
 
 ``build_air`` refuses a shape that is wider than tall or has more than
 ``MAX_CELLS`` entries before allocating it; the codec's encoders and
@@ -33,9 +33,8 @@ from typing import Iterator
 
 import numpy as np
 
-from ._echelon import Echelon
 from ._peel import _Cells, _window_peels
-from .linalg import as_int_matrix, det_exact, require_prime
+from .linalg import Echelon, as_int_matrix, det_exact, require_prime
 
 __all__ = [
     "MAX_CELLS",
@@ -211,22 +210,21 @@ def verify_adjacent_independence(
     Each window must have exact determinant +-1 (nonsingular over every
     field) and full rank over each requested prime. Window starts are
     ``0 .. m-n`` without wrap and ``0 .. m-1`` with cyclic wrap. When the
-    entries are 0/1 and every row and column holds a one, as in every
-    AIR matrix, the peel of :mod:`airindex._peel` runs over every window
-    at once, and a window it solves has determinant +-1; any other
-    window gets ``det_exact``. The rows are packed once per requested
-    prime into the sparse form of :class:`airindex._echelon.Echelon`,
-    the one elimination for every prime, and each window eliminates its
-    slice of them. Every prime passes ``require_prime`` before any
-    window is checked.
+    entries are 0/1, as in every AIR matrix, the peel of
+    :mod:`airindex._peel` runs over every window at once, and a window it
+    solves has determinant +-1; any other window, one with a zero row or
+    column included, gets ``det_exact``. The rows are packed once per
+    requested prime into the sparse form of
+    :class:`airindex.linalg.Echelon`, the one elimination for every
+    prime, and each window eliminates its slice of them. Every prime
+    passes ``require_prime`` before any window is checked.
     """
     primes = tuple(require_prime(q) for q in primes)
     m, n = air.m, air.n
     starts = np.arange(m if wrap else m - n + 1)
     rows = as_int_matrix(air.entries)
     peeled = [False] * starts.size
-    # the precondition of ``_Cells.from_nonzero``
-    if rows.min() >= 0 and rows.max() <= 1 and rows.any(axis=0).all() and rows.any(axis=1).all():
+    if rows.min() >= 0 and rows.max() <= 1:
         cells = _Cells.from_nonzero(*rows.nonzero(), m, n)
         peeled = _window_peels(cells, starts, n).tolist()
     if wrap:

@@ -45,16 +45,18 @@ Message vectors, codewords and side information must hold integers
 (:func:`airindex.linalg.as_int_array`); receiver indices go through
 ``operator.index``. Neither is ever truncated.
 
-Supported sizes. All arithmetic is exact in int64. ``build_encoder``
-and ``Encoder.over`` take every prime that
-:func:`airindex.linalg.require_prime` accepts, the one range of every
-GF(p) entry point: (p-1)**2 < 2**63, so p-1 < 2**31.5. The codec adds
-one bound of its own, on the decoder's ``load``, which keeps every
-decoder output inside int64 and is argued and checked once in
-``airindex._peel._build_decoder``. A column sum of
-``encode`` adds at most rows symbols below p, and rows <= ``MAX_CELLS``
-= 2**26, so it stays below 2**58. An encoder holds its nonzero cells,
-not its dense matrix, yet ``build_encoder`` still refuses, before
+Supported sizes. All arithmetic is exact in int64. An encoder takes
+every prime that :func:`airindex.linalg.require_prime` accepts, the one
+range of every GF(p) entry point: (p-1)**2 < 2**63, so p-1 < 2**31.5.
+``Encoder`` construction applies that gate and the shape cap below
+itself, so an encoder built directly passes the same checks, with the
+same messages, as one from ``build_encoder`` or ``Encoder.over``. The
+codec adds one bound of its own, on the decoder's ``load``, which keeps
+every decoder output inside int64 and is argued and checked once in
+``airindex._peel._build_decoder``. A column sum of ``encode`` adds at
+most rows symbols below p, and rows <= ``MAX_CELLS`` = 2**26, so it
+stays below 2**58. An encoder holds its nonzero cells,
+not its dense matrix, yet its construction still refuses, before
 allocating anything, a shape that ``build_air`` would refuse (rows*cols
 over ``MAX_CELLS``); that cap stays until caps on what the build
 allocates replace it. A stalled receiver's window rows, w x n dense, are
@@ -136,11 +138,28 @@ class Encoder:
     read no p, so ``over`` shares them with the same encoder over another
     prime. Decoding corrects codewords by the side information's share
     through the same column sums that encode them.
+
+    Construction owns the checks on the encoder itself, whether
+    ``build_encoder``, ``over`` or a caller builds it: it refuses a pair
+    whose rate exceeds K (its matrix would be wider than tall), a shape
+    that ``build_air`` would refuse, before reading any cell, and a
+    modulus that ``require_prime`` refuses, and it stores p as a plain
+    int.
     """
 
     problem: ProblemInstance
     solution: RateSolution
     p: int
+
+    def __post_init__(self):
+        problem, a, b = self.problem, self.a, self.b
+        if self.cols > self.rows:
+            raise ValueError(
+                f"(a={a}, b={b}) for {problem} has rate {Fraction(self.cols, b)}, above K={problem.K}: "
+                f"its {self.rows}x{self.cols} encoder would be wider than tall"
+            )
+        _require_shape(self.rows, self.cols)
+        object.__setattr__(self, "p", require_prime(self.p))
 
     @property
     def b(self) -> int:
@@ -193,10 +212,11 @@ class Encoder:
         elimination of its window's w x n rows, built dense from the
         cells, interference rows first and wanted rows last; a block over
         ``MAX_CELLS`` cells raises ``ValueError`` before any is built.
-        Every stalled receiver seen so far is undecodable at every prime.
-        One that these ranks call decodable would need a decoder the peel
-        did not give, so this raises instead, whichever receiver was asked
-        about.
+        Every stalled receiver seen so far is undecodable at every prime,
+        and on AIR cells no receiver whose first peel solved its wanted
+        rows has been stalled by the second. One that these ranks call
+        decodable would need a decoder the peel did not give, so this
+        raises instead, whichever receiver was asked about.
         """
         problem, b, p, n = self.problem, self.b, self.p, self.cols
         ranks = list(self._decoder.ranks)
@@ -226,7 +246,7 @@ class Encoder:
         Peels this encoder first if it has not been peeled yet. Only the
         ranks of receivers whose peel stalls are computed again, at p.
         """
-        enc = Encoder(self.problem, self.solution, require_prime(p))
+        enc = Encoder(self.problem, self.solution, p)
         # a cached_property reads the instance's dict first
         vars(enc).update(_cells=self._cells, _decoder=self._decoder)
         return enc
@@ -283,10 +303,11 @@ def build_encoder(
 ) -> Encoder:
     """Build the K*b x (b*(D+1)+a) encoder for a feasible (a, b).
 
-    Refuses an infeasible pair unless ``allow_infeasible`` is set (useful
-    as a negative control: such encoders leave some receiver undecodable).
-    Always refuses a pair whose rate exceeds K: its encoder would have
-    more columns than rows.
+    Refuses a solution for another instance, then an infeasible pair
+    unless ``allow_infeasible`` is set (useful as a negative control:
+    such encoders leave some receiver undecodable); the encoder's own
+    construction then refuses a rate above K, an oversized shape and a
+    modulus outside the field gate, in that order.
     """
     if solution.problem != problem:
         raise ValueError(
@@ -298,15 +319,7 @@ def build_encoder(
             f"(a={a}, b={b}) is not feasible for {problem}; "
             "pass allow_infeasible=True to build a negative control"
         )
-    rows = problem.K * b
-    cols = b * (problem.D + 1) + a
-    if cols > rows:
-        raise ValueError(
-            f"(a={a}, b={b}) for {problem} has rate {Fraction(cols, b)}, above K={problem.K}: "
-            f"its {rows}x{cols} encoder would be wider than tall"
-        )
-    _require_shape(rows, cols)
-    return Encoder(problem=problem, solution=solution, p=require_prime(p))
+    return Encoder(problem=problem, solution=solution, p=p)
 
 
 def encode(encoder: Encoder, x) -> np.ndarray:

@@ -1,19 +1,21 @@
 """Exact integer and prime-field matrix arithmetic.
 
 Deterministic routines backing the AIR window verification. Rank over
-GF(p) is computed by :mod:`airindex._echelon`, one sparse streaming
-elimination for every prime, which the codec also runs for a receiver
-its peel does not certify. Exact integer determinants come from
-fraction-free (Bareiss) elimination. The window
-verifier calls ``det_exact`` only for a window that the peel of
-:mod:`airindex._peel`, the package's nonsingularity certificate, does
-not certify; no AIR window up to 40 rows needs it.
+GF(p) comes from :class:`Echelon`, the package's one GF(p) elimination,
+a sparse streaming accumulator for every prime. :func:`rank_mod_p` and
+the window verifier insert rows and read ranks; the codec reaches it
+only through ``_stacked_ranks_mod_p``, for a receiver its peel does not
+certify. Exact integer determinants come from fraction-free (Bareiss)
+elimination. The window verifier calls ``det_exact`` only for a window
+that the peel of :mod:`airindex._peel`, the package's nonsingularity
+certificate, does not certify; no AIR window up to 40 rows needs it.
 
 Matrices are 2-D arrays of integers (anything ``np.asarray`` accepts that
 holds only integer values); anything else is refused rather than
-truncated. Every field modulus passes :func:`require_prime` on entry,
-which states the supported range of p once for ranks and the codec and
-checks primality by uncached trial division.
+truncated. Every field modulus passes :func:`require_prime` on entry, an
+encoder's when the encoder is built, which states the supported range of
+p once for ranks and the codec and checks primality by uncached trial
+division.
 """
 
 from __future__ import annotations
@@ -21,8 +23,6 @@ from __future__ import annotations
 import operator
 
 import numpy as np
-
-from ._echelon import Echelon
 
 __all__ = [
     "is_prime",
@@ -116,6 +116,115 @@ def as_int_array(values) -> np.ndarray:
     return out
 
 
+def _rows(rows, p: int) -> np.ndarray:
+    """``rows`` mod p as a 2-D int64 array; a 1-D ``rows`` is one row."""
+    rows = np.asarray(rows, dtype=np.int64)
+    if rows.ndim == 1:
+        rows = rows[None]
+    # the division is the costly step and encoder rows are already reduced;
+    # read as unsigned, a negative entry is out of range too
+    if rows.view(np.uint64).max(initial=0) >= p:
+        rows = rows % p
+    return rows
+
+
+class Echelon:
+    """Streaming row-echelon accumulator for width ``cols`` rows over GF(p).
+
+    ``insert(rows)`` adds one row, or the rows of a 2-D block in order
+    (packed in one call), and returns how many of them raised the rank,
+    so the rank of any prefix of the insertion order can be read off
+    mid-stream. ``pack(rows)`` converts rows to the sparse form and
+    ``insert_packed`` accumulates them, so ``insert`` is exactly
+    ``insert_packed(pack(rows))``; a caller that inserts the same rows
+    into many accumulators of one width and field packs them once and
+    passes slices. Packed rows are never modified, so they can be shared.
+
+    Pivots are kept in a map from pivot column to pivot row, in insertion
+    order. A pivot row's lowest nonzero entry is its column, where it
+    holds a 1, and it is zero at every pivot column found before it.
+
+    One reduction rule serves every field: clear the pivot columns a row
+    meets in ascending order. Clearing column c adds a multiple of c's
+    pivot row, which is zero below c, so no column already cleared is
+    touched and each pivot column is visited at most once. The reduced
+    row is the unique member of ``row + span(pivots)`` that is zero at
+    every pivot column, so every field and every visiting order agree on
+    it.
+
+    Rows are sparse: a dict from column to nonzero entry, with the
+    bitmask of those columns (the row's support), and arithmetic on
+    Python ints, which is exact for any p. Sparse rows suit every row the
+    package eliminates: an AIR row holds at most 3 ones, and a receiver
+    the codec's peel does not certify has AIR rows for its window rows.
+    A reduction visits ``support & pivot_mask``, lowest column first.
+    Each pivot keeps the mask of its other columns, and subtracting the
+    pivot adds the pivot columns of that mask to the visit set, so a
+    nonzero it fills in at a later pivot column is cleared in turn. A row
+    is scaled only when its leading entry is not 1. Dense rows cost a
+    dict operation per entry and lose to bit-packed rows over GF(2) and
+    GF(3); the README gives the figures. The elimination computes ranks
+    only; the package's nonsingularity certificate is the peel.
+    """
+
+    def __init__(self, cols: int, p: int):
+        self.cols = cols
+        self.p = p
+        # pivot column -> (pivot row, mask of the row's other columns)
+        self._pivots: dict[int, tuple[dict[int, int], int]] = {}
+        self._pivot_mask = 0
+
+    @property
+    def rank(self) -> int:
+        return len(self._pivots)
+
+    def pack(self, rows) -> list[tuple[dict[int, int], int]]:
+        """Each row as its nonzero entries (column -> value) and their mask."""
+        v = _rows(rows, self.p)
+        entries: list[dict[int, int]] = [{} for _ in range(v.shape[0])]
+        masks = [0] * v.shape[0]
+        rows, cols = np.nonzero(v)
+        for r, c, x in zip(rows.tolist(), cols.tolist(), v[rows, cols].tolist()):
+            entries[r][c] = x
+            masks[r] |= 1 << c
+        return list(zip(entries, masks))
+
+    def insert_packed(self, rows) -> int:
+        pivots, p, mask = self._pivots, self.p, self._pivot_mask
+        rank = len(pivots)
+        for row, support in rows:
+            hit = support & mask
+            if hit:
+                row = dict(row)  # packed rows are shared
+            while hit:
+                low = hit & -hit
+                c = low.bit_length() - 1
+                f = row.get(c)
+                if f:  # a visited column that cancelled is skipped
+                    pivot, others = pivots[c]
+                    for j, y in pivot.items():
+                        x = (row.get(j, 0) - f * y) % p  # exact: Python ints
+                        if x:
+                            row[j] = x
+                        else:
+                            del row[j]
+                    hit |= others & mask
+                hit ^= low
+            if row:
+                c = min(row)
+                if row[c] != 1:
+                    inv = pow(row[c], -1, p)
+                    row = {j: x * inv % p for j, x in row.items()}
+                low = 1 << c
+                pivots[c] = (row, sum(1 << j for j in row) ^ low)
+                mask |= low
+        self._pivot_mask = mask
+        return len(pivots) - rank
+
+    def insert(self, rows) -> int:
+        return self.insert_packed(self.pack(rows))
+
+
 def rank_mod_p(mat, p) -> int:
     """Rank of ``mat`` over GF(p), by streaming elimination of its rows."""
     p = require_prime(p)
@@ -127,10 +236,11 @@ def _stacked_ranks_mod_p(top, bottom, p) -> tuple[int, int]:
     """Ranks over GF(p) of ``top`` and of ``top`` with ``bottom`` stacked under it.
 
     One streaming elimination: ``bottom``'s rows go into the echelon of
-    ``top``'s, so the pair costs what the second rank alone does.
+    ``top``'s, so the pair costs what the second rank alone does. Only an
+    encoder's stalled receivers reach it, with their dense int64 window
+    rows and the prime that the encoder's construction checked, so it
+    checks neither again.
     """
-    p = require_prime(p)
-    top, bottom = as_int_matrix(top), as_int_matrix(bottom)
     echelon = Echelon(top.shape[1], p)
     rank = echelon.insert(top)
     return rank, rank + echelon.insert(bottom)

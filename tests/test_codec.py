@@ -16,7 +16,14 @@ from hypothesis import strategies as st
 
 from _reference import rank_mod_p as reference_rank
 from _reference import reference_peel, rref_mod_p, solve_left
-from airindex._peel import _BatchDecoder, _build_decoder, _cut, _segment_starts
+from airindex._peel import (
+    _BatchDecoder,
+    _build_decoder,
+    _cut,
+    _first_peel,
+    _peel,
+    _segment_starts,
+)
 from airindex.air import build_air
 from airindex.codec import (
     MAX_CELLS,
@@ -145,7 +152,7 @@ class TestBuildEncoder:
     def test_refuses_oversized_encoder_without_allocating(self, monkeypatch):
         # (1009, 500, 1) needs a 436897x216935 encoder, about 706 GiB dense;
         # it is refused before its cells are read or any array is allocated,
-        # and so is the dense matrix of one built without the checks
+        # by build_encoder and by an Encoder built directly alike
         def no_cells(m, n):
             raise AssertionError(f"_block_cells({m}, {n}) was called")
 
@@ -162,6 +169,36 @@ class TestBuildEncoder:
         finally:
             tracemalloc.stop()
         assert peak < 2**16
+
+    def test_direct_encoder_passes_the_same_checks(self):
+        # an Encoder built directly refuses every modulus and shape that
+        # build_encoder refuses, with the same message: at 2**61 - 1 the
+        # int64 sums of (71,25,1) would wrap, and decode would return wrong
+        # symbols at some receivers without an error
+        problem = ProblemInstance(71, 25, 1)
+        sol = find_min_rate(problem)
+        cases = [(problem, sol, p) for p in (1, 4, 2**61 - 1, FIRST_REFUSED_PRIME)]
+        for K, D, U in ((3, 1, 0), (1009, 500, 1)):
+            small = ProblemInstance(K, D, U)
+            # (2, 1) is wider than tall for (3,1,0); (1009,500,1) is too large
+            cases.append((small, solution_for_pair(small, 2, 1) if K == 3 else find_min_rate(small), 2))
+        for case in cases:
+            with pytest.raises(ValueError) as built:
+                build_encoder(*case)
+            with pytest.raises(ValueError, match=re.escape(str(built.value))):
+                Encoder(*case)
+        with pytest.raises(TypeError):
+            Encoder(problem, sol, 3.0)
+        # the largest prime passes, stored as a plain int, and every
+        # receiver decodes there
+        enc = Encoder(problem, sol, np.int64(LARGEST_PRIME))
+        assert type(enc.p) is int and enc.p == LARGEST_PRIME
+        b = enc.b
+        x = np.random.default_rng(71).integers(0, LARGEST_PRIME, size=enc.rows)
+        c = encode(enc, x)
+        side = {j: x[j * b : (j + 1) * b] for j in range(71)}
+        for k in range(71):
+            assert np.array_equal(decode(enc, k, c, side), x[k * b : (k + 1) * b]), k
 
     @settings(max_examples=30, deadline=None)
     @given(K=st.integers(3, 12), data=st.data(), q=st.sampled_from([2, 3, 5, 65521]))
@@ -964,6 +1001,38 @@ class TestPeel:
         enc = Encoder(problem, solution_for_pair(problem, 0, 1), 3)
         with pytest.raises(AssertionError, match=r"receiver 0 of .*: the peel stalled"):
             decodable(enc, 1)
+
+    def test_second_peel_rejects_no_receiver_the_first_peel_solved(self, monkeypatch):
+        # on AIR encoders a receiver whose first peel solves its b wanted
+        # rows always passes the second peel too, so the stall that
+        # elimination finds decodable, which ``Encoder._ranks`` refuses, is
+        # reached only from non-AIR cells, as in the test above; swept over
+        # every K <= 10, every (D, U), b <= 3 and every a with cols <= rows,
+        # feasible or not
+        firsts = []
+
+        def spy(cells, lo, w):
+            out = _first_peel(cells, lo, w)
+            firsts.append(out[0])
+            return out
+
+        monkeypatch.setattr("airindex._peel._first_peel", spy)
+        receivers = stalls = 0
+        for K in range(2, 11):
+            for D in range(1, K):
+                for U in range(min(D, K - 1 - D) + 1):
+                    problem = ProblemInstance(K, D, U)
+                    for b in (1, 2, 3):
+                        w, at = (D + U + 1) * b, U * b
+                        lo = (np.arange(K) * b - at) % (K * b)
+                        for a in range(b * (K - D - 1) + 1):
+                            cells = Encoder(problem, solution_for_pair(problem, a, b), 2)._cells
+                            ok = _peel(cells, lo, w, b, at, problem)[0]
+                            solved = (firsts.pop().reshape(K, w)[:, at : at + b] >= 0).all(axis=1)
+                            assert np.array_equal(ok, solved), (K, D, U, a, b)
+                            receivers += K
+                            stalls += K - ok.sum()
+        assert (receivers, stalls) == (21516, 4007)
 
     @staticmethod
     def _growing(n, p, monkeypatch):

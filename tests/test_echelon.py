@@ -1,4 +1,4 @@
-"""Cross-checks for the streaming echelon.
+"""Cross-checks for the streaming echelon, ``airindex.linalg.Echelon``.
 
 Ranks are compared with the dense whole-matrix elimination in
 ``_reference``; insert results, pivot columns and pivot rows with
@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _reference import rank_mod_p as reference_rank
-from airindex._echelon import Echelon
+from airindex.linalg import Echelon
 from airindex.air import build_air
 
 

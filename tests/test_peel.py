@@ -44,6 +44,16 @@ class TestCells:
         assert cells.col_starts.shape == (n + 1,)
         assert np.diff(cells.col_starts).tolist() == self.M.sum(axis=0).tolist()
 
+    def test_zero_rows_and_columns(self):
+        # any 0/1 matrix will do: a zero row holds no cell and sums to 0, as
+        # a trailing one does, and a zero column's run is empty
+        M = np.array([[0, 1, 0, 1], [0, 0, 0, 0], [1, 1, 0, 0], [0, 0, 0, 0]])
+        cells = _Cells.from_nonzero(*np.nonzero(M), *M.shape)
+        assert np.array_equal(cells.dense(np.arange(4)), M)
+        assert cells.row_col_sums.tolist() == [4, 0, 1, 0]
+        assert np.diff(cells.col_starts).tolist() == [1, 2, 0, 1]
+        assert np.diff(cells.row_ptr).tolist() == [2, 0, 2, 0] * 2
+
     def test_cells_in_any_order(self):
         cells, shuffled = self._cells(), self._cells(np.random.default_rng(5).permutation(10))
         for name, got in zip(_Cells._fields, shuffled):
