@@ -42,7 +42,9 @@ come from its window's cells, gathered once and counted by
 ``np.bincount``. Then, round by round, every column left with one
 unsolved row solves it; where several columns hold the same row, the
 first in column order wins, as in the first round of a peel that takes
-one column at a time. The first peel took at most three
+one column at a time. The second peel is the same round loop
+(``_rounds``) run from the row side: an unsolved row left with one live
+column clears that column. The first peel took at most three
 rounds on every minimal-rate encoder tried, and the number of array
 operations grows with the rounds and with the runs of receivers that
 the build's memory cap allows, not with K itself. The same build keeps
@@ -294,40 +296,62 @@ def _sum_cells(keys: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return keys[first[keep]], sums[keep]
 
 
+def _rounds(count, total, per: int, items: int, neighbours) -> tuple[np.ndarray, int]:
+    """The peel's round loop over slots grouped by window, ``per`` slots a window.
+
+    Slot s belongs to window s // per; ``count[s]`` is how many unsolved
+    items it meets and ``total[s]`` their sum, each item below ``items``.
+    In each round every slot whose count is 1 takes the item named by its
+    total, and of the slots of one window that take the same item the
+    first wins (``_firsts``). ``neighbours(i, item)``, for the winners'
+    windows and items, returns (q, slots): the slots of window ``i[q]``
+    that meet ``item[q]``, each of whose count drops by 1 and total by
+    that item. Each winner's count then becomes -1 and its total the item
+    it took. Returns the winners in solve order and the count of the
+    first round's winners, which lead them (0 when no round runs).
+    """
+    wins = [np.zeros(0, dtype=np.int64)]
+    first_round = 0
+    cand = (count == 1).nonzero()[0]
+    while cand.size:
+        item = total[cand]
+        i = cand // per
+        first = _firsts(i * items + item)
+        cand, item, i = cand[first], item[first], i[first]
+        q, slots = neighbours(i, item)
+        np.add.at(count, slots, -1)
+        np.add.at(total, slots, -item[q])
+        count[cand], total[cand] = -1, item
+        wins.append(cand)
+        first_round = first_round or cand.size
+        cand = (count == 1).nonzero()[0]
+    return np.concatenate(wins), first_round
+
+
 def _first_peel(cells: _Cells, lo: np.ndarray, w: int) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
     """The first peel's rounds over the windows of w rows that start at rows ``lo``.
 
-    In each round every column left with one unsolved row of its window
-    solves it, and of the columns that hold the same row the first in
-    column order wins. Returns ``who``, where ``who[i * w + offset]`` is
-    the winner that solved that row of window i, or -1; the winners
-    ``win``, as window * n + column in solve order; the count of the
-    first round's winners, which lead ``win`` (0 when no round runs);
-    and each window's count of unsolved rows per column, i-major, with
-    -1 at every winner.
+    ``_rounds`` from the column side: a column left with one unsolved row
+    of its window solves it, and of the columns that hold the same row
+    the first in column order wins. Returns ``who``, where
+    ``who[i * w + offset]`` is the winner that solved that row of window
+    i, or -1; the winners ``win``, as window * n + column in solve order;
+    the count of the first round's winners, which lead ``win``; and each
+    window's count of unsolved rows per column, i-major, with -1 at every
+    winner.
     """
     m, n = (cells.row_ptr.size - 1) // 2, cells.col_starts.size - 1
     count, total = _window_counts(cells, lo, w)
-    wins = [np.zeros(0, dtype=np.int64)]
-    solved = first_round = 0
-    who = np.full(lo.size * w, -1)
-    cand = (count == 1).nonzero()[0]
-    while cand.size:
-        rows = total[cand]
-        i = cand // n
-        first = _firsts(i * m + rows)
-        cand, rows, i = cand[first], rows[first], i[first]
-        who[i * w + (rows - lo[i]) % m] = np.arange(solved, solved + cand.size)
-        wins.append(cand)
-        solved += cand.size
-        first_round = first_round or cand.size
+
+    def solve(i, rows):
         q, idx = _ranges(cells.row_ptr[rows], cells.row_ptr[rows + 1])
-        touched = i[q] * n + cells.row_cols[idx]
-        np.add.at(count, touched, -1)
-        np.add.at(total, touched, -rows[q])
-        count[cand] = -1
-        cand = (count == 1).nonzero()[0]
-    return who, np.concatenate(wins), first_round, count
+        return q, i[q] * n + cells.row_cols[idx]
+
+    win, first_round = _rounds(count, total, n, m, solve)
+    i = win // n
+    who = np.full(lo.size * w, -1)
+    who[i * w + (total[win] - lo[i]) % m] = np.arange(win.size)
+    return who, win, first_round, count
 
 
 def _window_peels(cells: _Cells, lo: np.ndarray, w: int) -> np.ndarray:
@@ -359,14 +383,15 @@ def _peel(cells: _Cells, lo: np.ndarray, w: int, b: int, at: int, name) -> tuple
     are solved.
 
     The unsolved rows meet only the columns left with two or more of
-    them. A second peel, in rounds too, clears each column that an
-    unsolved row is the last to meet. The rows it uses form a unit
-    triangle against the columns, so the leftover block has full column
-    rank in every field; a receiver stalls unless this clears all of its
-    columns. The solved rows form a unit triangle against their columns
-    too, so a receiver that peels has unknown rows of rank n minus its
-    count of parity columns, those that no round used and no unsolved
-    row meets, in every field.
+    them. A second peel, the same round loop run from the row side,
+    clears each column that an unsolved row is the last to meet, and of
+    the rows of one window that meet the same last column the first
+    wins. The rows it uses form a unit triangle against the columns, so
+    the leftover block has full column rank in every field; a receiver
+    stalls unless this clears all of its columns. The solved rows form a
+    unit triangle against their columns too, so a receiver that peels has
+    unknown rows of rank n minus its count of parity columns, those that
+    no round used and no unsolved row meets, in every field.
 
     Returns ``ok`` and ``parity`` (that count) per receiver, and the
     decoders of the receivers that peel as entries ``outs``, ``cols`` and
@@ -394,27 +419,19 @@ def _peel(cells: _Cells, lo: np.ndarray, w: int, b: int, at: int, name) -> tuple
     count = count.reshape(C, n)
     parity = (count == 0).sum(axis=1)
     live = (count >= 2).sum(axis=1)
-    check = ok & (live > 0)
-    if check.any():
-        # second peel, over each window row's count and sum of live columns
-        rows = (lo[:, None] + np.arange(w)) % m
-        deg = np.diff(cells.row_ptr[: m + 1])[rows]
-        deg[(who.reshape(C, w) >= 0) | ~check[:, None]] = 0
-        deg = deg.ravel()
-        csum = cells.row_col_sums[rows].ravel()
-        cleared = np.zeros(C, dtype=np.int64)
-        cand = (deg == 1).nonzero()[0]
-        while cand.size:
-            i, c = cand // w, csum[cand]
-            first = _firsts(i * n + c)
-            i, c = i[first], c[first]
-            cleared += np.bincount(i, minlength=C)
-            q, off = _cut(cells, c, lo[i], w)
-            off += i[q] * w
-            np.add.at(deg, off, -1)
-            np.add.at(csum, off, -c[q])
-            cand = (deg == 1).nonzero()[0]
-        ok &= ~check | (cleared == live)
+    # second peel, from the row side: each unsolved row of a receiver whose
+    # wanted rows peeled, with its count and sum of columns, all of them live
+    rows = (lo[:, None] + np.arange(w)) % m
+    deg = np.diff(cells.row_ptr[: m + 1])[rows]
+    deg[(who.reshape(C, w) >= 0) | ~ok[:, None]] = 0
+
+    def clear(i, c):
+        q, off = _cut(cells, c, lo[i], w)
+        return q, i[q] * w + off
+
+    # each winner clears one column: a receiver passes if it clears all its live ones
+    cleared = _rounds(deg.ravel(), cells.row_col_sums[rows].ravel(), w, n, clear)[0] // w
+    ok &= np.bincount(cleared, minlength=C) == live
     # outputs: each receiver's b wanted rows, then its parity columns
     outputs = (b + parity) * ok
     base = outputs.cumsum() - outputs

@@ -309,7 +309,7 @@ def table(k: int, dmax: int, fmt: str, no_collapse: bool, as_json: bool) -> None
 @click.argument("k", type=int)
 @click.argument("d", type=int)
 @click.argument("u", type=int)
-@click.option("--bmax", type=int, default=None, help="Scan bound for b (default K).")
+@click.option("--bmax", type=int, default=None, help="Scan bound for b, capped at K (default K).")
 @click.option("--json", "as_json", is_flag=True, help="Emit both results as JSON.")
 def oracle(k: int, d: int, u: int, bmax: int | None, as_json: bool) -> None:
     """Brute-force reference minimizer, with an agreement check."""

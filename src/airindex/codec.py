@@ -48,9 +48,12 @@ Message vectors, codewords and side information must hold integers
 Supported sizes. All arithmetic is exact in int64. An encoder takes
 every prime that :func:`airindex.linalg.require_prime` accepts, the one
 range of every GF(p) entry point: (p-1)**2 < 2**63, so p-1 < 2**31.5.
-``Encoder`` construction applies that gate and the shape cap below
-itself, so an encoder built directly passes the same checks, with the
-same messages, as one from ``build_encoder`` or ``Encoder.over``. The
+``Encoder`` construction applies that gate, the shape cap below and
+the check that the solution is for its instance itself, so an encoder
+built directly passes the same checks, with the same messages, as one
+from ``build_encoder`` or ``Encoder.over``, all but feasibility, which
+only ``build_encoder`` checks: an encoder built directly from an
+infeasible pair is a negative control. The
 codec adds one bound of its own, on the decoder's ``load``, which keeps
 every decoder output inside int64 and is argued and checked once in
 ``airindex._peel._build_decoder``. A column sum of ``encode`` adds at
@@ -140,11 +143,12 @@ class Encoder:
     through the same column sums that encode them.
 
     Construction owns the checks on the encoder itself, whether
-    ``build_encoder``, ``over`` or a caller builds it: it refuses a pair
-    whose rate exceeds K (its matrix would be wider than tall), a shape
-    that ``build_air`` would refuse, before reading any cell, and a
-    modulus that ``require_prime`` refuses, and it stores p as a plain
-    int.
+    ``build_encoder``, ``over`` or a caller builds it: it refuses a
+    solution for another instance, a pair whose rate exceeds K (its
+    matrix would be wider than tall), a shape that ``build_air`` would
+    refuse, before reading any cell, and a modulus that
+    ``require_prime`` refuses, and it stores p as a plain int. It does
+    not check feasibility, which ``build_encoder`` adds.
     """
 
     problem: ProblemInstance
@@ -153,6 +157,8 @@ class Encoder:
 
     def __post_init__(self):
         problem, a, b = self.problem, self.a, self.b
+        if self.solution.problem != problem:
+            raise ValueError(f"solution is for {self.solution.problem}, not for {problem}")
         if self.cols > self.rows:
             raise ValueError(
                 f"(a={a}, b={b}) for {problem} has rate {Fraction(self.cols, b)}, above K={problem.K}: "
@@ -295,31 +301,23 @@ def _gather_sum(padded: np.ndarray, support: np.ndarray) -> np.ndarray:
     return out
 
 
-def build_encoder(
-    problem: ProblemInstance,
-    solution: RateSolution,
-    p,
-    allow_infeasible: bool = False,
-) -> Encoder:
+def build_encoder(problem: ProblemInstance, solution: RateSolution, p) -> Encoder:
     """Build the K*b x (b*(D+1)+a) encoder for a feasible (a, b).
 
-    Refuses a solution for another instance, then an infeasible pair
-    unless ``allow_infeasible`` is set (useful as a negative control:
-    such encoders leave some receiver undecodable); the encoder's own
-    construction then refuses a rate above K, an oversized shape and a
-    modulus outside the field gate, in that order.
+    The encoder's own construction refuses a solution for another
+    instance, a rate above K, an oversized shape and a modulus outside
+    the field gate, in that order; this then refuses an infeasible pair.
+    ``Encoder(problem, solution, p)`` runs every check but feasibility,
+    so it builds a negative control, an encoder that leaves some receiver
+    undecodable.
     """
-    if solution.problem != problem:
+    encoder = Encoder(problem, solution, p)
+    if not is_feasible(problem, encoder.a, encoder.b):
         raise ValueError(
-            f"solution is for {solution.problem}, not for {problem}"
+            f"(a={encoder.a}, b={encoder.b}) is not feasible for {problem}; "
+            "build Encoder(problem, solution, p) directly for a negative control"
         )
-    a, b = solution.a_min, solution.b_min
-    if not allow_infeasible and not is_feasible(problem, a, b):
-        raise ValueError(
-            f"(a={a}, b={b}) is not feasible for {problem}; "
-            "pass allow_infeasible=True to build a negative control"
-        )
-    return Encoder(problem=problem, solution=solution, p=p)
+    return encoder
 
 
 def encode(encoder: Encoder, x) -> np.ndarray:

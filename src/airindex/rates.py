@@ -119,8 +119,8 @@ def solution_for_pair(
 ) -> RateSolution:
     """Package an explicit (a, b) choice without checking feasibility.
 
-    Useful for negative controls; the encoder builder re-checks
-    feasibility unless told otherwise. a and b go through
+    Useful for negative controls: ``build_encoder`` re-checks
+    feasibility, and an ``Encoder`` built directly does not. a and b go through
     ``operator.index``, so numpy integers become plain ints and floats
     are refused.
     """
@@ -184,10 +184,14 @@ def oracle_min_rate(problem: ProblemInstance, b_max: int | None = None) -> RateS
     """Brute-force reference minimizer, independent of the modular walk.
 
     Evaluates the feasibility predicate directly for every b in
-    [1, b_max] (default b_max = K) and a in [0, K mod (D+1)], keeping the
-    smallest a/b with ties broken toward smaller b, then smaller a. The
-    a range suffices because a = K mod (D+1) with b = K // (D+1) is
-    always feasible, capping the minimum ratio.
+    [1, min(b_max, K)] (default b_max = K) and a in [0, K mod (D+1)],
+    keeping the smallest a/b with ties broken toward smaller b, then
+    smaller a. The a range suffices because a = K mod (D+1) with
+    b = K // (D+1) is always feasible, capping the minimum ratio. The b
+    range stops at K whatever ``b_max`` is: some minimizer has
+    b <= K // (U+1) (see :func:`find_min_rate`), and ties go to the
+    smaller b, so a larger bound would change no answer, only scan for
+    as long as it is.
     """
     K, D = problem.K, problem.D
     if b_max is None:
@@ -197,7 +201,7 @@ def oracle_min_rate(problem: ProblemInstance, b_max: int | None = None) -> RateS
     a_hi = K % (D + 1)
     best: tuple[int, int] | None = None
     best_key: tuple[Fraction, int, int] | None = None
-    for b in range(1, b_max + 1):
+    for b in range(1, min(b_max, K) + 1):
         for a in range(a_hi + 1):
             if is_feasible(problem, a, b):
                 key = (Fraction(a, b), b, a)

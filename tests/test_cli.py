@@ -11,6 +11,7 @@ from click.testing import CliRunner
 from airindex import codec
 from airindex.air import MAX_CELLS
 from airindex.cli import main
+from airindex.rates import is_feasible
 
 
 @pytest.fixture()
@@ -291,6 +292,25 @@ class TestOracle:
         result = invoke(runner, "oracle", "8", "3", "0", "--json")
         payload = json.loads(result.output)
         assert (payload["oracle"]["a_min"], payload["oracle"]["b_min"]) == (0, 1)
+
+    def test_bmax_past_K_scans_only_to_K(self, runner, monkeypatch):
+        # a bound of 10**12 would take weeks if scanned; b stops at K = 10,
+        # as no answer has a larger b, so both bounds print the same and
+        # test the same pairs
+        calls = []
+
+        def spy(problem, a, b):
+            calls.append((a, b))
+            return is_feasible(problem, a, b)
+
+        monkeypatch.setattr("airindex.rates.is_feasible", spy)
+        outputs = []
+        for bmax in ("10", "1000000000000"):
+            result = invoke(runner, "oracle", "10", "1", "0", "--bmax", bmax)
+            assert result.exit_code == 0
+            outputs.append(result.output)
+        assert outputs[0] == outputs[1]
+        assert calls[: len(calls) // 2] == calls[len(calls) // 2 :] == [(0, b) for b in range(1, 11)]
 
 
 class TestTable:

@@ -48,11 +48,11 @@ from airindex.rates import (
 )
 
 
-def _encoder(K, D, U, a, b, p, allow_infeasible=False):
+def _encoder(K, D, U, a, b, p, build=build_encoder):
+    """The encoder of (K, D, U) at (a, b) over GF(p); ``build=Encoder``
+    skips the feasibility check, for a negative control."""
     problem = ProblemInstance(K, D, U)
-    return build_encoder(
-        problem, solution_for_pair(problem, a, b), p, allow_infeasible=allow_infeasible
-    )
+    return build(problem, solution_for_pair(problem, a, b), p)
 
 
 def _receiver_slice(enc, k):
@@ -122,9 +122,12 @@ class TestBuildEncoder:
     def test_refuses_infeasible_pair(self):
         with pytest.raises(ValueError, match="not feasible"):
             _encoder(17, 11, 1, 1, 6, p=2)
+        # the refusal names the direct build of a negative control
+        with pytest.raises(ValueError, match=re.escape("build Encoder(problem, solution, p) directly")):
+            _encoder(17, 11, 1, 1, 6, p=2)
 
     def test_negative_control_override(self):
-        enc = _encoder(17, 11, 1, 1, 6, p=2, allow_infeasible=True)
+        enc = _encoder(17, 11, 1, 1, 6, p=2, build=Encoder)
         assert (enc.rows, enc.cols) == (102, 73)
 
     def test_rejects_composite_field(self):
@@ -182,6 +185,9 @@ class TestBuildEncoder:
             small = ProblemInstance(K, D, U)
             # (2, 1) is wider than tall for (3,1,0); (1009,500,1) is too large
             cases.append((small, solution_for_pair(small, 2, 1) if K == 3 else find_min_rate(small), 2))
+        # a solution for another instance: (71,25,1)'s pair would give
+        # (17,5,1) a 510x181 encoder whose solution says 2130x781
+        cases.append((ProblemInstance(17, 5, 1), sol, 2))
         for case in cases:
             with pytest.raises(ValueError) as built:
                 build_encoder(*case)
@@ -307,7 +313,7 @@ class TestDecodable:
         assert all(decodable(enc, k) for k in range(17))
 
     def test_negative_control_fails_somewhere(self):
-        enc = _encoder(17, 11, 1, a=1, b=6, p=2, allow_infeasible=True)
+        enc = _encoder(17, 11, 1, a=1, b=6, p=2, build=Encoder)
         assert not all(decodable(enc, k) for k in range(17))
 
     @pytest.mark.parametrize("K,D,U,a,b", [(5, 1, 1, 1, 2), (17, 5, 1, 3, 8)])
@@ -410,7 +416,7 @@ class TestDecode:
             decode(enc, 0, [0, 0], {})
 
     def test_undecodable_receiver_refuses(self):
-        enc = _encoder(17, 11, 1, a=1, b=6, p=2, allow_infeasible=True)
+        enc = _encoder(17, 11, 1, a=1, b=6, p=2, build=Encoder)
         bad = [k for k in range(17) if not decodable(enc, k)]
         c = np.zeros(enc.cols, dtype=int)
         side = {j: np.zeros(6, dtype=int) for j in range(17)}
@@ -603,7 +609,7 @@ class TestDecodeMaps:
         # every output owns a nonempty run of entries, every receiver one
         # run of entries and outputs, in receiver order; an undecodable
         # receiver owns none
-        enc = _encoder(K, D, U, a, b, p, allow_infeasible=allow)
+        enc = _encoder(K, D, U, a, b, p, build=Encoder if allow else build_encoder)
         dec = enc._decoder
         ends = np.append(dec.starts[1:], dec.cols.size)
         assert dec.starts.size == dec.targets.size
@@ -725,7 +731,7 @@ def _drawn_encoder(K, data, p, kinds=("minimal", "feasible", "infeasible")):
         a, b = data.draw(st.integers(0, 3)), data.draw(st.integers(1, 3))
         assume(is_feasible(problem, a, b) == (kind == "feasible") and b * (D + 1) + a <= K * b)
         sol = solution_for_pair(problem, a, b)
-    return build_encoder(problem, sol, p, allow_infeasible=True)
+    return Encoder(problem, sol, p)
 
 
 class TestDecodeThroughMaps:
@@ -829,7 +835,7 @@ class TestDecodeThroughMaps:
         assert "_decoder" in vars(enc) and len(enc._decoder.ranks) == 17
 
     def test_single_decode_on_fresh_encoder_refuses_undecodable(self):
-        enc = _encoder(17, 11, 1, 1, 6, 2, allow_infeasible=True)
+        enc = _encoder(17, 11, 1, 1, 6, 2, build=Encoder)
         bad = [k for k in range(17) if not _reference_receiver(enc, k)[0]]
         assert bad and "_decoder" not in vars(enc)
         side = {j: np.zeros(6, dtype=int) for j in range(17)}
@@ -930,7 +936,7 @@ class TestPeel:
             return _stacked_ranks_mod_p(top, bottom, q)
 
         monkeypatch.setattr("airindex.codec._stacked_ranks_mod_p", spy)
-        enc = _encoder(17, 11, 1, 1, 6, p, allow_infeasible=True)
+        enc = _encoder(17, 11, 1, 1, 6, p, build=Encoder)
         assert [k for k in range(17) if not decodable(enc, k)] == [14]
         dec = enc._decoder
         assert _peeled(enc, 14) is None and dec.entry_bounds[14] == dec.entry_bounds[15]
@@ -954,7 +960,7 @@ class TestPeel:
             "airindex.codec._stacked_ranks_mod_p",
             lambda top, bottom, p: (len(top), len(top) + len(bottom)),
         )
-        enc = _encoder(17, 11, 1, 1, 6, 2, allow_infeasible=True)
+        enc = _encoder(17, 11, 1, 1, 6, 2, build=Encoder)
         calls = [
             lambda: decodable(enc, 13),
             lambda: decodable(enc, 13),
@@ -975,7 +981,7 @@ class TestPeel:
         # once they pass the cap, and built at the cap itself
         monkeypatch.setattr("airindex.codec._stacked_ranks_mod_p", _no_elimination)
         monkeypatch.setattr("airindex.codec.MAX_CELLS", 78 * 73 - over)
-        enc = _encoder(17, 11, 1, 1, 6, 2, allow_infeasible=True)
+        enc = _encoder(17, 11, 1, 1, 6, 2, build=Encoder)
         if over:
             with pytest.raises(
                 ValueError,
@@ -1001,6 +1007,26 @@ class TestPeel:
         enc = Encoder(problem, solution_for_pair(problem, 0, 1), 3)
         with pytest.raises(AssertionError, match=r"receiver 0 of .*: the peel stalled"):
             decodable(enc, 1)
+
+    def test_rows_that_meet_the_same_last_column_clear_it_once(self, monkeypatch):
+        # a 4x3 encoder for (4,2,0) at (0, 1) whose cells are not AIR's:
+        # receiver 0's wanted row 0 peels from column 0, and its rows 1 and
+        # 2 each have column 1 as their only live column, so both pick it in
+        # the same round of the second peel and one wins; the column is
+        # cleared once, so receiver 0 is decodable with ranks (1, 2), while
+        # receiver 1's wanted row 1 shares column 1 with row 2 and stalls
+        entries = np.array([[1, 0, 0], [0, 1, 0], [0, 1, 0], [0, 0, 1]])
+        monkeypatch.setattr("airindex.codec._block_cells", lambda m, n: [np.nonzero(entries)])
+        problem = ProblemInstance(4, 2, 0)
+        enc = Encoder(problem, solution_for_pair(problem, 0, 1), 3)
+        assert enc._decoder.ranks[:2] == [(1, 2), None]
+        assert [receiver_ranks(enc, k) for k in (0, 1)] == [(1, 2), (2, 2)]
+        assert [decodable(enc, k) for k in range(4)] == [True, False, True, True]
+        for x in np.random.default_rng(4).integers(0, 3, size=(5, 4)):
+            c = encode(enc, x)
+            side = {j: x[j : j + 1] for j in range(4)}
+            for k in (0, 2, 3):
+                assert np.array_equal(decode(enc, k, c, side), x[k : k + 1]), (x, k)
 
     def test_second_peel_rejects_no_receiver_the_first_peel_solved(self, monkeypatch):
         # on AIR encoders a receiver whose first peel solves its b wanted
@@ -1096,7 +1122,7 @@ class TestPeel:
             return _build_decoder(cells, *shape)
 
         monkeypatch.setattr("airindex.codec._build_decoder", spy)
-        enc = _encoder(K, D, U, a, b, 3, allow_infeasible=allow)
+        enc = _encoder(K, D, U, a, b, 3, build=Encoder if allow else build_encoder)
         x = np.random.default_rng(K).integers(0, 3, size=enc.rows)
         c = encode(enc, x)
         side = {j: x[j * b : (j + 1) * b] for j in range(K)}
@@ -1188,14 +1214,14 @@ class TestOver:
         for q in (2, 3, 5, 65521):
             shared = base.over(q)
             assert shared._cells is base._cells and shared._decoder is base._decoder
-            fresh = build_encoder(base.problem, base.solution, q, allow_infeasible=True)
+            fresh = Encoder(base.problem, base.solution, q)
             _assert_same_encoder(shared, fresh, seed)
 
     @pytest.mark.parametrize("q", [2, 3, 5, 65521])
     def test_stalled_receivers_over_each_prime(self, q, monkeypatch):
         # (17,11,1) at (1, 6): receiver 14's peel stalls, so only its ranks
         # are computed again, by one elimination at q
-        base = _encoder(17, 11, 1, 1, 6, 2, allow_infeasible=True)
+        base = _encoder(17, 11, 1, 1, 6, 2, build=Encoder)
         assert not decodable(base, 14)
         calls = []
 
@@ -1205,7 +1231,7 @@ class TestOver:
 
         monkeypatch.setattr("airindex.codec._stacked_ranks_mod_p", spy)
         shared = base.over(q)
-        fresh = _encoder(17, 11, 1, 1, 6, q, allow_infeasible=True)
+        fresh = _encoder(17, 11, 1, 1, 6, q, build=Encoder)
         _assert_same_encoder(shared, fresh, q)
         assert calls == [q, q]  # receiver 14, once per encoder over GF(q)
 
@@ -1519,7 +1545,7 @@ class TestDecodeGuards:
     def test_undecodable_receiver_owns_no_entries(self):
         # an undecodable receiver's peel stalls; the build keeps the ranks
         # that its elimination gave it instead, and no entries
-        enc = _encoder(17, 11, 1, a=1, b=6, p=2, allow_infeasible=True)
+        enc = _encoder(17, 11, 1, a=1, b=6, p=2, build=Encoder)
         dec = enc._decoder
         for k in range(17):
             owns = dec.output_bounds[k] < dec.output_bounds[k + 1]
@@ -1591,7 +1617,7 @@ class TestIntegerInputs:
         # (17,11,1) at (1, 6) has receivers whose peel stalls
         problem = ProblemInstance(17, 11, 1)
         sol = solution_for_pair(problem, np.int64(1), np.int64(6))
-        enc = build_encoder(problem, sol, 2, allow_infeasible=True)
+        enc = Encoder(problem, sol, 2)
         report = simulate(problem, sol, 2, trials=2, seed=0, encoder=enc)
         assert report.failures and not decodable(enc, 14)
         assert all(type(r) is int for ranks in enc._ranks for r in ranks)
@@ -1676,7 +1702,7 @@ class TestSimulate:
     def test_negative_control_matches_dense_reference(self, p):
         problem = ProblemInstance(17, 11, 1)
         sol = solution_for_pair(problem, 1, 6)
-        enc = build_encoder(problem, sol, p, allow_infeasible=True)
+        enc = Encoder(problem, sol, p)
         trials, seed, b = 6, 4, enc.b
         X = np.random.default_rng(seed).integers(0, p, size=(trials, enc.rows), dtype=np.int64)
         C = X @ enc.matrix.entries % p
@@ -1700,7 +1726,7 @@ class TestSimulate:
     def test_negative_control_records_failures(self):
         problem = ProblemInstance(17, 11, 1)
         sol = solution_for_pair(problem, 1, 6)
-        enc = build_encoder(problem, sol, 2, allow_infeasible=True)
+        enc = Encoder(problem, sol, 2)
         report = simulate(problem, sol, 2, trials=3, seed=1, encoder=enc)
         assert report.failures
         assert report.failures == tuple(sorted(report.failures))
