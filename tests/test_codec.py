@@ -1535,7 +1535,7 @@ class TestDecodeGuards:
         assert peak < 4 * 2**20
 
     @pytest.mark.parametrize("p", [2, 3, 65521])
-    def test_rank_sweep_builds_no_map(self, p):
+    def test_decodable_receivers_own_their_wanted_outputs(self, p):
         enc = _encoder(17, 5, 1, a=3, b=8, p=p)
         assert all(decodable(enc, k) for k in range(17))
         assert all(receiver_ranks(enc, k)[1] == receiver_ranks(enc, k)[0] + 8 for k in range(17))
