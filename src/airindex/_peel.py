@@ -296,7 +296,9 @@ def _sum_cells(keys: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return keys[first[keep]], sums[keep]
 
 
-def _rounds(count, total, per: int, items: int, neighbours) -> tuple[np.ndarray, int]:
+def _rounds(
+    count: np.ndarray, total: np.ndarray, per: int, items: int, neighbours
+) -> tuple[np.ndarray, int]:
     """The peel's round loop over slots grouped by window, ``per`` slots a window.
 
     Slot s belongs to window s // per; ``count[s]`` is how many unsolved

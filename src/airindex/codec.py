@@ -48,17 +48,16 @@ Message vectors, codewords and side information must hold integers
 Supported sizes. All arithmetic is exact in int64. An encoder takes
 every prime that :func:`airindex.linalg.require_prime` accepts, the one
 range of every GF(p) entry point: (p-1)**2 < 2**63, so p-1 < 2**31.5.
-``Encoder`` construction applies that gate, the shape cap below and
-the check that the solution is for its instance itself, so an encoder
+``Encoder`` construction itself applies that gate, the shape cap below
+and the check that the solution is for its instance, so an encoder
 built directly passes the same checks, with the same messages, as one
-from ``build_encoder`` or ``Encoder.over``, all but feasibility, which
-only ``build_encoder`` checks: an encoder built directly from an
-infeasible pair is a negative control. The
-codec adds one bound of its own, on the decoder's ``load``, which keeps
-every decoder output inside int64 and is argued and checked once in
-``airindex._peel._build_decoder``. A column sum of ``encode`` adds at
-most rows symbols below p, and rows <= ``MAX_CELLS`` = 2**26, so it
-stays below 2**58. An encoder holds its nonzero cells,
+from ``build_encoder`` or ``Encoder.over``. Only ``build_encoder``
+checks feasibility, so an encoder built directly from an infeasible
+pair is a negative control. The codec adds one bound of its own, on
+the decoder's ``load``, which keeps every decoder output inside int64
+and is argued and checked once in ``airindex._peel._build_decoder``. A
+column sum of ``encode`` adds at most rows symbols below p, and
+rows <= ``MAX_CELLS`` = 2**26, so it stays below 2**58. An encoder holds its nonzero cells,
 not its dense matrix, yet its construction still refuses, before
 allocating anything, a shape that ``build_air`` would refuse (rows*cols
 over ``MAX_CELLS``); that cap stays until caps on what the build

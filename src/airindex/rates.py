@@ -120,9 +120,9 @@ def solution_for_pair(
     """Package an explicit (a, b) choice without checking feasibility.
 
     Useful for negative controls: ``build_encoder`` re-checks
-    feasibility, and an ``Encoder`` built directly does not. a and b go through
-    ``operator.index``, so numpy integers become plain ints and floats
-    are refused.
+    feasibility, and an ``Encoder`` built directly does not. a and b go
+    through ``operator.index``, so numpy integers become plain ints and
+    floats are refused.
     """
     a, b = operator.index(a), operator.index(b)
     if a < 0 or b < 1:

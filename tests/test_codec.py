@@ -120,10 +120,9 @@ class TestBuildEncoder:
         assert enc.matrix.entries.shape == (rows, cols)
 
     def test_refuses_infeasible_pair(self):
-        with pytest.raises(ValueError, match="not feasible"):
-            _encoder(17, 11, 1, 1, 6, p=2)
         # the refusal names the direct build of a negative control
-        with pytest.raises(ValueError, match=re.escape("build Encoder(problem, solution, p) directly")):
+        message = r"not feasible .*; build Encoder\(problem, solution, p\) directly"
+        with pytest.raises(ValueError, match=message):
             _encoder(17, 11, 1, 1, 6, p=2)
 
     def test_negative_control_override(self):
