@@ -212,6 +212,16 @@ class TestVerifyCode:
         assert result.exit_code == 2
         assert "p=3037000507 is too large: (p-1)**2 must stay below 2**63" in result.output
 
+    def test_oversized_encoder_exits_2(self, runner, no_huge_arrays):
+        # the 436897x216935 encoder of (1009,500,1) at (2,433), refused by its shape
+        result = invoke(runner, "verify-code", "1009", "500", "1")
+        assert result.exit_code == 2
+        assert result.stderr == (
+            "error: AIR matrix would have 436897x216935 = 94778250695 entries, "
+            "over the limit of 67108864\n"
+        )
+        assert result.stdout == ""
+
 
 class TestSimulate:
     def test_clean_run(self, runner):
@@ -312,6 +322,21 @@ class TestOracle:
         assert outputs[0] == outputs[1]
         assert calls[: len(calls) // 2] == calls[len(calls) // 2 :] == [(0, b) for b in range(1, 11)]
 
+    def test_nonpositive_bmax_exits_2(self, runner):
+        result = invoke(runner, "oracle", "5", "1", "1", "--bmax", "0")
+        assert result.exit_code == 2
+        assert result.stderr == "error: bmax must be positive, got 0\n"
+        assert result.stdout == ""
+
+    def test_no_feasible_pair_within_bmax_exits_2(self, runner):
+        # b = 1 gives gcd(7, 3 + a) = 1 < U+1 for a in 0..1
+        result = invoke(runner, "oracle", "7", "2", "2", "--bmax", "1")
+        assert result.exit_code == 2
+        assert result.stderr == (
+            "error: no feasible pair for ProblemInstance(K=7, D=2, U=2) with b <= 1\n"
+        )
+        assert result.stdout == ""
+
 
 class TestTable:
     def test_k12_d3_scalar_row(self, runner):
@@ -364,6 +389,19 @@ class TestTable:
     def test_u_range_ellipsis(self, runner):
         out = invoke(runner, "table", "37", "--dmax", "6").output
         assert "1,2,...,6" in out
+
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            (("2",), "table needs K >= 3, got 2"),
+            (("5", "--dmax", "0"), "dmax must be positive, got 0"),
+        ],
+    )
+    def test_bad_arguments_exit_2(self, runner, args, message):
+        result = invoke(runner, "table", *args)
+        assert result.exit_code == 2
+        assert result.stderr == f"error: {message}\n"
+        assert result.stdout == ""
 
     def test_determinism(self, runner):
         a = invoke(runner, "table", "37").output

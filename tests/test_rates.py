@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -167,6 +168,14 @@ class TestFindMinRate:
         }
 
 
+class TestSolutionForPair:
+    @pytest.mark.parametrize("a,b", [(-1, 1), (0, 0)])
+    def test_rejects_bad_pair(self, a, b):
+        message = f"need a >= 0 and b >= 1, got a={a}, b={b}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            solution_for_pair(ProblemInstance(5, 1, 1), a, b)
+
+
 class TestOracle:
     def test_agrees_on_worked_example(self):
         sol = oracle_min_rate(ProblemInstance(17, 11, 1))
@@ -187,6 +196,10 @@ class TestOracle:
         with pytest.raises(LookupError):
             oracle_min_rate(ProblemInstance(17, 5, 1), b_max=1)
 
+    def test_rejects_nonpositive_b_max(self):
+        with pytest.raises(ValueError, match="^b_max must be positive, got 0$"):
+            oracle_min_rate(ProblemInstance(5, 1, 1), b_max=0)
+
 
 class TestBounds:
     def test_upper_bound_37_7(self):
@@ -201,6 +214,12 @@ class TestBounds:
     def test_rejects_d_too_large(self):
         with pytest.raises(ValueError):
             rate_upper_bound(3, 3)
+
+    @pytest.mark.parametrize("K,D", [(0, 1), (5, 0)])
+    def test_rejects_nonpositive_k_or_d(self, K, D):
+        message = f"K and D must be positive, got K={K}, D={D}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            rate_upper_bound(K, D)
 
 
 class TestTruncatedDecimal:
@@ -217,6 +236,10 @@ class TestTruncatedDecimal:
     )
     def test_truncation(self, frac, text):
         assert truncated_decimal(frac) == text
+
+    def test_rejects_negative(self):
+        with pytest.raises(ValueError, match="^only nonnegative values are rendered$"):
+            truncated_decimal(Fraction(-1, 2))
 
 
 @settings(max_examples=300, deadline=None)
