@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import sys
+from itertools import groupby
 
 import click
 
@@ -143,7 +144,8 @@ def verify_air(m: int, n: int, primes: str | None, wrap: bool, as_json: bool) ->
 def verify_code(k: int, d: int, u: int, primes: str | None, as_json: bool) -> None:
     """Check the per-receiver rank decodability criterion at the minimal rate.
 
-    One encoder is built and peeled once; every prime shares its peel.
+    One encoder per prime, built by ``build_encoder`` for the first and
+    by ``over`` for the rest, so that every prime shares one peel.
     """
     problem = _instance(k, d, u)
     plist = _prime_list(primes, "2,3")
@@ -153,7 +155,7 @@ def verify_code(k: int, d: int, u: int, primes: str | None, as_json: bool) -> No
     except ValueError as exc:
         _fail_usage(str(exc))
     # each prime passed require_prime, the gate `over` applies, in _prime_list
-    encoders = [enc.over(p) for p in plist]
+    encoders = [enc, *(enc.over(p) for p in plist[1:])]
     results = {e.p: [recv for recv in range(problem.K) if not decodable(e, recv)] for e in encoders}
     all_ok = not any(results.values())
     if as_json:
@@ -205,26 +207,21 @@ def simulate_cmd(k: int, d: int, u: int, p: int, trials: int, seed: int) -> None
 
 def _table_rows(k: int, dmax: int, collapse: bool) -> list[dict]:
     rows: list[dict] = []
+    # one row per run of consecutive U with one (a, b) when collapsing, else one per U
+    key = (lambda pair: (pair[1].a_min, pair[1].b_min)) if collapse else (lambda pair: pair[0])
     # D = K-2 is the last D with room for U >= 1 (D+U < K)
     for d in range(1, min(dmax, k - 2) + 1):
-        u_hi = min(d, k - 1 - d)
-        groups: list[tuple[list[int], RateSolution]] = []
-        for u in range(1, u_hi + 1):
-            sol = find_min_rate(ProblemInstance(K=k, D=d, U=u))
-            if (
-                collapse
-                and groups
-                and (groups[-1][1].a_min, groups[-1][1].b_min)
-                == (sol.a_min, sol.b_min)
-            ):
-                groups[-1][0].append(u)
-            else:
-                groups.append(([u], sol))
-        for us, sol in groups:
+        pairs = (
+            (u, find_min_rate(ProblemInstance(K=k, D=d, U=u)))
+            for u in range(1, min(d, k - 1 - d) + 1)
+        )
+        for _, run in groupby(pairs, key):
+            us, sols = zip(*run)
+            sol = sols[0]
             rows.append(
                 {
                     "D": d,
-                    "U": us,
+                    "U": list(us),
                     "a": sol.a_min,
                     "b": sol.b_min,
                     "lower_bound": d + 1,

@@ -104,7 +104,7 @@ def interference_set(problem: ProblemInstance, k: int) -> set[int]:
     side information is the complement of this set plus k itself.
     """
     k = _receiver(problem, k)
-    return set(_window(problem, k)) - {k}
+    return {(k + i) % problem.K for i in range(-problem.U, problem.D + 1) if i}
 
 
 def _receiver(problem: ProblemInstance, k) -> int:
@@ -113,14 +113,6 @@ def _receiver(problem: ProblemInstance, k) -> int:
     if not 0 <= k < problem.K:
         raise ValueError(f"receiver index must be in [0, {problem.K}), got {k}")
     return k
-
-
-def _window(problem: ProblemInstance, k: int) -> list[int]:
-    """Receiver k's cyclic message window k-U .. k+D, in that order.
-
-    Its D+U+1 indices are distinct, as D+U < K.
-    """
-    return [(k + i) % problem.K for i in range(-problem.U, problem.D + 1)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,12 +180,11 @@ class Encoder:
 
         Built from ``_cells`` on each access and never cached, so an
         encoder holds only its cells; the codec itself never reads it.
-        A shape that ``build_air`` refuses is refused before allocating.
+        Construction already refused a shape that ``build_air`` refuses.
         """
-        m, n = _require_shape(self.rows, self.cols)
-        entries = self._cells.dense(np.arange(m))
+        entries = self._cells.dense(np.arange(self.rows))
         entries.setflags(write=False)
-        return AirMatrix(m, n, entries)
+        return AirMatrix(self.rows, self.cols, entries)
 
     @cached_property
     def _cells(self) -> _Cells:
@@ -226,16 +217,17 @@ class Encoder:
         problem, b, p, n = self.problem, self.b, self.p, self.cols
         ranks = list(self._decoder.ranks)
         stalled = [k for k, rank in enumerate(ranks) if rank is None]
-        w = (problem.D + problem.U + 1) * b
+        w, at = (problem.D + problem.U + 1) * b, problem.U * b
         if stalled and w * n > MAX_CELLS:
             raise ValueError(
                 f"receiver {stalled[0]} of {problem} at (a={self.a}, b={b}): its peel "
                 f"stalled, and its {w}x{n} = {w * n} window rows are over the limit of {MAX_CELLS}"
             )
+        # the window _build_decoder peels, the cyclic run of w rows from
+        # k*b - at, with its wanted rows, offsets at .. at+b-1, moved last
+        offsets = np.r_[:at, at + b : w, at : at + b]
         for k in stalled:
-            window = _window(problem, k)
-            interference = [r for j in window if j != k for r in range(j * b, (j + 1) * b)]
-            block = self._cells.dense(interference + list(range(k * b, (k + 1) * b)))
+            block = self._cells.dense((k * b - at + offsets) % self.rows)
             rank_interference, rank_all = _stacked_ranks_mod_p(block[:-b], block[-b:], p)
             if rank_all == rank_interference + b:
                 raise AssertionError(

@@ -165,13 +165,11 @@ def find_min_rate(problem: ProblemInstance) -> RateSolution:
         inv = pow((D + 1) // g, -1, step)
         b_cap = K // (U + 1)
         l_cap = (K % (D + 1)) // g
-        a = b = 0
         for l in range(1, l_cap + 1):
-            cand = (-l * inv - 1) % step + 1
-            if cand <= b_cap:
-                a, b = l * g, cand
+            a, b = l * g, (-l * inv - 1) % step + 1
+            if b <= b_cap:
                 break
-        if b == 0:
+        else:
             raise AssertionError(
                 "candidate walk exhausted its bound; unreachable for a valid instance"
             )
@@ -198,18 +196,16 @@ def oracle_min_rate(problem: ProblemInstance, b_max: int | None = None) -> RateS
         b_max = K
     if b_max < 1:
         raise ValueError(f"b_max must be positive, got {b_max}")
-    a_hi = K % (D + 1)
-    best: tuple[int, int] | None = None
-    best_key: tuple[Fraction, int, int] | None = None
-    for b in range(1, min(b_max, K) + 1):
-        for a in range(a_hi + 1):
-            if is_feasible(problem, a, b):
-                key = (Fraction(a, b), b, a)
-                if best_key is None or key < best_key:
-                    best_key, best = key, (a, b)
+    keys = (
+        (Fraction(a, b), b, a)
+        for b in range(1, min(b_max, K) + 1)
+        for a in range(K % (D + 1) + 1)
+        if is_feasible(problem, a, b)
+    )
+    best = min(keys, default=None)
     if best is None:
         raise LookupError(f"no feasible pair for {problem} with b <= {b_max}")
-    return solution_for_pair(problem, *best, source="oracle")
+    return solution_for_pair(problem, best[2], best[1], source="oracle")
 
 
 def rate_upper_bound(K: int, D: int) -> Fraction:

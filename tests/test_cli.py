@@ -202,6 +202,21 @@ class TestVerifyCode:
         assert "60/60 receivers decodable" in result.output
         assert len(calls) == 1
 
+    def test_one_encoder_per_prime(self, runner, monkeypatch):
+        # build_encoder's encoder serves the first prime, and `over` builds
+        # one for each other prime
+        built = []
+        post_init = codec.Encoder.__post_init__
+
+        def spy(self):
+            built.append(self.p)
+            post_init(self)
+
+        monkeypatch.setattr(codec.Encoder, "__post_init__", spy)
+        result = invoke(runner, "verify-code", "17", "5", "1", "--p", "2,3,5")
+        assert result.exit_code == 0
+        assert built == [2, 3, 5]
+
     def test_prime_over_int64_envelope_exits_2(self, runner):
         # the codec has the one prime range of the ranks, whatever K*b:
         # 3037000493 passes, and the next prime exits 2
