@@ -69,21 +69,27 @@ sees only its window of D+U+1 messages, so M is very sparse (T is about
 minimal-rate encoders with K <= 40 have at most four.
 
 The batch decoder (``_BatchDecoder``) keeps the nonzero entries of
-every decodable receiver's M. Each entry names a codeword column, that
-column's rows inside its receiver's window, and a nonzero integer
-coefficient. The entries are sorted into one contiguous segment per
-output (a wanted symbol or a parity check), and each receiver owns one
-contiguous range of entries and of outputs. The batch is entry-major:
-one row per entry, one column per codeword.
+every decodable receiver's M. Each entry names a codeword column and a
+nonzero integer coefficient. The entries are sorted into one contiguous
+segment per output (a wanted symbol or a parity check), and each
+receiver owns one contiguous range of entries and of outputs. The same
+outputs are kept again as flat terms, one (output, message row,
+coefficient) triple per row that an entry's column holds inside its
+receiver's window, in entry order, so each output's terms are one
+contiguous run too. ``decode`` sums entries, from a corrected codeword;
+``simulate`` sums terms, straight from the message rows. An entry whose
+column meets no window row keeps one term at the padding index, a zero
+row past the last message row, so that no run of terms is empty.
 
 Every decoder output's sum stays inside int64 at every accepted prime
 by the build's bound on the decoder's load, argued once at its check in
-``_build_decoder``. The batch decoder holds entries x window rows cells:
-one row per entry, as wide as the most rows one column holds inside one
-window (5 on (71,25,1), at most 2 on D = 1 for K <= 40), so at a fixed
-window it grows linearly in K. Its build takes the receivers a run at a
-time, so that none of its receivers x columns or receivers x window rows
-arrays exceeds ``_PEEL_CELLS`` cells.
+``_build_decoder``. The batch decoder holds one term per entry and
+window row of its column: 5,254 terms for the 3,692 entries of
+(71,25,1), at most 5 for one entry, and at most 2 for one entry on
+D = 1 for K <= 40, so at a fixed window it grows linearly in K. Its
+build takes the receivers a run at a time, so that none of its
+receivers x columns or receivers x window rows arrays exceeds
+``_PEEL_CELLS`` cells.
 """
 
 from __future__ import annotations
@@ -168,7 +174,7 @@ class _Cells(NamedTuple):
 
 
 class _BatchDecoder(NamedTuple):
-    """Every receiver's peel and every decodable one's decoder, as sparse entries.
+    """Every receiver's peel and every decodable one's decoder, as sparse entries and terms.
 
     Built by ``_build_decoder`` from one batched peel of all receivers,
     which reads no p, so every prime shares it. ``ranks[k]`` is receiver
@@ -176,45 +182,36 @@ class _BatchDecoder(NamedTuple):
     which hold in every field, or None where its peel stalls. Entry e
     reads column ``cols[e]`` of its receiver's corrected codeword and
     multiplies it by ``coef[e]``, a nonzero integer that every prime
-    shares. ``window_rows[e]`` holds that column's rows inside its
-    receiver's window, padded with the index m. Output o
-    sums the entries ``starts[o]`` up to the next output's start, mod p,
-    each output's entries in column order; it must equal message row
-    ``targets[o]`` for a wanted symbol, and zero, read at the padding
-    index, for a parity column. Receiver k owns entries
-    ``entry_bounds[k] : entry_bounds[k + 1]`` and outputs
-    ``output_bounds[k] : output_bounds[k + 1]``: its b wanted symbols,
-    then one parity check per parity column, ascending. An undecodable
-    receiver owns none. The build bounds every output's sum, at every
-    prime ``require_prime`` accepts, inside int64; see ``_build_decoder``.
+    shares. Output o sums the entries ``starts[o]`` up to the next
+    output's start, mod p, each output's entries in column order; it must
+    equal message row ``targets[o]`` for a wanted symbol, and zero, read
+    at the padding index m (one past the last message row), for a parity
+    column. Receiver k owns entries ``entry_bounds[k] : entry_bounds[k + 1]``
+    and outputs ``output_bounds[k] : output_bounds[k + 1]``: its b wanted
+    symbols, then one parity check per parity column, ascending. An
+    undecodable receiver owns none.
+
+    The same outputs as flat terms, one per message row that an entry's
+    column holds inside its receiver's window: entry e's terms are
+    ``entry_terms[e] : entry_terms[e + 1]``, term t reads message row
+    ``term_rows[t]`` times ``term_coef[t]``, its entry's coefficient, and
+    output o's terms start at ``entry_terms[starts[o]]``. An entry whose
+    column meets no window row keeps one term at the padding index, so
+    that no output's run of terms is empty. The build bounds every
+    output's sum, at every prime ``require_prime`` accepts, inside int64;
+    see ``_build_decoder``.
     """
 
     ranks: list[tuple[int, int] | None]
     cols: np.ndarray
-    window_rows: np.ndarray
     coef: np.ndarray
     starts: np.ndarray
     targets: np.ndarray
     entry_bounds: np.ndarray
     output_bounds: np.ndarray
-
-    def outputs(self, fixed: np.ndarray, p: int, k: int | None = None) -> np.ndarray:
-        """Receiver k's outputs over GF(p), or every receiver's, for each column of ``fixed``.
-
-        ``fixed`` is entry-major: one row per entry of that range, holding
-        the entry's column of its receiver's corrected codeword (the
-        codeword less the side information's share), and one column per
-        codeword of the batch. The result has one row per output. A
-        genuine codeword gives the sent symbols and zero parity. Each
-        output is one sum of the integer products ``fixed[e] * coef[e]``,
-        reduced once into [0, p), and exact by the build's load bound (see
-        ``_build_decoder``).
-        """
-        lo, hi = (0, self.cols.size) if k is None else self.entry_bounds[k : k + 2].tolist()
-        outs = slice(None) if k is None else slice(*self.output_bounds[k : k + 2].tolist())
-        out = np.add.reduceat(fixed * self.coef[lo:hi, None], self.starts[outs] - lo, axis=0)
-        out %= p
-        return out
+    term_rows: np.ndarray
+    term_coef: np.ndarray
+    entry_terms: np.ndarray
 
 
 def _segment_starts(outs: np.ndarray, n: int) -> np.ndarray:
@@ -486,11 +483,11 @@ def _build_decoder(cells: _Cells, K: int, w: int, b: int, at: int, name, a: int)
     with the peel's ranks. Every output's segment is nonempty, as each
     holds its own column with coefficient 1. A receiver whose peel stalls
     gets no ranks and no entries; ``Encoder._ranks`` eliminates its
-    window's rows at each prime. Each entry's window rows are its
-    column's rows inside its receiver's window, cut from the cells.
-    Nothing here reads p. The decoder's ``load`` keeps every output's
-    sum inside int64; the argument is at its check, which raises
-    ``OverflowError`` past the bound, before any window rows are cut.
+    window's rows at each prime. Each entry's terms are its column's
+    rows inside its receiver's window, cut from the cells, or the one
+    padding term. Nothing here reads p. The decoder's ``load`` keeps
+    every output's sum inside int64; the argument is at its check, which
+    raises ``OverflowError`` past the bound, before any term is cut.
     """
     m, n = (cells.row_ptr.size - 1) // 2, cells.col_starts.size - 1
     lo = (np.arange(K) * b - at) % m
@@ -513,19 +510,20 @@ def _build_decoder(cells: _Cells, K: int, w: int, b: int, at: int, name, a: int)
     starts = _segment_starts(outs, recv.size)
     # The load bound. ``load`` is the largest, over the outputs, of the sum
     # over an output's entries e of |coef[e]| times the weight (count of
-    # nonzero rows) of column cols[e]. An entry's corrected symbol is the
-    # codeword symbol reduced into [0, p) less its column's known rows,
-    # each in [0, p) (``decode``), or the sum of its column's rows inside
-    # its receiver's window, each in [0, p) (``simulate``), so it is at
-    # most p-1 times its column's weight in magnitude, and each product
-    # and partial sum of an output is at most (p-1)*load. Every prime that
-    # ``require_prime`` accepts has p-1 < 2**31.5, so a load within
-    # _MAX_TERM = 2**31 keeps each below 2**62.5; as the load is at least
-    # every |coef|, it bounds the coefficients too. A larger load raises
-    # here, so the first ``decodable``, ``receiver_ranks``, ``decode`` or
-    # ``simulate`` on such an encoder raises before anything is summed. No
-    # AIR encoder comes near it: the load is 18 on (71,25,1), at most 28
-    # on the minimal-rate encoders with K <= 20, and K/2 on D = 1.
+    # nonzero rows) of column cols[e]. In ``decode`` an entry's corrected
+    # symbol is the codeword symbol reduced into [0, p) less its column's
+    # known rows, each in [0, p), so it is at most p-1 times its column's
+    # weight in magnitude; in ``simulate`` each of an entry's terms reads
+    # one of its column's rows, a symbol in [0, p). Either way each
+    # product and partial sum of an output is at most (p-1)*load. Every
+    # prime that ``require_prime`` accepts has p-1 < 2**31.5, so a load
+    # within _MAX_TERM = 2**31 keeps each below 2**62.5; as the load is at
+    # least every |coef|, it bounds the coefficients too. A larger load
+    # raises here, so the first ``decodable``, ``receiver_ranks``,
+    # ``decode`` or ``simulate`` on such an encoder raises before anything
+    # is summed. No AIR encoder comes near it: the load is 18 on
+    # (71,25,1), at most 28 on the minimal-rate encoders with K <= 20, and
+    # K/2 on D = 1.
     weight = np.diff(cells.col_starts)
     load = np.add.reduceat(np.abs(coef) * weight[cols], starts).max(initial=0)
     if load > _MAX_TERM:
@@ -536,16 +534,23 @@ def _build_decoder(cells: _Cells, K: int, w: int, b: int, at: int, name, a: int)
     entry_lo = lo[recv[outs]]
     q, off = _cut(cells, cols, entry_lo, w)
     sizes = np.bincount(q, minlength=cols.size)
-    window_rows = np.full((cols.size, sizes.max(initial=0)), m, dtype=np.int64)
-    # row-major, so each entry's rows fill the front of its row
-    window_rows[np.arange(window_rows.shape[1]) < sizes[:, None]] = (entry_lo[q] + off) % m
+    # an entry whose column meets no window row keeps one padding term
+    held = np.maximum(sizes, 1)
+    entry_terms = np.zeros(cols.size + 1, dtype=np.int64)
+    np.cumsum(held, out=entry_terms[1:])
+    term_rows = np.full(entry_terms[-1], m, dtype=np.int64)
+    # _cut lists each entry's rows together, in entry order
+    first = sizes.cumsum() - sizes
+    term_rows[entry_terms[q] + np.arange(q.size) - first[q]] = (entry_lo[q] + off) % m
     return _BatchDecoder(
         ranks=ranks,
         cols=cols,
-        window_rows=window_rows,
         coef=coef,
         starts=starts,
         targets=targets,
         entry_bounds=np.append(starts, cols.size)[output_bounds],
         output_bounds=output_bounds,
+        term_rows=term_rows,
+        term_coef=coef.repeat(held),
+        entry_terms=entry_terms,
     )

@@ -25,21 +25,23 @@ rows, built dense from the cells, once per prime and only when ranks are
 asked for; every stalled receiver seen so far is undecodable at every
 prime.
 
-Decoding a batch of codewords takes three steps, all in
-``_BatchDecoder.outputs`` but the first: correct each entry's codeword
-symbol by the side information's share, multiply it by the entry's
-integer coefficient, and sum every segment with one ``np.add.reduceat``,
-reducing each output once mod p. ``encode`` and ``decode`` sum every
-codeword column one way, with one ``np.add.reduceat`` over the nonzero
-rows in column order: ``encode`` of the whole message, ``decode`` of a
-message that holds only its receiver's known messages, its unknown ones
-zero, whose sums at its receiver's columns it subtracts from the
-codeword. ``simulate`` checks each receiver's decoder on its window's
-rows instead: each entry's corrected symbol is the sum of its column's
-rows inside its receiver's window, each row gathered whole across the
-trials, so it forms no codeword, and ``encode``/``decode`` cover the
-broadcast. It runs every receiver at once, where ``decode`` runs one
-receiver's range.
+``decode`` and ``simulate`` share one kernel, ``_segment_sums``: it
+multiplies each row of values by its integer coefficient and sums every
+output's run with one ``np.add.reduceat``. ``decode`` feeds it one
+receiver's entries: each entry's codeword symbol, corrected by the side
+information's share, then reduces each output once mod p. ``encode``
+and ``decode`` sum every codeword column one way, with one
+``np.add.reduceat`` over the nonzero rows in column order: ``encode``
+of the whole message, ``decode`` of a message that holds only its
+receiver's known messages, its unknown ones zero, whose sums at its
+receiver's columns it subtracts from the codeword. ``simulate`` checks
+every receiver's decoder at once on the message rows instead, through
+the decoder's flat terms: one gather of every term's row across a chunk
+of trials, one multiply and one reduction, so it forms no codeword, and
+``encode``/``decode`` cover the broadcast. The decoder is exact over the
+integers, so a right output's sum equals its target, a message symbol
+in [0, p) or zero; ``simulate`` compares the unreduced sums with their
+targets and reduces mod p only the sums that differ (``_misses``).
 
 Message vectors, codewords and side information must hold integers
 (:func:`airindex.linalg.as_int_array`); receiver indices go through
@@ -192,12 +194,20 @@ class Encoder:
         rows, cols = (np.concatenate(part) for part in zip(*_block_cells(self.rows, self.cols)))
         return _Cells.from_nonzero(rows, cols, self.rows, self.cols)
 
+    @property
+    def _window(self) -> tuple[int, int]:
+        """(w, at): receiver k's unknowns are the cyclic run of w rows from
+        k*b - at, the rows of messages k-U .. k+D, and its wanted rows
+        start ``at`` rows into it. Its known rows are the other rows - w,
+        the cyclic run that follows."""
+        problem, b = self.problem, self.b
+        return (problem.D + problem.U + 1) * b, problem.U * b
+
     @cached_property
     def _decoder(self) -> _BatchDecoder:
         """Every receiver's peel and decoder, built on first use; see ``_BatchDecoder``."""
-        problem, b = self.problem, self.b
-        w = (problem.D + problem.U + 1) * b
-        return _build_decoder(self._cells, problem.K, w, b, problem.U * b, problem, self.a)
+        w, at = self._window
+        return _build_decoder(self._cells, self.problem.K, w, self.b, at, self.problem, self.a)
 
     @cached_property
     def _ranks(self) -> list[tuple[int, int]]:
@@ -217,14 +227,13 @@ class Encoder:
         problem, b, p, n = self.problem, self.b, self.p, self.cols
         ranks = list(self._decoder.ranks)
         stalled = [k for k, rank in enumerate(ranks) if rank is None]
-        w, at = (problem.D + problem.U + 1) * b, problem.U * b
+        w, at = self._window
         if stalled and w * n > MAX_CELLS:
             raise ValueError(
                 f"receiver {stalled[0]} of {problem} at (a={self.a}, b={b}): its peel "
                 f"stalled, and its {w}x{n} = {w * n} window rows are over the limit of {MAX_CELLS}"
             )
-        # the window _build_decoder peels, the cyclic run of w rows from
-        # k*b - at, with its wanted rows, offsets at .. at+b-1, moved last
+        # the window _build_decoder peels, with its wanted rows moved last
         offsets = np.r_[:at, at + b : w, at : at + b]
         for k in stalled:
             block = self._cells.dense((k * b - at + offsets) % self.rows)
@@ -273,23 +282,35 @@ class Encoder:
 def _pad(X: np.ndarray) -> np.ndarray:
     """The trials x symbols batch X entry-major: one contiguous row per
     message symbol, one column per trial, and a zero row appended at the
-    padding index of the decoder's tables."""
+    padding index of the decoder's terms and targets."""
     padded = np.empty((X.shape[1] + 1, X.shape[0]), dtype=np.int64)
     padded[:-1] = X.T
     padded[-1] = 0
     return padded
 
 
-def _gather_sum(padded: np.ndarray, support: np.ndarray) -> np.ndarray:
-    """``out[j]`` = the sum of the rows ``padded[i]`` over the i in ``support[j]``.
+def _segment_sums(vals: np.ndarray, coef: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """``out[o]`` = the sum of ``vals[t] * coef[t]`` over the t from
+    ``starts[o]`` up to the next start, or to the end.
 
-    Each slot of the table gathers whole rows, and adding one slot at a
-    time keeps every temporary to the size of ``out``.
+    The one decode kernel: ``decode`` sums a receiver's entries with it,
+    ``simulate`` every receiver's terms. ``vals`` has one row per entry
+    or term and one column per codeword or trial; no segment is empty,
+    and the decoder's load bound keeps every sum inside int64 (see
+    ``airindex._peel._build_decoder``).
     """
-    out = np.zeros((support.shape[0], padded.shape[1]), dtype=np.int64)
-    for slot in support.T:
-        out += np.take(padded, slot, axis=0)
-    return out
+    return np.add.reduceat(vals * coef[:, None], starts, axis=0)
+
+
+def _misses(sums: np.ndarray, targets: np.ndarray, p: int) -> np.ndarray:
+    """Where ``sums % p != targets``, for targets already in [0, p).
+
+    A sum equal to its target is right mod p, so only the sums that
+    differ from theirs are reduced.
+    """
+    wrong = sums != targets
+    wrong[wrong] = sums[wrong] % p != targets[wrong]
+    return wrong
 
 
 def build_encoder(problem: ProblemInstance, solution: RateSolution, p) -> Encoder:
@@ -321,8 +342,8 @@ def encode(encoder: Encoder, x) -> np.ndarray:
     return encoder._broadcast((xv % encoder.p)[None])[0]
 
 
-# bound on the cells of each entries x trials array in one decode step
-# of ``simulate``, so that its working set stays near the message batch's
+# bound on the cells of each terms x trials array in one decode step of
+# ``simulate``, so that its working set stays near the message batch's
 _DECODE_CELLS = 1 << 16
 
 
@@ -389,28 +410,29 @@ def decode(encoder: Encoder, k: int, codeword, side_info) -> np.ndarray:
     Raises if the receiver is not decodable or the codeword fails the
     receiver's parity check, as no genuine codeword can.
     """
-    problem, p, b = encoder.problem, encoder.p, encoder.b
+    problem, p, b, m = encoder.problem, encoder.p, encoder.b, encoder.rows
     k = _receiver(problem, k)
     if not decodable(encoder, k):
         raise ValueError(f"receiver {k} cannot decode with this encoder")
     c = as_int_array(codeword)
     if c.ndim != 1 or c.shape[0] != encoder.cols:
         raise ValueError(f"codeword must have length {encoder.cols}, got shape {c.shape}")
-    # the known messages are the cyclic run of K-D-U-1 after the window's
-    # last, k+D, and so are their rows
-    K, first = problem.K, (k + problem.D + 1) % problem.K
-    last = first + K - problem.D - problem.U - 1
-    messages = [*range(first, min(last, K)), *range(last - K)]
+    # the known rows, the cyclic run of m - w rows after the window, are
+    # whole messages, from the one that starts at row ``first``
+    w, at = encoder._window
+    first, count = (k * b - at + w) % m, m - w
+    head = min(count, m - first)
+    messages = [*range(first // b, (first + head) // b), *range((count - head) // b)]
     known = _known_symbols(side_info, messages, b) % p
+    x = np.zeros((1, m), dtype=np.int64)
+    x[0, first : first + head] = known[:head]
+    x[0, : count - head] = known[head:]
     dec = encoder._decoder
-    x = np.zeros((1, encoder.rows), dtype=np.int64)
-    head = min(known.size, encoder.rows - first * b)
-    x[0, first * b : first * b + head] = known[:head]
-    x[0, : known.size - head] = known[head:]
     lo, hi = dec.entry_bounds[k : k + 2].tolist()
+    outs = slice(*dec.output_bounds[k : k + 2].tolist())
     cols = dec.cols[lo:hi]
     fixed = c[cols] % p - encoder._column_sums(x)[0, cols]
-    out = dec.outputs(fixed[:, None], p, k)[:, 0]
+    out = _segment_sums(fixed[:, None], dec.coef[lo:hi], dec.starts[outs] - lo)[:, 0] % p
     if out[b:].any():
         raise ArithmeticError(
             "codeword is not a combination of the unknown rows; "
@@ -477,10 +499,10 @@ def simulate(
     first call on an encoder, like the first ``decodable`` or ``decode``,
     peels every receiver and builds the batch decoder; pass a prebuilt
     ``encoder`` to reuse it. It checks each receiver's decoder on its
-    window's rows: an entry's corrected symbol, the codeword less the
-    side information's share, is the sum of its column's rows inside its
-    receiver's window, so no codeword is formed; ``encode`` and
-    ``decode`` cover the broadcast. Raises ``ValueError`` for negative
+    window's rows, through the decoder's flat terms: each term reads one
+    message row, so no codeword is formed, and ``encode`` and ``decode``
+    cover the broadcast. A trial's sum is reduced mod p only where it
+    misses its target. Raises ``ValueError`` for negative
     ``trials`` or ``seed`` before building anything, and before
     allocating a message batch of more than ``MAX_CELLS`` cells, and
     ``OverflowError``, from the decoder's build, before drawing one for an
@@ -513,14 +535,15 @@ def simulate(
     # every decodable receiver owns at least its b outputs
     receivers = np.flatnonzero(np.diff(dec.output_bounds))
     firsts = dec.output_bounds[receivers]
+    term_starts = dec.entry_terms[dec.starts]
     failed = np.ones((trials, K), dtype=bool)
-    # a slice of the trials at a time, so no entries x trials array
-    # exceeds _DECODE_CELLS
-    step = max(1, _DECODE_CELLS // max(1, dec.cols.size))
+    # a slice of the trials at a time, so no terms x trials array exceeds
+    # _DECODE_CELLS
+    step = max(1, _DECODE_CELLS // max(1, dec.term_rows.size))
     for lo in range(0, trials, step):
         chunk = _pad(X[lo : lo + step])
-        fixed = _gather_sum(chunk, dec.window_rows)
-        wrong = dec.outputs(fixed, enc.p) != np.take(chunk, dec.targets, axis=0)
+        sums = _segment_sums(np.take(chunk, dec.term_rows, axis=0), dec.term_coef, term_starts)
+        wrong = _misses(sums, np.take(chunk, dec.targets, axis=0), enc.p)
         failed[lo : lo + step, receivers] = np.logical_or.reduceat(wrong, firsts, axis=0).T
     # row-major order is (trial, receiver) order
     failures = tuple(zip(*(i.tolist() for i in np.nonzero(failed))))

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from _reference import rank_mod_p as reference_rank
 from _reference import reference_peel, rref_mod_p, solve_left
 from airindex._peel import (
-    _BatchDecoder,
     _build_decoder,
     _cut,
     _first_peel,
@@ -28,8 +27,9 @@ from airindex.air import build_air
 from airindex.codec import (
     MAX_CELLS,
     Encoder,
-    _gather_sum,
+    _misses,
     _pad,
+    _segment_sums,
     build_encoder,
     decodable,
     decode,
@@ -58,16 +58,34 @@ def _encoder(K, D, U, a, b, p, build=build_encoder):
 def _receiver_slice(enc, k):
     """Receiver k's range of the encoder's batch decoder.
 
-    (cols, window_rows, coef, outs) per entry, with ``outs`` the entry's
-    output counted from the receiver's first, and the receiver's output
-    targets.
+    (cols, terms, coef, outs) per entry, with ``terms`` the message rows
+    of the entry's terms and ``outs`` the entry's output counted from the
+    receiver's first, and the receiver's output targets.
     """
     dec = enc._decoder
     lo, hi = dec.entry_bounds[k : k + 2]
     first, last = dec.output_bounds[k : k + 2]
     sizes = np.diff(np.append(dec.starts[first:last], hi))
     outs = np.repeat(np.arange(last - first), sizes)
-    return dec.cols[lo:hi], dec.window_rows[lo:hi], dec.coef[lo:hi], outs, dec.targets[first:last]
+    bounds = dec.entry_terms[lo : hi + 1]
+    terms = np.split(dec.term_rows[bounds[0] : bounds[-1]], bounds[1:-1] - bounds[0])
+    return dec.cols[lo:hi], terms, dec.coef[lo:hi], outs, dec.targets[first:last]
+
+
+def _window_shares(padded, dec, lo, hi):
+    """The sum of each entry's term rows of ``padded`` for the entries lo .. hi-1,
+    entry-major: the share of its receiver's window in the entry's column."""
+    bounds = dec.entry_terms[lo : hi + 1]
+    rows = dec.term_rows[bounds[0] : bounds[-1]]
+    return np.add.reduceat(np.take(padded, rows, axis=0), bounds[:-1] - bounds[0], axis=0)
+
+
+def _outputs(dec, fixed, p, k):
+    """Receiver k's outputs over GF(p) for the entry-major corrected codewords
+    ``fixed``, by the kernel and reduction of ``decode``."""
+    lo = dec.entry_bounds[k]
+    first, last = dec.output_bounds[k : k + 2]
+    return _segment_sums(fixed, dec.coef[lo : lo + fixed.shape[0]], dec.starts[first:last] - lo) % p
 
 
 def _dense_decoder(enc, k):
@@ -557,7 +575,7 @@ class TestDecodeMaps:
         L = enc.matrix.entries
         X = np.random.default_rng(K * p).integers(0, p, size=(5, enc.rows), dtype=np.int64)
         for k in range(K):
-            cols, window_rows, coef, outs, targets = _receiver_slice(enc, k)
+            cols, terms, coef, outs, targets = _receiver_slice(enc, k)
             dense_M = _dense_decoder(enc, k)
             T, P = dense_M[:, :b], dense_M[:, b:]
             window, unknown = _unknown_rows(enc, k)
@@ -578,17 +596,18 @@ class TestDecodeMaps:
             # no cell vanishes at any prime
             assert np.isin(coef, (1, -1)).all(), k
             assert np.count_nonzero(dense_M) == cols.size, k
-            # each entry names exactly its column's unknown rows, padded
-            # with enc.rows, in a table no wider than the window
-            assert window_rows.shape[1] <= (D + U + 1) * b, k
-            for col, slots in zip(cols, window_rows):
+            # each entry's terms name exactly its column's unknown rows, or
+            # the one padding row enc.rows when it has none, no more of
+            # them than the window holds
+            assert max(map(len, terms)) <= (D + U + 1) * b, k
+            for col, slots in zip(cols, terms):
                 want = unknown[L[unknown, col] != 0]
-                assert sorted(slots[slots < enc.rows].tolist()) == sorted(want.tolist()), k
-                assert (slots[len(want) :] == enc.rows).all(), k
+                assert sorted(slots.tolist()) == (sorted(want.tolist()) or [enc.rows]), k
             # column total minus window share is the known rows' share;
             # the window share is entry-major, one row per entry
             total = enc._column_sums(X)[:, cols]
-            share = (total - _gather_sum(_pad(X), window_rows).T) % p
+            lo, hi = enc._decoder.entry_bounds[k : k + 2]
+            share = (total - _window_shares(_pad(X), enc._decoder, lo, hi).T) % p
             dense = X[:, known_rows] @ L[known_rows] % p
             assert np.array_equal(share, dense[:, cols]), k
             if K == D + U + 1:
@@ -623,6 +642,11 @@ class TestDecodeMaps:
             want = dec.starts[first] if first < dec.starts.size else dec.cols.size
             assert dec.entry_bounds[k] == want, k
         assert allow == (not all(decodable(enc, k) for k in range(K)))
+        # every entry owns a nonempty run of terms, each with its entry's
+        # coefficient, so every output owns one too
+        held = np.diff(dec.entry_terms)
+        assert dec.entry_terms[0] == 0 and dec.entry_terms[-1] == dec.term_rows.size
+        assert (held >= 1).all() and np.array_equal(dec.term_coef, dec.coef.repeat(held))
 
     def test_empty_segment_refused(self):
         # np.add.reduceat over an empty segment returns the next element
@@ -915,12 +939,12 @@ class TestPeel:
                 continue
             rank, outputs, cut = ref
             assert receiver_ranks(enc, k) == (rank - b, rank), k
-            cols, window_rows, coef, outs, targets = _receiver_slice(enc, k)
+            cols, terms, coef, outs, targets = _receiver_slice(enc, k)
             assert targets.tolist() == list(range(k * b, (k + 1) * b)) + [m] * (len(outputs) - b)
             for o, expr in enumerate(outputs):
                 got = set(zip(cols[outs == o].tolist(), coef[outs == o].tolist()))
                 assert got == {(c, v) for c, v in expr.items() if v}, (k, o)
-            for c, rows in zip(cols.tolist(), window_rows):
+            for c, rows in zip(cols.tolist(), terms):
                 assert sorted(rows[rows < m].tolist()) == cut[c], (k, c)
 
     @pytest.mark.parametrize("p", [2, 3, 65521])
@@ -1176,7 +1200,8 @@ def _assert_same_encoder(shared, fresh, seed):
     assert shared.p == q
     dec, want = shared._decoder, fresh._decoder
     assert dec.ranks == want.ranks
-    fields = ("cols", "window_rows", "coef", "starts", "targets", "entry_bounds", "output_bounds")
+    fields = ("cols", "coef", "starts", "targets", "entry_bounds", "output_bounds")
+    fields += ("term_rows", "term_coef", "entry_terms")
     for name in fields:
         assert np.array_equal(getattr(dec, name), getattr(want, name)), name
     assert [receiver_ranks(shared, k) for k in range(K)] == [
@@ -1286,19 +1311,20 @@ class TestBatchDecoder:
             known[:, unknown] = 0
             lo, hi = dec.entry_bounds[k : k + 2]
             cols = dec.cols[lo:hi]
-            # as simulate forms the corrected codeword, from the window rows
-            # alone, and as decode does, the codeword less the known rows'
-            # encoding; the two agree mod p. Both are entry-major: one row
-            # per entry, one column per trial
+            # the corrected codeword from the window rows alone, each entry's
+            # terms summed, which simulate's terms add up to, and as decode
+            # forms it, the codeword less the known rows' encoding; the two
+            # agree mod p. Both are entry-major: one row per entry, one
+            # column per trial
             fixes = [
-                _gather_sum(padded, dec.window_rows[lo:hi]),
+                _window_shares(padded, dec, lo, hi),
                 (C[:, cols] - enc._column_sums(known)[:, cols]).T,
             ]
             assert not ((fixes[0] - fixes[1]) % p).any(), k
             for fixed in fixes:
                 # the magnitude that the build's bound on the load assumes
                 assert (np.abs(fixed) <= (p - 1) * L.sum(axis=0)[cols, None]).all(), k
-                out = dec.outputs(fixed, p, k)
+                out = _outputs(dec, fixed, p, k)
                 got, inconsistent = out[:b].T, out[b:].any(axis=0)
                 assert not inconsistent.any(), k
                 assert np.array_equal(got, X[:, k * b : (k + 1) * b]), k
@@ -1311,7 +1337,7 @@ class TestBatchDecoder:
                 for step in {1, p - 1}:
                     for fixed in fixes:
                         bad = fixed + step * (cols == f)[:, None]
-                        assert dec.outputs(bad, p, k)[b:].any(axis=0).all(), (k, f, step)
+                        assert _outputs(dec, bad, p, k)[b:].any(axis=0).all(), (k, f, step)
                     bad = C[0].copy()
                     bad[f] = (bad[f] + step) % p
                     with pytest.raises(ArithmeticError, match="not produced by this encoder"):
@@ -1322,21 +1348,90 @@ class TestBatchDecoder:
         # a trial whose symbols decode right but whose corrected codeword
         # fails the parity check is a failure; every receiver of (5,2,1)
         # at (2, 1) has one parity output, (5,1,1) at (1, 2) none
-        outputs = _BatchDecoder.outputs
-
-        def first_row_inconsistent(dec, fixed, p, k=None):
-            # entry-major: trial 0 is column 0 of the first chunk
-            out = outputs(dec, fixed, p, k)
-            if fixed.shape[1]:
-                out[dec.targets == 5, 0] = 1  # the padding index of a 5-row encoder
-            return out
-
-        monkeypatch.setattr(_BatchDecoder, "outputs", first_row_inconsistent)
         problem = ProblemInstance(5, 2, 1)
         sol = find_min_rate(problem)
         assert (sol.a_min, sol.b_min) == (2, 1)
-        report = simulate(problem, sol, 3, trials=3, seed=2)
+        enc = build_encoder(problem, sol, 3)
+        parity = enc._decoder.targets == 5  # the padding index of a 5-row encoder
+
+        def first_row_inconsistent(vals, coef, starts):
+            # entry-major: trial 0 is column 0 of the first chunk
+            out = _segment_sums(vals, coef, starts)
+            if vals.shape[1]:
+                out[parity, 0] = 1
+            return out
+
+        monkeypatch.setattr("airindex.codec._segment_sums", first_row_inconsistent)
+        report = simulate(problem, sol, 3, trials=3, seed=2, encoder=enc)
         assert report.failures == tuple((0, k) for k in range(5))
+
+    def test_parity_output_without_window_rows_sums_to_zero(self, monkeypatch):
+        # (5,2,1) at (2, 1): each receiver's parity output holds one entry,
+        # whose column meets no row of the receiver's window, so its one
+        # term reads the padding row, whose symbol is zero, and simulate
+        # sums it to exactly 0 at every trial
+        problem = ProblemInstance(5, 2, 1)
+        enc = build_encoder(problem, solution_for_pair(problem, 2, 1), 3)
+        dec = enc._decoder
+        lone = [
+            o
+            for o, (e, end) in enumerate(zip(dec.starts, np.append(dec.starts[1:], dec.cols.size)))
+            if end - e == 1 and dec.term_rows[dec.entry_terms[e] : dec.entry_terms[e + 1]].tolist() == [5]
+        ]
+        assert lone and (dec.targets[lone] == 5).all()
+        seen = []
+
+        def spy(vals, coef, starts):
+            seen.append(_segment_sums(vals, coef, starts))
+            return seen[-1]
+
+        monkeypatch.setattr("airindex.codec._segment_sums", spy)
+        report = simulate(problem, enc.solution, 3, trials=20, seed=4, encoder=enc)
+        sums = np.concatenate(seen, axis=1)
+        assert report.passed and sums.shape == (dec.targets.size, 20)
+        assert not sums[lone].any()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        K=st.integers(3, 10),
+        data=st.data(),
+        p=st.sampled_from([2, 3, 5, 65521, LARGEST_PRIME]),
+        trials=st.integers(1, 40),
+        seed=st.integers(0, 2**16),
+    )
+    def test_mismatch_only_verdict_is_reduced_verdict(self, K, data, p, trials, seed):
+        # simulate reduces mod p only the sums that differ from their
+        # targets; with every sum shifted by a multiple of p, none fails,
+        # and with some also shifted by a non-multiple, exactly those fail,
+        # each verdict equal to the reduced one, sums % p != targets, and
+        # the report names their (trial, receiver) pairs
+        enc = _drawn_encoder(K, data, p)
+        dec = enc._decoder
+        recv = np.repeat(np.arange(K), np.diff(dec.output_bounds))
+        rng = np.random.default_rng(seed)
+        done, expected = 0, set()
+
+        def shifted(sums, targets, q):
+            nonlocal done
+            # the decoder is exact over the integers
+            assert np.array_equal(sums, targets)
+            off = rng.integers(1, q, size=sums.shape) * (rng.random(sums.shape) < 0.1)
+            sums = sums + q * rng.integers(-(2**20), 2**20, size=sums.shape) + off
+            wrong = _misses(sums, targets, q)
+            assert np.array_equal(wrong, sums % q != targets)
+            assert np.array_equal(wrong, off != 0)
+            for o, t in zip(*np.nonzero(wrong)):
+                expected.add((done + int(t), int(recv[o])))
+            done += sums.shape[1]
+            return wrong
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("airindex.codec._misses", shifted)
+            report = simulate(enc.problem, enc.solution, p, trials=trials, seed=seed, encoder=enc)
+        assert done == trials
+        stalled = [k for k in range(K) if not decodable(enc, k)]
+        expected |= {(t, k) for t in range(trials) for k in stalled}
+        assert report.failures == tuple(sorted(expected))
 
 
 def _dense_load(enc):
@@ -1389,8 +1484,7 @@ class TestLoadGuard:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(Encoder, "_column_sums", spy("column", Encoder._column_sums))
-            mp.setattr("airindex.codec._gather_sum", spy("window", _gather_sum))
-            mp.setattr(_BatchDecoder, "outputs", spy("outputs", _BatchDecoder.outputs))
+            mp.setattr("airindex.codec._segment_sums", spy("outputs", _segment_sums))
             for call in (
                 lambda: decodable(enc, 0),
                 lambda: receiver_ranks(enc, K - 1),
@@ -1530,7 +1624,7 @@ class TestDecodeGuards:
         finally:
             tracemalloc.stop()
         assert report.passed and "_decoder" in vars(enc)
-        assert enc._decoder.window_rows.shape[1] <= 2
+        assert np.diff(enc._decoder.entry_terms).max(initial=0) <= 2
         assert peak < 4 * 2**20
 
     @pytest.mark.parametrize("p", [2, 3, 65521])
