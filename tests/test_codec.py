@@ -83,9 +83,9 @@ def _window_shares(padded, dec, lo, hi):
 def _outputs(dec, fixed, p, k):
     """Receiver k's outputs over GF(p) for the entry-major corrected codewords
     ``fixed``, by the kernel and reduction of ``decode``."""
-    lo = dec.entry_bounds[k]
+    lo, hi = dec.entry_bounds[k : k + 2]
     first, last = dec.output_bounds[k : k + 2]
-    return _segment_sums(fixed, dec.coef[lo : lo + fixed.shape[0]], dec.starts[first:last] - lo) % p
+    return _segment_sums(fixed, dec.coef[lo:hi], dec.starts[first:last] - lo) % p
 
 
 def _dense_decoder(enc, k):
@@ -1373,12 +1373,11 @@ class TestBatchDecoder:
         problem = ProblemInstance(5, 2, 1)
         enc = build_encoder(problem, solution_for_pair(problem, 2, 1), 3)
         dec = enc._decoder
-        lone = [
-            o
-            for o, (e, end) in enumerate(zip(dec.starts, np.append(dec.starts[1:], dec.cols.size)))
-            if end - e == 1 and dec.term_rows[dec.entry_terms[e] : dec.entry_terms[e + 1]].tolist() == [5]
-        ]
-        assert lone and (dec.targets[lone] == 5).all()
+        # outputs of one entry whose one term is the padding row 5
+        ends = np.append(dec.starts[1:], dec.cols.size)
+        padding = (np.diff(dec.entry_terms) == 1) & (dec.term_rows[dec.entry_terms[:-1]] == 5)
+        lone = np.flatnonzero((ends - dec.starts == 1) & padding[dec.starts])
+        assert lone.size and (dec.targets[lone] == 5).all()
         seen = []
 
         def spy(vals, coef, starts):
